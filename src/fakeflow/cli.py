@@ -15,13 +15,13 @@ import json
 import logging
 import os
 import sys
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 from . import corpus as corpus_mod
 from . import evaluation, report
-from .errors import FakeflowError, UsageError
-from .lexicon import extract_affect, load_lexicon_set
-from .model import FakeFlowConfig, FakeFlowModel
+from .errors import ConfigError, FakeflowError, UsageError
+from .lexicon import LexiconSet, extract_affect, load_lexicon_set
+from .model import Example, FakeFlowConfig, FakeFlowModel
 from .tensor import load_word_vectors
 from .train import (
     SearchSpace,
@@ -142,24 +142,39 @@ def _load_labeled_corpus(path) -> list[corpus_mod.RawArticle]:
     return articles
 
 
-def _prepare_splits(args):
-    """Load, tokenize, split, build the vocabulary, and featurize."""
-    articles = _load_labeled_corpus(args.corpus)
-    lex = load_lexicon_set(_lexicon_manifest_path(args))
+@dataclass
+class _Splits:
+    """Tokenized training and validation documents, the vocabulary of the
+    training part, and the lexicons that featurize both."""
+
+    train_docs: list
+    val_docs: list
+    vocab: corpus_mod.Vocabulary
+    lex: LexiconSet
+
+    def examples(self, n_segments: int, max_seg_len: int) -> tuple[list[Example], list[Example]]:
+        """Both parts featurized at one segment count: (train_set, val_set)."""
+        return tuple(prepare_examples(docs, self.vocab, self.lex, n_segments, max_seg_len)
+                     for docs in (self.train_docs, self.val_docs))
+
+
+def _load_inputs(args) -> tuple[list[corpus_mod.RawArticle], LexiconSet]:
+    """The labeled --corpus and the lexicons."""
+    return _load_labeled_corpus(args.corpus), load_lexicon_set(_lexicon_manifest_path(args))
+
+
+def _prepare_data(args, articles: list, lex: LexiconSet, seed: int) -> _Splits:
+    """The data-preparation pipeline of train, search, select-n and
+    cross-year: validate on --val-corpus when given, else on a stratified
+    split of `articles`; tokenize; build the vocabulary on the training
+    part. `_Splits.examples` featurizes the result."""
     if getattr(args, "val_corpus", None):
-        train_articles = articles
-        val_articles = _load_labeled_corpus(args.val_corpus)
+        parts = articles, _load_labeled_corpus(args.val_corpus)
     else:
-        train_articles, val_articles = corpus_mod.split_train_val(
-            articles, val_fraction=args.val_fraction, seed=args.seed
-        )
-    train_docs = tokenize_articles(train_articles)
-    val_docs = tokenize_articles(val_articles)
-    vocab = corpus_mod.build_vocabulary([doc for _, doc, _ in train_docs],
-                                        min_count=args.min_count)
-    train_set = prepare_examples(train_docs, vocab, lex, args.n_segments, args.max_seg_len)
-    val_set = prepare_examples(val_docs, vocab, lex, args.n_segments, args.max_seg_len)
-    return train_set, val_set, vocab, lex, train_docs, val_docs
+        parts = corpus_mod.split_train_val(articles, val_fraction=args.val_fraction, seed=seed)
+    train_docs, val_docs = (tokenize_articles(part) for part in parts)
+    vocab = corpus_mod.build_vocabulary([doc for _, doc, _ in train_docs], min_count=args.min_count)
+    return _Splits(train_docs, val_docs, vocab, lex)
 
 
 def _pretrained_table(args, vocab) -> dict | None:
@@ -249,7 +264,9 @@ def cmd_extract_features(args) -> int:
 
 def cmd_train(args) -> int:
     out = _ensure_out(args)
-    train_set, val_set, vocab, _, _, _ = _prepare_splits(args)
+    splits = _prepare_data(args, *_load_inputs(args), args.seed)
+    train_set, val_set = splits.examples(args.n_segments, args.max_seg_len)
+    vocab = splits.vocab
     model_cfg = _model_config_from_args(args, vocab.size)
     train_cfg = _train_config_from_args(args)
     pretrained = _pretrained_table(args, vocab)
@@ -282,8 +299,9 @@ def cmd_train(args) -> int:
 
 def cmd_search(args) -> int:
     out = _ensure_out(args)
-    train_set, val_set, vocab, _, _, _ = _prepare_splits(args)
-    base_cfg = _model_config_from_args(args, vocab.size)
+    splits = _prepare_data(args, *_load_inputs(args), args.seed)
+    train_set, val_set = splits.examples(args.n_segments, args.max_seg_len)
+    base_cfg = _model_config_from_args(args, splits.vocab.size)
     train_cfg = _train_config_from_args(args)
     result = random_search(SearchSpace(), args.trials, base_cfg, train_set, val_set,
                            train_cfg, seed=args.seed)
@@ -315,7 +333,7 @@ def cmd_search(args) -> int:
         "checkpoint": ckpt_name,
     }
     _write_json(os.path.join(out, "best.json"), best_payload)
-    _write_json(os.path.join(out, "vocab.json"), vocab.to_json())
+    _write_json(os.path.join(out, "vocab.json"), splits.vocab.to_json())
     _write_manifest(out, "search", _options(args), config_hash,
                     ["trials.jsonl", "best.json", "vocab.json", ckpt_name])
     _emit(args, best_payload)
@@ -325,18 +343,11 @@ def cmd_search(args) -> int:
 def cmd_select_n(args) -> int:
     out = _ensure_out(args)
     candidates = [int(v) for v in args.candidates.split(",") if v]
-    articles = _load_labeled_corpus(args.corpus)
-    lex = load_lexicon_set(_lexicon_manifest_path(args))
-    train_articles, val_articles = corpus_mod.split_train_val(
-        articles, val_fraction=args.val_fraction, seed=args.seed
-    )
-    train_docs = tokenize_articles(train_articles)
-    val_docs = tokenize_articles(val_articles)
-    vocab = corpus_mod.build_vocabulary([d for _, d, _ in train_docs], min_count=args.min_count)
-    base_cfg = _model_config_from_args(args, vocab.size)
+    splits = _prepare_data(args, *_load_inputs(args), args.seed)
+    base_cfg = _model_config_from_args(args, splits.vocab.size)
     train_cfg = _train_config_from_args(args)
-    best_n, rows = select_n_segments(candidates, train_docs, val_docs, vocab, lex,
-                                     base_cfg, train_cfg)
+    best_n, rows = select_n_segments(candidates, splits.train_docs, splits.val_docs,
+                                     splits.vocab, splits.lex, base_cfg, train_cfg)
     config_hash = _config_hash({"candidates": candidates, "base": base_cfg.to_json(),
                                 "seed": args.seed})
     report.emit_plot_data(
@@ -362,17 +373,30 @@ def _load_model_and_vocab(args) -> tuple[FakeFlowModel, corpus_mod.Vocabulary]:
     model = FakeFlowModel.load(args.checkpoint)
     with open(args.vocab, "r", encoding="utf-8") as fh:
         vocab = corpus_mod.Vocabulary.from_json(json.load(fh))
+    if vocab.size != model.config.vocab_size:
+        raise ConfigError(
+            f"{args.vocab} has {vocab.size} ids but {args.checkpoint} was built for "
+            f"vocab_size {model.config.vocab_size}"
+        )
     return model, vocab
+
+
+def _model_examples(model: FakeFlowModel, vocab, lex: LexiconSet,
+                    articles: list) -> list[Example]:
+    """Tokenize and featurize articles at a trained model's segment count."""
+    cfg = model.config
+    return prepare_examples(tokenize_articles(articles), vocab, lex,
+                            cfg.n_segments, cfg.max_seg_len)
 
 
 def cmd_evaluate(args) -> int:
     out = _ensure_out(args)
     model, vocab = _load_model_and_vocab(args)
     lex = load_lexicon_set(_lexicon_manifest_path(args))
-    articles = _load_labeled_corpus(args.corpus)
-    docs = tokenize_articles(articles)
+    examples = _model_examples(model, vocab, lex, _load_labeled_corpus(args.corpus))
+    if not examples:
+        raise UsageError(f"{args.corpus}: no document has tokens left after tokenization")
     cfg = model.config
-    examples = prepare_examples(docs, vocab, lex, cfg.n_segments, cfg.max_seg_len)
     predictions = model.predict(examples)
     gold = [e.label for e in examples]
     result = evaluation.compute_metrics(gold, predictions)
@@ -391,8 +415,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_cross_year(args) -> int:
     out = _ensure_out(args)
-    articles = _load_labeled_corpus(args.corpus)
-    lex = load_lexicon_set(_lexicon_manifest_path(args))
+    articles, lex = _load_inputs(args)
     by_year: dict[int, list] = {}
     for article in articles:
         if article.year is None:
@@ -400,23 +423,14 @@ def cmd_cross_year(args) -> int:
         by_year.setdefault(article.year, []).append(article)
 
     def model_builder(train_articles, seed):
-        train_part, val_part = corpus_mod.split_train_val(
-            train_articles, val_fraction=args.val_fraction, seed=seed
-        )
-        train_docs = tokenize_articles(train_part)
-        val_docs = tokenize_articles(val_part)
-        vocab = corpus_mod.build_vocabulary([d for _, d, _ in train_docs],
-                                            min_count=args.min_count)
-        cfg = _model_config_from_args(args, vocab.size)
-        train_set = prepare_examples(train_docs, vocab, lex, cfg.n_segments, cfg.max_seg_len)
-        val_set = prepare_examples(val_docs, vocab, lex, cfg.n_segments, cfg.max_seg_len)
+        splits = _prepare_data(args, train_articles, lex, seed)
+        cfg = _model_config_from_args(args, splits.vocab.size)
         model = FakeFlowModel(cfg, seed=seed)
-        train(model, train_set, val_set, _train_config_from_args(args))
+        train(model, *splits.examples(cfg.n_segments, cfg.max_seg_len),
+              _train_config_from_args(args))
 
         def predict(test_articles):
-            docs = tokenize_articles(test_articles)
-            examples = prepare_examples(docs, vocab, lex, cfg.n_segments, cfg.max_seg_len)
-            return model.predict(examples)
+            return model.predict(_model_examples(model, splits.vocab, lex, test_articles))
 
         return predict
 
@@ -478,22 +492,22 @@ def cmd_attention(args) -> int:
     if not wanted:
         raise UsageError(f"document id {args.doc_id!r} not found in {args.corpus}")
     article = wanted[0]
-    docs = tokenize_articles([article])
-    if not docs:
+    examples = _model_examples(model, vocab, lex, [article])
+    if not examples:
         raise UsageError(f"document {article.id} is empty after tokenization")
     cfg = model.config
-    example = prepare_examples(docs, vocab, lex, cfg.n_segments, cfg.max_seg_len)[0]
-    trace = model.forward(example)
+    trace = model.forward(examples[0])
     profile = report.attention_profile(trace, classes=cfg.classes)
-    annotation = report.highlight_emotions(docs[0][1], lex)
+    doc = corpus_mod.tokenize(article.text)
+    annotation = report.highlight_emotions(doc, lex)
     config_hash = _config_hash({"model": cfg.to_json()})
     report.emit_plot_data("attention_bar", profile, os.path.join(out, "attention_bar.csv"),
                           command="attention", config_hash=config_hash)
     with open(os.path.join(out, "highlight.html"), "w", encoding="utf-8") as fh:
-        fh.write(report.annotation_to_html(docs[0][1], annotation,
+        fh.write(report.annotation_to_html(doc, annotation,
                                            title=f"affect highlighting: {article.id}"))
     with open(os.path.join(out, "highlight.json"), "w", encoding="utf-8") as fh:
-        fh.write(report.annotation_to_standoff_json(docs[0][1], annotation) + "\n")
+        fh.write(report.annotation_to_standoff_json(doc, annotation) + "\n")
     _write_json(os.path.join(out, "trace.json"), trace.to_json())
     _write_manifest(out, "attention", _options(args), config_hash,
                     ["attention_bar.csv", "highlight.html", "highlight.json", "trace.json"])
@@ -515,13 +529,13 @@ def _options(args) -> dict:
     return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
 
 
-def _add_data_flags(p, val_split: bool = True):
+def _add_data_flags(p, val_corpus: bool = True):
     p.add_argument("--corpus", required=True, help="labeled JSONL corpus")
     p.add_argument("--lexicons", help=f"lexicon manifest JSON (default: ${LEXICON_ENV_VAR})")
-    if val_split:
+    if val_corpus:
         p.add_argument("--val-corpus", dest="val_corpus",
                        help="held-out validation corpus (default: split --corpus)")
-        p.add_argument("--val-fraction", dest="val_fraction", type=float, default=0.2)
+    p.add_argument("--val-fraction", dest="val_fraction", type=float, default=0.2)
     p.add_argument("--min-count", dest="min_count", type=int, default=1,
                    help="vocabulary frequency threshold")
 
@@ -620,7 +634,7 @@ def build_parser() -> _ArgumentParser:
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("cross-year", help="train on one year, test on the others")
-    _add_data_flags(p)
+    _add_data_flags(p, val_corpus=False)
     _add_model_flags(p)
     _add_train_flags(p)
     p.add_argument("--out", required=True)

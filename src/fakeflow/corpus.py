@@ -27,9 +27,7 @@ from .errors import (
 
 logger = logging.getLogger(__name__)
 
-PAD_ID = 0
 UNK_ID = 1
-PAD_TOKEN = ""
 
 LABELS = ("real", "fake")
 
@@ -58,26 +56,24 @@ class TokenizedDocument:
 
 @dataclass
 class SegmentedDocument:
-    """A document as a fixed number of fixed-length segments.
+    """A document cut into `n_segments` contiguous segments.
 
-    `segments` holds token strings after segment() and integer ids after
-    encode(); padded positions hold "" / PAD_ID and are zero in `mask`.
-    `doc_length` is the token count before any truncation.
+    `tokens` is the document truncated to n_segments * max_seg_len tokens
+    and `offsets` holds the n_segments + 1 segment boundaries, so segment i
+    is tokens[offsets[i]:offsets[i + 1]]. `doc_length` is the token count
+    before any truncation.
     """
 
     n_segments: int
     max_seg_len: int
-    segments: list[list]
-    mask: np.ndarray
+    tokens: list[str]
+    offsets: np.ndarray  # (n_segments + 1,) int64
     doc_length: int
-
-    def segment_lengths(self) -> list[int]:
-        return [int(row.sum()) for row in self.mask]
 
 
 @dataclass
 class Vocabulary:
-    """Token to id map; id 0 is padding, id 1 is the unknown token."""
+    """Token to id map; id 0 is reserved, id 1 is the unknown token."""
 
     token_to_id: dict[str, int]
 
@@ -129,25 +125,20 @@ def tokenize(text: str) -> TokenizedDocument:
 def segment(doc: TokenizedDocument, n_segments: int, max_seg_len: int) -> SegmentedDocument:
     """Split a document into exactly `n_segments` contiguous chunks.
 
-    The document is truncated to n_segments * max_seg_len tokens, cut into
-    chunks of ceil(L'/N) tokens (trailing chunks may be shorter or empty),
-    and each chunk is right-padded to max_seg_len.
+    The document is truncated to n_segments * max_seg_len tokens and cut
+    into chunks of ceil(L'/N) tokens; trailing chunks may be shorter or
+    empty.
     """
     if n_segments < 1 or max_seg_len < 1:
         raise UsageError("n_segments and max_seg_len must be >= 1")
     tokens = doc.tokens[: n_segments * max_seg_len]
-    chunk = -(-len(tokens) // n_segments) if tokens else 0
-    segments = []
-    mask = np.zeros((n_segments, max_seg_len), dtype=np.int8)
-    for i in range(n_segments):
-        part = tokens[i * chunk : (i + 1) * chunk] if chunk else []
-        mask[i, : len(part)] = 1
-        segments.append(part + [PAD_TOKEN] * (max_seg_len - len(part)))
+    chunk = -(-len(tokens) // n_segments)
+    offsets = np.minimum(np.arange(n_segments + 1, dtype=np.int64) * chunk, len(tokens))
     return SegmentedDocument(
         n_segments=n_segments,
         max_seg_len=max_seg_len,
-        segments=segments,
-        mask=mask,
+        tokens=tokens,
+        offsets=offsets,
         doc_length=doc.length,
     )
 
@@ -170,23 +161,10 @@ def build_vocabulary(corpus: list[TokenizedDocument], min_count: int = 1) -> Voc
     return Vocabulary(token_to_id={tok: i + 2 for i, tok in enumerate(kept)})
 
 
-def encode(seg: SegmentedDocument, vocab: Vocabulary) -> SegmentedDocument:
-    """Replace token strings with integer ids; pads become PAD_ID and
-    out-of-vocabulary tokens become UNK_ID."""
-    encoded = []
-    for i, row in enumerate(seg.segments):
-        ids = [
-            vocab.id_of(tok) if seg.mask[i, j] else PAD_ID
-            for j, tok in enumerate(row)
-        ]
-        encoded.append(ids)
-    return SegmentedDocument(
-        n_segments=seg.n_segments,
-        max_seg_len=seg.max_seg_len,
-        segments=encoded,
-        mask=seg.mask.copy(),
-        doc_length=seg.doc_length,
-    )
+def encode(seg: SegmentedDocument, vocab: Vocabulary) -> np.ndarray:
+    """The int64 id vector of the segmented document's tokens, aligned
+    with `seg.offsets`; out-of-vocabulary tokens become UNK_ID."""
+    return np.array([vocab.id_of(tok) for tok in seg.tokens], dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------

@@ -281,20 +281,18 @@ def load_lexicon_set(manifest_path) -> LexiconSet:
 def extract_affect(seg: SegmentedDocument, lex: LexiconSet) -> AffectFeatureMatrix:
     """Compute the N x 23 affect matrix for a segmented document.
 
-    Row i depends only on the unmasked tokens of segment i; every value is
-    divided by the original (pre-truncation) document token count.
+    Row i depends only on the tokens of segment i; every value is divided
+    by the original (pre-truncation) document token count.
     """
     if seg.doc_length < 1:
         raise UsageError("document length must be >= 1")
-    if seg.segments and seg.segments[0] and not isinstance(seg.segments[0][0], str):
-        raise UsageError("extract_affect needs token strings; run it before encode()")
     values = np.zeros((seg.n_segments, N_FEATURES), dtype=np.float64)
     index = lex._index
-    for i, row in enumerate(seg.segments):
+    offsets = seg.offsets.tolist()
+    for i in range(seg.n_segments):
         out = values[i]
-        n_real = int(seg.mask[i].sum())
-        for j in range(n_real):
-            entry = index.get(row[j])
+        for tok in seg.tokens[offsets[i] : offsets[i + 1]]:
+            entry = index.get(tok)
             if entry is None:
                 continue
             for k in entry[0]:

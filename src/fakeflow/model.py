@@ -101,11 +101,13 @@ class FakeFlowConfig:
 
 @dataclass
 class Example:
-    """One prepared document: encoded segments plus its affect matrix."""
+    """One prepared document: its token ids, the N + 1 segment boundaries
+    into them (segment i is ids[offsets[i]:offsets[i + 1]]), and its affect
+    matrix."""
 
     doc_id: str
-    ids: np.ndarray  # (N, L) int64
-    mask: np.ndarray  # (N, L) int8
+    ids: np.ndarray  # (offsets[-1],) int64
+    offsets: np.ndarray  # (N + 1,) int64
     affect: np.ndarray  # (N, 23) float64
     label: str | None = None
 
@@ -263,38 +265,42 @@ class FakeFlowModel:
     # ------------------------------------------------------------------
     # branches
 
-    def topic_branch(self, tape, ids: np.ndarray, mask: np.ndarray):
-        """Per-segment CNN encoding: embed, convolve each filter width over
-        the unpadded prefix, pool, global-max, concatenate, dense.
+    def topic_branch(self, tape, ids: np.ndarray, offsets: np.ndarray):
+        """Per-segment CNN encoding: embed each segment's slice of `ids`,
+        convolve each filter width over it, pool, global-max, concatenate,
+        dense.
 
         Segments shorter than a filter width contribute zeros for that
-        width; fully padded segments yield a zero CNN vector, so their
-        topic row is the activated dense bias.
+        width; empty segments yield a zero CNN vector, so their topic row is
+        the activated dense bias.
         """
         c = self.config
-        ids = np.asarray(ids)
-        if ids.shape != (c.n_segments, c.max_seg_len):
+        ids, offsets = np.asarray(ids), np.asarray(offsets)
+        ok = ids.ndim == 1 and offsets.shape == (c.n_segments + 1,) and offsets.dtype.kind in "iu"
+        if ok:
+            lengths = np.diff(offsets)
+            ok = (offsets[0] == 0 and offsets[-1] == len(ids)
+                  and lengths.min() >= 0 and lengths.max() <= c.max_seg_len)
+        if not ok:
             raise ShapeError(
-                f"expected segment ids of shape {(c.n_segments, c.max_seg_len)}, got {ids.shape}"
+                f"segment offsets {offsets.tolist()} do not cut {ids.shape} ids into "
+                f"{c.n_segments} segments of at most {c.max_seg_len} tokens"
             )
+        bounds = offsets.tolist()
         table = tape.read(self.embedding)
         rows = []
         for i in range(c.n_segments):
-            n_real = int(mask[i].sum())
+            seg_ids = ids[bounds[i] : bounds[i + 1]]
+            # an empty segment is shorter than every filter width: no lookup
+            emb = tz.embedding_lookup(seg_ids, table) if len(seg_ids) else None
             pieces = []
-            if n_real > 0:
-                emb = tz.embedding_lookup(ids[i, :n_real], table)
-                for (filters, bias), width in zip(self.conv, c.cnn_filter_widths):
-                    if n_real >= width:
-                        conv = tz.conv1d(emb, filters, bias)
-                        pooled = tz.maxpool1d(conv, c.pool_size)
-                        pieces.append(tz.global_maxpool(pooled))
-                    else:
-                        pieces.append(tape.constant(np.zeros(c.cnn_filter_count)))
-            else:
-                pieces = [
-                    tape.constant(np.zeros(c.cnn_filter_count)) for _ in c.cnn_filter_widths
-                ]
+            for (filters, bias), width in zip(self.conv, c.cnn_filter_widths):
+                if len(seg_ids) >= width:
+                    conv = tz.conv1d(emb, filters, bias)
+                    pooled = tz.maxpool1d(conv, c.pool_size)
+                    pieces.append(tz.global_maxpool(pooled))
+                else:
+                    pieces.append(tape.constant(np.zeros(c.cnn_filter_count)))
             rows.append(tz.concat(pieces, axis=-1))
         cnn_v = tz.stack(rows, axis=0)
         return tz.dense(cnn_v, self.topic_w, self.topic_b, c.activation)
@@ -344,7 +350,7 @@ class FakeFlowModel:
             v_compact = tz.mean_axis(v_flow, axis=-2)
             nodes.update(v_flow=v_flow, v_compact=v_compact)
         else:
-            v_topic = self.topic_branch(tape, example.ids, example.mask)
+            v_topic = self.topic_branch(tape, example.ids, example.offsets)
             v_affect = tape.constant(affect) if c.mode == "full" else None
             v_concat, v_fc = self.fuse(v_topic, v_affect, training, rng)
             l_t, weights = context_self_attention(
@@ -422,6 +428,9 @@ class FakeFlowModel:
         return loss, np.array(probs.value)
 
     def predict_proba(self, examples: list[Example], batch_size: int = 64) -> np.ndarray:
+        """(len(examples), C) class probabilities; (0, C) for no examples."""
+        if not examples:
+            return np.zeros((0, len(self.config.classes)))
         out = []
         for start in range(0, len(examples), batch_size):
             batch = examples[start : start + batch_size]

@@ -153,7 +153,7 @@ def flow_statistics(corpus: list[tuple[TokenizedDocument, str]], n_segments: int
     of the per-segment means.
 
     First/last means use segments 1 and N even when trailing segments are
-    fully padded; their features are legitimately zero. The overall mean
+    empty; their features are legitimately zero. The overall mean
     is computed as the mean of the per-segment means, so the consistency
     identity holds exactly.
     """

@@ -20,8 +20,8 @@ from .engine import DTYPE, Parameter, Tensor, _coerce, _record, activation
 def embedding_lookup(ids, table) -> Tensor:
     """Gather rows of `table` (V x D) for an integer id array of any shape.
 
-    Output shape is ids.shape + (D,). Row 0 is the padding row; it is
-    trainable like any other row and masked downstream.
+    Output shape is ids.shape + (D,). Row 0 is reserved: no token maps to
+    it, but it is trainable like any other row.
     """
     if not isinstance(table, Tensor):
         raise UsageError("embedding_lookup requires the table as a tape Tensor; use tape.read()")

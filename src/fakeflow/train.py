@@ -267,14 +267,12 @@ def prepare_examples(docs: list[tuple[str, TokenizedDocument, str | None]],
     examples = []
     for doc_id, doc, label in docs:
         seg = segment(doc, n_segments, max_seg_len)
-        affect = extract_affect(seg, lex)
-        enc = encode(seg, vocab)
         examples.append(
             Example(
                 doc_id=doc_id,
-                ids=np.array(enc.segments, dtype=np.int64),
-                mask=enc.mask.astype(np.int8),
-                affect=affect.values,
+                ids=encode(seg, vocab),
+                offsets=seg.offsets,
+                affect=extract_affect(seg, lex).values,
                 label=label,
             )
         )

@@ -33,6 +33,12 @@ def numeric_gradient(func, array: np.ndarray, step: float = 1e-5) -> np.ndarray:
     return grad
 
 
+def segment_tokens(seg) -> list[list[str]]:
+    """The token list of every segment of a SegmentedDocument."""
+    bounds = seg.offsets.tolist()
+    return [seg.tokens[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
 def max_relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     denom = np.abs(numeric) + 1e-8
     return float(np.max(np.abs(analytic - numeric) / denom))

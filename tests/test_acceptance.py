@@ -22,6 +22,7 @@ from conftest import (
     make_flow_corpus,
     max_relative_error,
     numeric_gradient,
+    segment_tokens,
 )
 from fakeflow.cli import main as cli_main
 from fakeflow.corpus import (
@@ -216,10 +217,10 @@ def test_criterion_02_feature_extraction_oracle():
         n_tokens = int(rng.integers(1, 90))
         tokens = [pool[i] for i in rng.integers(0, len(pool), n_tokens)]
         n = n_values[trial % 3]
-        max_len = int(rng.integers(1, 9))  # small caps force truncation + padding
+        max_len = int(rng.integers(1, 9))  # small caps force truncation + empty segments
         seg = segment(TokenizedDocument(tokens), n, max_len)
         ours = extract_affect(seg, lex).values
-        oracle = brute_force_affect(tokens, seg.segments, seg.mask, seg.doc_length, lex)
+        oracle = brute_force_affect(tokens, segment_tokens(seg), seg.doc_length, lex)
         if not np.array_equal(ours, oracle):
             _report(2, "feature-extraction oracle", False, f"mismatch on trial {trial}")
         checked += 1
@@ -378,8 +379,8 @@ def test_criterion_07_ablation_contracts():
     base_a = model_a.forward(example_a).probabilities
     permuted = example_a.ids.copy()
     for i in range(cfg_a.n_segments):
-        n_real = int(example_a.mask[i].sum())
-        permuted[i, :n_real] = rng.permutation(permuted[i, :n_real])
+        start, end = example_a.offsets[i], example_a.offsets[i + 1]
+        permuted[start:end] = rng.permutation(permuted[start:end])
     example_a.ids = permuted
     affect_invariant = np.array_equal(model_a.forward(example_a).probabilities, base_a)
 

@@ -4,6 +4,7 @@ import json
 import pytest
 
 from conftest import FEAR_WORDS, FILLER_WORDS, JOY_WORDS, make_flow_corpus
+from fakeflow import cli
 from fakeflow.cli import main
 from fakeflow.lexicon import EMOTION_CATEGORIES, MORALITY_CATEGORIES
 
@@ -171,6 +172,44 @@ class TestTrainEvaluatePipeline:
         assert len(trace["attention_weights"]) == 4
 
 
+class TestLoadedModelErrors:
+    @pytest.fixture
+    def trained(self, tmp_path):
+        manifest = write_lexicon_fixture(tmp_path)
+        corpus = write_flow_corpus(tmp_path, n_docs=16)
+        out = tmp_path / "run"
+        assert main(["train", "--corpus", str(corpus), "--lexicons", str(manifest),
+                     "--out", str(out)] + TRAIN_FLAGS) == 0
+        return manifest, corpus, out
+
+    @pytest.mark.parametrize("command", ["evaluate", "attention"])
+    def test_vocab_larger_than_checkpoint_is_config_error(self, trained, tmp_path, capsys,
+                                                          command):
+        manifest, corpus, out = trained
+        vocab = json.loads((out / "vocab.json").read_text())
+        size = len(vocab["tokens"]) + 2
+        vocab["tokens"]["unseen"] = size
+        (tmp_path / "big_vocab.json").write_text(json.dumps(vocab))
+        capsys.readouterr()
+        code = main([command, "--checkpoint", str(out / "checkpoint.bin"),
+                     "--vocab", str(tmp_path / "big_vocab.json"), "--corpus", str(corpus),
+                     "--lexicons", str(manifest), "--out", str(tmp_path / "scored")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{size + 1} ids" in err and f"vocab_size {size}" in err
+
+    def test_evaluate_corpus_without_tokens_is_usage_error(self, trained, tmp_path, capsys):
+        manifest, _, out = trained
+        empty = tmp_path / "punctuation.jsonl"
+        empty.write_text(json.dumps({"id": "p0", "text": "!!! ...", "label": "fake"}) + "\n")
+        capsys.readouterr()
+        code = main(["evaluate", "--checkpoint", str(out / "checkpoint.bin"),
+                     "--vocab", str(out / "vocab.json"), "--corpus", str(empty),
+                     "--lexicons", str(manifest), "--out", str(tmp_path / "scored")])
+        assert code == 1
+        assert str(empty) in capsys.readouterr().err
+
+
 class TestAnalyzeCommand:
     def test_flow_outputs(self, tmp_path, capsys):
         manifest = write_lexicon_fixture(tmp_path)
@@ -202,6 +241,27 @@ class TestSelectNCommand:
         assert len(lines) == 4
         payload = json.loads((out / "select_n.json").read_text())
         assert payload["best_n"] in (2, 4)
+
+    def test_val_corpus_is_the_validation_set(self, tmp_path, capsys, monkeypatch):
+        manifest = write_lexicon_fixture(tmp_path)
+        corpus = write_flow_corpus(tmp_path, n_docs=16)
+        val_corpus = write_flow_corpus(tmp_path, n_docs=6, name="val.jsonl", seed=9)
+        seen = {}
+        real_select = cli.select_n_segments
+
+        def spy(candidates, train_docs, val_docs, *rest):
+            seen["train"], seen["val"] = len(train_docs), len(val_docs)
+            return real_select(candidates, train_docs, val_docs, *rest)
+
+        monkeypatch.setattr(cli, "select_n_segments", spy)
+        out = tmp_path / "sweep"
+        code = main(["select-n", "--corpus", str(corpus), "--val-corpus", str(val_corpus),
+                     "--lexicons", str(manifest), "--candidates", "2",
+                     "--out", str(out)] + TRAIN_FLAGS)
+        assert code == 0
+        assert seen == {"train": 16, "val": 6}
+        manifest_payload = json.loads((out / "manifest.json").read_text())
+        assert manifest_payload["options"]["val_corpus"] == str(val_corpus)
 
 
 class TestSearchCommand:
@@ -286,3 +346,13 @@ class TestCrossYearCommand:
         lines = (out / "cross_year.csv").read_text().splitlines()
         assert lines[0] == "train\\test,2013,2014"
         assert lines[-1].startswith("Average,")
+
+    def test_val_corpus_rejected(self, tmp_path, capsys):
+        # each year's model validates on a split of its own training year
+        manifest = write_lexicon_fixture(tmp_path)
+        corpus = write_flow_corpus(tmp_path, n_docs=24, year_cycle=[2013, 2013, 2014, 2014])
+        code = main(["cross-year", "--corpus", str(corpus), "--val-corpus", str(corpus),
+                     "--lexicons", str(manifest), "--mode", "affect_only",
+                     "--out", str(tmp_path / "xyear")] + TRAIN_FLAGS)
+        assert code == 1
+        assert "--val-corpus" in capsys.readouterr().err

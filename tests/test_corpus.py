@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import segment_tokens
 from fakeflow.corpus import (
     DomainVerdict,
     RawArticle,
@@ -57,32 +58,34 @@ class TestSegment:
     def test_exact_fit(self):
         doc = TokenizedDocument(tokens=[f"t{i}" for i in range(10)])
         seg = segment(doc, 2, 5)
-        assert seg.segments == [[f"t{i}" for i in range(5)], [f"t{i}" for i in range(5, 10)]]
-        assert seg.mask.tolist() == [[1] * 5, [1] * 5]
+        assert segment_tokens(seg) == [[f"t{i}" for i in range(5)],
+                                       [f"t{i}" for i in range(5, 10)]]
+        assert seg.offsets.tolist() == [0, 5, 10]
+        assert seg.offsets.dtype == np.int64
 
     def test_equal_chunks_padded(self):
-        # 9 tokens over 3 segments: chunks of ceil(9/3)=3, padded to 5
+        # 9 tokens over 3 segments: chunks of ceil(9/3)=3, below the cap of 5
         doc = TokenizedDocument(tokens=[f"t{i}" for i in range(9)])
         seg = segment(doc, 3, 5)
-        assert [row[:3] for row in seg.segments] == [
+        assert segment_tokens(seg) == [
             ["t0", "t1", "t2"], ["t3", "t4", "t5"], ["t6", "t7", "t8"],
         ]
-        assert all(row[3:] == ["", ""] for row in seg.segments)
-        assert seg.mask.sum() == 9
+        assert seg.offsets.tolist() == [0, 3, 6, 9]
 
     def test_single_segment_truncation(self):
         # 2000 tokens at N=1 with cap 1500: one segment, 500 dropped
         doc = TokenizedDocument(tokens=[f"t{i}" for i in range(2000)])
         seg = segment(doc, 1, 1500)
         assert seg.n_segments == 1
-        assert seg.mask.sum() == 1500
-        assert seg.segments[0][-1] == "t1499"
+        assert seg.offsets.tolist() == [0, 1500]
+        assert seg.tokens[-1] == "t1499"
         assert seg.doc_length == 2000
 
     def test_short_document_trailing_segments_padded(self):
         doc = TokenizedDocument(tokens=["a", "b"])
         seg = segment(doc, 4, 3)
-        assert seg.mask.tolist() == [[1, 0, 0], [1, 0, 0], [0, 0, 0], [0, 0, 0]]
+        assert seg.offsets.tolist() == [0, 1, 2, 2, 2]
+        assert segment_tokens(seg) == [["a"], ["b"], [], []]
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -93,14 +96,18 @@ class TestSegment:
     def test_reassembly_property(self, n_tokens, n_segments, max_seg_len):
         tokens = [f"w{i}" for i in range(n_tokens)]
         seg = segment(TokenizedDocument(tokens=tokens), n_segments, max_seg_len)
-        assert len(seg.segments) == n_segments
-        rebuilt = []
-        for i, row in enumerate(seg.segments):
-            n_real = int(seg.mask[i].sum())
-            # mask is a strict prefix
-            assert seg.mask[i, :n_real].all() and not seg.mask[i, n_real:].any()
-            rebuilt.extend(row[:n_real])
-        assert rebuilt == tokens[: n_segments * max_seg_len]
+        kept = tokens[: n_segments * max_seg_len]
+        assert seg.offsets.shape == (n_segments + 1,)
+        assert seg.offsets[0] == 0 and seg.offsets[-1] == len(kept) == len(seg.tokens)
+        lengths = np.diff(seg.offsets).tolist()
+        assert all(0 <= n <= max_seg_len for n in lengths)
+        # chunk rule: full ceil(L'/N) chunks, then the remainder, then empty segments
+        chunk = -(-len(kept) // n_segments)
+        full, rest = divmod(len(kept), chunk)
+        tail = [rest] if rest else []
+        assert lengths == [chunk] * full + tail + [0] * (n_segments - full - len(tail))
+        rebuilt = [tok for part in segment_tokens(seg) for tok in part]
+        assert rebuilt == kept
 
 
 class TestVocabulary:
@@ -127,21 +134,27 @@ class TestVocabulary:
 
 class TestEncode:
     def test_basic_and_padding(self):
+        # ids start at 2 and nothing pads the segment up to its cap of 3
         doc = TokenizedDocument(["a", "b"])
         seg = segment(doc, 1, 3)
         vocab = build_vocabulary([doc])
-        enc = encode(seg, vocab)
-        assert enc.segments == [[2, 3, 0]]
+        ids = encode(seg, vocab)
+        assert ids.dtype == np.int64
+        assert ids.tolist() == [2, 3]
+        assert seg.offsets.tolist() == [0, 2]
 
     def test_unknown_token(self):
         seg = segment(TokenizedDocument(["a", "zzz"]), 1, 2)
         vocab = build_vocabulary([TokenizedDocument(["a"])])
-        assert encode(seg, vocab).segments == [[2, 1]]
+        assert encode(seg, vocab).tolist() == [2, 1]
 
     def test_fully_padded_segment_is_zero(self):
+        # an empty trailing segment is an empty slice of the id vector
         seg = segment(TokenizedDocument(["a"]), 2, 2)
         vocab = build_vocabulary([TokenizedDocument(["a"])])
-        assert encode(seg, vocab).segments[1] == [0, 0]
+        ids = encode(seg, vocab)
+        assert ids.tolist() == [2]
+        assert ids[seg.offsets[1] : seg.offsets[2]].tolist() == []
 
 
 class TestMergeSourceLists:

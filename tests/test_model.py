@@ -40,13 +40,10 @@ def random_example(config, rng, doc_id="d0", label="real"):
     n, L = config.n_segments, config.max_seg_len
     lengths = rng.integers(0, L + 1, size=n)
     lengths[0] = max(lengths[0], 1)  # at least one real token somewhere
-    ids = np.zeros((n, L), dtype=np.int64)
-    mask = np.zeros((n, L), dtype=np.int8)
-    for i, n_real in enumerate(lengths):
-        ids[i, :n_real] = rng.integers(2, config.vocab_size, size=n_real)
-        mask[i, :n_real] = 1
+    ids = np.concatenate([rng.integers(2, config.vocab_size, size=n_real) for n_real in lengths])
+    offsets = np.concatenate([[0], np.cumsum(lengths)])
     affect = rng.uniform(0.0, 0.5, size=(n, 23))
-    return Example(doc_id=doc_id, ids=ids, mask=mask, affect=affect, label=label)
+    return Example(doc_id=doc_id, ids=ids, offsets=offsets, affect=affect, label=label)
 
 
 class TestConfig:
@@ -172,8 +169,8 @@ class TestForward:
         cfg = tiny_config(n_segments=3)
         model = FakeFlowModel(cfg, seed=2)
         example = random_example(cfg, np.random.default_rng(1))
-        example.ids[2] = 0
-        example.mask[2] = 0
+        example.ids = example.ids[: example.offsets[2]]  # segment 2 empty
+        example.offsets[3] = example.offsets[2]
         trace = model.forward(example)
         expected = np.tanh(model.topic_b.value)  # activation("tanh") of the bias
         assert np.allclose(trace.v_topic[2], expected, atol=1e-12)
@@ -182,8 +179,9 @@ class TestForward:
         cfg = tiny_config(n_segments=2)
         model = FakeFlowModel(cfg, seed=3)
         example = random_example(cfg, np.random.default_rng(2))
-        example.ids[1] = example.ids[0]
-        example.mask[1] = example.mask[0]
+        first = example.ids[: example.offsets[1]]
+        example.ids = np.concatenate([first, first])
+        example.offsets[2] = 2 * example.offsets[1]
         trace = model.forward(example)
         assert np.array_equal(trace.v_topic[0], trace.v_topic[1])
 
@@ -191,12 +189,28 @@ class TestForward:
         cfg = tiny_config(n_segments=2, cnn_filter_widths=(2, 5), max_seg_len=6)
         model = FakeFlowModel(cfg, seed=4)
         example = random_example(cfg, np.random.default_rng(3))
-        example.ids[1, :] = 0
-        example.mask[1, :] = 0
-        example.ids[1, 0] = 3
-        example.mask[1, 0] = 1  # one token: shorter than both widths
+        # segment 1 is one token: shorter than both widths
+        example.ids = np.concatenate([example.ids[: example.offsets[1]], [3]])
+        example.offsets[2] = example.offsets[1] + 1
         trace = model.forward(example)
         assert np.all(np.isfinite(trace.probabilities))
+
+    @pytest.mark.parametrize("offsets", [
+        [0, 2, 4],  # N entries instead of N + 1
+        [1, 2, 3, 4],  # does not start at 0
+        [0, 3, 2, 4],  # decreases
+        [0, 1, 2, 3],  # ends before len(ids)
+        [0, 1, 2, 5],  # ends past len(ids)
+        [0, 0, 0, 4],  # one segment longer than max_seg_len
+        [0.0, 1.0, 2.0, 4.0],  # not integers
+    ])
+    def test_malformed_offsets_raise(self, offsets):
+        cfg = tiny_config(n_segments=3, max_seg_len=3)
+        model = FakeFlowModel(cfg, seed=0)
+        example = Example(doc_id="bad", ids=np.array([2, 3, 4, 5]), offsets=np.array(offsets),
+                          affect=np.zeros((3, 23)))
+        with pytest.raises(ShapeError):
+            model.forward(example)
 
     def test_affect_row_count_mismatch_raises(self):
         cfg = tiny_config()
@@ -233,9 +247,9 @@ class TestAblations:
         example = random_example(cfg, rng)
         base = model.forward(example).probabilities
         # permute tokens inside segment 0 (affect matrix untouched)
-        n_real = int(example.mask[0].sum())
+        n_real = int(example.offsets[1])
         if n_real > 1:
-            example.ids[0, :n_real] = example.ids[0, :n_real][::-1]
+            example.ids[:n_real] = example.ids[:n_real][::-1]
         assert np.array_equal(model.forward(example).probabilities, base)
 
     def test_affect_only_is_segment_order_sensitive(self):
@@ -247,7 +261,7 @@ class TestAblations:
         flipped = Example(
             doc_id=example.doc_id,
             ids=example.ids,
-            mask=example.mask,
+            offsets=example.offsets,
             affect=example.affect[::-1].copy(),
             label=example.label,
         )
@@ -276,6 +290,12 @@ class TestBatchAndDeterminism:
         batched = model.predict_proba(examples)
         singles = np.stack([model.forward(e).probabilities for e in examples])
         assert np.allclose(batched, singles, atol=1e-12)
+
+    def test_predict_proba_of_no_examples(self):
+        for mode in ("full", "affect_only"):
+            model = FakeFlowModel(tiny_config(mode=mode), seed=10)
+            assert model.predict_proba([]).shape == (0, 2)
+            assert model.predict([]) == []
 
     def test_forward_deterministic(self):
         cfg = tiny_config()

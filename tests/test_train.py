@@ -220,8 +220,8 @@ class TestDataPreparation:
     def test_prepare_example_shapes(self):
         examples, vocab, _ = _flow_examples(3, n_segments=5, seg_tokens=4)
         e = examples[0]
-        assert e.ids.shape == (5, 4)
-        assert e.mask.shape == (5, 4)
+        assert e.ids.shape == (20,)
+        assert e.offsets.tolist() == [0, 4, 8, 12, 16, 20]
         assert e.affect.shape == (5, 23)
         assert e.label in ("real", "fake")
 
