@@ -416,6 +416,9 @@ def cmd_evaluate(args) -> int:
 def cmd_cross_year(args) -> int:
     out = _ensure_out(args)
     articles, lex = _load_inputs(args)
+    # predict() sees only articles with tokens; gold labels must come from
+    # the same articles (tokenize_articles warns about each one it drops)
+    articles = [a for a in articles if tokenize_articles([a])]
     by_year: dict[int, list] = {}
     for article in articles:
         if article.year is None:

@@ -10,6 +10,11 @@ Modes: "full" wires both branches; "topic_only" drops the affect features
 (the flow GRU disappears and the attention contexts are averaged
 directly); "affect_only" drops the token branch entirely and averages the
 GRU states.
+
+Every mode has one forward pass, `FakeFlowModel.batch_probs`, and it runs
+each layer once over the whole batch: the topic branch over the batch's
+concatenated segments, everything after it over (B, N, ...) arrays. A
+single document is a batch of one.
 """
 
 from __future__ import annotations
@@ -33,6 +38,9 @@ class FakeFlowConfig:
     embed_dim: int = 300
     cnn_filter_widths: tuple = (3, 4, 5)
     cnn_filter_count: int = 16
+    # The windowed max before the global max per segment cannot change the
+    # result (a max of window maxes is the max), so the forward ignores it;
+    # it stays because checkpoints and the search space carry it.
     pool_size: int = 2
     topic_dense_dim: int = 16
     gru_units: int = 16
@@ -72,8 +80,8 @@ class FakeFlowConfig:
             "final_dense_dim": self.final_dense_dim,
         }
         for name, value in positive.items():
-            if int(value) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {value}")
+            if int(value) != value or value < 1:
+                raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
         if not self.cnn_filter_widths or any(w < 1 for w in self.cnn_filter_widths):
             raise ConfigError(f"bad cnn_filter_widths {self.cnn_filter_widths}")
         if not 0.0 <= self.dropout_rate < 1.0:
@@ -93,10 +101,13 @@ class FakeFlowConfig:
 
     @classmethod
     def from_json(cls, payload: dict) -> "FakeFlowConfig":
-        payload = dict(payload)
-        payload["cnn_filter_widths"] = tuple(payload.get("cnn_filter_widths", (3, 4, 5)))
-        payload["classes"] = tuple(payload.get("classes", ("real", "fake")))
-        return cls(**payload)
+        try:
+            payload = dict(payload)
+            payload["cnn_filter_widths"] = tuple(payload.get("cnn_filter_widths", (3, 4, 5)))
+            payload["classes"] = tuple(payload.get("classes", ("real", "fake")))
+            return cls(**payload)
+        except (TypeError, ValueError) as exc:  # unknown, missing or mistyped fields
+            raise ConfigError(f"bad model config: {exc}") from exc
 
 
 @dataclass
@@ -265,44 +276,50 @@ class FakeFlowModel:
     # ------------------------------------------------------------------
     # branches
 
-    def topic_branch(self, tape, ids: np.ndarray, offsets: np.ndarray):
-        """Per-segment CNN encoding: embed each segment's slice of `ids`,
-        convolve each filter width over it, pool, global-max, concatenate,
-        dense.
+    def topic_branch(self, tape, examples: list[Example]):
+        """CNN topic vectors of every segment of a batch: (B, N, topic_dense_dim).
 
-        Segments shorter than a filter width contribute zeros for that
-        width; empty segments yield a zero CNN vector, so their topic row is
-        the activated dense bias.
+        The batch's ids are concatenated into one sequence and embedded with
+        one lookup. Per filter width, one conv1d runs over the whole
+        sequence and segment_max keeps each segment's max over the windows
+        that lie inside it; windows that straddle two segments are never
+        read. A segment shorter than a filter width contributes zeros for
+        that width, so an empty segment's topic row is the activated dense
+        bias.
         """
         c = self.config
-        ids, offsets = np.asarray(ids), np.asarray(offsets)
-        ok = ids.ndim == 1 and offsets.shape == (c.n_segments + 1,) and offsets.dtype.kind in "iu"
-        if ok:
-            lengths = np.diff(offsets)
-            ok = (offsets[0] == 0 and offsets[-1] == len(ids)
-                  and lengths.min() >= 0 and lengths.max() <= c.max_seg_len)
-        if not ok:
-            raise ShapeError(
-                f"segment offsets {offsets.tolist()} do not cut {ids.shape} ids into "
-                f"{c.n_segments} segments of at most {c.max_seg_len} tokens"
-            )
-        bounds = offsets.tolist()
-        table = tape.read(self.embedding)
-        rows = []
-        for i in range(c.n_segments):
-            seg_ids = ids[bounds[i] : bounds[i + 1]]
-            # an empty segment is shorter than every filter width: no lookup
-            emb = tz.embedding_lookup(seg_ids, table) if len(seg_ids) else None
-            pieces = []
-            for (filters, bias), width in zip(self.conv, c.cnn_filter_widths):
-                if len(seg_ids) >= width:
-                    conv = tz.conv1d(emb, filters, bias)
-                    pooled = tz.maxpool1d(conv, c.pool_size)
-                    pieces.append(tz.global_maxpool(pooled))
-                else:
-                    pieces.append(tape.constant(np.zeros(c.cnn_filter_count)))
-            rows.append(tz.concat(pieces, axis=-1))
-        cnn_v = tz.stack(rows, axis=0)
+        for e in examples:
+            ids, offsets = np.asarray(e.ids), np.asarray(e.offsets)
+            ok = (ids.ndim == 1 and ids.dtype.kind in "iu"
+                  and offsets.shape == (c.n_segments + 1,) and offsets.dtype.kind in "iu")
+            if ok:
+                lengths = np.diff(offsets)
+                ok = (offsets[0] == 0 and offsets[-1] == len(ids)
+                      and lengths.min() >= 0 and lengths.max() <= c.max_seg_len
+                      and (not ids.size or (ids.min() >= 0 and ids.max() < c.vocab_size)))
+            if not ok:
+                raise ShapeError(
+                    f"document {e.doc_id!r}: segment offsets {offsets.tolist()} do not cut "
+                    f"{ids.shape} {ids.dtype} ids in [0, {c.vocab_size}) into "
+                    f"{c.n_segments} segments of at most {c.max_seg_len} tokens"
+                )
+        ids = np.concatenate([e.ids for e in examples])
+        sizes = np.array([len(e.ids) for e in examples])
+        offsets = np.stack([e.offsets for e in examples]) + (np.cumsum(sizes) - sizes)[:, None]
+        starts, lengths = offsets[:, :-1], np.diff(offsets, axis=1)
+        if c.train_embeddings:
+            emb = tz.embedding_lookup(ids, tape.read(self.embedding))
+        else:
+            # a frozen table is a constant: no (V, D) gradient is built for it
+            emb = tape.constant(self.embedding.value[ids])
+        pieces = []
+        for (filters, bias), width in zip(self.conv, c.cnn_filter_widths):
+            if len(ids) >= width:
+                conv = tz.conv1d(emb, filters, bias)
+                pieces.append(tz.segment_max(conv, starts, np.maximum(lengths - width + 1, 0)))
+            else:  # no window of this width fits anywhere in the batch
+                pieces.append(tape.constant(np.zeros(starts.shape + (c.cnn_filter_count,))))
+        cnn_v = tz.concat(pieces, axis=-1)
         return tz.dense(cnn_v, self.topic_w, self.topic_b, c.activation)
 
     def fuse(self, v_topic, v_affect, training: bool, rng):
@@ -335,90 +352,58 @@ class FakeFlowModel:
     # ------------------------------------------------------------------
     # forward
 
-    def _forward_doc(self, tape, example: Example, training: bool, rng):
-        c = self.config
-        affect = np.asarray(example.affect, dtype=np.float64)
-        if affect.shape != (c.n_segments, N_FEATURES):
-            raise ShapeError(
-                f"affect matrix shape {affect.shape} does not match "
-                f"({c.n_segments}, {N_FEATURES})"
-            )
-        nodes = {}
-        if c.mode == "affect_only":
-            v_affect = tape.constant(affect)
-            v_flow = self.affect_flow(v_affect)
-            v_compact = tz.mean_axis(v_flow, axis=-2)
-            nodes.update(v_flow=v_flow, v_compact=v_compact)
-        else:
-            v_topic = self.topic_branch(tape, example.ids, example.offsets)
-            v_affect = tape.constant(affect) if c.mode == "full" else None
-            v_concat, v_fc = self.fuse(v_topic, v_affect, training, rng)
-            l_t, weights = context_self_attention(
-                v_fc, self.att_w1, self.att_w2, self.att_b, self.att_v
-            )
-            nodes.update(v_topic=v_topic, v_concat=v_concat, v_fc=v_fc,
-                         l_t=l_t, attention_weights=weights)
-            if c.mode == "full":
-                v_flow = self.affect_flow(v_affect)
-                v_compact = combine(v_flow, l_t)
-                nodes.update(v_flow=v_flow, v_compact=v_compact)
-            else:
-                v_compact = tz.mean_axis(l_t, axis=-2)
-                nodes.update(v_compact=v_compact)
-        v_final, probs = self.classify(v_compact, training, rng)
-        nodes.update(v_final=v_final, probabilities=probs)
-        nodes["affect_input"] = affect
-        return nodes
-
     def forward(self, example: Example, training: bool = False,
                 rng: np.random.Generator | None = None) -> ForwardTrace:
-        """Run one document and capture every intermediate representation."""
-        tape = tz.Tape()
-        nodes = self._forward_doc(tape, example, training, rng)
-
-        def val(key):
-            node = nodes.get(key)
-            return None if node is None else np.array(node.value)
-
-        uses_affect = self.config.mode != "topic_only"
-        return ForwardTrace(
-            probabilities=np.array(nodes["probabilities"].value),
-            v_topic=val("v_topic"),
-            v_affect=nodes["affect_input"].copy() if uses_affect else None,
-            v_concat=val("v_concat"),
-            v_fc=val("v_fc"),
-            attention_weights=val("attention_weights"),
-            l_t=val("l_t"),
-            v_flow=val("v_flow"),
-            v_compact=val("v_compact"),
-            v_final=val("v_final"),
-            mode=self.config.mode,
-            doc_id=example.doc_id,
-        )
+        """Run one document as a batch of one and capture every
+        intermediate representation."""
+        nodes = {}
+        self.batch_probs(tz.Tape(), [example], training, rng, nodes=nodes)
+        rows = {key: np.array(node.value[0]) for key, node in nodes.items()}
+        return ForwardTrace(**rows, mode=self.config.mode, doc_id=example.doc_id)
 
     def batch_probs(self, tape, examples: list[Example], training: bool,
-                    rng: np.random.Generator | None):
+                    rng: np.random.Generator | None, nodes: dict | None = None):
         """Class probabilities for a batch as one (B, C) tensor.
 
-        affect_only runs one vectorized pass over the stacked feature
-        matrices; the other modes run per document and stack the outputs.
+        This is the forward pass of every mode. When `nodes` is a dict, each
+        intermediate (B, ...) tensor the mode produces is stored in it under
+        its ForwardTrace field name.
         """
         if not examples:
             raise UsageError("empty batch")
         c = self.config
+        for e in examples:
+            if np.shape(e.affect) != (c.n_segments, N_FEATURES):
+                raise ShapeError(
+                    f"document {e.doc_id!r}: affect matrix shape {np.shape(e.affect)} "
+                    f"does not match ({c.n_segments}, {N_FEATURES})"
+                )
+        found = {}
+        v_affect = None
+        if c.mode != "topic_only":
+            v_affect = found["v_affect"] = tape.constant(
+                np.stack([np.asarray(e.affect, dtype=np.float64) for e in examples])
+            )
         if c.mode == "affect_only":
-            stacked = np.stack([np.asarray(e.affect, dtype=np.float64) for e in examples])
-            if stacked.shape[1:] != (c.n_segments, N_FEATURES):
-                raise ShapeError(f"bad affect batch shape {stacked.shape}")
-            v_affect = tape.constant(stacked)
-            v_flow = self.affect_flow(v_affect)
+            v_flow = found["v_flow"] = self.affect_flow(v_affect)
             v_compact = tz.mean_axis(v_flow, axis=-2)
-            _, probs = self.classify(v_compact, training, rng)
-            return probs
-        per_doc = [
-            self._forward_doc(tape, e, training, rng)["probabilities"] for e in examples
-        ]
-        return tz.stack(per_doc, axis=0)
+        else:
+            v_topic = self.topic_branch(tape, examples)
+            v_concat, v_fc = self.fuse(v_topic, v_affect, training, rng)
+            l_t, weights = context_self_attention(
+                v_fc, self.att_w1, self.att_w2, self.att_b, self.att_v
+            )
+            found.update(v_topic=v_topic, v_concat=v_concat, v_fc=v_fc,
+                         l_t=l_t, attention_weights=weights)
+            if c.mode == "full":
+                v_flow = found["v_flow"] = self.affect_flow(v_affect)
+                v_compact = combine(v_flow, l_t)
+            else:
+                v_compact = tz.mean_axis(l_t, axis=-2)
+        v_final, probs = self.classify(v_compact, training, rng)
+        if nodes is not None:
+            nodes.update(found, v_compact=v_compact, v_final=v_final, probabilities=probs)
+        return probs
 
     def batch_loss(self, tape, examples: list[Example], gold: np.ndarray,
                    training: bool, rng: np.random.Generator | None):
@@ -456,6 +441,9 @@ class FakeFlowModel:
         return {p.name: p.value.copy() for p in self.params}
 
     def load_state(self, state: dict[str, np.ndarray]) -> None:
+        unexpected = sorted(set(state) - {p.name for p in self.params})
+        if unexpected:
+            raise ConfigError(f"checkpoint has parameters this model does not have: {unexpected}")
         for p in self.params:
             if p.name not in state:
                 raise ConfigError(f"checkpoint is missing parameter {p.name!r}")

@@ -13,6 +13,8 @@ accept any number of leading axes and treat them as independent instances.
 
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 
 from ..errors import NumericsError, ShapeError, UsageError
@@ -62,15 +64,28 @@ class Parameter:
 
 
 class Tensor:
-    """A node in the computation recorded on a Tape."""
+    """A node in the computation recorded on a Tape.
 
-    __slots__ = ("value", "grad", "tape", "param")
+    A tensor refers to its tape weakly. The tape's record refers to its
+    tensors, so a strong reference back would make every tape a reference
+    cycle, and the arrays it holds would wait for the cycle collector
+    instead of being freed when the tape's owner drops it.
+    """
+
+    __slots__ = ("value", "grad", "_tape", "param")
 
     def __init__(self, value: np.ndarray, tape: "Tape", param: Parameter | None = None):
         self.value = value
         self.grad = None
-        self.tape = tape
+        self._tape = weakref.ref(tape)
         self.param = param
+
+    @property
+    def tape(self) -> "Tape":
+        tape = self._tape()
+        if tape is None:
+            raise UsageError("the tape this tensor was recorded on no longer exists")
+        return tape
 
     @property
     def shape(self):

@@ -1,8 +1,9 @@
 """Differentiable layers built on the engine primitives.
 
-Fused ops (conv1d, pooling, embedding lookup, pairwise attention scores)
-carry hand-derived backward rules; composite layers (dense, bigru) are
-wired from engine primitives so their gradients come for free.
+Fused ops (conv1d, pooling, segment max, embedding lookup, pairwise
+attention scores) carry hand-derived backward rules; composite layers
+(dense, bigru) are wired from engine primitives so their gradients come
+for free.
 """
 
 from __future__ import annotations
@@ -136,6 +137,49 @@ def global_maxpool(x) -> Tensor:
     return _record(x.tape, out.copy(), (x,), vjp, "global_maxpool")
 
 
+def segment_max(x, starts, counts) -> Tensor:
+    """Columnwise max of each segment of rows of a (L, K) sequence.
+
+    starts, counts: integer arrays of one shape S; segment s is rows
+    [starts[s], starts[s] + counts[s]). Output S + (K,): each segment's
+    max, or zeros for a segment with no rows. Ties route the gradient to
+    the first maximal row of the segment, as global_maxpool does.
+    """
+    x = _coerce(x.tape, x)
+    xv = x.value
+    starts, counts = np.asarray(starts), np.asarray(counts)
+    if (xv.ndim != 2 or starts.shape != counts.shape
+            or starts.dtype.kind not in "iu" or counts.dtype.kind not in "iu"):
+        raise ShapeError(
+            f"segment_max: expected x (L, K) and integer starts/counts of one shape, "
+            f"got {xv.shape}, {starts.shape} {starts.dtype}, {counts.shape} {counts.dtype}"
+        )
+    length, channels = xv.shape
+    live = counts.ravel() > 0
+    first_row, n_rows = starts.ravel()[live], counts.ravel()[live]
+    if np.any(counts < 0) or np.any(first_row < 0) or np.any(first_row + n_rows > length):
+        raise ShapeError(f"segment_max: segments fall outside the {length} rows of x")
+    # gather every live segment's rows into one block; segment i then
+    # starts at row `begin[i]` of the block
+    begin = np.cumsum(n_rows) - n_rows
+    rows = np.repeat(first_row - begin, n_rows) + np.arange(n_rows.sum())
+    block = xv[rows]
+    best = np.maximum.reduceat(block, begin, axis=0)
+    hit = block == np.repeat(best, n_rows, axis=0)
+    position = np.where(hit, np.arange(len(rows))[:, None], len(rows))
+    arg = rows[np.minimum.reduceat(position, begin, axis=0)]  # first maximal row
+    out = np.zeros((live.size, channels), dtype=DTYPE)
+    out[live] = best
+
+    def vjp(g):
+        gx = np.zeros_like(xv)
+        cols = np.broadcast_to(np.arange(channels), arg.shape)
+        np.add.at(gx, (arg, cols), g.reshape(-1, channels)[live])
+        return (gx,)
+
+    return _record(x.tape, out.reshape(starts.shape + (channels,)), (x,), vjp, "segment_max")
+
+
 def dense(x, w, b, act: str = "identity") -> Tensor:
     """Fully connected layer: act(x @ w.T + b)."""
     return activation(act)(engine.add_bias(engine.linear(x, w), b))
@@ -213,28 +257,28 @@ def dropout(x, rate: float, training: bool, rng: np.random.Generator | None = No
 
 
 def additive_pair_scores(a, b, bias, v) -> Tensor:
-    """All-pairs additive attention scores for one sequence.
+    """All-pairs additive attention scores of each sequence.
 
-    a, b: (N, d) projected queries/keys; bias: (d,); v: (d,). Returns the
-    (N, N) matrix s[t, u] = v . tanh(a[t] + b[u] + bias).
+    a, b: (..., N, d) projected queries/keys; bias: (d,); v: (d,). Returns
+    the (..., N, N) matrices s[t, u] = v . tanh(a[t] + b[u] + bias).
     """
     tape = a.tape
     a, b = _coerce(tape, a), _coerce(tape, b)
     bias, v = _coerce(tape, bias), _coerce(tape, v)
     av, bv, cv, vv = a.value, b.value, bias.value, v.value
-    if av.ndim != 2 or bv.shape != av.shape or cv.shape != (av.shape[1],) or vv.shape != cv.shape:
+    if av.ndim < 2 or bv.shape != av.shape or cv.shape != (av.shape[-1],) or vv.shape != cv.shape:
         raise ShapeError(
             f"additive_pair_scores: got a {av.shape}, b {bv.shape}, bias {cv.shape}, v {vv.shape}"
         )
-    hidden = np.tanh(av[:, None, :] + bv[None, :, :] + cv)  # (N, N, d)
+    hidden = np.tanh(av[..., :, None, :] + bv[..., None, :, :] + cv)  # (..., N, N, d)
     out = hidden @ vv
 
     def vjp(g):
-        gh = g[:, :, None] * vv * (1.0 - hidden * hidden)
-        ga = gh.sum(axis=1)
-        gb = gh.sum(axis=0)
-        gbias = gh.sum(axis=(0, 1))
-        gv = np.einsum("tu,tud->d", g, hidden, optimize=True)
+        gh = g[..., None] * vv * (1.0 - hidden * hidden)
+        ga = gh.sum(axis=-2)
+        gb = gh.sum(axis=-3)
+        gbias = gh.sum(axis=tuple(range(gh.ndim - 1)))
+        gv = np.einsum("...tu,...tud->d", g, hidden, optimize=True)
         return ga, gb, gbias, gv
 
     return _record(tape, out, (a, b, bias, v), vjp, "additive_pair_scores")

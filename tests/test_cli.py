@@ -2,6 +2,8 @@ import csv
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import FEAR_WORDS, FILLER_WORDS, JOY_WORDS, make_flow_corpus
 from fakeflow import cli
@@ -198,6 +200,24 @@ class TestLoadedModelErrors:
         err = capsys.readouterr().err
         assert f"{size + 1} ids" in err and f"vocab_size {size}" in err
 
+    def test_damaged_checkpoint_exits_1_or_2(self, trained, tmp_path, capsys):
+        manifest, corpus, out = trained
+        original = (out / "checkpoint.bin").read_bytes()
+        damaged = tmp_path / "damaged.bin"
+
+        @settings(max_examples=25, deadline=None)
+        @given(cut=st.integers(0, len(original) - 1), tail=st.binary(max_size=8))
+        def check(cut, tail):
+            # a proper prefix, or the whole file with bytes after it
+            damaged.write_bytes(original[:cut] if not tail else original + tail)
+            code = main(["evaluate", "--checkpoint", str(damaged),
+                         "--vocab", str(out / "vocab.json"), "--corpus", str(corpus),
+                         "--lexicons", str(manifest), "--out", str(tmp_path / "scored")])
+            assert code in (1, 2)
+            assert str(damaged) in capsys.readouterr().err
+
+        check()
+
     def test_evaluate_corpus_without_tokens_is_usage_error(self, trained, tmp_path, capsys):
         manifest, _, out = trained
         empty = tmp_path / "punctuation.jsonl"
@@ -346,6 +366,20 @@ class TestCrossYearCommand:
         lines = (out / "cross_year.csv").read_text().splitlines()
         assert lines[0] == "train\\test,2013,2014"
         assert lines[-1].startswith("Average,")
+
+    def test_test_article_empty_after_tokenization_is_dropped(self, tmp_path, caplog):
+        manifest = write_lexicon_fixture(tmp_path)
+        corpus = write_flow_corpus(tmp_path, n_docs=24, year_cycle=[2013, 2013, 2014, 2014])
+        with open(corpus, "a") as fh:
+            fh.write(json.dumps({"id": "punct", "text": "!!! ...", "label": "fake",
+                                 "domain": "site0.com", "year": 2014}) + "\n")
+        out = tmp_path / "xyear"
+        code = main(["--seed", "5", "cross-year", "--corpus", str(corpus),
+                     "--lexicons", str(manifest), "--mode", "affect_only",
+                     "--out", str(out)] + TRAIN_FLAGS)
+        assert code == 0
+        assert "article punct dropped" in caplog.text
+        assert json.loads((out / "cross_year.json").read_text())["years"] == [2013, 2014]
 
     def test_val_corpus_rejected(self, tmp_path, capsys):
         # each year's model validates on a split of its own training year

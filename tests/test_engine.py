@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -71,6 +73,24 @@ class TestForwardExamples:
         # gradient must flow to index 0 only
         entry = tape._entries[0]
         assert entry[1][0].grad.tolist() == [[1.0], [0.0]]
+
+    def test_segment_max_rows_and_empty_segments(self):
+        tape = tz.Tape()
+        x = tape.constant(np.array([[1.0, 9.0], [4.0, 2.0], [3.0, 5.0], [0.0, 7.0]]))
+        out = tz.segment_max(x, np.array([[0, 2, 3]]), np.array([[2, 2, 0]]))
+        assert out.value.tolist() == [[[4.0, 9.0], [3.0, 7.0], [0.0, 0.0]]]
+
+    @pytest.mark.parametrize("starts, counts", [
+        ([0, 2], [2, 3]),  # runs past the last row
+        ([-1, 0], [1, 1]),  # starts before the first row
+        ([0, 1], [1, -1]),  # negative count
+        ([0, 1], [1]),  # shapes differ
+        ([0.0, 1.0], [1, 1]),  # not integers
+    ])
+    def test_segment_max_rejects_segments_outside_x(self, starts, counts):
+        tape = tz.Tape()
+        with pytest.raises(ShapeError):
+            tz.segment_max(tape.constant(np.ones((4, 2))), np.array(starts), np.array(counts))
 
     def test_dense_identity_weights_tanh(self):
         tape = tz.Tape()
@@ -225,6 +245,21 @@ class TestTapeMechanics:
         with pytest.raises(UsageError):
             tz.add(t1.constant(np.ones(2)), t2.constant(np.ones(2)))
 
+    def test_dropped_tape_is_freed_without_the_cycle_collector(self):
+        w = tz.Parameter("w", np.ones((3, 3)))
+        tape = tz.Tape()
+        out = tz.linear(tape.constant(np.ones((2, 3))), w)
+        tz.backward(tape, tz.mean_all(out))
+        alive = weakref.ref(tape)
+        gc.disable()
+        try:
+            del tape
+            assert alive() is None
+        finally:
+            gc.enable()
+        with pytest.raises(UsageError):
+            tz.relu(out)
+
     @settings(max_examples=30, deadline=None)
     @given(st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=10_000))
     def test_softmax_rows_sum_to_one(self, n, seed):
@@ -233,6 +268,49 @@ class TestTapeMechanics:
         out = tz.softmax(tape.constant(rng.normal(scale=5.0, size=(n, n))))
         assert np.all(out.value > 0.0)
         assert np.max(np.abs(out.value.sum(axis=-1) - 1.0)) < 1e-12
+
+
+class TestSegmentMaxMatchesPoolingChain:
+    """segment_max over one conv1d of concatenated segments against the
+    per-segment chain global_maxpool(maxpool1d(conv1d(segment)))."""
+
+    @pytest.mark.parametrize("pool", [1, 2, 3])
+    def test_values_and_gradients_bit_exact(self, pool):
+        rng = np.random.default_rng(40 + pool)
+        width, dim, channels = 3, 2, 4
+        # empty, shorter than the filter width, exactly the width, longer
+        lengths = np.array([[0, 1, 2, 3], [5, 8, 3, 11]])
+        starts = (np.cumsum(lengths) - lengths.ravel()).reshape(lengths.shape)
+        # three levels of integer inputs and filters: many exact ties, and
+        # conv sums that are exact in any order
+        x = rng.integers(-1, 2, size=(int(lengths.sum()), dim)).astype(float)
+        filters = tz.Parameter("f", rng.integers(-1, 2, size=(channels, width, dim)))
+        bias = tz.Parameter("b", rng.integers(-1, 2, size=channels))
+        weights = rng.normal(size=lengths.shape + (channels,))
+
+        tape = tz.Tape()
+        conv = tz.conv1d(tape.constant(x), filters, bias)
+        fused = tz.segment_max(conv, starts, np.maximum(lengths - width + 1, 0))
+        # 32 outputs: the mean's 1/32 is exact, as is the reference's 1/4 * 1/8
+        tz.backward(tape, tz.mean_all(tz.mul(fused, tape.constant(weights))))
+
+        covered = np.zeros(len(conv.value), dtype=bool)
+        for (b, n), length in np.ndenumerate(lengths):
+            start = starts[b, n]
+            if length < width:
+                assert not fused.value[b, n].any()
+                continue
+            ref_tape = tz.Tape()
+            ref_conv = tz.conv1d(ref_tape.constant(x[start : start + length]), filters, bias)
+            pooled = tz.global_maxpool(tz.maxpool1d(ref_conv, pool))
+            loss = tz.scale(tz.mean_all(tz.mul(pooled, ref_tape.constant(weights[b, n]))), 1 / 8)
+            tz.backward(ref_tape, loss)
+            rows = slice(start, start + length - width + 1)
+            assert np.array_equal(fused.value[b, n], pooled.value)
+            assert np.array_equal(conv.grad[rows], ref_conv.grad)
+            covered[rows] = True
+        # windows that straddle two segments get no gradient
+        assert not conv.grad[~covered].any()
 
 
 def _rand(rng, *shape):
@@ -303,21 +381,33 @@ class TestGradientChecks:
 
         check_gradients(loss, [xp] + params.all(), tol=1e-4)
 
+    def test_segment_max(self):
+        rng = np.random.default_rng(12)
+        xp = tz.Parameter("x", rng.normal(size=(10, 3)))
+        starts = np.array([[0, 3, 3], [5, 9, 9]])
+        counts = np.array([[3, 0, 2], [4, 1, 0]])  # two empty segments
+
+        def loss(tape):
+            return tz.mean_all(tz.tanh(tz.segment_max(tape.read(xp), starts, counts)))
+
+        check_gradients(loss, [xp], tol=1e-6)
+
     def test_additive_pair_scores(self):
         rng = np.random.default_rng(5)
         n, d = 4, 3
-        a = tz.Parameter("a", rng.normal(size=(n, d)))
-        b = tz.Parameter("b", rng.normal(size=(n, d)))
-        bias = tz.Parameter("bias", rng.normal(size=d))
-        v = tz.Parameter("v", rng.normal(size=d))
-        values = rng.normal(size=(n, d))  # fixed mixing targets
+        for lead in [(), (2,)]:  # one sequence, and a batch of two
+            a = tz.Parameter("a", rng.normal(size=lead + (n, d)))
+            b = tz.Parameter("b", rng.normal(size=lead + (n, d)))
+            bias = tz.Parameter("bias", rng.normal(size=d))
+            v = tz.Parameter("v", rng.normal(size=d))
+            values = rng.normal(size=lead + (n, d))  # fixed mixing targets
 
-        def loss(tape):
-            scores = tz.additive_pair_scores(tape.read(a), tape.read(b), bias, v)
-            mixed = tz.bmatmul(tz.softmax(scores), tape.constant(values))
-            return tz.mean_all(tz.tanh(mixed))
+            def loss(tape):
+                scores = tz.additive_pair_scores(tape.read(a), tape.read(b), bias, v)
+                mixed = tz.bmatmul(tz.softmax(scores), tape.constant(values))
+                return tz.mean_all(tz.tanh(mixed))
 
-        check_gradients(loss, [a, b, bias, v], tol=1e-5)
+            check_gradients(loss, [a, b, bias, v], tol=1e-5)
 
     def test_combine_pattern(self):
         rng = np.random.default_rng(6)

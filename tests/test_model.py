@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fakeflow.tensor as tz
 from conftest import max_relative_error, numeric_gradient
 from fakeflow.errors import ConfigError, ShapeError
 from fakeflow.model import (
+    MODES,
     Example,
     FakeFlowConfig,
     FakeFlowModel,
@@ -212,6 +215,15 @@ class TestForward:
         with pytest.raises(ShapeError):
             model.forward(example)
 
+    @pytest.mark.parametrize("train_embeddings", [True, False])
+    @pytest.mark.parametrize("bad_id", [-1, 12])
+    def test_token_id_outside_vocabulary_raises(self, train_embeddings, bad_id):
+        cfg = tiny_config(train_embeddings=train_embeddings)  # vocab_size 12
+        example = random_example(cfg, np.random.default_rng(0))
+        example.ids[0] = bad_id
+        with pytest.raises(ShapeError, match="ids in"):
+            FakeFlowModel(cfg, seed=0).forward(example)
+
     def test_affect_row_count_mismatch_raises(self):
         cfg = tiny_config()
         model = FakeFlowModel(cfg, seed=0)
@@ -283,13 +295,56 @@ class TestAblations:
 
 class TestBatchAndDeterminism:
     def test_batch_probs_match_per_document(self):
-        cfg = tiny_config(mode="affect_only")
-        model = FakeFlowModel(cfg, seed=10)
-        rng = np.random.default_rng(10)
-        examples = [random_example(cfg, rng, doc_id=f"d{i}") for i in range(5)]
-        batched = model.predict_proba(examples)
-        singles = np.stack([model.forward(e).probabilities for e in examples])
-        assert np.allclose(batched, singles, atol=1e-12)
+        for mode in MODES:
+            cfg = tiny_config(mode=mode)
+            model = FakeFlowModel(cfg, seed=10)
+            rng = np.random.default_rng(10)
+            examples = [random_example(cfg, rng, doc_id=f"d{i}") for i in range(5)]
+            batched = model.predict_proba(examples)
+            singles = np.stack([model.forward(e).probabilities for e in examples])
+            assert np.allclose(batched, singles, atol=1e-12), mode
+
+    @settings(max_examples=40, deadline=None)
+    @given(mode=st.sampled_from(MODES), seed=st.integers(0, 2**32 - 1),
+           n_others=st.integers(0, 7), batch_size=st.integers(1, 9), data=st.data())
+    def test_probabilities_independent_of_batch(self, mode, seed, n_others, batch_size, data):
+        # a document's probabilities do not depend on the documents batched
+        # with it, on its place in the batch, or on the batch size
+        cfg = tiny_config(mode=mode, n_segments=3, cnn_filter_widths=(2, 4))
+        model = FakeFlowModel(cfg, seed=seed % 1000)
+        rng = np.random.default_rng(seed)
+        target = random_example(cfg, rng, doc_id="target")
+        batch = [random_example(cfg, rng, doc_id=f"other{i}") for i in range(n_others)]
+        position = data.draw(st.integers(0, n_others))
+        batch.insert(position, target)
+        alone = model.forward(target).probabilities
+        batched = model.predict_proba(batch, batch_size=batch_size)[position]
+        assert np.max(np.abs(batched - alone)) <= 1e-12
+
+    def test_frozen_embeddings_are_a_constant(self):
+        # no gradient reaches the frozen table; every other parameter's
+        # gradient and update is bit-identical to the trainable-table model
+        updated = {}
+        for trainable in (True, False):
+            cfg = tiny_config(mode="full", dropout_rate=0.3, train_embeddings=trainable)
+            model = FakeFlowModel(cfg, seed=16)
+            examples = [random_example(cfg, np.random.default_rng(i)) for i in range(4)]
+            table, table_grad = model.embedding.value.copy(), model.embedding.grad
+            tape = tz.Tape()
+            loss, _ = model.batch_loss(tape, examples, np.array([0, 1, 1, 0]), training=True,
+                                       rng=np.random.default_rng(17))
+            tz.backward(tape, loss)
+            grads = {p.name: p.grad.copy() for p in model.params if p.name != "embedding"}
+            tz.step(tz.make_optimizer("adam"), model.trainable_params())
+            updated[trainable] = grads, {p.name: p.value for p in model.params}
+            if not trainable:
+                assert model.embedding.grad is table_grad and not table_grad.any()
+                assert np.array_equal(model.embedding.value, table)
+        (grads_t, values_t), (grads_f, values_f) = updated[True], updated[False]
+        for name, grad in grads_t.items():
+            assert np.array_equal(grad, grads_f[name]), name
+            assert np.array_equal(values_t[name], values_f[name]), name
+        assert not np.array_equal(values_t["embedding"], values_f["embedding"])
 
     def test_predict_proba_of_no_examples(self):
         for mode in ("full", "affect_only"):
@@ -328,6 +383,26 @@ class TestCheckpoint:
         assert np.array_equal(
             model.forward(example).probabilities, loaded.forward(example).probabilities
         )
+
+    def test_unexpected_parameter_is_config_error(self, tmp_path):
+        model = FakeFlowModel(tiny_config(), seed=13)
+        extra = tz.Parameter("unused", np.zeros(2))
+        tz.save_checkpoint(tmp_path / "model.bin", model.params + [extra],
+                           config=model.config.to_json())
+        with pytest.raises(ConfigError, match="unused"):
+            FakeFlowModel.load(tmp_path / "model.bin")
+
+    @pytest.mark.parametrize("change", [
+        {"n_segmentz": 3},  # unknown field
+        {"cnn_filter_widths": 3},  # not a list
+        {"n_segments": "three"},  # not a number
+        {"vocab_size": 12.5},  # not an integer
+    ])
+    def test_bad_config_is_config_error(self, change):
+        payload = tiny_config().to_json()
+        payload.update(change)
+        with pytest.raises(ConfigError):
+            FakeFlowConfig.from_json(payload)
 
 
 class TestPretrainedEmbeddings:
