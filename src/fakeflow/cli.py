@@ -19,6 +19,7 @@ from dataclasses import dataclass, replace
 
 from . import corpus as corpus_mod
 from . import evaluation, report
+from .atomic import atomic_open
 from .errors import ConfigError, FakeflowError, UsageError
 from .lexicon import LexiconSet, extract_affect, load_lexicon_set
 from .model import Example, FakeFlowConfig, FakeFlowModel
@@ -49,7 +50,7 @@ def _config_hash(payload: dict) -> str:
 
 
 def _write_json(path, payload) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, sort_keys=True, indent=2)
         fh.write("\n")
 
@@ -248,7 +249,7 @@ def cmd_extract_features(args) -> int:
     lex = load_lexicon_set(_lexicon_manifest_path(args))
     docs = tokenize_articles(articles)
     path = os.path.join(out, "features.jsonl")
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path, "w", encoding="utf-8") as fh:
         for doc_id, doc, label in docs:
             seg = corpus_mod.segment(doc, args.n_segments, args.max_seg_len)
             matrix = extract_affect(seg, lex)
@@ -307,7 +308,7 @@ def cmd_search(args) -> int:
                            train_cfg, seed=args.seed)
 
     trials_path = os.path.join(out, "trials.jsonl")
-    with open(trials_path, "w", encoding="utf-8") as fh:
+    with atomic_open(trials_path, "w", encoding="utf-8") as fh:
         for trial in result.trials:
             fh.write(json.dumps({
                 "trial": trial.trial_index,
@@ -403,7 +404,7 @@ def cmd_evaluate(args) -> int:
     payload = result.to_json()
     payload["config_hash"] = _config_hash({"model": cfg.to_json()})
     _write_json(os.path.join(out, "report.json"), payload)
-    with open(os.path.join(out, "predictions.txt"), "w", encoding="utf-8") as fh:
+    with atomic_open(os.path.join(out, "predictions.txt"), "w", encoding="utf-8") as fh:
         for example, label in zip(examples, predictions):
             fh.write(f"{example.doc_id}\t{label}\n")
     _write_manifest(out, "evaluate", _options(args), payload["config_hash"],
@@ -506,10 +507,10 @@ def cmd_attention(args) -> int:
     config_hash = _config_hash({"model": cfg.to_json()})
     report.emit_plot_data("attention_bar", profile, os.path.join(out, "attention_bar.csv"),
                           command="attention", config_hash=config_hash)
-    with open(os.path.join(out, "highlight.html"), "w", encoding="utf-8") as fh:
+    with atomic_open(os.path.join(out, "highlight.html"), "w", encoding="utf-8") as fh:
         fh.write(report.annotation_to_html(doc, annotation,
                                            title=f"affect highlighting: {article.id}"))
-    with open(os.path.join(out, "highlight.json"), "w", encoding="utf-8") as fh:
+    with atomic_open(os.path.join(out, "highlight.json"), "w", encoding="utf-8") as fh:
         fh.write(report.annotation_to_standoff_json(doc, annotation) + "\n")
     _write_json(os.path.join(out, "trace.json"), trace.to_json())
     _write_manifest(out, "attention", _options(args), config_hash,

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .atomic import atomic_open
 from .errors import (
     ConfigError,
     EmptyDocument,
@@ -435,7 +436,7 @@ def load_corpus(path, fmt: str = "jsonl") -> list[RawArticle]:
 
 
 def save_corpus(path, articles: list[RawArticle]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path, "w", encoding="utf-8") as fh:
         for article in articles:
             record = {"id": article.id, "text": article.text}
             if article.label is not None:

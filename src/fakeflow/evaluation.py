@@ -14,6 +14,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .atomic import atomic_open
 from .errors import UsageError
 
 logger = logging.getLogger(__name__)
@@ -245,7 +246,7 @@ def cross_year(datasets_by_year: dict[int, list], model_builder, seed: int = 0) 
 def write_cross_year_csv(matrix: CrossYearMatrix, path) -> None:
     """Train years as rows, test years as columns, 0.00 on the diagonal,
     and a final Average row of off-diagonal column means."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["train\\test"] + [str(y) for y in matrix.years])
         for train_year in matrix.years:

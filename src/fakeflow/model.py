@@ -11,7 +11,7 @@ Modes: "full" wires both branches; "topic_only" drops the affect features
 directly); "affect_only" drops the token branch entirely and averages the
 GRU states.
 
-Every mode has one forward pass, `FakeFlowModel.batch_probs`, and it runs
+Every mode has one forward pass, `FakeFlowModel.batch_logits`, and it runs
 each layer once over the whole batch: the topic branch over the batch's
 concatenated segments, everything after it over (B, N, ...) arrays. A
 single document is a batch of one.
@@ -343,11 +343,11 @@ class FakeFlowModel:
         return tz.bigru(v_affect, self.gru)
 
     def classify(self, v_compact, training: bool, rng):
-        """Output dense layer with activation, then a linear softmax layer."""
+        """Output dense layer with activation, then the linear layer whose
+        softmax gives the class probabilities; returns (v_final, logits)."""
         dropped = tz.dropout(v_compact, self.config.dropout_rate, training, rng)
         v_final = tz.dense(dropped, self.out_w, self.out_b, self.config.activation)
-        logits = tz.add_bias(tz.linear(v_final, self.cls_w), self.cls_b)
-        return v_final, tz.softmax(logits)
+        return v_final, tz.add_bias(tz.linear(v_final, self.cls_w), self.cls_b)
 
     # ------------------------------------------------------------------
     # forward
@@ -357,13 +357,14 @@ class FakeFlowModel:
         """Run one document as a batch of one and capture every
         intermediate representation."""
         nodes = {}
-        self.batch_probs(tz.Tape(), [example], training, rng, nodes=nodes)
+        logits = self.batch_logits(tz.Tape(), [example], training, rng, nodes=nodes)
         rows = {key: np.array(node.value[0]) for key, node in nodes.items()}
+        rows["probabilities"] = tz.softmax_array(logits.value[0])
         return ForwardTrace(**rows, mode=self.config.mode, doc_id=example.doc_id)
 
-    def batch_probs(self, tape, examples: list[Example], training: bool,
-                    rng: np.random.Generator | None, nodes: dict | None = None):
-        """Class probabilities for a batch as one (B, C) tensor.
+    def batch_logits(self, tape, examples: list[Example], training: bool,
+                     rng: np.random.Generator | None, nodes: dict | None = None):
+        """Class logits for a batch as one (B, C) tensor.
 
         This is the forward pass of every mode. When `nodes` is a dict, each
         intermediate (B, ...) tensor the mode produces is stored in it under
@@ -400,28 +401,36 @@ class FakeFlowModel:
                 v_compact = combine(v_flow, l_t)
             else:
                 v_compact = tz.mean_axis(l_t, axis=-2)
-        v_final, probs = self.classify(v_compact, training, rng)
+        v_final, logits = self.classify(v_compact, training, rng)
         if nodes is not None:
-            nodes.update(found, v_compact=v_compact, v_final=v_final, probabilities=probs)
-        return probs
+            nodes.update(found, v_compact=v_compact, v_final=v_final)
+        return logits
 
     def batch_loss(self, tape, examples: list[Example], gold: np.ndarray,
                    training: bool, rng: np.random.Generator | None):
-        """Mean cross-entropy over a batch; returns (loss, probs array)."""
-        probs = self.batch_probs(tape, examples, training, rng)
-        loss = tz.cross_entropy(probs, np.asarray(gold))
-        return loss, np.array(probs.value)
+        """Mean cross-entropy over a batch; returns (loss, probs array).
 
-    def predict_proba(self, examples: list[Example], batch_size: int = 64) -> np.ndarray:
-        """(len(examples), C) class probabilities; (0, C) for no examples."""
+        The loss is fused with its softmax, so it is finite whenever the
+        logits are.
+        """
+        logits = self.batch_logits(tape, examples, training, rng)
+        loss = tz.softmax_cross_entropy(logits, np.asarray(gold))
+        return loss, tz.softmax_array(logits.value)
+
+    def predict_logits(self, examples: list[Example], batch_size: int = 64) -> np.ndarray:
+        """(len(examples), C) inference logits; (0, C) for no examples."""
         if not examples:
             return np.zeros((0, len(self.config.classes)))
         out = []
         for start in range(0, len(examples), batch_size):
             batch = examples[start : start + batch_size]
-            probs = self.batch_probs(tz.Tape(), batch, training=False, rng=None)
-            out.append(np.array(probs.value))
+            logits = self.batch_logits(tz.Tape(), batch, training=False, rng=None)
+            out.append(np.array(logits.value))
         return np.concatenate(out, axis=0)
+
+    def predict_proba(self, examples: list[Example], batch_size: int = 64) -> np.ndarray:
+        """(len(examples), C) class probabilities; (0, C) for no examples."""
+        return tz.softmax_array(self.predict_logits(examples, batch_size))
 
     def predict(self, examples: list[Example], batch_size: int = 64) -> list[str]:
         probs = self.predict_proba(examples, batch_size=batch_size)

@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .atomic import atomic_open
 from .corpus import TokenizedDocument, segment
 from .errors import UnsupportedMode, UsageError
 from .lexicon import FEATURE_NAMES, LexiconSet, extract_affect
@@ -202,7 +203,7 @@ def emit_plot_data(kind: str, inputs, path, command: str = "", config_hash: str 
     """
     if kind not in PLOT_KINDS:
         raise UsageError(f"unknown plot kind {kind!r}; choose from {PLOT_KINDS}")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(f"# produced-by: {command or 'fakeflow'} config-hash: {config_hash or 'n/a'}\n")
         writer = csv.writer(fh)
         if kind == "n_sweep":

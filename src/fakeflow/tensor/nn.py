@@ -3,7 +3,8 @@
 Fused ops (conv1d, pooling, segment max, embedding lookup, pairwise
 attention scores) carry hand-derived backward rules; composite layers
 (dense, bigru) are wired from engine primitives so their gradients come
-for free.
+for free. No op copies a sliding-window view: conv1d sums one matrix
+product per filter tap over shifted row slices of its input.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from ..errors import ShapeError, UsageError
 from . import engine
@@ -40,9 +40,10 @@ def embedding_lookup(ids, table) -> Tensor:
         )
 
     def vjp(g):
-        gt = np.zeros((vocab, dim), dtype=DTYPE)
-        np.add.at(gt, ids.ravel(), g.reshape(-1, dim))
-        return (gt,)
+        # np.add.at's sums, in its order; intp, as uint64 * int64 is float64
+        cells = ids.astype(np.intp).reshape(-1, 1) * dim + np.arange(dim)
+        gt = np.bincount(cells.ravel(), weights=g.ravel(), minlength=vocab * dim)
+        return (gt.astype(DTYPE, copy=False).reshape(vocab, dim),)  # empty: int64
 
     return _record(tape, table.value[ids], (table,), vjp, "embedding_lookup")
 
@@ -50,8 +51,10 @@ def embedding_lookup(ids, table) -> Tensor:
 def conv1d(x, filters, bias) -> Tensor:
     """Valid 1-D convolution over a (L, D) sequence, stride 1.
 
-    filters: (K, w, D); bias: (K,). Output (L - w + 1, K) with
-    out[t, k] = bias[k] + sum_{i, d} x[t + i, d] * filters[k, i, d].
+    filters: (K, w, D); bias: (K,). Output (L' = L - w + 1, K) with
+    out[t, k] = bias[k] + sum_{i, d} x[t + i, d] * filters[k, i, d], computed
+    as bias + sum_i x[i:i + L'] @ filters[:, i].T: one matrix product per
+    tap over a shifted slice of x, so no (L', D, w) window is copied.
     """
     tape = x.tape
     x, filters, bias = _coerce(tape, x), _coerce(tape, filters), _coerce(tape, bias)
@@ -67,21 +70,17 @@ def conv1d(x, filters, bias) -> Tensor:
         raise ShapeError(f"conv1d: filters {fv.shape} / bias {bv.shape} do not match x {xv.shape}")
     if length < width:
         raise ShapeError(f"conv1d: sequence length {length} shorter than filter width {width}")
+    steps = length - width + 1
 
-    windows = sliding_window_view(xv, width, axis=0)  # (L', D, w)
-    out = np.einsum("tdi,kid->tk", windows, fv, optimize=True) + bv
+    out = bv + sum(xv[i : i + steps] @ fv[:, i].T for i in range(width))
 
     def vjp(g):
-        gf = np.einsum("tdi,tk->kid", windows, g, optimize=True)
-        gb = g.sum(axis=0)
-        padded = np.zeros((g.shape[0] + 2 * (width - 1), n_filters), dtype=DTYPE)
-        if width > 1:
-            padded[width - 1 : width - 1 + g.shape[0]] = g
-        else:
-            padded = g
-        gwin = sliding_window_view(padded, width, axis=0)  # (L, K, w)
-        gx = np.einsum("skj,kjd->sd", gwin, fv[:, ::-1, :], optimize=True)
-        return np.ascontiguousarray(gx), np.ascontiguousarray(gf), gb
+        gx = np.zeros_like(xv)
+        gf = np.empty_like(fv)
+        for i in range(width):
+            gf[:, i] = g.T @ xv[i : i + steps]
+            gx[i : i + steps] += g @ fv[:, i]
+        return gx, gf, g.sum(axis=0)
 
     return _record(tape, out, (x, filters, bias), vjp, "conv1d")
 
@@ -185,21 +184,44 @@ def dense(x, w, b, act: str = "identity") -> Tensor:
     return activation(act)(engine.add_bias(engine.linear(x, w), b))
 
 
+def softmax_array(v: np.ndarray) -> np.ndarray:
+    """Max-subtracted stable softmax of an array along its last axis, off
+    the tape."""
+    v = np.asarray(v, dtype=DTYPE)
+    if v.ndim < 1 or v.shape[-1] < 1:
+        raise ShapeError(f"softmax: need at least one element on last axis, got {v.shape}")
+    e = np.exp(v - v.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
 def softmax(x) -> Tensor:
     """Max-subtracted stable softmax along the last axis."""
     x = _coerce(x.tape, x)
-    v = x.value
-    if v.ndim < 1 or v.shape[-1] < 1:
-        raise ShapeError(f"softmax: need at least one element on last axis, got {v.shape}")
-    shifted = v - v.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=-1, keepdims=True)
+    out = softmax_array(x.value)
 
     def vjp(g):
         dot = (g * out).sum(axis=-1, keepdims=True)
         return ((g - dot) * out,)
 
     return _record(x.tape, out, (x,), vjp, "softmax")
+
+
+def _gold_rows(op: str, scores: np.ndarray, gold) -> np.ndarray:
+    """The gold class of each row of (..., C) scores, as a flat index array."""
+    if scores.ndim < 1 or scores.shape[-1] < 2:
+        raise ShapeError(f"{op}: need at least 2 classes, got shape {scores.shape}")
+    classes = scores.shape[-1]
+    gold_arr = np.asarray(gold)
+    if gold_arr.dtype.kind not in "iu":
+        raise ShapeError(f"gold labels must be integers, got dtype {gold_arr.dtype}")
+    if gold_arr.shape != scores.shape[:-1]:
+        raise ShapeError(
+            f"gold shape {gold_arr.shape} does not match {op} leading shape {scores.shape[:-1]}"
+        )
+    gold_flat = gold_arr.reshape(-1)
+    if gold_flat.size and (gold_flat.min() < 0 or gold_flat.max() >= classes):
+        raise IndexError(f"gold class out of range for {classes} classes")
+    return gold_flat
 
 
 def cross_entropy(probs, gold) -> Tensor:
@@ -211,20 +233,8 @@ def cross_entropy(probs, gold) -> Tensor:
     """
     probs = _coerce(probs.tape, probs)
     pv = probs.value
-    if pv.ndim < 1 or pv.shape[-1] < 2:
-        raise ShapeError(f"cross_entropy: need at least 2 classes, got shape {pv.shape}")
-    classes = pv.shape[-1]
-    flat = pv.reshape(-1, classes)
-    gold_arr = np.asarray(gold)
-    if gold_arr.dtype.kind not in "iu":
-        raise ShapeError(f"gold labels must be integers, got dtype {gold_arr.dtype}")
-    if gold_arr.shape != pv.shape[:-1]:
-        raise ShapeError(
-            f"gold shape {gold_arr.shape} does not match probs leading shape {pv.shape[:-1]}"
-        )
-    gold_flat = gold_arr.reshape(-1)
-    if gold_flat.size and (gold_flat.min() < 0 or gold_flat.max() >= classes):
-        raise IndexError(f"gold class out of range for {classes} classes")
+    gold_flat = _gold_rows("cross_entropy", pv, gold)
+    flat = pv.reshape(-1, pv.shape[-1])
     n = flat.shape[0]
     picked = flat[np.arange(n), gold_flat]
     with np.errstate(divide="ignore"):
@@ -236,6 +246,32 @@ def cross_entropy(probs, gold) -> Tensor:
         return (gp.reshape(pv.shape),)
 
     return _record(probs.tape, out, (probs,), vjp, "cross_entropy")
+
+
+def softmax_cross_entropy(logits, gold) -> Tensor:
+    """cross_entropy(softmax(logits), gold) as one op that stays finite.
+
+    Each row's log-softmax is shifted - log(sum(exp(shifted))) with the row
+    max subtracted, so the loss is finite whenever the logits are, even
+    where the gold probability underflows to 0. Gradient (softmax - onehot) / n.
+    """
+    logits = _coerce(logits.tape, logits)
+    lv = logits.value
+    gold_flat = _gold_rows("softmax_cross_entropy", lv, gold)
+    flat = lv.reshape(-1, lv.shape[-1])
+    n = flat.shape[0]
+    rows = np.arange(n)
+    shifted = flat - flat.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    total = e.sum(axis=1)
+    out = np.asarray((np.log(total) - shifted[rows, gold_flat]).mean())
+
+    def vjp(g):
+        gl = e / total[:, None]
+        gl[rows, gold_flat] -= 1.0
+        return ((gl * (float(g) / n)).reshape(lv.shape),)
+
+    return _record(logits.tape, out, (logits,), vjp, "softmax_cross_entropy")
 
 
 def dropout(x, rate: float, training: bool, rng: np.random.Generator | None = None) -> Tensor:

@@ -15,6 +15,7 @@ import struct
 
 import numpy as np
 
+from ..atomic import atomic_open
 from ..errors import ParseError
 from .engine import DTYPE, Parameter
 
@@ -28,7 +29,7 @@ def save_checkpoint(path, params: list[Parameter], config: dict | None = None) -
         "params": [{"name": p.name, "shape": list(p.value.shape)} for p in params],
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", VERSION))
         fh.write(struct.pack("<Q", len(header_bytes)))

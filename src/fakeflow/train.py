@@ -115,6 +115,7 @@ def train(model: FakeFlowModel, train_set: list[Example], val_set: list[Example]
     frozen = [p for p in model.params if id(p) not in trainable_ids]
     gold_train = np.array([class_index[e.label] for e in train_set], dtype=np.int64)
     val_gold_labels = [e.label for e in val_set]
+    gold_val = np.array([class_index[label] for label in val_gold_labels], dtype=np.int64)
 
     stopper = EarlyStopper(cfg.patience, cfg.higher_is_better)
     history: list[EpochRecord] = []
@@ -135,11 +136,11 @@ def train(model: FakeFlowModel, train_set: list[Example], val_set: list[Example]
                 p.zero_grad()
             losses.append(float(loss.value))
 
-        val_probs = model.predict_proba(val_set)
+        val_logits = model.predict_logits(val_set)
+        tape = tz.Tape()
+        val_loss = float(tz.softmax_cross_entropy(tape.constant(val_logits), gold_val).value)
+        val_probs = tz.softmax_array(val_logits)
         val_pred_labels = [classes[i] for i in val_probs.argmax(axis=1)]
-        picked = val_probs[np.arange(len(val_set)),
-                           [class_index[lb] for lb in val_gold_labels]]
-        val_loss = float(-np.log(np.maximum(picked, 1e-300)).mean())
         report = compute_metrics(val_gold_labels, val_pred_labels)
         record = EpochRecord(
             epoch=epoch,

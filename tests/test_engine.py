@@ -313,6 +313,111 @@ class TestSegmentMaxMatchesPoolingChain:
         assert not conv.grad[~covered].any()
 
 
+def _relative_error(got, want) -> float:
+    return float(np.max(np.abs(got - want)) / max(np.max(np.abs(want)), 1e-300))
+
+
+def _vjp_of_last_op(tape, g):
+    return tape._entries[-1][2](g)
+
+
+class TestConv1dReference:
+    """conv1d values and all three VJP outputs against a per-window loop."""
+
+    @staticmethod
+    def naive(x, filters, bias, g):
+        n_filters, width, _ = filters.shape
+        steps = len(x) - width + 1
+        out = np.zeros((steps, n_filters))
+        gx, gf = np.zeros_like(x), np.zeros_like(filters)
+        for t in range(steps):
+            window = x[t : t + width]
+            for k in range(n_filters):
+                out[t, k] = bias[k] + np.sum(window * filters[k])
+                gf[k] += g[t, k] * window
+                gx[t : t + width] += g[t, k] * filters[k]
+        return out, gx, gf, g.sum(axis=0)
+
+    @pytest.mark.parametrize("width", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("extra", [0, 1, None])
+    def test_matches_per_window_loop(self, width, extra):
+        rng = np.random.default_rng(100 + width)
+        length = 37 if extra is None else width + extra
+        x = rng.normal(size=(length, 6))
+        filters = tz.Parameter("f", rng.normal(size=(4, width, 6)))
+        bias = tz.Parameter("b", rng.normal(size=4))
+        tape = tz.Tape()
+        out = tz.conv1d(tape.constant(x), filters, bias)
+        g = rng.normal(size=out.value.shape)
+        want = self.naive(x, filters.value, bias.value, g)
+        got = (out.value,) + tuple(_vjp_of_last_op(tape, g))
+        for name, a, b in zip(("out", "gx", "gf", "gb"), got, want):
+            assert a.shape == b.shape and a.dtype == np.float64, name
+            assert _relative_error(a, b) < 1e-12, name
+
+
+class TestEmbeddingGradient:
+    """The table gradient against np.add.at into a zero table, bit for bit."""
+
+    @pytest.mark.parametrize("ids", [
+        np.array([3, 1, 3, 3, 0, 1, 3]),  # repeated ids
+        np.array([[2, 4, 2], [4, 4, 1]]),  # 2-D ids
+        np.array([5, 2, 5, 5, 0], dtype=np.uint32),
+        np.array([5, 2, 5, 5, 0], dtype=np.uint64),
+    ], ids=["repeated", "2-D", "uint32", "uint64"])
+    def test_matches_add_at(self, ids):
+        rng = np.random.default_rng(12)
+        table = tz.Parameter("emb", rng.normal(size=(6, 3)))
+        tape = tz.Tape()
+        out = tz.embedding_lookup(ids, tape.read(table))
+        g = rng.normal(size=out.value.shape)
+        (got,) = _vjp_of_last_op(tape, g)
+        want = np.zeros((6, 3))
+        np.add.at(want, ids.ravel(), g.reshape(-1, 3))
+        assert got.dtype == np.float64
+        assert np.array_equal(got, want)
+
+    def test_empty_ids_give_float64_zeros(self):
+        table = tz.Parameter("emb", np.ones((4, 2)))
+        tape = tz.Tape()
+        out = tz.embedding_lookup(np.zeros(0, dtype=np.int64), tape.read(table))
+        (got,) = _vjp_of_last_op(tape, np.zeros(out.value.shape))
+        assert got.dtype == np.float64 and got.shape == (4, 2) and not got.any()
+
+
+class TestSoftmaxCrossEntropy:
+    def test_matches_softmax_then_cross_entropy(self):
+        rng = np.random.default_rng(13)
+        logits = rng.normal(scale=4.0, size=(2, 5, 3))
+        gold = rng.integers(0, 3, size=(2, 5))
+        tape = tz.Tape()
+        fused = tz.softmax_cross_entropy(tape.constant(logits), gold)
+        (g_fused,) = _vjp_of_last_op(tape, np.ones(()))
+        ref_tape = tz.Tape()
+        x = ref_tape.constant(logits)
+        ref = tz.cross_entropy(tz.softmax(x), gold)
+        tz.backward(ref_tape, ref)
+        assert _relative_error(fused.value, ref.value) < 1e-12
+        assert _relative_error(g_fused, x.grad) < 1e-12
+
+    def test_finite_where_the_gold_probability_underflows(self):
+        logits = tz.Parameter("logits", np.array([[0.0, 800.0]]))
+        tape = tz.Tape()
+        with pytest.raises(NumericsError):
+            tz.cross_entropy(tz.softmax(tape.read(logits)), np.array([0]))
+        tape = tz.Tape()
+        loss = tz.softmax_cross_entropy(tape.read(logits), np.array([0]))
+        tz.backward(tape, loss)
+        assert float(loss.value) == 800.0
+        assert logits.grad.tolist() == [[-1.0, 1.0]]
+
+    @pytest.mark.parametrize("gold", [np.array([0, 2]), np.array([0.0, 1.0]), np.array([0])])
+    def test_bad_gold_raises(self, gold):
+        tape = tz.Tape()
+        with pytest.raises((ShapeError, IndexError)):
+            tz.softmax_cross_entropy(tape.constant(np.zeros((2, 2))), gold)
+
+
 def _rand(rng, *shape):
     # keep magnitudes moderate and away from activation kinks
     return rng.uniform(0.2, 1.0, size=shape) * rng.choice([-1.0, 1.0], size=shape)
@@ -426,6 +531,16 @@ class TestGradientChecks:
 
         def loss(tape):
             return tz.cross_entropy(tz.softmax(tape.read(logits)), gold)
+
+        check_gradients(loss, [logits], tol=1e-6)
+
+    def test_fused_softmax_cross_entropy(self):
+        rng = np.random.default_rng(7)
+        logits = tz.Parameter("logits", rng.normal(size=(3, 4)))
+        gold = np.array([1, 3, 0])
+
+        def loss(tape):
+            return tz.softmax_cross_entropy(tape.read(logits), gold)
 
         check_gradients(loss, [logits], tol=1e-6)
 

@@ -123,6 +123,34 @@ class TestTrainLoop:
         assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
 
 
+class TestStableLoss:
+    def test_underflowing_gold_probability_trains_at_a_finite_loss(self):
+        # logits [0, 800] with gold "real" (class 0): softmax gives the gold
+        # class probability 0, but the fused loss is log(1 + e^800) = 800
+        examples, vocab, _ = _flow_examples(8)
+        for e in examples:
+            e.label = "real"
+        model = FakeFlowModel(_affect_config(vocab, dropout_rate=0.0), seed=5)
+        model.cls_w.assign(np.zeros(model.cls_w.shape))
+        model.cls_b.assign(np.array([0.0, 800.0]))
+        cfg = TrainConfig(max_epochs=2, patience=1, batch_size=8, seed=5, learning_rate=0.01)
+        result = train(model, examples, examples[:3], cfg)
+        assert result.history[0].train_loss == 800.0
+        assert all(np.isfinite(r.val_loss) and r.val_loss > 700.0 for r in result.history)
+
+    def test_validation_loss_is_the_mean_loss_of_the_probabilities(self):
+        examples, vocab, _ = _flow_examples(70)
+        model = FakeFlowModel(_affect_config(vocab), seed=6)
+        cfg = TrainConfig(max_epochs=2, patience=1, batch_size=70, seed=6,
+                          learning_rate=0.01, monitored_metric="val_loss")
+        result = train(model, examples[:2], examples, cfg)
+        # train() restores the best epoch's parameters
+        probs = model.predict_proba(examples)
+        gold = np.array([model.config.classes.index(e.label) for e in examples])
+        expected = -np.log(probs[np.arange(len(examples)), gold]).mean()
+        assert abs(result.best_val_metric - expected) <= 1e-12 * expected
+
+
 class TestSearchSpace:
     def test_draws_stay_inside_declared_sets(self):
         space = SearchSpace()
