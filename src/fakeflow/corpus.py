@@ -388,6 +388,18 @@ def complement_test_with_real(
     return list(train), sampled
 
 
+def read_text(path) -> str:
+    """The contents of a UTF-8 text file, every line ending read as a newline.
+
+    Bytes that are not UTF-8 raise ParseError naming the file.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc}") from None
+
+
 def load_corpus(path, fmt: str = "jsonl") -> list[RawArticle]:
     """Read a JSON Lines corpus: one object per article with fields
     {id, text, label?, domain?, year?, split?}."""
@@ -395,43 +407,45 @@ def load_corpus(path, fmt: str = "jsonl") -> list[RawArticle]:
         raise UsageError(f"unknown corpus format {fmt!r}; only 'jsonl' is supported")
     articles = []
     seen_ids = set()
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
+    for lineno, line in enumerate(read_text(path).split("\n"), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            record = json.loads(line)
+        except (ValueError, RecursionError) as exc:
+            raise ParseError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+        if not isinstance(record, dict):
+            raise ParseError(f"{path}:{lineno}: expected a JSON object, "
+                             f"got {type(record).__name__}")
+        for field_name in ("id", "text"):
+            if field_name not in record or record[field_name] in (None, ""):
+                raise ParseError(f"{path}:{lineno}: missing field {field_name!r}")
+        if not str(record["text"]).strip():
+            raise ParseError(f"{path}:{lineno}: field 'text' is blank")
+        article_id = str(record["id"])
+        if article_id in seen_ids:
+            raise ParseError(f"{path}:{lineno}: duplicate article id {article_id!r}")
+        seen_ids.add(article_id)
+        label = record.get("label")
+        if label is not None and label not in LABELS:
+            raise ParseError(f"{path}:{lineno}: label must be one of {LABELS}, got {label!r}")
+        year = record.get("year")
+        if year is not None:
             try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-            for field_name in ("id", "text"):
-                if field_name not in record or record[field_name] in (None, ""):
-                    raise ParseError(f"{path}:{lineno}: missing field {field_name!r}")
-            if not str(record["text"]).strip():
-                raise ParseError(f"{path}:{lineno}: field 'text' is blank")
-            article_id = str(record["id"])
-            if article_id in seen_ids:
-                raise ParseError(f"{path}:{lineno}: duplicate article id {article_id!r}")
-            seen_ids.add(article_id)
-            label = record.get("label")
-            if label is not None and label not in LABELS:
-                raise ParseError(f"{path}:{lineno}: label must be one of {LABELS}, got {label!r}")
-            year = record.get("year")
-            if year is not None:
-                try:
-                    year = int(year)
-                except (TypeError, ValueError):
-                    raise ParseError(f"{path}:{lineno}: field 'year' is not an integer") from None
-            articles.append(
-                RawArticle(
-                    id=article_id,
-                    text=str(record["text"]),
-                    label=label,
-                    domain=record.get("domain"),
-                    year=year,
-                    split_hint=record.get("split"),
-                )
+                year = int(year)
+            except (TypeError, ValueError, OverflowError):
+                raise ParseError(f"{path}:{lineno}: field 'year' is not an integer") from None
+        articles.append(
+            RawArticle(
+                id=article_id,
+                text=str(record["text"]),
+                label=label,
+                domain=record.get("domain"),
+                year=year,
+                split_hint=record.get("split"),
             )
+        )
     return articles
 
 

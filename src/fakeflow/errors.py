@@ -1,7 +1,8 @@
 """Shared exception types.
 
-The CLI maps these onto exit codes: UsageError -> 1, everything else
-derived from FakeflowError -> 2.
+The CLI maps these onto exit codes: UsageError -> 1; any other
+FakeflowError, and an OSError from a file the CLI cannot read or write,
+-> 2.
 """
 
 

@@ -14,10 +14,11 @@ import json
 import logging
 import os
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
-from .corpus import SegmentedDocument
+from .corpus import SegmentedDocument, read_text
 from .errors import ConfigError, ParseError, UsageError
 
 logger = logging.getLogger(__name__)
@@ -54,8 +55,11 @@ FEATURE_NAMES = (
 )
 N_FEATURES = len(FEATURE_NAMES)  # 23
 
-_IMAGEABILITY_IDX = FEATURE_NAMES.index("imageability")
-_ABSTRACTNESS_IDX = FEATURE_NAMES.index("abstractness")
+# the features a highlighted token is labeled with
+_HIGHLIGHTED = [
+    k for k, name in enumerate(FEATURE_NAMES)
+    if name not in SENTIMENT_CATEGORIES + RATING_FEATURES
+]
 
 
 def feature_names() -> tuple[str, ...]:
@@ -88,61 +92,56 @@ class RatingLexicon:
 
 @dataclass
 class LexiconSet:
+    """The five lexicons, compiled into one word x feature weight matrix.
+
+    `_rows` maps each lexicon word to a row of `_weights`, a float64
+    (words + 1, 23) matrix; row 0 stands for every other word and is zero.
+    A word's row holds what one occurrence of it adds to each feature: 1.0
+    per category it belongs to (a hyperbolic word counts once whatever its
+    hyperbolic categories) and its imageability and abstractness ratings.
+    """
+
     emotions: CategoryLexicon
     sentiment: CategoryLexicon
     morality: CategoryLexicon
     imageability: RatingLexicon
     abstractness: RatingLexicon
     hyperbolic: CategoryLexicon
-    # token -> (category feature indices, imageability rating, abstractness rating)
-    _index: dict = field(init=False, repr=False)
+    _rows: dict = field(init=False, repr=False, compare=False)
+    _weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for lex, expected in (
+        groups = (
             (self.emotions, EMOTION_CATEGORIES),
             (self.sentiment, SENTIMENT_CATEGORIES),
             (self.morality, MORALITY_CATEGORIES),
-        ):
+        )
+        for lex, expected in groups:
             missing = set(expected) - set(lex.categories)
             if missing:
                 raise ConfigError(
                     f"lexicon {lex.name!r} is missing categories: {sorted(missing)}"
                 )
-        self._index = {}
-        offset = 0
-        for lex, order in (
-            (self.emotions, EMOTION_CATEGORIES),
-            (self.sentiment, SENTIMENT_CATEGORIES),
-            (self.morality, MORALITY_CATEGORIES),
-        ):
-            for k, category in enumerate(order):
-                for word in lex.categories[category]:
-                    self._entry(word)[0].append(offset + k)
-            offset += len(order)
-        for word, rating in self.imageability.ratings.items():
-            self._entry(word)[1] = rating
-        for word, rating in self.abstractness.ratings.items():
-            self._entry(word)[2] = rating
-        hyper_idx = FEATURE_NAMES.index(HYPERBOLIC_FEATURE)
-        for members in self.hyperbolic.categories.values():
-            for word in members:
-                self._entry(word)[0].append(hyper_idx)
-
-    def _entry(self, word: str):
-        entry = self._index.get(word)
-        if entry is None:
-            entry = [[], None, None]
-            self._index[word] = entry
-        return entry
+        # one {word: weight} map per feature, in FEATURE_NAMES order
+        columns = [dict.fromkeys(lex.categories[c], 1.0) for lex, order in groups for c in order]
+        columns += [
+            self.imageability.ratings,
+            self.abstractness.ratings,
+            dict.fromkeys(self.hyperbolic.words(), 1.0),
+        ]
+        self._rows = {}
+        for column in columns:
+            for word in column:
+                self._rows.setdefault(word, len(self._rows) + 1)
+        self._weights = np.zeros((len(self._rows) + 1, N_FEATURES), dtype=np.float64)
+        for k, column in enumerate(columns):
+            self._weights[[self._rows[word] for word in column], k] = list(column.values())
 
     def token_categories(self, token: str) -> list[str]:
         """All emotion/morality/hyperbolic category names the token matches
         (used for text highlighting; sentiment and ratings excluded)."""
-        entry = self._index.get(token)
-        if entry is None:
-            return []
-        skip = set(range(len(EMOTION_CATEGORIES), len(EMOTION_CATEGORIES) + 2))
-        return [FEATURE_NAMES[i] for i in entry[0] if i not in skip]
+        weights = self._weights[self._rows.get(token, 0)]
+        return [FEATURE_NAMES[k] for k in _HIGHLIGHTED if weights[k]]
 
 
 @dataclass
@@ -162,26 +161,19 @@ def load_category_lexicon(path, fmt: str = "nrc", name: str | None = None) -> Ca
         name = os.path.splitext(os.path.basename(str(path)))[0]
     categories: dict[str, set] = {}
     if fmt == "nrc":
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.rstrip("\n")
-                if not line.strip():
-                    continue
-                parts = line.split("\t")
-                if len(parts) != 3:
-                    raise ParseError(f"{path}:{lineno}: expected word<TAB>category<TAB>flag")
-                word, category, flag = parts
-                if flag not in ("0", "1"):
-                    raise ParseError(f"{path}:{lineno}: flag must be 0 or 1, got {flag!r}")
-                if flag == "1":
-                    categories.setdefault(category, set()).add(word.lower())
+        for lineno, line in enumerate(read_text(path).split("\n"), start=1):
+            if not line.strip():
+                continue
+            parts = line.split("\t")
+            if len(parts) != 3:
+                raise ParseError(f"{path}:{lineno}: expected word<TAB>category<TAB>flag")
+            word, category, flag = parts
+            if flag not in ("0", "1"):
+                raise ParseError(f"{path}:{lineno}: flag must be 0 or 1, got {flag!r}")
+            if flag == "1":
+                categories.setdefault(category, set()).add(word.lower())
     elif fmt == "wordlist":
-        members = set()
-        with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                word = line.strip().lower()
-                if word:
-                    members.add(word)
+        members = {line.strip().lower() for line in read_text(path).split("\n")} - {""}
         if members:
             categories[name] = members
     else:
@@ -199,25 +191,23 @@ def load_rating_lexicon(path, name: str | None = None) -> RatingLexicon:
     if name is None:
         name = os.path.splitext(os.path.basename(str(path)))[0]
     ratings: dict[str, float] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise ParseError(f"{path}:{lineno}: expected word<TAB>rating")
-            word, raw = parts
-            try:
-                rating = float(raw)
-            except ValueError:
-                raise ParseError(f"{path}:{lineno}: rating {raw!r} is not a number") from None
-            if not np.isfinite(rating) or rating < 0:
-                raise ParseError(f"{path}:{lineno}: rating must be finite and >= 0, got {raw}")
-            word = word.lower()
-            if word in ratings:
-                logger.warning("%s:%d: duplicate rating for %r, keeping the last", path, lineno, word)
-            ratings[word] = rating
+    for lineno, line in enumerate(read_text(path).split("\n"), start=1):
+        if not line.strip():
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise ParseError(f"{path}:{lineno}: expected word<TAB>rating")
+        word, raw = parts
+        try:
+            rating = float(raw)
+        except ValueError:
+            raise ParseError(f"{path}:{lineno}: rating {raw!r} is not a number") from None
+        if not np.isfinite(rating) or rating < 0:
+            raise ParseError(f"{path}:{lineno}: rating must be finite and >= 0, got {raw}")
+        word = word.lower()
+        if word in ratings:
+            logger.warning("%s:%d: duplicate rating for %r, keeping the last", path, lineno, word)
+        ratings[word] = rating
     return RatingLexicon(name=name, ratings=ratings)
 
 
@@ -230,13 +220,12 @@ def load_lexicon_set(manifest_path) -> LexiconSet:
     manifest's directory. Category lexicons are filtered to their expected
     categories, so one NRC file can serve both emotions and sentiment.
     """
-    import os
-
-    with open(manifest_path, "r", encoding="utf-8") as fh:
-        try:
-            manifest = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{manifest_path}: invalid manifest JSON: {exc}") from exc
+    try:
+        manifest = json.loads(read_text(manifest_path))
+    except (ValueError, RecursionError) as exc:
+        raise ParseError(f"{manifest_path}: invalid manifest JSON: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise ConfigError(f"{manifest_path}: the manifest must be a JSON object")
     base = os.path.dirname(os.path.abspath(str(manifest_path)))
 
     def resolve(key, default_fmt):
@@ -245,9 +234,13 @@ def load_lexicon_set(manifest_path) -> LexiconSet:
         spec = manifest[key]
         if isinstance(spec, str):
             spec = {"path": spec}
-        path = spec["path"]
-        if not os.path.isabs(path):
-            path = os.path.join(base, path)
+        if not isinstance(spec, dict) or not isinstance(spec.get("path"), str):
+            raise ConfigError(
+                f"{manifest_path}: {key!r} must be a path or an object with a \"path\" string"
+            )
+        path = os.path.join(base, spec["path"])  # an absolute path replaces base
+        if not os.path.isfile(path):
+            raise ConfigError(f"{manifest_path}: {key!r} names {path}, which is not a file")
         return path, spec.get("format", default_fmt)
 
     def category(key, expected):
@@ -282,24 +275,20 @@ def extract_affect(seg: SegmentedDocument, lex: LexiconSet) -> AffectFeatureMatr
     """Compute the N x 23 affect matrix for a segmented document.
 
     Row i depends only on the tokens of segment i; every value is divided
-    by the original (pre-truncation) document token count.
+    by the original (pre-truncation) document token count. Each token that
+    is a lexicon word adds its row of the lexicons' weight matrix to its
+    segment's row; one bincount adds them all, in token order.
     """
     if seg.doc_length < 1:
         raise UsageError("document length must be >= 1")
-    values = np.zeros((seg.n_segments, N_FEATURES), dtype=np.float64)
-    index = lex._index
-    offsets = seg.offsets.tolist()
-    for i in range(seg.n_segments):
-        out = values[i]
-        for tok in seg.tokens[offsets[i] : offsets[i + 1]]:
-            entry = index.get(tok)
-            if entry is None:
-                continue
-            for k in entry[0]:
-                out[k] += 1.0
-            if entry[1] is not None:
-                out[_IMAGEABILITY_IDX] += entry[1]
-            if entry[2] is not None:
-                out[_ABSTRACTNESS_IDX] += entry[2]
+    rows = np.fromiter(map(lex._rows.get, seg.tokens, repeat(0)), dtype=np.intp,
+                       count=len(seg.tokens))
+    hits = np.flatnonzero(rows)
+    segments = np.searchsorted(seg.offsets, hits, side="right") - 1
+    cells = segments[:, None] * N_FEATURES + np.arange(N_FEATURES)
+    values = np.bincount(cells.ravel(), weights=lex._weights[rows[hits]].ravel(),
+                         minlength=seg.n_segments * N_FEATURES)
+    # an empty bincount is int64
+    values = values.astype(np.float64, copy=False).reshape(seg.n_segments, N_FEATURES)
     values /= seg.doc_length
     return AffectFeatureMatrix(values=values)

@@ -356,38 +356,32 @@ class BiGRUParams:
         return self.fwd.all() + self.bwd.all()
 
 
-def _gru_direction(x: Tensor, cell: GRUCellParams, units: int, reverse: bool):
-    """Run one GRU direction over (..., N, F); returns hidden state per step.
+def _gru_direction(x: Tensor, cell: GRUCellParams, units: int, reverse: bool) -> Tensor:
+    """Run one GRU direction over (..., N, F); returns the (..., N, H)
+    hidden states.
 
     Gates: z = sigmoid(Wz x + Uz h + bz), r = sigmoid(Wr x + Ur h + br),
     htilde = tanh(Wh x + Uh (r * h) + bh), h' = (1 - z) * h + z * htilde,
-    with h_0 = 0.
+    with h_0 = 0. The input terms W x + b do not depend on h, so each is
+    one product over all N steps, and a step adds only its U h term.
     """
     tape = x.tape
     steps = x.value.shape[-2]
-    lead = x.value.shape[:-2]
-    h = tape.constant(np.zeros(lead + (units,), dtype=DTYPE))
-    order = range(steps - 1, -1, -1) if reverse else range(steps)
+    h = tape.constant(np.zeros(x.value.shape[:-2] + (units,), dtype=DTYPE))
+    xz, xr, xh = (
+        engine.add_bias(engine.linear(x, w), b)
+        for w, b in ((cell.w_z, cell.b_z), (cell.w_r, cell.b_r), (cell.w_h, cell.b_h))
+    )
     outputs = [None] * steps
-    for t in order:
-        x_t = engine.select(x, -2, t)
-        z = sigmoid_gate(tape, x_t, h, cell.w_z, cell.u_z, cell.b_z)
-        r = sigmoid_gate(tape, x_t, h, cell.w_r, cell.u_r, cell.b_r)
+    for t in reversed(range(steps)) if reverse else range(steps):
+        z = engine.sigmoid(engine.add(engine.select(xz, -2, t), engine.linear(h, cell.u_z)))
+        r = engine.sigmoid(engine.add(engine.select(xr, -2, t), engine.linear(h, cell.u_r)))
         cand = engine.tanh(
-            engine.add(
-                engine.add_bias(engine.linear(x_t, cell.w_h), cell.b_h),
-                engine.linear(engine.mul(r, h), cell.u_h),
-            )
+            engine.add(engine.select(xh, -2, t), engine.linear(engine.mul(r, h), cell.u_h))
         )
         h = engine.add(engine.mul(engine.one_minus(z), h), engine.mul(z, cand))
         outputs[t] = h
-    return outputs
-
-
-def sigmoid_gate(tape, x_t, h, w, u, b) -> Tensor:
-    return engine.sigmoid(
-        engine.add(engine.add_bias(engine.linear(x_t, w), b), engine.linear(h, u))
-    )
+    return engine.stack(outputs, axis=-2)
 
 
 def bigru(x, params: BiGRUParams) -> Tensor:
@@ -406,5 +400,4 @@ def bigru(x, params: BiGRUParams) -> Tensor:
         )
     fwd = _gru_direction(x, params.fwd, params.units, reverse=False)
     bwd = _gru_direction(x, params.bwd, params.units, reverse=True)
-    per_step = [engine.concat([f, b], axis=-1) for f, b in zip(fwd, bwd)]
-    return engine.stack(per_step, axis=-2)
+    return engine.concat([fwd, bwd], axis=-1)

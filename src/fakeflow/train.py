@@ -111,8 +111,6 @@ def train(model: FakeFlowModel, train_set: list[Example], val_set: list[Example]
     rng = np.random.default_rng(cfg.seed)
     opt = tz.make_optimizer(model.config.optimizer, cfg.learning_rate)
     trainable = model.trainable_params()
-    trainable_ids = {id(p) for p in trainable}
-    frozen = [p for p in model.params if id(p) not in trainable_ids]
     gold_train = np.array([class_index[e.label] for e in train_set], dtype=np.int64)
     val_gold_labels = [e.label for e in val_set]
     gold_val = np.array([class_index[label] for label in val_gold_labels], dtype=np.int64)
@@ -132,8 +130,6 @@ def train(model: FakeFlowModel, train_set: list[Example], val_set: list[Example]
             loss, _ = model.batch_loss(tape, batch, gold_train[idx], training=True, rng=rng)
             tz.backward(tape, loss)
             tz.step(opt, trainable)
-            for p in frozen:
-                p.zero_grad()
             losses.append(float(loss.value))
 
         val_logits = model.predict_logits(val_set)

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from fakeflow.lexicon import (
     EMOTION_CATEGORIES,
@@ -37,6 +38,15 @@ def segment_tokens(seg) -> list[list[str]]:
     """The token list of every segment of a SegmentedDocument."""
     bounds = seg.offsets.tolist()
     return [seg.tokens[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+# any JSON value, for fuzzing the files the toolkit reads
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=4), children, max_size=3),
+    max_leaves=6,
+)
 
 
 def max_relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:

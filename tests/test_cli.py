@@ -111,6 +111,35 @@ class TestExitCodes:
                      "--n-segments", "2", "--out", str(tmp_path / "out")])
         assert code == 2
 
+    @pytest.mark.parametrize("content", [
+        b"5\n",
+        '{"id": "1", "text": "a b", "year": 1e400}\n'.encode(),
+        '{"id": "1", "text": "caf\xe9"}\n'.encode("latin-1"),
+        None,  # a directory
+    ], ids=["number", "year-1e400", "latin-1", "directory"])
+    def test_unreadable_corpus_is_data_error_naming_it(self, tmp_path, capsys, content):
+        manifest = write_lexicon_fixture(tmp_path)
+        bad = tmp_path / "bad.jsonl"
+        if content is None:
+            bad.mkdir()
+        else:
+            bad.write_bytes(content)
+        code = main(["analyze", "--corpus", str(bad), "--lexicons", str(manifest),
+                     "--n-segments", "2", "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert str(bad) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("entry", [3, {"format": "tsv"}])
+    def test_bad_manifest_entry_is_data_error_naming_it(self, tmp_path, capsys, entry):
+        manifest = write_lexicon_fixture(tmp_path)
+        manifest.write_text(json.dumps(dict(json.loads(manifest.read_text()),
+                                            abstractness=entry)))
+        code = main(["analyze", "--corpus", str(write_flow_corpus(tmp_path)),
+                     "--lexicons", str(manifest),
+                     "--n-segments", "2", "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert str(manifest) in capsys.readouterr().err
+
     def test_lexicons_from_environment(self, tmp_path, capsys, monkeypatch):
         manifest = write_lexicon_fixture(tmp_path)
         corpus = write_flow_corpus(tmp_path)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import segment_tokens
+from conftest import json_values, segment_tokens
 from fakeflow.corpus import (
     DomainVerdict,
     RawArticle,
@@ -24,6 +24,7 @@ from fakeflow.corpus import (
 from fakeflow.errors import (
     ConfigError,
     EmptyDocument,
+    FakeflowError,
     ParseError,
     StratificationError,
 )
@@ -335,6 +336,48 @@ class TestLoadCorpus:
         path.write_text('{"id": "1", "text": "a"}\n{"id": "1", "text": "b"}\n')
         with pytest.raises(ParseError):
             load_corpus(path)
+
+    @pytest.mark.parametrize("line", [
+        b"5",
+        b'"id text"',
+        b'["id", "text"]',
+        b'{"id": "1", "text": "a", "year": 1e400}',
+        b'{"id": "1", "text": "a", "year": 1' + b"0" * 5000 + b"}",
+        b"[" * 100_000,
+        '{"id": "1", "text": "caf\xe9"}'.encode("latin-1"),
+    ], ids=["number", "string", "list", "year-1e400", "5001-digit-year", "deep-nesting",
+            "latin-1"])
+    def test_malformed_line_is_parse_error_naming_the_file(self, tmp_path, line):
+        path = tmp_path / "c.jsonl"
+        path.write_bytes(b'{"id": "0", "text": "fine"}\n' + line + b"\n")
+        with pytest.raises(ParseError) as err:
+            load_corpus(path)
+        assert str(path) in str(err.value)
+
+    @settings(max_examples=200, deadline=None)
+    @given(lines=st.lists(st.one_of(
+        st.fixed_dictionaries({}, optional={
+            "id": json_values,
+            "text": st.one_of(st.just("a b"), json_values),
+            "label": st.one_of(st.sampled_from(["real", "fake"]), json_values),
+            "year": st.one_of(st.integers(), st.floats(), json_values),
+            "domain": json_values,
+            "split": json_values,
+        }).map(lambda record: json.dumps(record).encode()),
+        json_values.map(lambda value: json.dumps(value).encode()),
+        st.binary(max_size=16),
+    ), min_size=1, max_size=4))
+    def test_any_lines_load_or_raise_a_fakeflow_error(self, tmp_path_factory, lines):
+        path = tmp_path_factory.mktemp("corpus") / "c.jsonl"
+        path.write_bytes(b"\n".join(lines))
+        try:
+            articles = load_corpus(path)
+        except FakeflowError as exc:
+            assert str(path) in str(exc)
+            return
+        for article in articles:
+            assert isinstance(article.id, str) and article.text.strip()
+            assert article.year is None or isinstance(article.year, int)
 
 
 class TestLoadSourceLists:

@@ -1,14 +1,19 @@
+import json
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import build_lexicon_set, segment_tokens
-from fakeflow.corpus import TokenizedDocument, segment
-from fakeflow.errors import ParseError
+from conftest import build_lexicon_set, json_values, segment_tokens
+from fakeflow.corpus import SegmentedDocument, TokenizedDocument, segment
+from fakeflow.errors import ConfigError, FakeflowError, ParseError
 from fakeflow.lexicon import (
     FEATURE_NAMES,
+    CategoryLexicon,
     LexiconSet,
+    RatingLexicon,
     extract_affect,
     feature_names,
     load_category_lexicon,
@@ -120,26 +125,33 @@ class TestLoadRatingLexicon:
         assert load_rating_lexicon(path).ratings == {"dog": 0.4}
 
 
+MANIFEST = {"emotions": "nrc.tsv", "sentiment": "nrc.tsv", "morality": "moral.tsv",
+            "imageability": "img.tsv", "abstractness": "abs.tsv", "hyperbolic": "hyper.txt"}
+
+
+def write_lexicon_files(directory):
+    """The five lexicon files MANIFEST names, and the manifest itself."""
+    nrc = directory / "nrc.tsv"
+    rows = []
+    for cat in FEATURE_NAMES[:10]:  # 8 emotions + positive + negative
+        rows.append(f"w_{cat}\t{cat}\t1\n")
+    nrc.write_text("".join(rows))
+    moral = directory / "moral.tsv"
+    moral.write_text("".join(f"m_{cat}\t{cat}\t1\n" for cat in FEATURE_NAMES[10:20]))
+    img = directory / "img.tsv"
+    img.write_text("dog\t0.9\n")
+    abst = directory / "abs.tsv"
+    abst.write_text("idea\t0.8\n")
+    hyper = directory / "hyper.txt"
+    hyper.write_text("terrifying\n")
+    manifest = directory / "manifest.json"
+    manifest.write_text(json.dumps(MANIFEST))
+    return manifest
+
+
 class TestLoadLexiconSet:
     def test_manifest_with_shared_nrc_file(self, tmp_path):
-        nrc = tmp_path / "nrc.tsv"
-        rows = []
-        for cat in FEATURE_NAMES[:10]:  # 8 emotions + positive + negative
-            rows.append(f"w_{cat}\t{cat}\t1\n")
-        nrc.write_text("".join(rows))
-        moral = tmp_path / "moral.tsv"
-        moral.write_text("".join(f"m_{cat}\t{cat}\t1\n" for cat in FEATURE_NAMES[10:20]))
-        img = tmp_path / "img.tsv"
-        img.write_text("dog\t0.9\n")
-        abst = tmp_path / "abs.tsv"
-        abst.write_text("idea\t0.8\n")
-        hyper = tmp_path / "hyper.txt"
-        hyper.write_text("terrifying\n")
-        manifest = tmp_path / "manifest.json"
-        manifest.write_text(
-            '{"emotions": "nrc.tsv", "sentiment": "nrc.tsv", "morality": "moral.tsv",'
-            ' "imageability": "img.tsv", "abstractness": "abs.tsv", "hyperbolic": "hyper.txt"}'
-        )
+        manifest = write_lexicon_files(tmp_path)
         lex = load_lexicon_set(manifest)
         assert set(lex.emotions.categories) == set(FEATURE_NAMES[:8])
         assert set(lex.sentiment.categories) == {"positive", "negative"}
@@ -274,3 +286,128 @@ class TestExtractAffect:
         expected = tokens.count("omni") / n_tokens
         for col in count_cols:
             assert matrix[:, col].sum() == pytest.approx(expected, abs=1e-15)
+
+
+class TestWeightMatrix:
+    def test_word_in_two_hyperbolic_categories_counts_once(self, toy_lexicons):
+        lex = replace(toy_lexicons, hyperbolic=CategoryLexicon(
+            name="hyperbolic", categories={"hyperbolic": {"huge"}, "intensifier": {"huge"}}))
+        tokens = ["huge", "dog"]
+        seg = segment(TokenizedDocument(tokens), 1, 2)
+        values = extract_affect(seg, lex).values
+        assert values[0, FEATURE_NAMES.index("hyperbolic")] == 0.5
+        assert np.array_equal(values, brute_force_affect(tokens, segment_tokens(seg), 2, lex))
+        assert lex.token_categories("huge") == ["hyperbolic"]
+
+    def test_document_without_lexicon_words_is_float64_zeros(self, toy_lexicons):
+        values = extract_affect(segment(TokenizedDocument(["x", "y", "z"]), 4, 2),
+                                toy_lexicons).values
+        assert values.dtype == np.float64 and values.shape == (4, 23)
+        assert not values.any()
+
+    def test_zero_rating_and_empty_middle_segment(self, toy_lexicons):
+        lex = replace(toy_lexicons, imageability=RatingLexicon(
+            name="imageability", ratings={"dog": 0.9, "flat": 0.0}))
+        # segment 1 is empty, so tokens 1 and 2 belong to segment 2
+        seg = SegmentedDocument(n_segments=3, max_seg_len=2, tokens=["attack", "flat", "dog"],
+                                offsets=np.array([0, 1, 1, 3]), doc_length=4)
+        values = extract_affect(seg, lex).values
+        expected = np.zeros((3, 23))
+        for cat in ("fear", "negative", "harm"):
+            expected[0, FEATURE_NAMES.index(cat)] = 1 / 4
+        expected[2, FEATURE_NAMES.index("imageability")] = (0.0 + 0.9) / 4
+        assert np.array_equal(values, expected)
+        assert np.array_equal(values, brute_force_affect(seg.tokens, segment_tokens(seg), 4, lex))
+        assert lex.token_categories("flat") == []
+        assert lex.token_categories("attack") == ["fear", "harm"]
+
+
+def load_or_none(load, path):
+    """load(path), or None if it raised a FakeflowError, the only exception allowed."""
+    try:
+        return load(path)
+    except FakeflowError:
+        return None
+
+
+# a field of a lexicon row: words, flags, ratings and raw text
+row_fields = st.one_of(
+    st.sampled_from(["fear", "joy", "hyperbolic", "0", "1", "2", "0.5", "-1", "nan", "inf",
+                     "1e400", "", " "]),
+    st.text(max_size=6),
+)
+row_bytes = st.one_of(
+    st.lists(row_fields, max_size=4).map(lambda fields: "\t".join(fields).encode()),
+    st.binary(max_size=12),
+)
+
+
+class TestLexiconInputFailures:
+    @pytest.mark.parametrize("load", [
+        lambda p: load_category_lexicon(p, fmt="nrc"),
+        lambda p: load_category_lexicon(p, fmt="wordlist", name="hyperbolic"),
+        load_rating_lexicon,
+        load_lexicon_set,
+    ], ids=["nrc", "wordlist", "ratings", "manifest"])
+    def test_non_utf8_file_is_parse_error_naming_it(self, tmp_path, load):
+        path = tmp_path / "latin1.tsv"
+        path.write_bytes("caf\xe9\tfear\t1\n".encode("latin-1"))
+        with pytest.raises(ParseError) as err:
+            load(path)
+        assert str(path) in str(err.value)
+
+    @pytest.mark.parametrize("entry", [
+        5, None, ["img.tsv"], {"format": "tsv"}, {"path": 5}, "", "missing.tsv", ".",
+    ])
+    def test_bad_manifest_entry_is_config_error_naming_the_manifest(self, tmp_path, entry):
+        manifest = write_lexicon_files(tmp_path)
+        manifest.write_text(json.dumps(dict(MANIFEST, imageability=entry)))
+        with pytest.raises(ConfigError) as err:
+            load_lexicon_set(manifest)
+        assert str(manifest) in str(err.value) and "imageability" in str(err.value)
+
+    @pytest.mark.parametrize("text", ["5", "[]", '"emotions"', "[" * 100_000],
+                             ids=["number", "list", "string", "deep-nesting"])
+    def test_manifest_that_is_not_an_object_is_rejected(self, tmp_path, text):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(text)
+        with pytest.raises((ConfigError, ParseError)) as err:
+            load_lexicon_set(manifest)
+        assert str(manifest) in str(err.value)
+
+    def test_absolute_entry_path_loads(self, tmp_path):
+        manifest = write_lexicon_files(tmp_path)
+        manifest.write_text(json.dumps(dict(MANIFEST, imageability=str(tmp_path / "img.tsv"))))
+        assert load_lexicon_set(manifest).imageability.ratings == {"dog": 0.9}
+
+    @settings(max_examples=150, deadline=None)
+    @given(rows=st.lists(row_bytes, max_size=5))
+    def test_any_rows_load_or_raise_a_fakeflow_error(self, tmp_path_factory, rows):
+        path = tmp_path_factory.mktemp("rows") / "lexicon.tsv"
+        path.write_bytes(b"\n".join(rows))
+        load_or_none(lambda p: load_category_lexicon(p, fmt="nrc"), path)
+        load_or_none(
+            lambda p: load_category_lexicon(p, fmt="wordlist", name="hyperbolic"), path)
+        ratings = load_or_none(load_rating_lexicon, path)
+        if ratings is not None:
+            assert all(np.isfinite(r) and r >= 0 for r in ratings.ratings.values())
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_any_manifest_loads_or_raises_a_fakeflow_error(self, tmp_path_factory, data):
+        directory = tmp_path_factory.mktemp("manifest")
+        manifest = write_lexicon_files(directory)
+        paths = st.one_of(st.sampled_from(sorted(set(MANIFEST.values())) + [
+            "", ".", "missing.tsv", "manifest.json", str(directory / "img.tsv")]), json_values)
+        entries = st.one_of(
+            paths,
+            st.fixed_dictionaries({}, optional={
+                "path": paths,
+                "format": st.one_of(st.sampled_from(["nrc", "wordlist", "tsv"]), json_values),
+            }),
+        )
+        fuzzed = st.dictionaries(st.sampled_from(sorted(MANIFEST)), entries)
+        payload = data.draw(st.one_of(
+            fuzzed.map(lambda entries: {**MANIFEST, **entries}), fuzzed, json_values))
+        manifest.write_text(json.dumps(payload))
+        load_or_none(load_lexicon_set, manifest)
