@@ -9,6 +9,7 @@ seed, so any pipeline built from them is reproducible.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import logging
 import string
@@ -239,12 +240,15 @@ def load_source_lists(path) -> list[SourceListEntry]:
     later duplicates rejected."""
     entries = []
     seen = set()
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        required = {"domain", "list", "category"}
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
+    required = ("domain", "list", "category")
+    reader = csv.DictReader(io.StringIO(read_text(path)))
+    try:
+        if reader.fieldnames is None or not set(required).issubset(reader.fieldnames):
             raise ParseError(f"{path}: expected CSV header domain,list,category")
-        for lineno, row in enumerate(reader, start=2):
+        for row in reader:
+            lineno = reader.line_num  # the record's last line; a quoted field may span lines
+            if any(row[name] is None for name in required):
+                raise ParseError(f"{path}:{lineno}: expected the fields domain,list,category")
             if not row["domain"] or not row["list"]:
                 raise ParseError(f"{path}:{lineno}: empty domain or list")
             key = (row["domain"].strip(), row["list"].strip())
@@ -258,16 +262,19 @@ def load_source_lists(path) -> list[SourceListEntry]:
                     raw_category=row["category"].strip(),
                 )
             )
+    except csv.Error as exc:
+        raise ParseError(f"{path}: invalid CSV after line {reader.line_num}: {exc}") from None
     return entries
 
 
 def load_label_mapping(path) -> dict:
     """Mapping config: JSON object {"LIST": {"category": "real|fake|drop"}}."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: invalid mapping JSON: {exc}") from exc
+    try:
+        payload = json.loads(read_text(path))
+    except (ValueError, RecursionError) as exc:
+        raise ParseError(f"{path}: invalid mapping JSON: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise ConfigError(f"{path}: mapping must be a JSON object, got {type(payload).__name__}")
     mapping = {}
     for list_name, categories in payload.items():
         if not isinstance(categories, dict):
@@ -431,11 +438,8 @@ def load_corpus(path, fmt: str = "jsonl") -> list[RawArticle]:
         if label is not None and label not in LABELS:
             raise ParseError(f"{path}:{lineno}: label must be one of {LABELS}, got {label!r}")
         year = record.get("year")
-        if year is not None:
-            try:
-                year = int(year)
-            except (TypeError, ValueError, OverflowError):
-                raise ParseError(f"{path}:{lineno}: field 'year' is not an integer") from None
+        if year is not None and (not isinstance(year, int) or isinstance(year, bool)):
+            raise ParseError(f"{path}:{lineno}: field 'year' is not an integer")
         articles.append(
             RawArticle(
                 id=article_id,

@@ -130,9 +130,13 @@ class Tape:
         return len(self._entries)
 
 
-def _record(tape: Tape, out_value: np.ndarray, inputs, vjp, op: str) -> Tensor:
-    if not np.all(np.isfinite(out_value)):
+def _check_finite(value: np.ndarray, op: str) -> None:
+    if not np.isfinite(value).all():
         raise NumericsError(f"op {op!r} produced non-finite values")
+
+
+def _record(tape: Tape, out_value: np.ndarray, inputs, vjp, op: str) -> Tensor:
+    _check_finite(out_value, op)
     out = Tensor(out_value, tape)
     tape._entries.append((out, tuple(inputs), vjp))
     return out
@@ -200,12 +204,6 @@ def mul(a, b) -> Tensor:
         raise ShapeError(f"mul: shapes {a.value.shape} and {b.value.shape} differ")
     av, bv = a.value, b.value
     return _record(tape, av * bv, (a, b), lambda g: (g * bv, g * av), "mul")
-
-
-def one_minus(x) -> Tensor:
-    """1 - x, elementwise."""
-    x = _coerce(x.tape, x)
-    return _record(x.tape, 1.0 - x.value, (x,), lambda g: (-g,), "one_minus")
 
 
 def scale(x, factor: float) -> Tensor:
@@ -294,65 +292,6 @@ def concat(tensors, axis: int = -1) -> Tensor:
     return _record(tape, np.concatenate(values, axis=ax), tensors, vjp, "concat")
 
 
-def stack(tensors, axis: int = 0) -> Tensor:
-    """Stack same-shaped tensors along a new axis."""
-    tensors = [t for t in tensors]
-    if not tensors:
-        raise UsageError("stack of zero tensors")
-    tape = tensors[0].tape
-    tensors = [_coerce(tape, t) for t in tensors]
-    shape = tensors[0].value.shape
-    for t in tensors[1:]:
-        if t.value.shape != shape:
-            raise ShapeError(f"stack: shape {t.value.shape} differs from {shape}")
-    out = np.stack([t.value for t in tensors], axis=axis)
-    ax = axis % out.ndim
-
-    def vjp(g):
-        return tuple(np.ascontiguousarray(np.take(g, i, axis=ax)) for i in range(len(tensors)))
-
-    return _record(tape, out, tensors, vjp, "stack")
-
-
-def select(x, axis: int, index: int) -> Tensor:
-    """Take a single slice along `axis`, removing that axis."""
-    x = _coerce(x.tape, x)
-    ax = axis % x.value.ndim
-    n = x.value.shape[ax]
-    if not (0 <= index < n):
-        raise ShapeError(f"select: index {index} out of range for axis extent {n}")
-    xshape = x.value.shape
-
-    def vjp(g):
-        gx = np.zeros(xshape, dtype=DTYPE)
-        idx = [slice(None)] * len(xshape)
-        idx[ax] = index
-        gx[tuple(idx)] = g
-        return (gx,)
-
-    return _record(x.tape, np.take(x.value, index, axis=ax).copy(), (x,), vjp, "select")
-
-
-def narrow(x, axis: int, start: int, length: int) -> Tensor:
-    """Contiguous slice [start, start+length) along `axis`."""
-    x = _coerce(x.tape, x)
-    ax = axis % x.value.ndim
-    n = x.value.shape[ax]
-    if start < 0 or length < 0 or start + length > n:
-        raise ShapeError(f"narrow: [{start}, {start + length}) out of range for extent {n}")
-    xshape = x.value.shape
-    idx = [slice(None)] * len(xshape)
-    idx[ax] = slice(start, start + length)
-    idx = tuple(idx)
-
-    def vjp(g):
-        gx = np.zeros(xshape, dtype=DTYPE)
-        gx[idx] = g
-        return (gx,)
-
-    return _record(x.tape, x.value[idx].copy(), (x,), vjp, "narrow")
-
-
 def mean_axis(x, axis: int) -> Tensor:
     """Arithmetic mean along one axis."""
     x = _coerce(x.tape, x)
@@ -388,14 +327,16 @@ SELU_LAMBDA = 1.0507009873554804934193349852946
 SELU_ALPHA = 1.6732632423543772848170429916717
 
 
+def sigmoid_array(v: np.ndarray) -> np.ndarray:
+    """Logistic sigmoid of an array, off the tape: 1 / (1 + e^-v) for
+    v >= 0 and e^v / (1 + e^v) below, so no exponential overflows."""
+    e = np.exp(-np.abs(v))
+    return np.where(v >= 0, 1.0, e) / (1.0 + e)
+
+
 def sigmoid(x) -> Tensor:
     x = _coerce(x.tape, x)
-    v = x.value
-    out = np.empty_like(v)
-    pos = v >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
-    ev = np.exp(v[~pos])
-    out[~pos] = ev / (1.0 + ev)
+    out = sigmoid_array(x.value)
     return _record(x.tape, out, (x,), lambda g: (g * out * (1.0 - out),), "sigmoid")
 
 

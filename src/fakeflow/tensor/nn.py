@@ -1,21 +1,32 @@
 """Differentiable layers built on the engine primitives.
 
 Fused ops (conv1d, pooling, segment max, embedding lookup, pairwise
-attention scores) carry hand-derived backward rules; composite layers
-(dense, bigru) are wired from engine primitives so their gradients come
-for free. No op copies a sliding-window view: conv1d sums one matrix
-product per filter tap over shifted row slices of its input.
+attention scores, the bidirectional GRU) carry hand-derived backward
+rules; dense is wired from engine primitives so its gradient comes for
+free. No op copies a sliding-window view: conv1d sums one matrix product
+per filter tap over shifted row slices of its input. bigru records one
+tape entry for both recurrences and backpropagates through time in its
+own backward.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from ..errors import ShapeError, UsageError
 from . import engine
-from .engine import DTYPE, Parameter, Tensor, _coerce, _record, activation
+from .engine import (
+    DTYPE,
+    Parameter,
+    Tensor,
+    _check_finite,
+    _coerce,
+    _record,
+    activation,
+    sigmoid_array,
+)
 
 
 def embedding_lookup(ids, table) -> Tensor:
@@ -356,48 +367,105 @@ class BiGRUParams:
         return self.fwd.all() + self.bwd.all()
 
 
-def _gru_direction(x: Tensor, cell: GRUCellParams, units: int, reverse: bool) -> Tensor:
-    """Run one GRU direction over (..., N, F); returns the (..., N, H)
-    hidden states.
+def _gru_forward(x, w, b, u_zr, u_h, reverse: bool):
+    """Run one GRU direction over the (..., N, F) array x.
 
-    Gates: z = sigmoid(Wz x + Uz h + bz), r = sigmoid(Wr x + Ur h + br),
-    htilde = tanh(Wh x + Uh (r * h) + bh), h' = (1 - z) * h + z * htilde,
-    with h_0 = 0. The input terms W x + b do not depend on h, so each is
-    one product over all N steps, and a step adds only its U h term.
+    w, b: [W_z; W_r; W_h] and [b_z; b_r; b_h]; u_zr: [U_z; U_r]. Returns
+    the (..., N, H) states and, for the backward pass, each position's
+    (h_prev, z, r, r * h_prev, cand) stacked step-major as (N, ..., H).
     """
-    tape = x.tape
-    steps = x.value.shape[-2]
-    h = tape.constant(np.zeros(x.value.shape[:-2] + (units,), dtype=DTYPE))
-    xz, xr, xh = (
-        engine.add_bias(engine.linear(x, w), b)
-        for w, b in ((cell.w_z, cell.b_z), (cell.w_r, cell.b_r), (cell.w_h, cell.b_h))
-    )
-    outputs = [None] * steps
+    units = u_h.shape[0]
+    proj = x @ w.T + b  # every step's input terms W x + b at once
+    _check_finite(proj, "bigru")
+    proj = np.moveaxis(proj, -2, 0)
+    steps = len(proj)
+    states = np.empty(proj.shape[:-1] + (units,), dtype=DTYPE)
+    saved = np.empty((5,) + states.shape, dtype=DTYPE)
+    h = np.zeros(states.shape[1:], dtype=DTYPE)
     for t in reversed(range(steps)) if reverse else range(steps):
-        z = engine.sigmoid(engine.add(engine.select(xz, -2, t), engine.linear(h, cell.u_z)))
-        r = engine.sigmoid(engine.add(engine.select(xr, -2, t), engine.linear(h, cell.u_r)))
-        cand = engine.tanh(
-            engine.add(engine.select(xh, -2, t), engine.linear(engine.mul(r, h), cell.u_h))
-        )
-        h = engine.add(engine.mul(engine.one_minus(z), h), engine.mul(z, cand))
-        outputs[t] = h
-    return engine.stack(outputs, axis=-2)
+        gates = proj[t, ..., : 2 * units] + h @ u_zr.T
+        _check_finite(gates, "bigru")
+        zr = sigmoid_array(gates)
+        z, r = zr[..., :units], zr[..., units:]
+        rh = r * h
+        pre = proj[t, ..., 2 * units :] + rh @ u_h.T
+        _check_finite(pre, "bigru")
+        cand = np.tanh(pre)
+        saved[0, t], saved[1, t], saved[2, t], saved[3, t], saved[4, t] = h, z, r, rh, cand
+        h = (1.0 - z) * h + z * cand
+        states[t] = h
+    return np.moveaxis(states, 0, -2), saved
+
+
+def _gru_backward(g, x, w, u_zr, u_h, saved, reverse: bool):
+    """Backpropagate the (..., N, H) state gradient g of one direction
+    through time. Returns the gradients of x, w, b, u_zr and u_h."""
+    h_prev, z, r, rh, cand = saved
+    units = u_h.shape[0]
+    steps = len(z)
+    g = np.moveaxis(g, -2, 0)
+    grad_pre = np.empty(z.shape[:-1] + (3 * units,), dtype=DTYPE)  # step-major
+    gh = np.zeros(z.shape[1:], dtype=DTYPE)
+    for t in range(steps) if reverse else reversed(range(steps)):
+        gh = gh + g[t]
+        zt, rt, ct, ht = z[t], r[t], cand[t], h_prev[t]
+        g_cand = gh * zt * (1.0 - ct * ct)
+        g_rh = g_cand @ u_h
+        grad_pre[t, ..., :units] = gh * (ct - ht) * zt * (1.0 - zt)
+        grad_pre[t, ..., units : 2 * units] = g_rh * ht * rt * (1.0 - rt)
+        grad_pre[t, ..., 2 * units :] = g_cand
+        gh = gh * (1.0 - zt) + g_rh * rt + grad_pre[t, ..., : 2 * units] @ u_zr
+    flat = grad_pre.reshape(-1, 3 * units)
+    gw = flat.T @ np.moveaxis(x, -2, 0).reshape(-1, x.shape[-1])
+    gu_zr = flat[:, : 2 * units].T @ h_prev.reshape(-1, units)
+    gu_h = flat[:, 2 * units :].T @ rh.reshape(-1, units)
+    return np.moveaxis(grad_pre @ w, 0, -2), gw, flat.sum(axis=0), gu_zr, gu_h
 
 
 def bigru(x, params: BiGRUParams) -> Tensor:
-    """Bidirectional GRU over (..., N, F) returning (..., N, 2H).
+    """Bidirectional GRU over (..., N, F) returning (..., N, 2H), as one op.
 
-    At each step the forward hidden state is concatenated with the backward
-    hidden state for the same position.
+    Gates: z = sigmoid(Wz x + Uz h + bz), r = sigmoid(Wr x + Ur h + br),
+    htilde = tanh(Wh x + Uh (r * h) + bh), h' = (1 - z) * h + z * htilde,
+    with h_0 = 0. At each step the forward hidden state is concatenated
+    with the backward hidden state for the same position. The input terms
+    W x + b are one product over all N steps; the recurrence runs in numpy
+    and the backward pass is hand-written backpropagation through time.
+    Non-finite input terms, gate or candidate pre-activations raise
+    NumericsError.
     """
-    x = _coerce(x.tape, x)
-    if x.value.ndim < 2 or x.value.shape[-2] < 1:
-        raise ShapeError(f"bigru: expected (..., N, F) with N >= 1, got {x.value.shape}")
-    if x.value.shape[-1] != params.fwd.w_z.value.shape[1]:
-        raise ShapeError(
-            f"bigru: input feature dim {x.value.shape[-1]} does not match "
-            f"weights {params.fwd.w_z.value.shape}"
-        )
-    fwd = _gru_direction(x, params.fwd, params.units, reverse=False)
-    bwd = _gru_direction(x, params.bwd, params.units, reverse=True)
-    return engine.concat([fwd, bwd], axis=-1)
+    tape = x.tape
+    x = _coerce(tape, x)
+    xv = x.value
+    if xv.ndim < 2 or xv.shape[-2] < 1:
+        raise ShapeError(f"bigru: expected (..., N, F) with N >= 1, got {xv.shape}")
+    units, feat = params.units, xv.shape[-1]
+    leaves = [_coerce(tape, p) for p in params.all()]
+    names = [f"{d}.{f.name}" for d in ("fwd", "bwd") for f in fields(GRUCellParams)]
+    for name, leaf, shape in zip(names, leaves, [(units, feat), (units, units), (units,)] * 6):
+        if leaf.value.shape != shape:
+            raise ShapeError(
+                f"bigru: {name} has shape {leaf.value.shape}, expected {shape} "
+                f"for input feature dim {feat} and {units} units"
+            )
+    cells = []  # per direction: [W_z; W_r; W_h], [b_z; b_r; b_h], [U_z; U_r], U_h
+    for cell in (leaves[:9], leaves[9:]):
+        w_z, u_z, b_z, w_r, u_r, b_r, w_h, u_h, b_h = (leaf.value for leaf in cell)
+        cells.append((np.concatenate([w_z, w_r, w_h]), np.concatenate([b_z, b_r, b_h]),
+                      np.concatenate([u_z, u_r]), u_h))
+    directions = (False, True)  # reverse: the forward pass, then the backward one
+    runs = [_gru_forward(xv, *cell, reverse) for cell, reverse in zip(cells, directions)]
+    out = np.concatenate([states for states, _ in runs], axis=-1)
+
+    def vjp(g):
+        gx, grads = 0.0, []
+        for d, ((w, _, u_zr, u_h), (_, saved), reverse) in enumerate(zip(cells, runs, directions)):
+            g_dir = g[..., d * units : (d + 1) * units]
+            gx_d, gw, gb, gu_zr, gu_h = _gru_backward(g_dir, xv, w, u_zr, u_h, saved, reverse)
+            gx = gx + gx_d
+            (gw_z, gw_r, gw_h), (gb_z, gb_r, gb_h) = np.split(gw, 3), np.split(gb, 3)
+            gu_z, gu_r = np.split(gu_zr, 2)
+            grads += [gw_z, gu_z, gb_z, gw_r, gu_r, gb_r, gw_h, gu_h, gb_h]
+        return [gx] + grads
+
+    return _record(tape, out, [x] + leaves, vjp, "bigru")

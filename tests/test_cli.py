@@ -365,6 +365,32 @@ class TestBuildDatasetCommand:
         assert domains["conflicting_domains"] == ["clash.com"]
 
 
+    @pytest.mark.parametrize("sources, mapping, articles, named", [
+        (b"domain,list,category\ncaf\xe9.com,OS,reliable\n", None, None, "sources"),
+        (b"domain,list,category\nx.com,OS,reliable\na.com,L1\n", None, None, "sources"),
+        (None, b'{"OS": {"fiable": "real"}}'.replace(b"fiable", b"fi\xe9"), None, "mapping"),
+        (None, b"[1, 2]", None, "mapping"),
+        (None, None, b'{"id": "1", "text": "a b", "year": 2016.7}', "articles"),
+        (None, None, b'{"id": "1", "text": "a b", "year": true}', "articles"),
+        (None, None, b'{"id": "1", "text": "a b", "year": "2015"}', "articles"),
+    ], ids=["sources-latin-1", "sources-short-row", "mapping-latin-1", "mapping-list",
+            "year-float", "year-true", "year-string"])
+    def test_bad_input_exits_2_naming_the_file(self, tmp_path, capsys,
+                                               sources, mapping, articles, named):
+        files = {
+            "sources": sources or b"domain,list,category\nx.com,OS,reliable\n",
+            "mapping": mapping or b'{"OS": {"reliable": "real"}}',
+            "articles": articles or b'{"id": "1", "text": "a b", "domain": "x.com"}',
+        }
+        for name, content in files.items():
+            (tmp_path / name).write_bytes(content + b"\n")
+        code = main(["build-dataset", "--sources", str(tmp_path / "sources"),
+                     "--mapping", str(tmp_path / "mapping"),
+                     "--articles", str(tmp_path / "articles"), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert f"error: {tmp_path / named}" in capsys.readouterr().err
+
+
 class TestExtractFeaturesCommand:
     def test_features_jsonl(self, tmp_path, capsys):
         manifest = write_lexicon_fixture(tmp_path)

@@ -15,6 +15,8 @@ from fakeflow.corpus import (
     complement_test_with_real,
     encode,
     load_corpus,
+    load_label_mapping,
+    load_source_lists,
     merge_source_lists,
     project_and_sample,
     segment,
@@ -380,6 +382,31 @@ class TestLoadCorpus:
             assert article.year is None or isinstance(article.year, int)
 
 
+    @pytest.mark.parametrize("year", [2016.7, True, False, "2015", 2016.0, [2016]],
+                             ids=["float", "true", "false", "string", "integral-float", "list"])
+    def test_year_that_is_not_a_json_integer_is_parse_error(self, tmp_path, year):
+        path = tmp_path / "c.jsonl"
+        path.write_text('{"id": "0", "text": "fine", "year": 2015}\n'
+                        + json.dumps({"id": "1", "text": "a", "year": year}) + "\n")
+        with pytest.raises(ParseError, match="year") as err:
+            load_corpus(path)
+        assert f"{path}:2:" in str(err.value)
+
+    @settings(max_examples=150, deadline=None)
+    @given(year=st.one_of(st.integers(), st.floats(), st.booleans(), st.text(max_size=6),
+                          json_values))
+    def test_any_year_loads_as_itself_or_raises(self, tmp_path_factory, year):
+        path = tmp_path_factory.mktemp("corpus") / "c.jsonl"
+        path.write_text(json.dumps({"id": "1", "text": "a b", "year": year},
+                                   allow_nan=True) + "\n")
+        if year is None or (isinstance(year, int) and not isinstance(year, bool)):
+            assert load_corpus(path)[0].year == year
+        else:
+            with pytest.raises(ParseError) as err:
+                load_corpus(path)
+            assert f"{path}:1:" in str(err.value)
+
+
 class TestLoadSourceLists:
     def test_round_trip(self, tmp_path):
         from fakeflow.corpus import load_source_lists
@@ -405,3 +432,73 @@ class TestLoadSourceLists:
         path.write_text("site,source\nx.com,OS\n")
         with pytest.raises(ParseError):
             load_source_lists(path)
+
+    @pytest.mark.parametrize("content, where", [
+        (b"domain,list,category\nx.com,OS,reliable\na.com,L1\n", ":3:"),
+        (b"domain,list,category\ncaf\xe9.com,OS,reliable\n", ":"),
+        (b"domain,list,category\nx.com,OS," + b"a" * 200_000 + b"\n", ": invalid CSV"),
+        (b"", ":"),
+        (b'domain,list,category\n"x.com",OS,"two\nlines"\ny.com,OS,a\ny.com,OS,b\n', ":5:"),
+    ], ids=["short-row", "latin-1", "field-over-csv-limit", "empty", "after-multi-line-field"])
+    def test_malformed_file_is_parse_error_naming_the_file(self, tmp_path, content, where):
+        path = tmp_path / "lists.csv"
+        path.write_bytes(content)
+        with pytest.raises(ParseError) as err:
+            load_source_lists(path)
+        assert f"{path}{where}" in str(err.value)
+
+    @settings(max_examples=150, deadline=None)
+    @given(header=st.sampled_from([b"domain,list,category", b"domain,list", b""]),
+           rows=st.lists(st.one_of(
+               st.lists(st.text(max_size=6), max_size=4).map(
+                   lambda fields: ",".join(fields).encode()),
+               st.binary(max_size=12),
+           ), max_size=4))
+    def test_any_rows_load_or_raise_a_fakeflow_error(self, tmp_path_factory, header, rows):
+        path = tmp_path_factory.mktemp("lists") / "lists.csv"
+        path.write_bytes(b"\n".join([header] + rows))
+        try:
+            entries = load_source_lists(path)
+        except FakeflowError as exc:
+            assert str(path) in str(exc)
+            return
+        for entry in entries:
+            assert entry.domain and entry.list_name and isinstance(entry.raw_category, str)
+
+
+class TestLoadLabelMapping:
+    def test_round_trip(self, tmp_path):
+        path = tmp_path / "mapping.json"
+        path.write_text(json.dumps({"OS": {"reliable": "real", "*": "drop"}}))
+        assert load_label_mapping(path) == {("OS", "reliable"): "real", ("OS", "*"): "drop"}
+
+    @pytest.mark.parametrize("content, error", [
+        (b"[1, 2]", ConfigError),
+        (b"5", ConfigError),
+        (b"null", ConfigError),
+        (b'{"OS": ["reliable"]}', ConfigError),
+        ('{"OS": {"fiable": "real"}}'.replace("fiable", "fi\xe9").encode("latin-1"), ParseError),
+        (b"{", ParseError),
+        (b"[" * 100_000, ParseError),
+    ], ids=["list", "number", "null", "list-for-a-list", "latin-1", "truncated", "deep-nesting"])
+    def test_malformed_file_names_the_file(self, tmp_path, content, error):
+        path = tmp_path / "mapping.json"
+        path.write_bytes(content)
+        with pytest.raises(error) as err:
+            load_label_mapping(path)
+        assert str(path) in str(err.value)
+
+    @settings(max_examples=150, deadline=None)
+    @given(content=st.one_of(json_values.map(lambda value: json.dumps(value).encode()),
+                             st.dictionaries(st.text(max_size=4), json_values, max_size=3).map(
+                                 lambda value: json.dumps(value).encode()),
+                             st.binary(max_size=16)))
+    def test_any_content_loads_or_raises_a_fakeflow_error(self, tmp_path_factory, content):
+        path = tmp_path_factory.mktemp("mapping") / "mapping.json"
+        path.write_bytes(content)
+        try:
+            mapping = load_label_mapping(path)
+        except FakeflowError as exc:
+            assert str(path) in str(exc)
+            return
+        assert all(isinstance(key, tuple) and len(key) == 2 for key in mapping)
