@@ -15,7 +15,7 @@ import json
 import logging
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from . import corpus as corpus_mod
 from . import evaluation, report
@@ -98,7 +98,7 @@ def _parse_widths(text: str) -> tuple:
         raise UsageError(f"bad filter widths {text!r}; expected e.g. 3,4,5") from None
 
 
-def _model_config_from_args(args, vocab_size: int, n_classes: int = 2) -> FakeFlowConfig:
+def _model_config_from_args(args, vocab_size: int) -> FakeFlowConfig:
     gru = args.gru_units
     return FakeFlowConfig(
         n_segments=args.n_segments,
@@ -116,7 +116,7 @@ def _model_config_from_args(args, vocab_size: int, n_classes: int = 2) -> FakeFl
         activation=args.activation,
         optimizer=args.optimizer,
         mode=args.mode,
-        classes=("real", "fake") if n_classes == 2 else tuple(f"class{i}" for i in range(n_classes)),
+        classes=corpus_mod.LABELS,
         train_embeddings=not getattr(args, "freeze_embeddings", False),
     )
 
@@ -319,11 +319,8 @@ def cmd_search(args) -> int:
             }, sort_keys=True) + "\n")
 
     best_cfg = result.best.config
-    best_model = FakeFlowModel(best_cfg, seed=args.seed + result.best.trial_index)
-    retrain_cfg = replace(train_cfg, seed=args.seed + result.best.trial_index)
     ckpt_name = f"trial_{result.best.trial_index:02d}_epoch{result.best.best_epoch:02d}.bin"
-    train(best_model, train_set, val_set, retrain_cfg,
-          checkpoint_path=os.path.join(out, ckpt_name))
+    result.best_model.save(os.path.join(out, ckpt_name))
     config_hash = _config_hash({"base": base_cfg.to_json(), "trials": args.trials,
                                 "seed": args.seed})
     best_payload = {
@@ -372,8 +369,7 @@ def cmd_select_n(args) -> int:
 
 def _load_model_and_vocab(args) -> tuple[FakeFlowModel, corpus_mod.Vocabulary]:
     model = FakeFlowModel.load(args.checkpoint)
-    with open(args.vocab, "r", encoding="utf-8") as fh:
-        vocab = corpus_mod.Vocabulary.from_json(json.load(fh))
+    vocab = corpus_mod.load_vocabulary(args.vocab)
     if vocab.size != model.config.vocab_size:
         raise ConfigError(
             f"{args.vocab} has {vocab.size} ids but {args.checkpoint} was built for "
@@ -450,8 +446,7 @@ def cmd_cross_year(args) -> int:
 
 
 def _read_label_file(path) -> list[str]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return [line.strip() for line in fh if line.strip()]
+    return [line.strip() for line in corpus_mod.read_text(path).split("\n") if line.strip()]
 
 
 def cmd_mcnemar(args) -> int:

@@ -15,6 +15,7 @@ import logging
 import string
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -90,8 +91,16 @@ class Vocabulary:
         return {"tokens": self.token_to_id}
 
     @classmethod
-    def from_json(cls, payload: dict) -> "Vocabulary":
-        return cls(token_to_id={str(k): int(v) for k, v in payload["tokens"].items()})
+    def from_json(cls, payload) -> "Vocabulary":
+        """The inverse of to_json. Raises ConfigError unless `payload` is
+        {"tokens": {token: id}} whose ids are JSON integers forming exactly
+        2..len + 1."""
+        tokens = payload.get("tokens") if isinstance(payload, dict) else None
+        if not (isinstance(tokens, dict) and all(type(i) is int for i in tokens.values())
+                and sorted(tokens.values()) == list(range(2, len(tokens) + 2))):
+            raise ConfigError('a vocabulary must be {"tokens": {token: id}} with the '
+                              "integer ids 2..N+1, each once")
+        return cls(token_to_id={str(k): v for k, v in tokens.items()})
 
 
 @dataclass(frozen=True)
@@ -166,7 +175,8 @@ def build_vocabulary(corpus: list[TokenizedDocument], min_count: int = 1) -> Voc
 def encode(seg: SegmentedDocument, vocab: Vocabulary) -> np.ndarray:
     """The int64 id vector of the segmented document's tokens, aligned
     with `seg.offsets`; out-of-vocabulary tokens become UNK_ID."""
-    return np.array([vocab.id_of(tok) for tok in seg.tokens], dtype=np.int64)
+    return np.fromiter(map(vocab.token_to_id.get, seg.tokens, repeat(UNK_ID)),
+                       dtype=np.int64, count=len(seg.tokens))
 
 
 # ---------------------------------------------------------------------------
@@ -280,8 +290,23 @@ def load_label_mapping(path) -> dict:
         if not isinstance(categories, dict):
             raise ConfigError(f"{path}: mapping for list {list_name!r} must be an object")
         for category, rule in categories.items():
+            if rule not in ("drop",) + LABELS:
+                raise ConfigError(f"{path}: rule for list {list_name!r}, category {category!r} "
+                                  f"must be real, fake, or drop; got {rule!r}")
             mapping[(list_name, category)] = rule
     return mapping
+
+
+def load_vocabulary(path) -> Vocabulary:
+    """A vocabulary file as written from Vocabulary.to_json."""
+    try:
+        payload = json.loads(read_text(path))
+    except (ValueError, RecursionError) as exc:
+        raise ParseError(f"{path}: invalid vocabulary JSON: {exc}") from None
+    try:
+        return Vocabulary.from_json(payload)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def project_and_sample(
@@ -398,20 +423,21 @@ def complement_test_with_real(
 def read_text(path) -> str:
     """The contents of a UTF-8 text file, every line ending read as a newline.
 
-    Bytes that are not UTF-8 raise ParseError naming the file.
+    Bytes that are not UTF-8 raise ParseError naming the file and the line.
     """
+    with open(path, "rb") as fh:
+        data = fh.read()
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: not UTF-8 text: {exc}") from None
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ParseError(f"{path}:{line}: not UTF-8 text: {exc}") from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
-def load_corpus(path, fmt: str = "jsonl") -> list[RawArticle]:
+def load_corpus(path) -> list[RawArticle]:
     """Read a JSON Lines corpus: one object per article with fields
     {id, text, label?, domain?, year?, split?}."""
-    if fmt != "jsonl":
-        raise UsageError(f"unknown corpus format {fmt!r}; only 'jsonl' is supported")
     articles = []
     seen_ids = set()
     for lineno, line in enumerate(read_text(path).split("\n"), start=1):

@@ -352,12 +352,11 @@ class FakeFlowModel:
     # ------------------------------------------------------------------
     # forward
 
-    def forward(self, example: Example, training: bool = False,
-                rng: np.random.Generator | None = None) -> ForwardTrace:
-        """Run one document as a batch of one and capture every
-        intermediate representation."""
+    def forward(self, example: Example) -> ForwardTrace:
+        """Run one document as a batch of one at inference (no dropout) and
+        capture every intermediate representation."""
         nodes = {}
-        logits = self.batch_logits(tz.Tape(), [example], training, rng, nodes=nodes)
+        logits = self.batch_logits(tz.Tape(), [example], training=False, rng=None, nodes=nodes)
         rows = {key: np.array(node.value[0]) for key, node in nodes.items()}
         rows["probabilities"] = tz.softmax_array(logits.value[0])
         return ForwardTrace(**rows, mode=self.config.mode, doc_id=example.doc_id)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .atomic import atomic_open
-from .corpus import TokenizedDocument, segment
+from .corpus import LABELS, TokenizedDocument, segment
 from .errors import UnsupportedMode, UsageError
 from .lexicon import FEATURE_NAMES, LexiconSet, extract_affect
 from .model import ForwardTrace
@@ -70,25 +70,16 @@ class FlowStatistics:
         }
 
 
-def attention_profile(trace: ForwardTrace, classes: tuple = ("real", "fake"),
-                      axis: str = "received") -> AttentionProfile:
-    """Collapse the N x N attention matrix to one scalar per segment.
-
-    axis="received" (default) averages along the query axis, i.e. column
-    means: how much weight each segment receives. axis="emitted" gives row
-    means instead. Both sum to 1 because the matrix is row-stochastic.
+def attention_profile(trace: ForwardTrace, classes: tuple = LABELS) -> AttentionProfile:
+    """Collapse the N x N attention matrix to one scalar per segment: its
+    column means, i.e. how much weight each segment receives. They sum to 1
+    because the matrix is row-stochastic (its row means are always 1/N).
     """
     if trace.attention_weights is None:
         raise UnsupportedMode(
             f"mode {trace.mode!r} has no attention matrix; run full or topic_only"
         )
-    matrix = np.asarray(trace.attention_weights)
-    if axis == "received":
-        weights = matrix.mean(axis=0)
-    elif axis == "emitted":
-        weights = matrix.mean(axis=1)
-    else:
-        raise UsageError(f"axis must be 'received' or 'emitted', got {axis!r}")
+    weights = np.asarray(trace.attention_weights).mean(axis=0)
     pred = trace.predicted_index()
     label = classes[pred] if pred < len(classes) else None
     return AttentionProfile(
@@ -147,11 +138,11 @@ def annotation_to_html(doc: TokenizedDocument, annotation: EmotionAnnotation,
 
 
 def flow_statistics(corpus: list[tuple[TokenizedDocument, str]], n_segments: int,
-                    lex: LexiconSet, max_seg_len: int = 800,
-                    expected_classes: tuple = ("real", "fake")) -> FlowStatistics:
+                    lex: LexiconSet, max_seg_len: int = 800) -> FlowStatistics:
     """Per class and per feature: the mean feature value in the first and
     last segments, the overall mean, and the population standard deviation
-    of the per-segment means.
+    of the per-segment means. Labels of LABELS with no document are listed
+    as missing.
 
     First/last means use segments 1 and N even when trailing segments are
     empty; their features are legitimately zero. The overall mean
@@ -182,7 +173,7 @@ def flow_statistics(corpus: list[tuple[TokenizedDocument, str]], n_segments: int
                 per_segment_means=[float(v) for v in per_segment[:, k]],
             )
         classes[label] = feats
-    missing = [c for c in expected_classes if c not in classes]
+    missing = [c for c in LABELS if c not in classes]
     return FlowStatistics(n_segments=n_segments, classes=classes, missing_classes=missing)
 
 

@@ -1,8 +1,10 @@
 """Gradient-descent optimizers: sgd, adam, rmsprop, adadelta.
 
-All updates are the textbook forms. Auxiliary buffers are keyed by
-parameter name, so names must be unique within one optimizer. Gradients
-are zeroed after every step.
+All updates are the textbook forms. Their hyperparameters are the module
+constants BETA1, BETA2 and ADAM_EPS (adam), RMS_RHO and RMS_EPS (rmsprop),
+and ADA_RHO and ADA_EPS (adadelta); only the learning rate is set per
+optimizer. Auxiliary buffers are keyed by parameter name, so names must be
+unique within one optimizer. Gradients are zeroed after every step.
 """
 
 from __future__ import annotations
@@ -23,22 +25,20 @@ DEFAULT_LEARNING_RATES = {
 
 ALGORITHMS = tuple(DEFAULT_LEARNING_RATES)
 
+BETA1 = 0.9
+BETA2 = 0.999
+ADAM_EPS = 1e-8
+RMS_RHO = 0.9
+RMS_EPS = 1e-7
+ADA_RHO = 0.95
+ADA_EPS = 1e-6
+
 
 @dataclass
 class OptimizerState:
     algorithm: str
     learning_rate: float
     step_count: int = 0
-    # adam
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
-    # rmsprop
-    rms_rho: float = 0.9
-    rms_eps: float = 1e-7
-    # adadelta
-    ada_rho: float = 0.95
-    ada_eps: float = 1e-6
     slots: dict = field(default_factory=dict)
 
     def slot(self, param: Parameter, name: str) -> np.ndarray:
@@ -73,26 +73,26 @@ def step(opt: OptimizerState, params: list[Parameter]) -> None:
         elif opt.algorithm == "adam":
             m = opt.slot(p, "m")
             v = opt.slot(p, "v")
-            m *= opt.beta1
-            m += (1.0 - opt.beta1) * g
-            v *= opt.beta2
-            v += (1.0 - opt.beta2) * g * g
-            m_hat = m / (1.0 - opt.beta1 ** opt.step_count)
-            v_hat = v / (1.0 - opt.beta2 ** opt.step_count)
-            p.value -= lr * m_hat / (np.sqrt(v_hat) + opt.adam_eps)
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            v *= BETA2
+            v += (1.0 - BETA2) * g * g
+            m_hat = m / (1.0 - BETA1 ** opt.step_count)
+            v_hat = v / (1.0 - BETA2 ** opt.step_count)
+            p.value -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
         elif opt.algorithm == "rmsprop":
             acc = opt.slot(p, "acc")
-            acc *= opt.rms_rho
-            acc += (1.0 - opt.rms_rho) * g * g
-            p.value -= lr * g / (np.sqrt(acc) + opt.rms_eps)
+            acc *= RMS_RHO
+            acc += (1.0 - RMS_RHO) * g * g
+            p.value -= lr * g / (np.sqrt(acc) + RMS_EPS)
         elif opt.algorithm == "adadelta":
             acc = opt.slot(p, "acc")
             acc_delta = opt.slot(p, "acc_delta")
-            acc *= opt.ada_rho
-            acc += (1.0 - opt.ada_rho) * g * g
-            delta = -np.sqrt(acc_delta + opt.ada_eps) / np.sqrt(acc + opt.ada_eps) * g
-            acc_delta *= opt.ada_rho
-            acc_delta += (1.0 - opt.ada_rho) * delta * delta
+            acc *= ADA_RHO
+            acc += (1.0 - ADA_RHO) * g * g
+            delta = -np.sqrt(acc_delta + ADA_EPS) / np.sqrt(acc + ADA_EPS) * g
+            acc_delta *= ADA_RHO
+            acc_delta += (1.0 - ADA_RHO) * delta * delta
             p.value += lr * delta
         else:  # unreachable; make_optimizer validates
             raise UsageError(f"unknown optimizer {opt.algorithm!r}")

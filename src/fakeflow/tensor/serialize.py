@@ -16,6 +16,7 @@ import struct
 import numpy as np
 
 from ..atomic import atomic_open
+from ..corpus import read_text
 from ..errors import ParseError
 from .engine import DTYPE, Parameter
 
@@ -101,24 +102,27 @@ def _header_entries(path, header) -> list[tuple[str, tuple[int, ...]]]:
 def load_word_vectors(path, dim: int) -> dict[str, np.ndarray]:
     """Text embeddings: one line per word, `word v1 ... v_dim`.
 
-    Lines whose vector length differs from `dim` are rejected. A leading
-    `count dim` header line (common in this format) is skipped if present.
+    Lines whose vector length differs from `dim`, and entries that are not
+    finite numbers, are rejected. A leading `count dim` header line (common
+    in this format) is skipped if present.
     """
     vectors: dict[str, np.ndarray] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            parts = line.rstrip("\n").split(" ")
-            if lineno == 1 and len(parts) == 2:
-                continue  # dimension header
-            if len(parts) < 2:
-                continue
-            word, values = parts[0], parts[1:]
-            if len(values) != dim:
-                raise ParseError(
-                    f"{path}:{lineno}: expected {dim} values for {word!r}, got {len(values)}"
-                )
-            try:
-                vectors[word] = np.array([float(v) for v in values], dtype=DTYPE)
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: non-numeric vector entry: {exc}") from exc
+    for lineno, line in enumerate(read_text(path).split("\n"), start=1):
+        parts = line.split(" ")
+        if lineno == 1 and len(parts) == 2:
+            continue  # dimension header
+        if len(parts) < 2:
+            continue
+        word, values = parts[0], parts[1:]
+        if len(values) != dim:
+            raise ParseError(
+                f"{path}:{lineno}: expected {dim} values for {word!r}, got {len(values)}"
+            )
+        try:
+            vector = np.array([float(v) for v in values], dtype=DTYPE)
+        except ValueError as exc:
+            raise ParseError(f"{path}:{lineno}: non-numeric vector entry: {exc}") from exc
+        if not np.isfinite(vector).all():
+            raise ParseError(f"{path}:{lineno}: non-finite vector entry for {word!r}")
+        vectors[word] = vector
     return vectors

@@ -216,14 +216,15 @@ class SearchSpace:
 class SearchResult:
     best: TrialResult
     trials: list[TrialResult]
+    best_model: FakeFlowModel  # the best trial's model, at its best epoch
 
 
 def random_search(space: SearchSpace, trials: int, base_config: FakeFlowConfig,
                   train_set: list[Example], val_set: list[Example],
-                  train_cfg: TrainConfig, seed: int = 0,
-                  build_model=None) -> SearchResult:
+                  train_cfg: TrainConfig, seed: int = 0) -> SearchResult:
     """Seeded random search: sample `trials` configs, train each with early
-    stopping, return the trial with the best monitored metric.
+    stopping, return the trial with the best monitored metric and its
+    trained model.
 
     Per-trial seeds are seed + trial_index so trials are independent and
     the whole search replays from one seed.
@@ -233,21 +234,22 @@ def random_search(space: SearchSpace, trials: int, base_config: FakeFlowConfig,
     rng = np.random.default_rng(seed)
     configs = [space.sample(rng, base_config) for _ in range(trials)]
     results = []
+    best = best_model = None
     for t, config in enumerate(configs):
         trial_seed = seed + t
-        model = (build_model or FakeFlowModel)(config, seed=trial_seed)
+        model = FakeFlowModel(config, seed=trial_seed)
         cfg = replace(train_cfg, seed=trial_seed)
         result = train(model, train_set, val_set, cfg)
         result.trial_index = t
         results.append(result)
         logger.info("trial %d/%d: metric=%.4f epochs=%d", t + 1, trials,
                     result.best_val_metric, result.epochs_run)
-    best = results[0]
-    for r in results[1:]:  # strict comparison: earliest trial wins ties
-        if (r.best_val_metric > best.best_val_metric) if train_cfg.higher_is_better \
-                else (r.best_val_metric < best.best_val_metric):
-            best = r
-    return SearchResult(best=best, trials=results)
+        # strict comparison: earliest trial wins ties
+        if best is None or ((result.best_val_metric > best.best_val_metric)
+                            if train_cfg.higher_is_better
+                            else (result.best_val_metric < best.best_val_metric)):
+            best, best_model = result, model
+    return SearchResult(best=best, trials=results, best_model=best_model)
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +279,7 @@ def prepare_examples(docs: list[tuple[str, TokenizedDocument, str | None]],
 
 
 def tokenize_articles(articles: list[RawArticle],
-                      min_tokens: int = 1) -> list[tuple[str, TokenizedDocument, str | None]]:
+                      ) -> list[tuple[str, TokenizedDocument, str | None]]:
     """Tokenize a corpus, dropping documents that come out empty."""
     docs = []
     for article in articles:
@@ -285,8 +287,6 @@ def tokenize_articles(articles: list[RawArticle],
             doc = tokenize(article.text)
         except EmptyDocument:
             logger.warning("article %s dropped: empty after tokenization", article.id)
-            continue
-        if doc.length < min_tokens:
             continue
         docs.append((article.id, doc, article.label))
     return docs

@@ -58,6 +58,12 @@ def write_flow_corpus(tmp_path, n_docs=16, name="corpus.jsonl", seed=0,
     return path
 
 
+def _with_last_id(tokens, new_id) -> bytes:
+    """A vocab.json payload whose highest id is replaced with `new_id`."""
+    last = max(tokens, key=tokens.get)
+    return json.dumps({"tokens": {**tokens, last: new_id}}).encode()
+
+
 TRAIN_FLAGS = [
     "--n-segments", "4", "--max-seg-len", "6", "--embed-dim", "4",
     "--filter-widths", "2,3", "--filter-count", "2", "--topic-dim", "4",
@@ -87,6 +93,16 @@ class TestMcnemarCommand:
         assert code == 0
         assert payload["b"] == 0 and payload["c"] == 0
         assert payload["significant_at_05"] is False
+
+    @pytest.mark.parametrize("bad", ["gold", "a", "b"])
+    def test_latin_1_label_file_exits_2_naming_it(self, tmp_path, capsys, bad):
+        for name in ("gold", "a", "b"):
+            (tmp_path / name).write_text("real\nfake\n")
+        (tmp_path / bad).write_bytes("real\nfak\xe9\n".encode("latin-1"))
+        code = main(["mcnemar", "--gold", str(tmp_path / "gold"),
+                     "--a", str(tmp_path / "a"), "--b", str(tmp_path / "b")])
+        assert code == 2
+        assert f"error: {tmp_path / bad}:2: " in capsys.readouterr().err
 
 
 class TestExitCodes:
@@ -139,6 +155,20 @@ class TestExitCodes:
                      "--n-segments", "2", "--out", str(tmp_path / "out")])
         assert code == 2
         assert str(manifest) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content, line", [
+        (f"{FEAR_WORDS[0]} 0 0 0 0\ncaf\xe9 0 0 0 0\n".encode("latin-1"), 2),
+        (f"{FEAR_WORDS[0]} nan 0 0 0\n".encode(), 1),
+    ], ids=["latin-1", "nan"])
+    def test_bad_word_vectors_exit_2_naming_the_line(self, tmp_path, capsys, content, line):
+        manifest = write_lexicon_fixture(tmp_path)
+        vectors = tmp_path / "vectors.txt"
+        vectors.write_bytes(content)
+        code = main(["train", "--corpus", str(write_flow_corpus(tmp_path)),
+                     "--lexicons", str(manifest), "--embeddings", str(vectors),
+                     "--out", str(tmp_path / "out")] + TRAIN_FLAGS)
+        assert code == 2
+        assert f"error: {vectors}:{line}: " in capsys.readouterr().err
 
     def test_lexicons_from_environment(self, tmp_path, capsys, monkeypatch):
         manifest = write_lexicon_fixture(tmp_path)
@@ -228,6 +258,30 @@ class TestLoadedModelErrors:
         assert code == 2
         err = capsys.readouterr().err
         assert f"{size + 1} ids" in err and f"vocab_size {size}" in err
+
+    @pytest.mark.parametrize("command", ["evaluate", "attention"])
+    @pytest.mark.parametrize("payload", [
+        lambda tokens: '{"tokens": {"caf\xe9": 2}}'.encode("latin-1"),
+        lambda tokens: json.dumps({"tokens": tokens}).encode()[:-2],
+        lambda tokens: json.dumps(list(tokens)).encode(),
+        lambda tokens: json.dumps({"words": tokens}).encode(),
+        lambda tokens: _with_last_id(tokens, "x"),
+        lambda tokens: _with_last_id(tokens, 2),
+        lambda tokens: _with_last_id(tokens, len(tokens) + 2),
+    ], ids=["latin-1", "truncated", "list", "no-tokens", "string-id", "duplicate-id",
+            "id-gap"])
+    def test_malformed_vocab_exits_2_naming_it(self, trained, tmp_path, capsys, command,
+                                               payload):
+        manifest, corpus, out = trained
+        tokens = json.loads((out / "vocab.json").read_text())["tokens"]
+        bad = tmp_path / "bad_vocab.json"
+        bad.write_bytes(payload(tokens))
+        capsys.readouterr()
+        code = main([command, "--checkpoint", str(out / "checkpoint.bin"),
+                     "--vocab", str(bad), "--corpus", str(corpus),
+                     "--lexicons", str(manifest), "--out", str(tmp_path / "scored")])
+        assert code == 2
+        assert f"error: {bad}" in capsys.readouterr().err
 
     def test_damaged_checkpoint_exits_1_or_2(self, trained, tmp_path, capsys):
         manifest, corpus, out = trained
@@ -370,11 +424,12 @@ class TestBuildDatasetCommand:
         (b"domain,list,category\nx.com,OS,reliable\na.com,L1\n", None, None, "sources"),
         (None, b'{"OS": {"fiable": "real"}}'.replace(b"fiable", b"fi\xe9"), None, "mapping"),
         (None, b"[1, 2]", None, "mapping"),
+        (None, b'{"OS": {"reliable": 5}}', None, "mapping"),
         (None, None, b'{"id": "1", "text": "a b", "year": 2016.7}', "articles"),
         (None, None, b'{"id": "1", "text": "a b", "year": true}', "articles"),
         (None, None, b'{"id": "1", "text": "a b", "year": "2015"}', "articles"),
     ], ids=["sources-latin-1", "sources-short-row", "mapping-latin-1", "mapping-list",
-            "year-float", "year-true", "year-string"])
+            "mapping-bad-rule", "year-float", "year-true", "year-string"])
     def test_bad_input_exits_2_naming_the_file(self, tmp_path, capsys,
                                                sources, mapping, articles, named):
         files = {

@@ -17,6 +17,7 @@ from fakeflow.corpus import (
     load_corpus,
     load_label_mapping,
     load_source_lists,
+    load_vocabulary,
     merge_source_lists,
     project_and_sample,
     segment,
@@ -133,6 +134,53 @@ class TestVocabulary:
         docs = [TokenizedDocument(["b", "a"])]
         vocab = build_vocabulary(docs)
         assert vocab.token_to_id == {"a": 2, "b": 3}
+
+    def test_file_round_trip(self, tmp_path):
+        vocab = build_vocabulary([TokenizedDocument(["b", "a", "b", "c"])])
+        path = tmp_path / "vocab.json"
+        path.write_text(json.dumps(vocab.to_json()))
+        assert load_vocabulary(path) == vocab
+
+    @pytest.mark.parametrize("content, error", [
+        ('{"tokens": {"caf\xe9": 2}}'.encode("latin-1"), ParseError),
+        (b'{"tokens": ', ParseError),
+        (b"[1, 2]", ConfigError),
+        (b'{"words": {"a": 2}}', ConfigError),
+        (b'{"tokens": {"a": "x"}}', ConfigError),
+        (b'{"tokens": {"a": 2, "b": 4}}', ConfigError),
+        (b'{"tokens": {"a": 2, "b": 2}}', ConfigError),
+        (b'{"tokens": {"a": true}}', ConfigError),
+        (b'{"tokens": {"a": 2.0}}', ConfigError),
+    ], ids=["latin-1", "truncated", "list", "no-tokens", "string-id", "id-gap",
+            "duplicate-id", "bool-id", "float-id"])
+    def test_malformed_file_names_the_file(self, tmp_path, content, error):
+        path = tmp_path / "vocab.json"
+        path.write_bytes(content)
+        with pytest.raises(error) as err:
+            load_vocabulary(path)
+        assert str(path) in str(err.value)
+
+    @settings(max_examples=100, deadline=None)
+    @given(content=st.one_of(
+        st.one_of(
+            json_values,
+            st.dictionaries(st.text(max_size=4), st.integers(-1, 6) | json_values,
+                            max_size=4).map(lambda tokens: {"tokens": tokens}),
+            st.lists(st.text(max_size=4), unique=True, max_size=5).flatmap(
+                lambda toks: st.permutations(list(range(2, len(toks) + 2))).map(
+                    lambda ids: {"tokens": dict(zip(toks, ids))})),
+        ).map(lambda payload: json.dumps(payload).encode()),
+        st.binary(max_size=24),
+    ))
+    def test_any_content_loads_or_raises_a_fakeflow_error(self, tmp_path_factory, content):
+        path = tmp_path_factory.mktemp("vocab") / "vocab.json"
+        path.write_bytes(content)
+        try:
+            vocab = load_vocabulary(path)
+        except FakeflowError as exc:
+            assert str(path) in str(exc)
+            return
+        assert sorted(vocab.token_to_id.values()) == list(range(2, vocab.size))
 
 
 class TestEncode:
@@ -480,13 +528,24 @@ class TestLoadLabelMapping:
         ('{"OS": {"fiable": "real"}}'.replace("fiable", "fi\xe9").encode("latin-1"), ParseError),
         (b"{", ParseError),
         (b"[" * 100_000, ParseError),
-    ], ids=["list", "number", "null", "list-for-a-list", "latin-1", "truncated", "deep-nesting"])
+        (b'{"OS": {"reliable": 5}}', ConfigError),
+        (b'{"OS": {"reliable": "maybe"}}', ConfigError),
+    ], ids=["list", "number", "null", "list-for-a-list", "latin-1", "truncated", "deep-nesting",
+            "number-rule", "unknown-rule"])
     def test_malformed_file_names_the_file(self, tmp_path, content, error):
         path = tmp_path / "mapping.json"
         path.write_bytes(content)
         with pytest.raises(error) as err:
             load_label_mapping(path)
         assert str(path) in str(err.value)
+
+    @pytest.mark.parametrize("rule", [5, None, "maybe", ["real"], {"real": 1}])
+    def test_bad_rule_names_the_file_list_and_category(self, tmp_path, rule):
+        path = tmp_path / "mapping.json"
+        path.write_text(json.dumps({"OS": {"reliable": "real", "satire": rule}}))
+        with pytest.raises(ConfigError) as err:
+            load_label_mapping(path)
+        assert all(part in str(err.value) for part in (str(path), "'OS'", "'satire'"))
 
     @settings(max_examples=150, deadline=None)
     @given(content=st.one_of(json_values.map(lambda value: json.dumps(value).encode()),

@@ -118,6 +118,20 @@ class TestWordVectors:
         path.write_text("2 3\nhello 0.1 0.2 0.3\nworld 1.0 -1.0 0.5\n")
         assert len(tz.load_word_vectors(path, dim=3)) == 2
 
+    @pytest.mark.parametrize("content, line", [
+        ("hello 0.1 0.2 0.3\ncaf\xe9 1 2 3\n".encode("latin-1"), 2),
+        (b"hello nan 0.2 0.3\n", 1),
+        (b"hello 0.1 0.2 0.3\nworld 1.0 -inf 0.5\n", 2),
+    ], ids=["latin-1", "nan", "inf"])
+    def test_bad_line_is_parse_error_naming_it(self, tmp_path, content, line):
+        from fakeflow.errors import ParseError
+
+        path = tmp_path / "vectors.txt"
+        path.write_bytes(content)
+        with pytest.raises(ParseError) as err:
+            tz.load_word_vectors(path, dim=3)
+        assert f"{path}:{line}: " in str(err.value)
+
     def test_wrong_dim_rejected(self, tmp_path):
         from fakeflow.errors import ParseError
 

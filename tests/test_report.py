@@ -42,10 +42,6 @@ class TestAttentionProfile:
         profile = attention_profile(_trace([[0.9, 0.1], [0.5, 0.5]]))
         assert np.allclose(profile.weights, [0.7, 0.3], atol=1e-15)
 
-    def test_row_means_flag(self):
-        profile = attention_profile(_trace([[0.9, 0.1], [0.5, 0.5]]), axis="emitted")
-        assert np.allclose(profile.weights, [0.5, 0.5], atol=1e-15)
-
     def test_sums_to_one_for_row_stochastic_input(self):
         rng = np.random.default_rng(0)
         for n in (1, 2, 5, 10, 20):

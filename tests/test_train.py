@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -198,6 +200,22 @@ class TestRandomSearch:
         result = random_search(SearchSpace(), 4, base, examples[:14], examples[14:], cfg, seed=3)
         best_metric = max(t.best_val_metric for t in result.trials)
         assert result.best.best_val_metric == best_metric
+
+    def test_best_model_is_the_best_trial_trained_alone(self):
+        examples, vocab, _ = _flow_examples(20)
+        base = _affect_config(vocab)
+        cfg = TrainConfig(max_epochs=2, patience=1, batch_size=8, seed=0,
+                          learning_rate=0.01, monitored_metric="val_loss")
+        result = random_search(SearchSpace(), 4, base, examples[:14], examples[14:], cfg, seed=2)
+        assert result.best.trial_index == 2  # a trial whose seed differs from the search's
+        trial_seed = 2 + result.best.trial_index
+        alone = FakeFlowModel(result.best.config, seed=trial_seed)
+        train(alone, examples[:14], examples[14:], replace(cfg, seed=trial_seed))
+        assert result.best_model.config == result.best.config
+        searched, separate = result.best_model.state(), alone.state()
+        assert searched.keys() == separate.keys()
+        for name, value in separate.items():
+            assert searched[name].tobytes() == value.tobytes(), name
 
     def test_trials_must_be_positive(self):
         with pytest.raises(UsageError):
