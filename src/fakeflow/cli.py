@@ -2,8 +2,13 @@
 
 Subcommands: build-dataset, extract-features, train, search, select-n,
 evaluate, cross-year, mcnemar, analyze, attention. Every command accepts
---json for machine-readable stdout, honors a single --seed, and writes its
-artifacts plus a manifest under --out. Exit codes: 0 success, 1 usage
+--json for machine-readable stdout and honors a single --seed. Each flag is
+declared once, in a parent group that the subcommands taking it share.
+
+Every command but mcnemar writes under --out through one `_Out`, which hands
+out each artifact's path and records its name. A command returns its config
+hash and a summary; `main` then writes manifest.json, whose `outputs` are
+the recorded names, and prints the summary. Exit codes: 0 success, 1 usage
 error, 2 data error.
 """
 
@@ -19,11 +24,11 @@ from dataclasses import dataclass
 
 from . import corpus as corpus_mod
 from . import evaluation, report
+from . import tensor as tz
 from .atomic import atomic_open
 from .errors import ConfigError, FakeflowError, UsageError
 from .lexicon import LexiconSet, extract_affect, load_lexicon_set
-from .model import Example, FakeFlowConfig, FakeFlowModel
-from .tensor import load_word_vectors
+from .model import MODES, Example, FakeFlowConfig, FakeFlowModel
 from .train import (
     SearchSpace,
     TrainConfig,
@@ -44,6 +49,20 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+class _Out:
+    """The --out directory of one run. `path` hands out an artifact's path
+    and records its name, so the manifest lists exactly what the run wrote."""
+
+    def __init__(self, directory: str):
+        os.makedirs(directory, exist_ok=True)
+        self.directory = directory
+        self.names: list[str] = []
+
+    def path(self, name: str) -> str:
+        self.names.append(name)
+        return os.path.join(self.directory, name)
+
+
 def _config_hash(payload: dict) -> str:
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:12]
@@ -55,47 +74,31 @@ def _write_json(path, payload) -> None:
         fh.write("\n")
 
 
-def _write_manifest(out_dir, command: str, options: dict, config_hash: str,
-                    outputs: list[str]) -> None:
-    _write_json(
-        os.path.join(out_dir, "manifest.json"),
-        {
-            "command": command,
-            "options": options,
-            "config_hash": config_hash,
-            "outputs": sorted(outputs),
-        },
-    )
-
-
-def _ensure_out(args) -> str:
-    out = args.out
-    os.makedirs(out, exist_ok=True)
-    return out
-
-
 def _emit(args, payload: dict) -> None:
-    if getattr(args, "json", False):
+    if args.json:
         print(json.dumps(payload, sort_keys=True))
     else:
         for key, value in payload.items():
             print(f"{key}: {value}")
 
 
-def _lexicon_manifest_path(args) -> str:
-    path = getattr(args, "lexicons", None) or os.environ.get(LEXICON_ENV_VAR)
+def _load_lexicons(args) -> LexiconSet:
+    """The lexicons of --lexicons, else of the manifest the environment names."""
+    path = args.lexicons or os.environ.get(LEXICON_ENV_VAR)
     if not path:
         raise UsageError(
             f"no lexicon manifest given; pass --lexicons or set {LEXICON_ENV_VAR}"
         )
-    return path
+    return load_lexicon_set(path)
 
 
-def _parse_widths(text: str) -> tuple:
+def _parse_ints(text: str, flag: str) -> list[int]:
+    """A comma-separated integer list given to `flag`; empty parts are skipped."""
     try:
-        return tuple(int(part) for part in text.split(",") if part != "")
+        return [int(part) for part in text.split(",") if part != ""]
     except ValueError:
-        raise UsageError(f"bad filter widths {text!r}; expected e.g. 3,4,5") from None
+        raise UsageError(f"{flag}: expected comma-separated integers such as 3,4,5, "
+                         f"got {text!r}") from None
 
 
 def _model_config_from_args(args, vocab_size: int) -> FakeFlowConfig:
@@ -105,7 +108,7 @@ def _model_config_from_args(args, vocab_size: int) -> FakeFlowConfig:
         vocab_size=vocab_size,
         max_seg_len=args.max_seg_len,
         embed_dim=args.embed_dim,
-        cnn_filter_widths=_parse_widths(args.filter_widths),
+        cnn_filter_widths=_parse_ints(args.filter_widths, "--filter-widths"),
         cnn_filter_count=args.filter_count,
         pool_size=args.pool_size,
         topic_dense_dim=args.topic_dim,
@@ -117,7 +120,7 @@ def _model_config_from_args(args, vocab_size: int) -> FakeFlowConfig:
         optimizer=args.optimizer,
         mode=args.mode,
         classes=corpus_mod.LABELS,
-        train_embeddings=not getattr(args, "freeze_embeddings", False),
+        train_embeddings=not args.freeze_embeddings,
     )
 
 
@@ -159,11 +162,6 @@ class _Splits:
                      for docs in (self.train_docs, self.val_docs))
 
 
-def _load_inputs(args) -> tuple[list[corpus_mod.RawArticle], LexiconSet]:
-    """The labeled --corpus and the lexicons."""
-    return _load_labeled_corpus(args.corpus), load_lexicon_set(_lexicon_manifest_path(args))
-
-
 def _prepare_data(args, articles: list, lex: LexiconSet, seed: int) -> _Splits:
     """The data-preparation pipeline of train, search, select-n and
     cross-year: validate on --val-corpus when given, else on a stratified
@@ -178,18 +176,11 @@ def _prepare_data(args, articles: list, lex: LexiconSet, seed: int) -> _Splits:
     return _Splits(train_docs, val_docs, vocab, lex)
 
 
-def _pretrained_table(args, vocab) -> dict | None:
-    if not getattr(args, "embeddings", None):
-        return None
-    return load_word_vectors(args.embeddings, args.embed_dim)
-
-
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns (config hash, stdout summary)
 
 
-def cmd_build_dataset(args) -> int:
-    out = _ensure_out(args)
+def cmd_build_dataset(args, out: _Out) -> tuple[str, dict]:
     entries = corpus_mod.load_source_lists(args.sources)
     mapping = corpus_mod.load_label_mapping(args.mapping) if args.mapping else None
     verdicts, conflicts = corpus_mod.merge_source_lists(entries, mapping)
@@ -200,7 +191,6 @@ def cmd_build_dataset(args) -> int:
         min_words=args.min_words,
         seed=args.seed,
     )
-    outputs = ["train.jsonl", "domains.json"]
     test_parts = []
     if args.test_fake:
         fake_test = corpus_mod.load_corpus(args.test_fake)
@@ -215,12 +205,11 @@ def cmd_build_dataset(args) -> int:
             remove_from_train=not args.keep_sampled_in_train,
         )
         test_parts.extend(real_test)
-    corpus_mod.save_corpus(os.path.join(out, "train.jsonl"), sampled)
+    corpus_mod.save_corpus(out.path("train.jsonl"), sampled)
     if test_parts:
-        corpus_mod.save_corpus(os.path.join(out, "test.jsonl"), test_parts)
-        outputs.append("test.jsonl")
+        corpus_mod.save_corpus(out.path("test.jsonl"), test_parts)
     _write_json(
-        os.path.join(out, "domains.json"),
+        out.path("domains.json"),
         {
             "surviving_domains": len(verdicts),
             "conflicting_domains": sorted(conflicts),
@@ -232,24 +221,20 @@ def cmd_build_dataset(args) -> int:
     )
     config_hash = _config_hash({"seed": args.seed, "max_per_domain": args.max_per_domain,
                                 "min_words": args.min_words})
-    _write_manifest(out, "build-dataset", _options(args), config_hash, outputs)
-    _emit(args, {
+    return config_hash, {
         "surviving_domains": len(verdicts),
         "conflicts": len(conflicts),
         "train_articles": len(sampled),
         "test_articles": len(test_parts),
-        "out": out,
-    })
-    return 0
+        "out": args.out,
+    }
 
 
-def cmd_extract_features(args) -> int:
-    out = _ensure_out(args)
+def cmd_extract_features(args, out: _Out) -> tuple[str, dict]:
     articles = corpus_mod.load_corpus(args.corpus)
-    lex = load_lexicon_set(_lexicon_manifest_path(args))
+    lex = _load_lexicons(args)
     docs = tokenize_articles(articles)
-    path = os.path.join(out, "features.jsonl")
-    with atomic_open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(out.path("features.jsonl"), "w", encoding="utf-8") as fh:
         for doc_id, doc, label in docs:
             seg = corpus_mod.segment(doc, args.n_segments, args.max_seg_len)
             matrix = extract_affect(seg, lex)
@@ -258,23 +243,21 @@ def cmd_extract_features(args) -> int:
                 record["label"] = label
             fh.write(json.dumps(record, sort_keys=True) + "\n")
     config_hash = _config_hash({"n_segments": args.n_segments, "max_seg_len": args.max_seg_len})
-    _write_manifest(out, "extract-features", _options(args), config_hash, ["features.jsonl"])
-    _emit(args, {"documents": len(docs), "out": out})
-    return 0
+    return config_hash, {"documents": len(docs), "out": args.out}
 
 
-def cmd_train(args) -> int:
-    out = _ensure_out(args)
-    splits = _prepare_data(args, *_load_inputs(args), args.seed)
+def cmd_train(args, out: _Out) -> tuple[str, dict]:
+    splits = _prepare_data(args, _load_labeled_corpus(args.corpus), _load_lexicons(args),
+                           args.seed)
     train_set, val_set = splits.examples(args.n_segments, args.max_seg_len)
     vocab = splits.vocab
     model_cfg = _model_config_from_args(args, vocab.size)
     train_cfg = _train_config_from_args(args)
-    pretrained = _pretrained_table(args, vocab)
+    pretrained = tz.load_word_vectors(args.embeddings, args.embed_dim) if args.embeddings else None
     model = FakeFlowModel(model_cfg, seed=args.seed, pretrained=pretrained,
                           vocab_tokens=vocab.token_to_id if pretrained else None)
-    result = train(model, train_set, val_set, train_cfg,
-                   checkpoint_path=os.path.join(out, "checkpoint.bin"))
+    result = train(model, train_set, val_set, train_cfg)
+    model.save(out.path("checkpoint.bin"))
 
     config_hash = _config_hash({"model": model_cfg.to_json(),
                                 "train": vars(train_cfg), "seed": args.seed})
@@ -289,26 +272,22 @@ def cmd_train(args) -> int:
         "val_macro_f1": best.val_macro_f1,
         "val_loss": best.val_loss,
     }
-    _write_json(os.path.join(out, "report.json"), report_payload)
-    _write_json(os.path.join(out, "history.json"), result.history_json())
-    _write_json(os.path.join(out, "vocab.json"), vocab.to_json())
-    _write_manifest(out, "train", _options(args), config_hash,
-                    ["checkpoint.bin", "report.json", "history.json", "vocab.json"])
-    _emit(args, report_payload)
-    return 0
+    _write_json(out.path("report.json"), report_payload)
+    _write_json(out.path("history.json"), result.history_json())
+    _write_json(out.path("vocab.json"), vocab.to_json())
+    return config_hash, report_payload
 
 
-def cmd_search(args) -> int:
-    out = _ensure_out(args)
-    splits = _prepare_data(args, *_load_inputs(args), args.seed)
+def cmd_search(args, out: _Out) -> tuple[str, dict]:
+    splits = _prepare_data(args, _load_labeled_corpus(args.corpus), _load_lexicons(args),
+                           args.seed)
     train_set, val_set = splits.examples(args.n_segments, args.max_seg_len)
     base_cfg = _model_config_from_args(args, splits.vocab.size)
     train_cfg = _train_config_from_args(args)
     result = random_search(SearchSpace(), args.trials, base_cfg, train_set, val_set,
                            train_cfg, seed=args.seed)
 
-    trials_path = os.path.join(out, "trials.jsonl")
-    with atomic_open(trials_path, "w", encoding="utf-8") as fh:
+    with atomic_open(out.path("trials.jsonl"), "w", encoding="utf-8") as fh:
         for trial in result.trials:
             fh.write(json.dumps({
                 "trial": trial.trial_index,
@@ -320,7 +299,7 @@ def cmd_search(args) -> int:
 
     best_cfg = result.best.config
     ckpt_name = f"trial_{result.best.trial_index:02d}_epoch{result.best.best_epoch:02d}.bin"
-    result.best_model.save(os.path.join(out, ckpt_name))
+    result.best_model.save(out.path(ckpt_name))
     config_hash = _config_hash({"base": base_cfg.to_json(), "trials": args.trials,
                                 "seed": args.seed})
     best_payload = {
@@ -330,18 +309,15 @@ def cmd_search(args) -> int:
         "best_config": best_cfg.to_json(),
         "checkpoint": ckpt_name,
     }
-    _write_json(os.path.join(out, "best.json"), best_payload)
-    _write_json(os.path.join(out, "vocab.json"), splits.vocab.to_json())
-    _write_manifest(out, "search", _options(args), config_hash,
-                    ["trials.jsonl", "best.json", "vocab.json", ckpt_name])
-    _emit(args, best_payload)
-    return 0
+    _write_json(out.path("best.json"), best_payload)
+    _write_json(out.path("vocab.json"), splits.vocab.to_json())
+    return config_hash, best_payload
 
 
-def cmd_select_n(args) -> int:
-    out = _ensure_out(args)
-    candidates = [int(v) for v in args.candidates.split(",") if v]
-    splits = _prepare_data(args, *_load_inputs(args), args.seed)
+def cmd_select_n(args, out: _Out) -> tuple[str, dict]:
+    candidates = _parse_ints(args.candidates, "--candidates")
+    splits = _prepare_data(args, _load_labeled_corpus(args.corpus), _load_lexicons(args),
+                           args.seed)
     base_cfg = _model_config_from_args(args, splits.vocab.size)
     train_cfg = _train_config_from_args(args)
     best_n, rows = select_n_segments(candidates, splits.train_docs, splits.val_docs,
@@ -351,7 +327,7 @@ def cmd_select_n(args) -> int:
     report.emit_plot_data(
         "n_sweep",
         [(r.n_segments, r.accuracy, r.macro_f1) for r in rows],
-        os.path.join(out, "n_sweep.csv"),
+        out.path("n_sweep.csv"),
         command="select-n",
         config_hash=config_hash,
     )
@@ -360,11 +336,8 @@ def cmd_select_n(args) -> int:
         "best_n": best_n,
         "rows": [vars(r) for r in rows],
     }
-    _write_json(os.path.join(out, "select_n.json"), payload)
-    _write_manifest(out, "select-n", _options(args), config_hash,
-                    ["n_sweep.csv", "select_n.json"])
-    _emit(args, {"best_n": best_n, "out": out})
-    return 0
+    _write_json(out.path("select_n.json"), payload)
+    return config_hash, {"best_n": best_n, "out": args.out}
 
 
 def _load_model_and_vocab(args) -> tuple[FakeFlowModel, corpus_mod.Vocabulary]:
@@ -386,10 +359,9 @@ def _model_examples(model: FakeFlowModel, vocab, lex: LexiconSet,
                             cfg.n_segments, cfg.max_seg_len)
 
 
-def cmd_evaluate(args) -> int:
-    out = _ensure_out(args)
+def cmd_evaluate(args, out: _Out) -> tuple[str, dict]:
     model, vocab = _load_model_and_vocab(args)
-    lex = load_lexicon_set(_lexicon_manifest_path(args))
+    lex = _load_lexicons(args)
     examples = _model_examples(model, vocab, lex, _load_labeled_corpus(args.corpus))
     if not examples:
         raise UsageError(f"{args.corpus}: no document has tokens left after tokenization")
@@ -399,20 +371,16 @@ def cmd_evaluate(args) -> int:
     result = evaluation.compute_metrics(gold, predictions)
     payload = result.to_json()
     payload["config_hash"] = _config_hash({"model": cfg.to_json()})
-    _write_json(os.path.join(out, "report.json"), payload)
-    with atomic_open(os.path.join(out, "predictions.txt"), "w", encoding="utf-8") as fh:
+    _write_json(out.path("report.json"), payload)
+    with atomic_open(out.path("predictions.txt"), "w", encoding="utf-8") as fh:
         for example, label in zip(examples, predictions):
             fh.write(f"{example.doc_id}\t{label}\n")
-    _write_manifest(out, "evaluate", _options(args), payload["config_hash"],
-                    ["report.json", "predictions.txt"])
-    _emit(args, {"accuracy": result.accuracy, "macro_f1": result.macro_f1,
-                 "weighted_f1": result.weighted_f1, "n": result.n_examples})
-    return 0
+    return payload["config_hash"], {"accuracy": result.accuracy, "macro_f1": result.macro_f1,
+                                    "weighted_f1": result.weighted_f1, "n": result.n_examples}
 
 
-def cmd_cross_year(args) -> int:
-    out = _ensure_out(args)
-    articles, lex = _load_inputs(args)
+def cmd_cross_year(args, out: _Out) -> tuple[str, dict]:
+    articles, lex = _load_labeled_corpus(args.corpus), _load_lexicons(args)
     # predict() sees only articles with tokens; gold labels must come from
     # the same articles (tokenize_articles warns about each one it drops)
     articles = [a for a in articles if tokenize_articles([a])]
@@ -436,56 +404,47 @@ def cmd_cross_year(args) -> int:
 
     matrix = evaluation.cross_year(by_year, model_builder, seed=args.seed)
     config_hash = _config_hash({"years": matrix.years, "seed": args.seed})
-    _write_json(os.path.join(out, "cross_year.json"), matrix.to_json())
-    evaluation.write_cross_year_csv(matrix, os.path.join(out, "cross_year.csv"))
-    _write_manifest(out, "cross-year", _options(args), config_hash,
-                    ["cross_year.json", "cross_year.csv"])
-    _emit(args, {"years": ",".join(str(y) for y in matrix.years),
-                 "column_averages": json.dumps(matrix.to_json()["column_averages"])})
-    return 0
+    _write_json(out.path("cross_year.json"), matrix.to_json())
+    evaluation.write_cross_year_csv(matrix, out.path("cross_year.csv"))
+    return config_hash, {"years": ",".join(str(y) for y in matrix.years),
+                         "column_averages": json.dumps(matrix.to_json()["column_averages"])}
 
 
 def _read_label_file(path) -> list[str]:
     return [line.strip() for line in corpus_mod.read_text(path).split("\n") if line.strip()]
 
 
-def cmd_mcnemar(args) -> int:
+def cmd_mcnemar(args, _out) -> tuple[None, dict]:
     gold = _read_label_file(args.gold)
     pred_a = _read_label_file(args.a)
     pred_b = _read_label_file(args.b)
     result = evaluation.mcnemar(gold, pred_a, pred_b)
-    _emit(args, {
+    return None, {
         "b": result.b,
         "c": result.c,
         "statistic": result.statistic,
         "significant_at_05": result.significant_at_05,
-    })
-    return 0
+    }
 
 
-def cmd_analyze(args) -> int:
-    out = _ensure_out(args)
+def cmd_analyze(args, out: _Out) -> tuple[str, dict]:
     articles = _load_labeled_corpus(args.corpus)
-    lex = load_lexicon_set(_lexicon_manifest_path(args))
+    lex = _load_lexicons(args)
     docs = tokenize_articles(articles)
     corpus_pairs = [(doc, label) for _, doc, label in docs]
     stats = report.flow_statistics(corpus_pairs, args.n_segments, lex,
                                    max_seg_len=args.max_seg_len)
     config_hash = _config_hash({"n_segments": args.n_segments,
                                 "max_seg_len": args.max_seg_len})
-    _write_json(os.path.join(out, "flow_stats.json"), stats.to_json())
-    report.emit_plot_data("flow_curve", stats, os.path.join(out, "flow_curve.csv"),
+    _write_json(out.path("flow_stats.json"), stats.to_json())
+    report.emit_plot_data("flow_curve", stats, out.path("flow_curve.csv"),
                           command="analyze", config_hash=config_hash)
-    _write_manifest(out, "analyze", _options(args), config_hash,
-                    ["flow_stats.json", "flow_curve.csv"])
-    _emit(args, {"classes": ",".join(sorted(stats.classes)), "out": out})
-    return 0
+    return config_hash, {"classes": ",".join(sorted(stats.classes)), "out": args.out}
 
 
-def cmd_attention(args) -> int:
-    out = _ensure_out(args)
+def cmd_attention(args, out: _Out) -> tuple[str, dict]:
     model, vocab = _load_model_and_vocab(args)
-    lex = load_lexicon_set(_lexicon_manifest_path(args))
+    lex = _load_lexicons(args)
     articles = corpus_mod.load_corpus(args.corpus)
     wanted = [a for a in articles if a.id == args.doc_id] if args.doc_id else articles[:1]
     if not wanted:
@@ -500,23 +459,20 @@ def cmd_attention(args) -> int:
     doc = corpus_mod.tokenize(article.text)
     annotation = report.highlight_emotions(doc, lex)
     config_hash = _config_hash({"model": cfg.to_json()})
-    report.emit_plot_data("attention_bar", profile, os.path.join(out, "attention_bar.csv"),
+    report.emit_plot_data("attention_bar", profile, out.path("attention_bar.csv"),
                           command="attention", config_hash=config_hash)
-    with atomic_open(os.path.join(out, "highlight.html"), "w", encoding="utf-8") as fh:
+    with atomic_open(out.path("highlight.html"), "w", encoding="utf-8") as fh:
         fh.write(report.annotation_to_html(doc, annotation,
                                            title=f"affect highlighting: {article.id}"))
-    with atomic_open(os.path.join(out, "highlight.json"), "w", encoding="utf-8") as fh:
+    with atomic_open(out.path("highlight.json"), "w", encoding="utf-8") as fh:
         fh.write(report.annotation_to_standoff_json(doc, annotation) + "\n")
-    _write_json(os.path.join(out, "trace.json"), trace.to_json())
-    _write_manifest(out, "attention", _options(args), config_hash,
-                    ["attention_bar.csv", "highlight.html", "highlight.json", "trace.json"])
-    _emit(args, {
+    _write_json(out.path("trace.json"), trace.to_json())
+    return config_hash, {
         "doc_id": article.id,
         "predicted": profile.predicted_label,
         "probability": profile.probability,
-        "out": out,
-    })
-    return 0
+        "out": args.out,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -528,48 +484,60 @@ def _options(args) -> dict:
     return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
 
 
-def _add_data_flags(p, val_corpus: bool = True):
-    p.add_argument("--corpus", required=True, help="labeled JSONL corpus")
-    p.add_argument("--lexicons", help=f"lexicon manifest JSON (default: ${LEXICON_ENV_VAR})")
-    if val_corpus:
-        p.add_argument("--val-corpus", dest="val_corpus",
-                       help="held-out validation corpus (default: split --corpus)")
-    p.add_argument("--val-fraction", dest="val_fraction", type=float, default=0.2)
-    p.add_argument("--min-count", dest="min_count", type=int, default=1,
-                   help="vocabulary frequency threshold")
-
-
-def _add_model_flags(p):
-    p.add_argument("--n-segments", dest="n_segments", type=int, default=10)
-    p.add_argument("--max-seg-len", dest="max_seg_len", type=int, default=800)
-    p.add_argument("--embed-dim", dest="embed_dim", type=int, default=32)
-    p.add_argument("--filter-widths", dest="filter_widths", default="3,4,5")
-    p.add_argument("--filter-count", dest="filter_count", type=int, default=16)
-    p.add_argument("--pool-size", dest="pool_size", type=int, default=2)
-    p.add_argument("--topic-dim", dest="topic_dim", type=int, default=16)
-    p.add_argument("--gru-units", dest="gru_units", type=int, default=16)
-    p.add_argument("--final-dim", dest="final_dim", type=int, default=16)
-    p.add_argument("--dropout", type=float, default=0.3)
-    p.add_argument("--activation", default="relu",
-                   choices=sorted(set(list(SearchSpace().activations) + ["identity"])))
-    p.add_argument("--optimizer", default="adam",
-                   choices=list(SearchSpace().optimizers))
-    p.add_argument("--mode", default="full", choices=["full", "topic_only", "affect_only"])
-    p.add_argument("--embeddings", help="pretrained word vectors (text format)")
-    p.add_argument("--freeze-embeddings", dest="freeze_embeddings", action="store_true",
-                   help="do not update the embedding table during training")
-
-
-def _add_train_flags(p):
-    p.add_argument("--epochs", type=int, default=50)
-    p.add_argument("--patience", type=int, default=4)
-    p.add_argument("--batch-size", dest="batch_size", type=int, default=32)
-    p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--monitor", default="val_macro_f1",
-                   choices=["val_macro_f1", "val_loss"])
-
-
 def build_parser() -> _ArgumentParser:
+    def group() -> argparse.ArgumentParser:
+        return argparse.ArgumentParser(add_help=False)
+
+    out = group()
+    out.add_argument("--out", required=True, help="directory for the artifacts and manifest.json")
+
+    inputs = group()
+    inputs.add_argument("--corpus", required=True, help="JSONL corpus")
+    inputs.add_argument("--lexicons", help=f"lexicon manifest JSON (default: ${LEXICON_ENV_VAR})")
+
+    segments = group()
+    segments.add_argument("--n-segments", dest="n_segments", type=int, default=10)
+    segments.add_argument("--max-seg-len", dest="max_seg_len", type=int, default=800)
+
+    checkpoint = group()
+    checkpoint.add_argument("--checkpoint", required=True)
+    checkpoint.add_argument("--vocab", required=True)
+
+    val_corpus = group()
+    val_corpus.add_argument("--val-corpus", dest="val_corpus",
+                            help="held-out validation corpus (default: split --corpus)")
+
+    split = group()
+    split.add_argument("--val-fraction", dest="val_fraction", type=float, default=0.2)
+    split.add_argument("--min-count", dest="min_count", type=int, default=1,
+                       help="vocabulary frequency threshold")
+
+    model = group()
+    model.add_argument("--embed-dim", dest="embed_dim", type=int, default=32)
+    model.add_argument("--filter-widths", dest="filter_widths", default="3,4,5")
+    model.add_argument("--filter-count", dest="filter_count", type=int, default=16)
+    model.add_argument("--pool-size", dest="pool_size", type=int, default=2)
+    model.add_argument("--topic-dim", dest="topic_dim", type=int, default=16)
+    model.add_argument("--gru-units", dest="gru_units", type=int, default=16)
+    model.add_argument("--final-dim", dest="final_dim", type=int, default=16)
+    model.add_argument("--dropout", type=float, default=0.3)
+    model.add_argument("--activation", default="relu", choices=sorted(tz.ACTIVATIONS))
+    model.add_argument("--optimizer", default="adam", choices=tz.ALGORITHMS)
+    model.add_argument("--mode", default="full", choices=MODES)
+    model.add_argument("--embeddings", help="pretrained word vectors (text format)")
+    model.add_argument("--freeze-embeddings", dest="freeze_embeddings", action="store_true",
+                       help="do not update the embedding table during training")
+
+    training = group()
+    training.add_argument("--epochs", type=int, default=50)
+    training.add_argument("--patience", type=int, default=4)
+    training.add_argument("--batch-size", dest="batch_size", type=int, default=32)
+    training.add_argument("--lr", type=float, default=None)
+    training.add_argument("--monitor", default="val_macro_f1",
+                          choices=["val_macro_f1", "val_loss"])
+
+    fitting = (split, segments, model, training)
+
     parser = _ArgumentParser(prog="fakeflow",
                              description="fake news detection from affective flow")
     parser.add_argument("--json", action="store_true", help="machine-readable stdout")
@@ -577,7 +545,13 @@ def build_parser() -> _ArgumentParser:
     parser.add_argument("--quiet", action="store_true")
     sub = parser.add_subparsers(dest="command")
 
-    p = sub.add_parser("build-dataset", help="project source-list labels onto articles")
+    def command(name: str, help: str, func, *parents) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help, parents=list(parents))
+        p.set_defaults(func=func)
+        return p
+
+    p = command("build-dataset", "project source-list labels onto articles",
+                cmd_build_dataset, out)
     p.add_argument("--sources", required=True, help="CSV domain,list,category")
     p.add_argument("--articles", required=True, help="unlabeled JSONL articles")
     p.add_argument("--mapping", help="JSON category mapping (default: built-in)")
@@ -590,77 +564,31 @@ def build_parser() -> _ArgumentParser:
     p.add_argument("--keep-sampled-in-train", dest="keep_sampled_in_train",
                    action="store_true",
                    help="copy instead of move the sampled real test articles")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_build_dataset)
 
-    p = sub.add_parser("extract-features", help="emit per-document affect matrices")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--lexicons")
-    p.add_argument("--n-segments", dest="n_segments", type=int, default=10)
-    p.add_argument("--max-seg-len", dest="max_seg_len", type=int, default=800)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_extract_features)
-
-    p = sub.add_parser("train", help="train one model")
-    _add_data_flags(p)
-    _add_model_flags(p)
-    _add_train_flags(p)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("search", help="random hyperparameter search")
-    _add_data_flags(p)
-    _add_model_flags(p)
-    _add_train_flags(p)
+    command("extract-features", "emit per-document affect matrices", cmd_extract_features,
+            inputs, segments, out)
+    command("train", "train one model", cmd_train, inputs, val_corpus, *fitting, out)
+    p = command("search", "random hyperparameter search", cmd_search,
+                inputs, val_corpus, *fitting, out)
     p.add_argument("--trials", type=int, default=35)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_search)
-
-    p = sub.add_parser("select-n", help="sweep the segment count")
-    _add_data_flags(p)
-    _add_model_flags(p)
-    _add_train_flags(p)
+    p = command("select-n", "sweep the segment count", cmd_select_n,
+                inputs, val_corpus, *fitting, out)
     p.add_argument("--candidates", required=True, help="comma-separated segment counts")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_select_n)
+    command("evaluate", "score a checkpoint on a corpus", cmd_evaluate,
+            checkpoint, inputs, out)
+    command("cross-year", "train on one year, test on the others", cmd_cross_year,
+            inputs, *fitting, out)
 
-    p = sub.add_parser("evaluate", help="score a checkpoint on a corpus")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--vocab", required=True)
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--lexicons")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_evaluate)
-
-    p = sub.add_parser("cross-year", help="train on one year, test on the others")
-    _add_data_flags(p, val_corpus=False)
-    _add_model_flags(p)
-    _add_train_flags(p)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_cross_year)
-
-    p = sub.add_parser("mcnemar", help="paired significance test of two prediction files")
+    p = command("mcnemar", "paired significance test of two prediction files", cmd_mcnemar)
     p.add_argument("--gold", required=True)
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
-    p.set_defaults(func=cmd_mcnemar)
 
-    p = sub.add_parser("analyze", help="per-class feature flow statistics")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--lexicons")
-    p.add_argument("--n-segments", dest="n_segments", type=int, default=10)
-    p.add_argument("--max-seg-len", dest="max_seg_len", type=int, default=800)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_analyze)
-
-    p = sub.add_parser("attention", help="attention profile and emotion highlighting")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--vocab", required=True)
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--lexicons")
+    command("analyze", "per-class feature flow statistics", cmd_analyze,
+            inputs, segments, out)
+    p = command("attention", "attention profile and emotion highlighting", cmd_attention,
+                checkpoint, inputs, out)
     p.add_argument("--doc-id", dest="doc_id")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_attention)
 
     return parser
 
@@ -677,7 +605,17 @@ def main(argv=None) -> int:
             format="%(levelname)s %(name)s: %(message)s",
             stream=sys.stderr,
         )
-        return args.func(args)
+        out = _Out(args.out) if "out" in args else None
+        config_hash, summary = args.func(args, out)
+        if out is not None:
+            _write_json(os.path.join(out.directory, "manifest.json"), {
+                "command": args.command,
+                "options": _options(args),
+                "config_hash": config_hash,
+                "outputs": sorted(out.names),
+            })
+        _emit(args, summary)
+        return 0
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -323,6 +323,8 @@ def project_and_sample(
     sampling without replacement. Articles whose domain has no verdict are
     skipped with a warning. Output is sorted by (domain, id).
     """
+    if max_per_domain < 0:
+        raise UsageError(f"max_per_domain must be >= 0, got {max_per_domain}")
     verdict_by_domain = {v.domain: v for v in verdicts}
     grouped: dict[str, list[RawArticle]] = defaultdict(list)
     for article in articles:
@@ -368,6 +370,8 @@ def split_train_val(
     Per-class validation counts are allocated by largest remainder so they
     sum to the total. Deterministic given the seed.
     """
+    if not 0 <= val_fraction <= 1:
+        raise UsageError(f"val_fraction must be in [0, 1], got {val_fraction}")
     if not corpus:
         raise UsageError("cannot split an empty corpus")
     by_label: dict[str, list[int]] = defaultdict(list)
@@ -408,6 +412,8 @@ def complement_test_with_real(
 ) -> tuple[list[RawArticle], list[RawArticle]]:
     """Move (default) or copy a seeded sample of `n_real` real-labeled
     articles from the training pool into a test complement."""
+    if n_real < 0:
+        raise UsageError(f"n_real (real test articles to sample) must be >= 0, got {n_real}")
     real_idx = [i for i, a in enumerate(train) if a.label == "real"]
     if len(real_idx) < n_real:
         raise UsageError(f"asked for {n_real} real articles but only {len(real_idx)} available")

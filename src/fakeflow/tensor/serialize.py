@@ -103,14 +103,15 @@ def load_word_vectors(path, dim: int) -> dict[str, np.ndarray]:
     """Text embeddings: one line per word, `word v1 ... v_dim`.
 
     Lines whose vector length differs from `dim`, and entries that are not
-    finite numbers, are rejected. A leading `count dim` header line (common
-    in this format) is skipped if present.
+    finite numbers, are rejected. A first line of two integers is a
+    `count dim` header and is skipped. Spaces at the end of a line are
+    ignored (the word2vec tool writes one after every vector).
     """
     vectors: dict[str, np.ndarray] = {}
     for lineno, line in enumerate(read_text(path).split("\n"), start=1):
-        parts = line.split(" ")
-        if lineno == 1 and len(parts) == 2:
-            continue  # dimension header
+        parts = line.rstrip(" ").split(" ")
+        if lineno == 1 and len(parts) == 2 and all(p.isdecimal() for p in parts):
+            continue  # `count dim` header
         if len(parts) < 2:
             continue
         word, values = parts[0], parts[1:]

@@ -30,6 +30,8 @@ class TrainConfig:
     monitored_metric: str = "val_macro_f1"  # or "val_loss"
 
     def __post_init__(self):
+        if self.max_epochs < 1:
+            raise UsageError(f"max_epochs must be >= 1, got {self.max_epochs}")
         if self.patience >= self.max_epochs:
             raise UsageError(
                 f"patience ({self.patience}) must be smaller than max_epochs ({self.max_epochs})"
@@ -56,12 +58,10 @@ class EpochRecord:
 @dataclass
 class TrialResult:
     config: FakeFlowConfig
-    train_config: TrainConfig
     best_val_metric: float
     best_epoch: int
     epochs_run: int
     history: list[EpochRecord]
-    checkpoint: str | None = None
     trial_index: int | None = None
 
     def history_json(self) -> list[dict]:
@@ -96,7 +96,7 @@ class EarlyStopper:
 
 
 def train(model: FakeFlowModel, train_set: list[Example], val_set: list[Example],
-          cfg: TrainConfig, checkpoint_path=None) -> TrialResult:
+          cfg: TrainConfig) -> TrialResult:
     """Minimize cross-entropy with the configured optimizer; monitor the
     validation metric after every epoch; stop early and restore the best
     epoch's parameters. Deterministic given cfg.seed."""
@@ -118,7 +118,6 @@ def train(model: FakeFlowModel, train_set: list[Example], val_set: list[Example]
     stopper = EarlyStopper(cfg.patience, cfg.higher_is_better)
     history: list[EpochRecord] = []
     best_state = model.state()
-    best_epoch = 0
 
     for epoch in range(1, cfg.max_epochs + 1):
         order = rng.permutation(len(train_set))
@@ -151,21 +150,16 @@ def train(model: FakeFlowModel, train_set: list[Example], val_set: list[Example]
         keep_going = stopper.update(epoch, monitored)
         if stopper.best_epoch == epoch:
             best_state = model.state()
-            best_epoch = epoch
         if not keep_going:
             break
 
     model.load_state(best_state)
-    if checkpoint_path is not None:
-        model.save(checkpoint_path)
     return TrialResult(
         config=model.config,
-        train_config=cfg,
         best_val_metric=float(stopper.best),
-        best_epoch=best_epoch,
+        best_epoch=stopper.best_epoch,
         epochs_run=len(history),
         history=history,
-        checkpoint=None if checkpoint_path is None else str(checkpoint_path),
     )
 
 

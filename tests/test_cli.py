@@ -170,6 +170,26 @@ class TestExitCodes:
         assert code == 2
         assert f"error: {vectors}:{line}: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, flags, named", [
+        ("train", ["--epochs", "0", "--patience", "-1"], "max_epochs"),
+        ("train", ["--val-fraction", "1.5"], "val_fraction"),
+        ("train", ["--val-fraction", "-0.5"], "val_fraction"),
+        ("train", ["--val-fraction", "nan"], "val_fraction"),
+        ("train", ["--filter-widths", "3,x"], "--filter-widths"),
+        ("select-n", ["--candidates", "x"], "--candidates"),
+    ], ids=["epochs-0", "val-fraction-1.5", "val-fraction-negative", "val-fraction-nan",
+            "filter-widths-x", "candidates-x"])
+    def test_bad_training_flag_is_usage_error(self, tmp_path, capsys, command, flags, named):
+        manifest = write_lexicon_fixture(tmp_path)
+        extra = [] if command == "train" else ["--candidates", "2"]
+        code = main([command, "--corpus", str(write_flow_corpus(tmp_path)),
+                     "--lexicons", str(manifest), "--out", str(tmp_path / "out")]
+                    + TRAIN_FLAGS + extra + flags)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert named in err
+
     def test_lexicons_from_environment(self, tmp_path, capsys, monkeypatch):
         manifest = write_lexicon_fixture(tmp_path)
         corpus = write_flow_corpus(tmp_path)
@@ -419,6 +439,22 @@ class TestBuildDatasetCommand:
         assert domains["conflicting_domains"] == ["clash.com"]
 
 
+    @pytest.mark.parametrize("flag, named", [("--max-per-domain", "max_per_domain"),
+                                             ("--test-real-sample", "n_real")],
+                             ids=["max-per-domain", "test-real-sample"])
+    def test_negative_count_is_usage_error(self, tmp_path, capsys, flag, named):
+        (tmp_path / "sources.csv").write_text("domain,list,category\nx.com,OS,reliable\n")
+        text = " ".join(f"w{i}" for i in range(40))
+        (tmp_path / "articles.jsonl").write_text(
+            json.dumps({"id": "1", "text": text, "domain": "x.com"}) + "\n")
+        code = main(["build-dataset", "--sources", str(tmp_path / "sources.csv"),
+                     "--articles", str(tmp_path / "articles.jsonl"), flag, "-1",
+                     "--out", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert named in err
+
     @pytest.mark.parametrize("sources, mapping, articles, named", [
         (b"domain,list,category\ncaf\xe9.com,OS,reliable\n", None, None, "sources"),
         (b"domain,list,category\nx.com,OS,reliable\na.com,L1\n", None, None, "sources"),
@@ -500,3 +536,71 @@ class TestCrossYearCommand:
                      "--out", str(tmp_path / "xyear")] + TRAIN_FLAGS)
         assert code == 1
         assert "--val-corpus" in capsys.readouterr().err
+
+
+# the option names each command's manifest.json records, as argparse sets them
+_RUN_OPTIONS = {"command", "json", "out", "quiet", "seed"}
+_FIT_OPTIONS = _RUN_OPTIONS | {
+    "corpus", "lexicons", "n_segments", "max_seg_len", "val_fraction", "min_count",
+    "embed_dim", "filter_widths", "filter_count", "pool_size", "topic_dim", "gru_units",
+    "final_dim", "dropout", "activation", "optimizer", "mode", "embeddings",
+    "freeze_embeddings", "epochs", "patience", "batch_size", "lr", "monitor",
+}
+OPTION_NAMES = {
+    "build-dataset": _RUN_OPTIONS | {"sources", "articles", "mapping", "max_per_domain",
+                                     "min_words", "test_fake", "test_real_sample",
+                                     "keep_sampled_in_train"},
+    "extract-features": _RUN_OPTIONS | {"corpus", "lexicons", "n_segments", "max_seg_len"},
+    "train": _FIT_OPTIONS | {"val_corpus"},
+    "search": _FIT_OPTIONS | {"val_corpus", "trials"},
+    "select-n": _FIT_OPTIONS | {"val_corpus", "candidates"},
+    "evaluate": _RUN_OPTIONS | {"checkpoint", "vocab", "corpus", "lexicons"},
+    "cross-year": _FIT_OPTIONS,
+    "analyze": _RUN_OPTIONS | {"corpus", "lexicons", "n_segments", "max_seg_len"},
+    "attention": _RUN_OPTIONS | {"checkpoint", "vocab", "corpus", "lexicons", "doc_id"},
+}
+
+
+class TestOutWriter:
+    """Every command that writes files: the manifest lists exactly the files
+    present, and two same-seed runs differ only in the --out path."""
+
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("inputs")
+        corpus = str(write_flow_corpus(root, n_docs=24, year_cycle=[2013, 2013, 2014, 2014]))
+        data = ["--corpus", corpus, "--lexicons", str(write_lexicon_fixture(root))]
+        (root / "sources.csv").write_text(
+            "domain,list,category\nsite0.com,OS,reliable\nsite1.com,OS,fake\n"
+            "site2.com,OS,reliable\n")
+        assert main(["train", "--out", str(root / "run")] + data + TRAIN_FLAGS) == 0
+        model = ["--checkpoint", str(root / "run" / "checkpoint.bin"),
+                 "--vocab", str(root / "run" / "vocab.json")]
+        segments = ["--n-segments", "4", "--max-seg-len", "6"]
+        return {
+            "build-dataset": ["--sources", str(root / "sources.csv"), "--articles", corpus,
+                              "--min-words", "5", "--test-real-sample", "1"],
+            "extract-features": data + segments,
+            "train": data + TRAIN_FLAGS,
+            "search": data + TRAIN_FLAGS + ["--trials", "2"],
+            "select-n": data + TRAIN_FLAGS + ["--candidates", "2,4"],
+            "evaluate": model + data,
+            "cross-year": data + TRAIN_FLAGS + ["--mode", "affect_only"],
+            "analyze": data + segments,
+            "attention": model + data,
+        }
+
+    @pytest.mark.parametrize("command", sorted(OPTION_NAMES))
+    def test_manifest_lists_what_the_run_wrote(self, inputs, tmp_path, capsys, command):
+        outs = [tmp_path / "first", tmp_path / "second"]
+        for out in outs:
+            assert main(["--seed", "7", command, "--out", str(out)] + inputs[command]) == 0
+        manifests = [json.loads((out / "manifest.json").read_text()) for out in outs]
+        written = sorted(p.name for p in outs[0].iterdir() if p.name != "manifest.json")
+        assert manifests[0]["outputs"] == written
+        assert sorted(p.name for p in outs[1].iterdir()) == sorted(written + ["manifest.json"])
+        for name in written:
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+        assert sorted(manifests[0]["options"]) == sorted(OPTION_NAMES[command])
+        assert [m["options"].pop("out") for m in manifests] == [str(out) for out in outs]
+        assert manifests[0] == manifests[1]
