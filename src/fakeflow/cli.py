@@ -18,6 +18,7 @@ import argparse
 import hashlib
 import json
 import logging
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -125,6 +126,9 @@ def _model_config_from_args(args, vocab_size: int) -> FakeFlowConfig:
 
 
 def _train_config_from_args(args) -> TrainConfig:
+    # a run that cannot learn is a mistake on the command line
+    if args.lr is not None and not (math.isfinite(args.lr) and args.lr > 0.0):
+        raise ConfigError(f"--lr must be a finite positive number, got {args.lr}")
     return TrainConfig(
         max_epochs=args.epochs,
         patience=args.patience,
@@ -133,6 +137,11 @@ def _train_config_from_args(args) -> TrainConfig:
         seed=args.seed,
         monitored_metric=args.monitor,
     )
+
+
+def _load_embeddings(args) -> dict | None:
+    """The --embeddings word vectors, or None without the flag."""
+    return tz.load_word_vectors(args.embeddings, args.embed_dim) if args.embeddings else None
 
 
 def _load_labeled_corpus(path) -> list[corpus_mod.RawArticle]:
@@ -247,15 +256,15 @@ def cmd_extract_features(args, out: _Out) -> tuple[str, dict]:
 
 
 def cmd_train(args, out: _Out) -> tuple[str, dict]:
+    vectors = _load_embeddings(args)
     splits = _prepare_data(args, _load_labeled_corpus(args.corpus), _load_lexicons(args),
                            args.seed)
     train_set, val_set = splits.examples(args.n_segments, args.max_seg_len)
     vocab = splits.vocab
     model_cfg = _model_config_from_args(args, vocab.size)
     train_cfg = _train_config_from_args(args)
-    pretrained = tz.load_word_vectors(args.embeddings, args.embed_dim) if args.embeddings else None
-    model = FakeFlowModel(model_cfg, seed=args.seed, pretrained=pretrained,
-                          vocab_tokens=vocab.token_to_id if pretrained else None)
+    model = FakeFlowModel(model_cfg, seed=args.seed, pretrained=vectors,
+                          vocab_tokens=vocab.token_to_id)
     result = train(model, train_set, val_set, train_cfg)
     model.save(out.path("checkpoint.bin"))
 
@@ -279,13 +288,15 @@ def cmd_train(args, out: _Out) -> tuple[str, dict]:
 
 
 def cmd_search(args, out: _Out) -> tuple[str, dict]:
+    vectors = _load_embeddings(args)
     splits = _prepare_data(args, _load_labeled_corpus(args.corpus), _load_lexicons(args),
                            args.seed)
     train_set, val_set = splits.examples(args.n_segments, args.max_seg_len)
     base_cfg = _model_config_from_args(args, splits.vocab.size)
     train_cfg = _train_config_from_args(args)
     result = random_search(SearchSpace(), args.trials, base_cfg, train_set, val_set,
-                           train_cfg, seed=args.seed)
+                           train_cfg, seed=args.seed, pretrained=vectors,
+                           vocab_tokens=splits.vocab.token_to_id)
 
     with atomic_open(out.path("trials.jsonl"), "w", encoding="utf-8") as fh:
         for trial in result.trials:
@@ -316,12 +327,13 @@ def cmd_search(args, out: _Out) -> tuple[str, dict]:
 
 def cmd_select_n(args, out: _Out) -> tuple[str, dict]:
     candidates = _parse_ints(args.candidates, "--candidates")
+    vectors = _load_embeddings(args)
     splits = _prepare_data(args, _load_labeled_corpus(args.corpus), _load_lexicons(args),
                            args.seed)
     base_cfg = _model_config_from_args(args, splits.vocab.size)
     train_cfg = _train_config_from_args(args)
     best_n, rows = select_n_segments(candidates, splits.train_docs, splits.val_docs,
-                                     splits.vocab, splits.lex, base_cfg, train_cfg)
+                                     splits.vocab, splits.lex, base_cfg, train_cfg, vectors)
     config_hash = _config_hash({"candidates": candidates, "base": base_cfg.to_json(),
                                 "seed": args.seed})
     report.emit_plot_data(
@@ -380,6 +392,7 @@ def cmd_evaluate(args, out: _Out) -> tuple[str, dict]:
 
 
 def cmd_cross_year(args, out: _Out) -> tuple[str, dict]:
+    vectors = _load_embeddings(args)
     articles, lex = _load_labeled_corpus(args.corpus), _load_lexicons(args)
     # predict() sees only articles with tokens; gold labels must come from
     # the same articles (tokenize_articles warns about each one it drops)
@@ -393,7 +406,8 @@ def cmd_cross_year(args, out: _Out) -> tuple[str, dict]:
     def model_builder(train_articles, seed):
         splits = _prepare_data(args, train_articles, lex, seed)
         cfg = _model_config_from_args(args, splits.vocab.size)
-        model = FakeFlowModel(cfg, seed=seed)
+        model = FakeFlowModel(cfg, seed=seed, pretrained=vectors,
+                              vocab_tokens=splits.vocab.token_to_id)
         train(model, *splits.examples(cfg.n_segments, cfg.max_seg_len),
               _train_config_from_args(args))
 

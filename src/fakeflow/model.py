@@ -279,13 +279,14 @@ class FakeFlowModel:
     def topic_branch(self, tape, examples: list[Example]):
         """CNN topic vectors of every segment of a batch: (B, N, topic_dense_dim).
 
-        The batch's ids are concatenated into one sequence and embedded with
-        one lookup. Per filter width, one conv1d runs over the whole
-        sequence and segment_max keeps each segment's max over the windows
-        that lie inside it; windows that straddle two segments are never
-        read. A segment shorter than a filter width contributes zeros for
-        that width, so an empty segment's topic row is the activated dense
-        bias.
+        The batch's ids are concatenated into one sequence, and one
+        embedding_conv_max takes, for every filter width, each segment's max
+        over the convolution windows that lie inside it; windows that
+        straddle two segments are never read. It multiplies each distinct
+        id's embedding by the filters once, and its backward reaches only
+        each segment's max window. A segment shorter than a filter width
+        contributes zeros for that width, so an empty segment's topic row is
+        the activated dense bias.
         """
         c = self.config
         for e in examples:
@@ -307,19 +308,10 @@ class FakeFlowModel:
         sizes = np.array([len(e.ids) for e in examples])
         offsets = np.stack([e.offsets for e in examples]) + (np.cumsum(sizes) - sizes)[:, None]
         starts, lengths = offsets[:, :-1], np.diff(offsets, axis=1)
-        if c.train_embeddings:
-            emb = tz.embedding_lookup(ids, tape.read(self.embedding))
-        else:
-            # a frozen table is a constant: no (V, D) gradient is built for it
-            emb = tape.constant(self.embedding.value[ids])
-        pieces = []
-        for (filters, bias), width in zip(self.conv, c.cnn_filter_widths):
-            if len(ids) >= width:
-                conv = tz.conv1d(emb, filters, bias)
-                pieces.append(tz.segment_max(conv, starts, np.maximum(lengths - width + 1, 0)))
-            else:  # no window of this width fits anywhere in the batch
-                pieces.append(tape.constant(np.zeros(starts.shape + (c.cnn_filter_count,))))
-        cnn_v = tz.concat(pieces, axis=-1)
+        # a frozen table is a plain array: no (V, D) gradient is built for it
+        table = tape.read(self.embedding) if c.train_embeddings else self.embedding.value
+        cnn_v = tz.embedding_conv_max(ids, table, [tape.read(f) for f, _ in self.conv],
+                                      [b for _, b in self.conv], starts, lengths)
         return tz.dense(cnn_v, self.topic_w, self.topic_b, c.activation)
 
     def fuse(self, v_topic, v_affect, training: bool, rng):

@@ -1,12 +1,16 @@
 """Differentiable layers built on the engine primitives.
 
-Fused ops (conv1d, pooling, segment max, embedding lookup, pairwise
-attention scores, the bidirectional GRU) carry hand-derived backward
-rules; dense is wired from engine primitives so its gradient comes for
-free. No op copies a sliding-window view: conv1d sums one matrix product
-per filter tap over shifted row slices of its input. bigru records one
-tape entry for both recurrences and backpropagates through time in its
-own backward.
+Fused ops (conv1d, pooling, segment max, embedding lookup, the topic
+branch's embedding-convolution-max, pairwise attention scores, the
+bidirectional GRU) carry hand-derived backward rules; dense is wired from
+engine primitives so its gradient comes for free. No op copies a
+sliding-window view: conv1d sums one matrix product per filter tap over
+shifted row slices of its input. embedding_conv_max runs the lookup, every
+filter width and the per-segment max as one op: it multiplies each
+distinct token id's row by the filters once, and its backward reaches only
+each segment's max window; embedding_lookup, conv1d and segment_max stay
+as its reference. bigru records one tape entry for both recurrences and
+backpropagates through time in its own backward.
 """
 
 from __future__ import annotations
@@ -188,6 +192,132 @@ def segment_max(x, starts, counts) -> Tensor:
         return (gx,)
 
     return _record(x.tape, out.reshape(starts.shape + (channels,)), (x,), vjp, "segment_max")
+
+
+def embedding_conv_max(ids, table, filters, biases, starts, lengths) -> Tensor:
+    """Each segment's max over its windows of a convolution over embedded ids.
+
+    ids: (T,) integer ids into table (V, D); filters: one (K_j, w_j, D)
+    bank per filter width, with biases the matching (K_j,); starts,
+    lengths: integer arrays of one shape S, segment s being ids[starts[s]:
+    starts[s] + lengths[s]]. Output S + (sum_j K_j,): width j's columns are
+    segment_max(conv1d(embedding_lookup(ids, table), filters[j], biases[j]),
+    starts, max(lengths - w_j + 1, 0)), so a segment with no window of a
+    width gets zeros and ties route the gradient to the first maximal window.
+
+    A convolution is linear in each token's embedding row, so each distinct
+    id's row meets every tap of every filter once, in one (U, sum_j w_j K_j)
+    response table R, and a window sums its taps' columns of R in conv1d's
+    order. The gradient reaches one window per (segment, filter), so the VJP
+    is one bincount of those windows' taps into R's gradient and two matrix
+    products: no (T, D) embedded sequence is built, and the table gradient
+    is one assignment of the batch's U rows. The table is read from the
+    tape, or passed as a plain array when frozen; then it gets no gradient.
+    """
+    on_tape = [x for x in (table, *filters, *biases) if isinstance(x, Tensor)]
+    if not on_tape:
+        raise UsageError("embedding_conv_max needs a tape Tensor among its inputs; use tape.read()")
+    tape = on_tape[0].tape
+    frozen = not isinstance(table, (Tensor, Parameter))
+    if not frozen:
+        table = _coerce(tape, table)
+    filters = [_coerce(tape, f) for f in filters]
+    biases = [_coerce(tape, b) for b in biases]
+    tv = np.asarray(table, dtype=DTYPE) if frozen else table.value
+    ids, starts, lengths = np.asarray(ids), np.asarray(starts), np.asarray(lengths)
+    if (tv.ndim != 2 or ids.ndim != 1 or ids.dtype.kind not in "iu"
+            or starts.shape != lengths.shape
+            or starts.dtype.kind not in "iu" or lengths.dtype.kind not in "iu"):
+        raise ShapeError(
+            f"embedding_conv_max: expected table (V, D), ids (T,) and integer starts/lengths "
+            f"of one shape, got {tv.shape}, {ids.shape} {ids.dtype}, "
+            f"{starts.shape} {starts.dtype}, {lengths.shape} {lengths.dtype}"
+        )
+    vocab, dim = tv.shape
+    shapes = [(f.value.shape, b.value.shape) for f, b in zip(filters, biases)]
+    if (not filters or len(filters) != len(biases)
+            or any(len(fs) != 3 or fs[2] != dim or bs != fs[:1] for fs, bs in shapes)):
+        raise ShapeError(
+            f"embedding_conv_max: filters/biases {shapes} do not match a (V, D) = {tv.shape} table"
+        )
+    if ids.size and (ids.min() < 0 or ids.max() >= vocab):
+        raise IndexError(
+            f"token id out of range: ids span [{ids.min()}, {ids.max()}], vocab size {vocab}"
+        )
+    live = lengths.ravel() > 0
+    first_row, n_rows = starts.ravel()[live], lengths.ravel()[live]
+    if np.any(lengths < 0) or np.any(first_row < 0) or np.any(first_row + n_rows > len(ids)):
+        raise ShapeError(f"embedding_conv_max: segments fall outside the {len(ids)} ids")
+
+    widths, counts = [fs[1] for fs, _ in shapes], [fs[0] for fs, _ in shapes]
+    firsts = np.cumsum(counts) - counts  # each width's first output column
+    n_out = sum(counts)
+    # R's columns: per width, per tap, that tap of every filter
+    w_all = np.concatenate([f.value.transpose(1, 0, 2).reshape(-1, dim) for f in filters])
+
+    types, inv = np.unique(ids, return_inverse=True)
+    rows_of_types = tv[types]
+    response = rows_of_types @ w_all.T  # R: (U, sum_j w_j K_j)
+    _check_finite(response, "embedding_conv_max")
+    edges = np.cumsum([k for w, k in zip(widths, counts) for _ in range(w)])[:-1]
+    response = [np.ascontiguousarray(b) for b in np.split(response, edges, axis=1)]
+    # the windows starting at every live segment's rows, gathered as
+    # segment_max gathers rows: a window sums its taps' R rows at tokens
+    # t .. t + w - 1. One that runs past its segment's end is -inf (it may
+    # read the padding after the last token, which holds type 0).
+    begin = np.cumsum(n_rows) - n_rows
+    rows = np.repeat(first_row - begin, n_rows) + np.arange(n_rows.sum())
+    room = np.repeat(first_row + n_rows, n_rows) - rows  # tokens left in the segment
+    padded = np.concatenate([inv, np.zeros(max(widths) - 1, dtype=inv.dtype)])
+    under = [padded[rows + i] for i in range(max(widths))]  # the type under tap i
+    windows = np.empty((len(rows), n_out), dtype=DTYPE)
+    block = 0  # R's block of each tap, in order
+    for w, k, o, bias in zip(widths, counts, firsts, biases):
+        acc = response[block][under[0]]
+        for i in range(1, w):
+            acc += response[block + i][under[i]]
+        np.add(bias.value, acc, out=windows[:, o : o + k])  # conv1d's order
+        windows[room < w, o : o + k] = -np.inf
+        block += w
+    best = np.maximum.reduceat(windows, begin, axis=0)
+    column_width = np.repeat(widths, counts)
+    has = n_rows[:, None] >= column_width  # the segment holds a window of that width
+    out = np.zeros((live.size, n_out), dtype=DTYPE)
+    out[live] = np.where(has, best, 0.0)
+
+    def vjp(g):
+        # each (segment, filter)'s first maximal window
+        hit = windows == np.repeat(best, n_rows, axis=0)
+        position = np.where(hit, np.arange(len(rows))[:, None], len(rows))
+        arg = rows[np.minimum.reduceat(position, begin, axis=0)]
+        g_live = np.where(has, g.reshape(-1, n_out)[live], 0.0)
+        # R column c is tap tap[c] of output column out_col[c]: the type
+        # under that tap of each max window (a segment with no window of a
+        # width has zero gradient there)
+        out_col = np.concatenate([np.tile(np.arange(k) + o, w)
+                                  for w, k, o in zip(widths, counts, firsts)])
+        tap = np.concatenate([np.repeat(np.arange(w), k) for w, k in zip(widths, counts)])
+        n_resp = len(tap)
+        under_max = padded[arg[:, out_col] + tap]
+        cells = under_max * n_resp + np.arange(n_resp)
+        g_response = np.bincount(cells.ravel(), weights=g_live[:, out_col].ravel(),
+                                 minlength=len(types) * n_resp)
+        g_response = g_response.astype(DTYPE, copy=False).reshape(len(types), n_resp)
+        g_w = g_response.T @ rows_of_types
+        grads = []
+        if not frozen:
+            g_table = np.zeros((vocab, dim), dtype=DTYPE)
+            g_table[types] = g_response @ w_all
+            grads.append(g_table)
+        col = 0
+        for w, k in zip(widths, counts):
+            grads.append(g_w[col : col + w * k].reshape(w, k, dim).transpose(1, 0, 2))
+            col += w * k
+        grads += [g_live[:, o : o + k].sum(axis=0) for k, o in zip(counts, firsts)]
+        return grads
+
+    inputs = ([] if frozen else [table]) + filters + biases
+    return _record(tape, out.reshape(starts.shape + (n_out,)), inputs, vjp, "embedding_conv_max")
 
 
 def dense(x, w, b, act: str = "identity") -> Tensor:

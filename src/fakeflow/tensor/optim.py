@@ -9,11 +9,12 @@ unique within one optimizer. Gradients are zeroed after every step.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import UsageError
+from ..errors import ConfigError, UsageError
 from .engine import Parameter
 
 DEFAULT_LEARNING_RATES = {
@@ -51,11 +52,17 @@ class OptimizerState:
 
 
 def make_optimizer(algorithm: str, learning_rate: float | None = None) -> OptimizerState:
+    """Optimizer state for one algorithm. The learning rate defaults to the
+    algorithm's; it must be finite and not negative (0 holds every
+    parameter where it is)."""
     if algorithm not in ALGORITHMS:
         raise UsageError(f"unknown optimizer {algorithm!r}; choose from {ALGORITHMS}")
     if learning_rate is None:
         learning_rate = DEFAULT_LEARNING_RATES[algorithm]
-    return OptimizerState(algorithm=algorithm, learning_rate=float(learning_rate))
+    learning_rate = float(learning_rate)
+    if not (math.isfinite(learning_rate) and learning_rate >= 0.0):
+        raise ConfigError(f"learning rate must be finite and not negative, got {learning_rate}")
+    return OptimizerState(algorithm=algorithm, learning_rate=learning_rate)
 
 
 def step(opt: OptimizerState, params: list[Parameter]) -> None:

@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 from conftest import FEAR_WORDS, FILLER_WORDS, JOY_WORDS, make_flow_corpus
 from fakeflow import cli
 from fakeflow.cli import main
+from fakeflow.corpus import load_vocabulary
 from fakeflow.lexicon import EMOTION_CATEGORIES, MORALITY_CATEGORIES
+from fakeflow.model import FakeFlowModel
 
 
 def write_lexicon_fixture(tmp_path):
@@ -189,6 +191,48 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert named in err
+
+    @pytest.mark.parametrize("lr", ["-1", "0", "nan", "inf"])
+    def test_bad_learning_rate_is_config_error(self, tmp_path, capsys, lr):
+        manifest = write_lexicon_fixture(tmp_path)
+        code = main(["train", "--corpus", str(write_flow_corpus(tmp_path)),
+                     "--lexicons", str(manifest), "--out", str(tmp_path / "out")]
+                    + TRAIN_FLAGS + ["--lr", lr])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --lr must be a finite positive number")
+        assert err.count("\n") == 1
+
+    def test_missing_embeddings_fail_alike_in_every_fitting_command(self, tmp_path, capsys):
+        manifest = write_lexicon_fixture(tmp_path)
+        corpus = write_flow_corpus(tmp_path, n_docs=24, year_cycle=[2013, 2013, 2014, 2014])
+        missing = tmp_path / "nonexistent.txt"
+        errors = {}
+        for command, extra in [("train", []), ("search", ["--trials", "1"]),
+                               ("select-n", ["--candidates", "2"]), ("cross-year", [])]:
+            code = main([command, "--corpus", str(corpus), "--lexicons", str(manifest),
+                         "--embeddings", str(missing), "--out", str(tmp_path / command)]
+                        + TRAIN_FLAGS + extra)
+            assert code == 2, command
+            errors[command] = capsys.readouterr().err
+        assert str(missing) in errors["train"]
+        assert set(errors.values()) == {errors["train"]}
+
+    def test_search_seeds_the_table_with_embeddings(self, tmp_path, capsys):
+        manifest = write_lexicon_fixture(tmp_path)
+        vector = [0.25, -0.5, 0.75, 1.0]
+        vectors = tmp_path / "vectors.txt"
+        vectors.write_text(f"{FEAR_WORDS[0]} " + " ".join(map(str, vector)) + "\n")
+        out = tmp_path / "out"
+        code = main(["--json", "search", "--corpus", str(write_flow_corpus(tmp_path)),
+                     "--lexicons", str(manifest), "--embeddings", str(vectors),
+                     "--freeze-embeddings", "--trials", "1", "--out", str(out)]
+                    + TRAIN_FLAGS)
+        assert code == 0
+        checkpoint = json.loads(capsys.readouterr().out)["checkpoint"]
+        model = FakeFlowModel.load(out / checkpoint)
+        word_id = load_vocabulary(out / "vocab.json").token_to_id[FEAR_WORDS[0]]
+        assert model.embedding.value[word_id].tolist() == vector
 
     def test_lexicons_from_environment(self, tmp_path, capsys, monkeypatch):
         manifest = write_lexicon_fixture(tmp_path)

@@ -356,6 +356,115 @@ class TestConv1dReference:
             assert _relative_error(a, b) < 1e-12, name
 
 
+def _topic_chain(tape, ids, table, filters, biases, starts, lengths):
+    """The composite embedding_conv_max replaces: one embedding_lookup, then
+    per filter width one conv1d and one segment_max, then one concat."""
+    emb = tz.embedding_lookup(ids, tape.read(table))
+    pieces = []
+    for f, b in zip(filters, biases):
+        n_filters, width, _ = f.shape
+        if len(ids) >= width:
+            conv = tz.conv1d(emb, f, b)
+            pieces.append(tz.segment_max(conv, starts, np.maximum(lengths - width + 1, 0)))
+        else:  # no window of this width fits anywhere
+            pieces.append(tape.constant(np.zeros(starts.shape + (n_filters,))))
+    return tz.concat(pieces, axis=-1)
+
+
+def _fused(tape, ids, table, filters, biases, starts, lengths):
+    return tz.embedding_conv_max(ids, tape.read(table), filters, biases, starts, lengths)
+
+
+class TestEmbeddingConvMaxReference:
+    """embedding_conv_max against the embedding_lookup -> conv1d ->
+    segment_max -> concat chain: values and every gradient."""
+
+    @staticmethod
+    def run(build, ids, table, filters, biases, lengths, weights):
+        starts = (np.cumsum(lengths) - lengths.ravel()).reshape(lengths.shape)
+        params = [table] + filters + biases
+        for p in params:
+            p.zero_grad()
+        tape = tz.Tape()
+        out = build(tape, ids, table, filters, biases, starts, lengths)
+        tz.backward(tape, tz.mean_all(tz.mul(out, tape.constant(weights))))
+        return [out.value] + [p.grad.copy() for p in params]
+
+    def test_float_inputs_within_1e_12(self):
+        rng = np.random.default_rng(60)
+        # empty, shorter than every width, between the widths, longer
+        lengths = np.array([[0, 1, 2, 7], [5, 12, 4, 3]])
+        ids = rng.integers(0, 9, size=int(lengths.sum()))  # 9 ids: many repeats
+        table = tz.Parameter("table", rng.normal(size=(9, 6)))
+        filters = [tz.Parameter(f"f{w}", rng.normal(size=(3, w, 6))) for w in (3, 4, 5)]
+        biases = [tz.Parameter(f"b{w}", rng.normal(size=3)) for w in (3, 4, 5)]
+        weights = rng.normal(size=lengths.shape + (9,))
+        args = (ids, table, filters, biases, lengths, weights)
+        want = self.run(_topic_chain, *args)
+        got = self.run(_fused, *args)
+        names = ["out", "table"] + [p.name for p in filters + biases]
+        for name, a, b in zip(names, got, want):
+            assert a.shape == b.shape and a.dtype == np.float64, name
+            assert _relative_error(a, b) < 1e-12, name
+
+        # a frozen table: the same values and filter and bias gradients,
+        # and no table gradient
+        for p in [table] + filters + biases:
+            p.zero_grad()
+        tape = tz.Tape()
+        starts = (np.cumsum(lengths) - lengths.ravel()).reshape(lengths.shape)
+        out = tz.embedding_conv_max(ids, table.value, [tape.read(f) for f in filters],
+                                    biases, starts, lengths)
+        tz.backward(tape, tz.mean_all(tz.mul(out, tape.constant(weights))))
+        assert np.array_equal(out.value, got[0])
+        for p, grad in zip(filters + biases, got[2:]):
+            assert np.array_equal(p.grad, grad), p.name
+        assert not table.grad.any() and len(tape._reads) == len(filters + biases)
+
+    @pytest.mark.parametrize("lengths", [
+        [[0, 1, 2, 3], [5, 8, 3, 11]],  # empty, shorter than each width, longer
+        [[0, 2], [1, 0]],  # three ids: shorter than the widest filter
+        [[0, 0], [0, 0]],  # no ids at all
+    ], ids=["segments", "short-batch", "empty-batch"])
+    def test_integer_inputs_bit_exact(self, lengths):
+        rng = np.random.default_rng(61)
+        lengths = np.array(lengths)
+        # three levels of integer values: many exact ties, and sums that are
+        # exact in any order; 5 ids, so most repeat
+        ids = rng.integers(0, 5, size=int(lengths.sum()))
+        table = tz.Parameter("table", rng.integers(-1, 2, size=(5, 3)))
+        widths, counts = (2, 3, 5), (2, 1, 1)
+        filters = [tz.Parameter(f"f{w}", rng.integers(-1, 2, size=(k, w, 3)))
+                   for w, k in zip(widths, counts)]
+        biases = [tz.Parameter(f"b{w}", rng.integers(-1, 2, size=k))
+                  for w, k in zip(widths, counts)]
+        # integer weights over 16 or 32 outputs: every gradient is exact
+        weights = rng.integers(-3, 4, size=lengths.shape + (4,)).astype(float)
+        args = (ids, table, filters, biases, lengths, weights)
+        want = self.run(_topic_chain, *args)
+        got = self.run(_fused, *args)
+        names = ["out", "table"] + [p.name for p in filters + biases]
+        for name, a, b in zip(names, got, want):
+            assert a.shape == b.shape and np.array_equal(a, b), name
+
+    def test_bad_inputs_raise(self):
+        table = tz.Parameter("table", np.zeros((4, 2)))
+        filters, biases = [tz.Parameter("f", np.zeros((1, 2, 2)))], [tz.Parameter("b", np.zeros(1))]
+        tape = tz.Tape()
+        leaf = tape.read(table)
+        starts, lengths = np.array([0, 2]), np.array([2, 2])
+        with pytest.raises(IndexError):
+            tz.embedding_conv_max(np.array([0, 1, 2, 4]), leaf, filters, biases, starts, lengths)
+        with pytest.raises(ShapeError):
+            tz.embedding_conv_max(np.array([0, 1, 2]), leaf, filters, biases, starts, lengths)
+        with pytest.raises(ShapeError):
+            tz.embedding_conv_max(np.array([0, 1, 2, 3]), leaf,
+                                  [tz.Parameter("f", np.zeros((1, 2, 3)))], biases, starts, lengths)
+        with pytest.raises(UsageError):
+            tz.embedding_conv_max(np.array([0, 1, 2, 3]), table.value, filters, biases,
+                                  starts, lengths)
+
+
 def _gru_params(rng, units, feat, scale=0.5):
     def cell(prefix):
         shapes = [(units, feat), (units, units), (units,)] * 3
@@ -588,6 +697,21 @@ class TestGradientChecks:
             return tz.mean_all(tz.tanh(tz.segment_max(tape.read(xp), starts, counts)))
 
         check_gradients(loss, [xp], tol=1e-6)
+
+    def test_embedding_conv_max(self):
+        rng = np.random.default_rng(13)
+        table = tz.Parameter("emb", rng.normal(size=(6, 3)))
+        filters = [tz.Parameter(f"f{w}", _rand(rng, 2, w, 3)) for w in (2, 3)]
+        biases = [tz.Parameter(f"b{w}", _rand(rng, 2)) for w in (2, 3)]
+        ids = np.array([1, 4, 4, 0, 5, 2, 1, 3, 3, 5, 0, 2])  # repeated ids
+        starts = np.array([[0, 2, 2], [7, 9, 12]])
+        lengths = np.array([[2, 0, 5], [2, 3, 0]])  # empty, and shorter than a width
+
+        def loss(tape):
+            out = tz.embedding_conv_max(ids, tape.read(table), filters, biases, starts, lengths)
+            return tz.mean_all(tz.tanh(out))
+
+        check_gradients(loss, [table] + filters + biases, tol=1e-6)
 
     def test_additive_pair_scores(self):
         rng = np.random.default_rng(5)

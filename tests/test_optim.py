@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import fakeflow.tensor as tz
-from fakeflow.errors import UsageError
+from fakeflow.errors import ConfigError, UsageError
 
 
 def _param(value=1.0, grad=0.5):
@@ -64,6 +64,16 @@ class TestStep:
     def test_unknown_algorithm_rejected(self):
         with pytest.raises(UsageError):
             tz.make_optimizer("lion")
+
+    @pytest.mark.parametrize("lr", [-1.0, float("nan"), float("inf"), float("-inf")])
+    def test_learning_rate_must_be_finite_and_not_negative(self, lr):
+        with pytest.raises(ConfigError, match="learning rate"):
+            tz.make_optimizer("sgd", lr)
+
+    def test_zero_learning_rate_holds_parameters(self):
+        p = _param()
+        tz.step(tz.make_optimizer("adam", 0.0), [p])
+        assert p.value.tolist() == [1.0]
 
     def test_duplicate_names_rejected(self):
         p1 = _param()
