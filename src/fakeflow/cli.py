@@ -28,7 +28,7 @@ from . import evaluation, report
 from . import tensor as tz
 from .atomic import atomic_open
 from .errors import ConfigError, FakeflowError, UsageError
-from .lexicon import LexiconSet, extract_affect, load_lexicon_set
+from .lexicon import LexiconSet, affect_matrices, load_lexicon_set
 from .model import MODES, Example, FakeFlowConfig, FakeFlowModel
 from .train import (
     SearchSpace,
@@ -243,11 +243,11 @@ def cmd_extract_features(args, out: _Out) -> tuple[str, dict]:
     articles = corpus_mod.load_corpus(args.corpus)
     lex = _load_lexicons(args)
     docs = tokenize_articles(articles)
+    matrices = affect_matrices([doc for _, doc, _ in docs], lex, args.n_segments,
+                               args.max_seg_len)
     with atomic_open(out.path("features.jsonl"), "w", encoding="utf-8") as fh:
-        for doc_id, doc, label in docs:
-            seg = corpus_mod.segment(doc, args.n_segments, args.max_seg_len)
-            matrix = extract_affect(seg, lex)
-            record = {"id": doc_id, "matrix": matrix.values.tolist()}
+        for (doc_id, _, label), matrix in zip(docs, matrices):
+            record = {"id": doc_id, "matrix": matrix.tolist()}
             if label is not None:
                 record["label"] = label
             fh.write(json.dumps(record, sort_keys=True) + "\n")

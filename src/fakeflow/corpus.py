@@ -14,6 +14,7 @@ import json
 import logging
 import string
 from collections import Counter, defaultdict
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from itertools import repeat
 
@@ -31,6 +32,9 @@ from .errors import (
 logger = logging.getLogger(__name__)
 
 UNK_ID = 1
+
+# The most kept tokens segment_groups puts in one group of documents.
+GROUP_TOKENS = 1 << 15
 
 LABELS = ("real", "fake")
 
@@ -133,25 +137,73 @@ def tokenize(text: str) -> TokenizedDocument:
     return TokenizedDocument(tokens=tokens)
 
 
-def segment(doc: TokenizedDocument, n_segments: int, max_seg_len: int) -> SegmentedDocument:
-    """Split a document into exactly `n_segments` contiguous chunks.
+def segment_offsets(lengths, n_segments: int, max_seg_len: int) -> np.ndarray:
+    """The (D, n_segments + 1) int64 segment boundaries of D documents of
+    `lengths` tokens.
 
-    The document is truncated to n_segments * max_seg_len tokens and cut
-    into chunks of ceil(L'/N) tokens; trailing chunks may be shorter or
-    empty.
+    Each document is truncated to L' = min(L, n_segments * max_seg_len)
+    tokens and cut into chunks of ceil(L'/N) tokens; trailing chunks may be
+    shorter or empty.
     """
     if n_segments < 1 or max_seg_len < 1:
         raise UsageError("n_segments and max_seg_len must be >= 1")
-    tokens = doc.tokens[: n_segments * max_seg_len]
-    chunk = -(-len(tokens) // n_segments)
-    offsets = np.minimum(np.arange(n_segments + 1, dtype=np.int64) * chunk, len(tokens))
+    lengths = np.asarray(lengths, dtype=np.int64)
+    # no longer than the longest document either, so a huge cap fits int64
+    kept = np.minimum(lengths, min(n_segments * max_seg_len, lengths.max(initial=0)))
+    chunk = -(-kept // n_segments)
+    return np.minimum(np.arange(n_segments + 1, dtype=np.int64) * chunk[:, None], kept[:, None])
+
+
+def segment(doc: TokenizedDocument, n_segments: int, max_seg_len: int) -> SegmentedDocument:
+    """Split a document into exactly `n_segments` contiguous chunks, with
+    the boundaries of `segment_offsets`."""
+    offsets = segment_offsets([doc.length], n_segments, max_seg_len)[0]
     return SegmentedDocument(
         n_segments=n_segments,
         max_seg_len=max_seg_len,
-        tokens=tokens,
+        tokens=doc.tokens[: offsets[-1]],
         offsets=offsets,
         doc_length=doc.length,
     )
+
+
+@dataclass
+class SegmentedGroup:
+    """Consecutive documents segmented in one pass.
+
+    `tokens` concatenates the documents' kept (truncated) tokens, row d of
+    `offsets` holds document d's n_segments + 1 boundaries into `tokens`,
+    and `doc_lengths[d]` is its token count before truncation.
+    """
+
+    tokens: list[str]
+    offsets: np.ndarray  # (D, n_segments + 1) int64
+    doc_lengths: np.ndarray  # (D,) int64
+
+
+def segment_groups(docs: list[TokenizedDocument], n_segments: int,
+                   max_seg_len: int) -> Iterator[SegmentedGroup]:
+    """Segment `docs` in order, as consecutive groups of at most
+    GROUP_TOKENS kept tokens (a longer document is a group of its own), so
+    that a pass over one group allocates a bounded amount of memory."""
+    lengths = np.fromiter((doc.length for doc in docs), dtype=np.int64, count=len(docs))
+    offsets = segment_offsets(lengths, n_segments, max_seg_len)
+    kept = offsets[:, -1]
+    ends = np.cumsum(kept)
+    firsts = ends - kept  # each document's first kept token among all of them
+    start = 0
+    while start < len(docs):
+        stop = max(start + 1,
+                   int(np.searchsorted(ends, firsts[start] + GROUP_TOKENS, side="right")))
+        tokens = []
+        for doc, n_kept in zip(docs[start:stop], kept[start:stop].tolist()):
+            tokens += doc.tokens[:n_kept]
+        yield SegmentedGroup(
+            tokens=tokens,
+            offsets=offsets[start:stop] + (firsts[start:stop] - firsts[start])[:, None],
+            doc_lengths=lengths[start:stop],
+        )
+        start = stop
 
 
 def build_vocabulary(corpus: list[TokenizedDocument], min_count: int = 1) -> Vocabulary:
@@ -172,11 +224,16 @@ def build_vocabulary(corpus: list[TokenizedDocument], min_count: int = 1) -> Voc
     return Vocabulary(token_to_id={tok: i + 2 for i, tok in enumerate(kept)})
 
 
+def token_ids(tokens: list[str], vocab: Vocabulary) -> np.ndarray:
+    """The int64 id vector of `tokens`; out-of-vocabulary tokens become
+    UNK_ID."""
+    return np.fromiter(map(vocab.token_to_id.get, tokens, repeat(UNK_ID)),
+                       dtype=np.int64, count=len(tokens))
+
+
 def encode(seg: SegmentedDocument, vocab: Vocabulary) -> np.ndarray:
-    """The int64 id vector of the segmented document's tokens, aligned
-    with `seg.offsets`; out-of-vocabulary tokens become UNK_ID."""
-    return np.fromiter(map(vocab.token_to_id.get, seg.tokens, repeat(UNK_ID)),
-                       dtype=np.int64, count=len(seg.tokens))
+    """The token ids of a segmented document, aligned with `seg.offsets`."""
+    return token_ids(seg.tokens, vocab)
 
 
 # ---------------------------------------------------------------------------

@@ -14,11 +14,17 @@ import json
 import logging
 import os
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import chain, repeat
 
 import numpy as np
 
-from .corpus import SegmentedDocument, read_text
+from .corpus import (
+    SegmentedDocument,
+    SegmentedGroup,
+    TokenizedDocument,
+    read_text,
+    segment_groups,
+)
 from .errors import ConfigError, ParseError, UsageError
 
 logger = logging.getLogger(__name__)
@@ -92,13 +98,18 @@ class RatingLexicon:
 
 @dataclass
 class LexiconSet:
-    """The five lexicons, compiled into one word x feature weight matrix.
+    """The five lexicons, compiled into one sparse word x feature weight
+    matrix.
 
-    `_rows` maps each lexicon word to a row of `_weights`, a float64
-    (words + 1, 23) matrix; row 0 stands for every other word and is zero.
-    A word's row holds what one occurrence of it adds to each feature: 1.0
-    per category it belongs to (a hyperbolic word counts once whatever its
-    hyperbolic categories) and its imageability and abstractness ratings.
+    `_rows` maps each lexicon word to a row r >= 1 of a (words + 1, 23)
+    matrix; row 0 stands for every other word and is empty. A word's row
+    holds what one occurrence of it adds to each feature: 1.0 per category
+    it belongs to (a hyperbolic word counts once whatever its hyperbolic
+    categories) and its imageability and abstractness ratings. The matrix
+    is kept in compressed sparse row form: row r's nonzero weights, in
+    feature order, are `_values[_indptr[r]:_indptr[r + 1]]`, for the
+    features at the same positions of `_features`. A lexicon word has
+    about two.
     """
 
     emotions: CategoryLexicon
@@ -108,7 +119,9 @@ class LexiconSet:
     abstractness: RatingLexicon
     hyperbolic: CategoryLexicon
     _rows: dict = field(init=False, repr=False, compare=False)
-    _weights: np.ndarray = field(init=False, repr=False, compare=False)
+    _indptr: np.ndarray = field(init=False, repr=False, compare=False)
+    _features: np.ndarray = field(init=False, repr=False, compare=False)
+    _values: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         groups = (
@@ -129,19 +142,26 @@ class LexiconSet:
             self.abstractness.ratings,
             dict.fromkeys(self.hyperbolic.words(), 1.0),
         ]
-        self._rows = {}
-        for column in columns:
-            for word in column:
-                self._rows.setdefault(word, len(self._rows) + 1)
-        self._weights = np.zeros((len(self._rows) + 1, N_FEATURES), dtype=np.float64)
-        for k, column in enumerate(columns):
-            self._weights[[self._rows[word] for word in column], k] = list(column.values())
+        words = dict.fromkeys(chain.from_iterable(columns))  # in order of first appearance
+        self._rows = {word: row for row, word in enumerate(words, start=1)}
+        rows = np.concatenate([np.fromiter(map(self._rows.__getitem__, column), np.intp,
+                                           len(column)) for column in columns])
+        features = np.repeat(np.arange(N_FEATURES), [len(column) for column in columns])
+        values = np.concatenate([np.fromiter(column.values(), np.float64, len(column))
+                                 for column in columns])
+        nonzero = values != 0
+        rows, features, values = rows[nonzero], features[nonzero], values[nonzero]
+        order = np.argsort(rows, kind="stable")  # by row; each row's features stay in order
+        self._features, self._values = features[order], values[order]
+        self._indptr = np.concatenate(
+            ([0], np.cumsum(np.bincount(rows, minlength=len(self._rows) + 1))))
 
     def token_categories(self, token: str) -> list[str]:
         """All emotion/morality/hyperbolic category names the token matches
         (used for text highlighting; sentiment and ratings excluded)."""
-        weights = self._weights[self._rows.get(token, 0)]
-        return [FEATURE_NAMES[k] for k in _HIGHLIGHTED if weights[k]]
+        row = self._rows.get(token, 0)
+        features = self._features[self._indptr[row]:self._indptr[row + 1]].tolist()
+        return [FEATURE_NAMES[k] for k in _HIGHLIGHTED if k in features]
 
 
 @dataclass
@@ -271,24 +291,59 @@ def load_lexicon_set(manifest_path) -> LexiconSet:
     )
 
 
-def extract_affect(seg: SegmentedDocument, lex: LexiconSet) -> AffectFeatureMatrix:
-    """Compute the N x 23 affect matrix for a segmented document.
+def group_affect(group: SegmentedGroup, lex: LexiconSet) -> np.ndarray:
+    """The (D, N, 23) affect matrices of a group of D segmented documents.
 
-    Row i depends only on the tokens of segment i; every value is divided
-    by the original (pre-truncation) document token count. Each token that
-    is a lexicon word adds its row of the lexicons' weight matrix to its
-    segment's row; one bincount adds them all, in token order.
+    Row i of document d sums what each token of its segment i adds (its
+    row of the lexicons' weight matrix) and divides by the document's
+    pre-truncation length. One dict lookup per token finds the lexicon
+    words; only their nonzero weights are expanded, and one bincount over
+    `segment * 23 + feature` adds them all, each cell's in token order. The
+    weights left out are exact zeros, so the sums are those of a per-token
+    loop over the dense rows of the matrix, bit for bit.
     """
-    if seg.doc_length < 1:
+    if (group.doc_lengths < 1).any():
         raise UsageError("document length must be >= 1")
-    rows = np.fromiter(map(lex._rows.get, seg.tokens, repeat(0)), dtype=np.intp,
-                       count=len(seg.tokens))
+    n_docs, n_segments = group.offsets.shape[0], group.offsets.shape[1] - 1
+    rows = np.fromiter(map(lex._rows.get, group.tokens, repeat(0)), dtype=np.intp,
+                       count=len(group.tokens))
     hits = np.flatnonzero(rows)
-    segments = np.searchsorted(seg.offsets, hits, side="right") - 1
-    cells = segments[:, None] * N_FEATURES + np.arange(N_FEATURES)
-    values = np.bincount(cells.ravel(), weights=lex._weights[rows[hits]].ravel(),
-                         minlength=seg.n_segments * N_FEATURES)
+    # each hit's segment among the group's D * N; an empty segment starts
+    # where the next one does, so side="right" gives it nothing
+    cells = np.searchsorted(group.offsets[:, :-1].ravel(), hits, side="right") - 1
+    cells *= N_FEATURES
+    # spent arrays are dropped and the entry-sized ones updated in place,
+    # which keeps a group's transient memory, and so a run's peak RSS, down
+    rows = rows[hits]
+    del hits
+    first = lex._indptr[rows]
+    count = lex._indptr[rows + 1] - first
+    del rows
+    # the CSR positions of every hit's nonzero weights, hit after hit
+    entries = np.repeat(first - np.cumsum(count) + count, count)
+    entries += np.arange(len(entries))
+    cells = np.repeat(cells, count)
+    cells += lex._features[entries]
+    values = np.bincount(cells, weights=lex._values[entries],
+                         minlength=n_docs * n_segments * N_FEATURES)
     # an empty bincount is int64
-    values = values.astype(np.float64, copy=False).reshape(seg.n_segments, N_FEATURES)
-    values /= seg.doc_length
-    return AffectFeatureMatrix(values=values)
+    values = values.astype(np.float64, copy=False).reshape(n_docs, n_segments, N_FEATURES)
+    values /= group.doc_lengths[:, None, None]
+    return values
+
+
+def affect_matrices(docs: list[TokenizedDocument], lex: LexiconSet, n_segments: int,
+                    max_seg_len: int) -> np.ndarray:
+    """The (D, N, 23) affect matrices of `docs`, segmented as `segment`
+    does and computed by `group_affect` one group of documents at a time."""
+    return np.concatenate(
+        [group_affect(g, lex) for g in segment_groups(docs, n_segments, max_seg_len)]
+        or [np.zeros((0, n_segments, N_FEATURES))])
+
+
+def extract_affect(seg: SegmentedDocument, lex: LexiconSet) -> AffectFeatureMatrix:
+    """The N x 23 affect matrix of one segmented document: `group_affect`
+    of a group holding only it."""
+    group = SegmentedGroup(tokens=seg.tokens, offsets=seg.offsets[None],
+                           doc_lengths=np.array([seg.doc_length]))
+    return AffectFeatureMatrix(values=group_affect(group, lex)[0])

@@ -12,9 +12,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .atomic import atomic_open
-from .corpus import LABELS, TokenizedDocument, segment
+from .corpus import LABELS, TokenizedDocument
 from .errors import UnsupportedMode, UsageError
-from .lexicon import FEATURE_NAMES, LexiconSet, extract_affect
+from .lexicon import FEATURE_NAMES, LexiconSet, affect_matrices
 from .model import ForwardTrace
 
 
@@ -149,12 +149,9 @@ def flow_statistics(corpus: list[tuple[TokenizedDocument, str]], n_segments: int
     is computed as the mean of the per-segment means, so the consistency
     identity holds exactly.
     """
-    if n_segments < 1:
-        raise UsageError("n_segments must be >= 1")
+    matrices = affect_matrices([doc for doc, _ in corpus], lex, n_segments, max_seg_len)
     by_class: dict[str, list[np.ndarray]] = {}
-    for doc, label in corpus:
-        seg = segment(doc, n_segments, max_seg_len)
-        matrix = extract_affect(seg, lex).values
+    for (_, label), matrix in zip(corpus, matrices):
         by_class.setdefault(label, []).append(matrix)
 
     classes: dict[str, dict[str, FeatureFlow]] = {}

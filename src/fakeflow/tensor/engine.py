@@ -176,8 +176,10 @@ def backward(tape: Tape, loss: Tensor) -> None:
             if grad is None:
                 continue
             if tensor.grad is None:
-                tensor.grad = np.zeros_like(tensor.value)
-            tensor.grad += grad
+                # a copy, not the VJP's array: add's VJP returns one g twice
+                tensor.grad = np.add(grad, 0.0, out=np.empty_like(tensor.value))
+            else:
+                tensor.grad += grad
     for leaf in tape._reads.values():
         if leaf.grad is not None:
             leaf.param.grad += leaf.grad

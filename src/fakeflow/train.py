@@ -9,10 +9,17 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import tensor as tz
-from .corpus import RawArticle, TokenizedDocument, Vocabulary, encode, segment, tokenize
+from .corpus import (
+    RawArticle,
+    TokenizedDocument,
+    Vocabulary,
+    segment_groups,
+    token_ids,
+    tokenize,
+)
 from .errors import EmptyDocument, UsageError
 from .evaluation import compute_metrics
-from .lexicon import LexiconSet, extract_affect
+from .lexicon import LexiconSet, group_affect
 from .model import Example, FakeFlowConfig, FakeFlowModel
 
 logger = logging.getLogger(__name__)
@@ -257,22 +264,27 @@ def random_search(space: SearchSpace, trials: int, base_config: FakeFlowConfig,
 def prepare_examples(docs: list[tuple[str, TokenizedDocument, str | None]],
                      vocab: Vocabulary, lex: LexiconSet,
                      n_segments: int, max_seg_len: int) -> list[Example]:
-    """Segment, featurize, and encode tokenized documents.
+    """Segment, encode and featurize tokenized documents.
 
-    `docs` holds (doc_id, TokenizedDocument, label) triples.
+    `docs` holds (doc_id, TokenizedDocument, label) triples. The documents
+    are prepared in consecutive groups (`corpus.segment_groups`): each
+    group's kept tokens get one vocabulary lookup (`corpus.token_ids`) and
+    one lexicon lookup and sparse affect sum (`lexicon.group_affect`), and
+    each example's ids, offsets and affect are slices of the group's
+    arrays. The result equals `segment`, `encode` and `extract_affect`
+    applied to each document, bit for bit.
     """
     examples = []
-    for doc_id, doc, label in docs:
-        seg = segment(doc, n_segments, max_seg_len)
-        examples.append(
-            Example(
-                doc_id=doc_id,
-                ids=encode(seg, vocab),
-                offsets=seg.offsets,
-                affect=extract_affect(seg, lex).values,
-                label=label,
-            )
-        )
+    for group in segment_groups([doc for _, doc, _ in docs], n_segments, max_seg_len):
+        ids = token_ids(group.tokens, vocab)
+        affect = group_affect(group, lex)
+        offsets = group.offsets - group.offsets[:, :1]
+        bounds = group.offsets[:, [0, -1]].tolist()
+        start = len(examples)
+        for (doc_id, _, label), (a, b), doc_offsets, doc_affect in zip(
+                docs[start:start + len(bounds)], bounds, offsets, affect):
+            examples.append(Example(doc_id=doc_id, ids=ids[a:b], offsets=doc_offsets,
+                                    affect=doc_affect, label=label))
     return examples
 
 

@@ -231,6 +231,26 @@ class TestTapeMechanics:
         tz.backward(tape, loss)
         assert w.grad.tolist() == [[5.0, 7.0], [5.0, 7.0]]
 
+    def test_first_gradient_is_copied_from_the_vjp(self):
+        # add's VJP returns one array for both inputs; adopting it as b's
+        # gradient would let a's later accumulation change b's as well
+        a, b = tz.Parameter("a", np.array([1.0, 2.0])), tz.Parameter("b", np.array([3.0, 4.0]))
+        tape = tz.Tape()
+        ra = tape.read(a)
+        loss = tz.mean_all(tz.add(tz.add(ra, tape.read(b)), ra))
+        tz.backward(tape, loss)
+        assert a.grad.tolist() == [1.0, 1.0]
+        assert b.grad.tolist() == [0.5, 0.5]
+
+    def test_first_gradient_of_negative_zero_is_positive_zero(self):
+        # mul by zero after scale by -1 sends w a gradient of -0.0
+        tape = tz.Tape()
+        x = tape.read(tz.Parameter("w", np.array([1.0, 2.0])))
+        zero = tape.constant(np.zeros(2))
+        tz.backward(tape, tz.mean_all(tz.scale(tz.mul(x, zero), -1.0)))
+        assert x.grad.tolist() == [0.0, 0.0]
+        assert not np.signbit(x.grad).any()
+
     def test_shape_safety_no_silent_broadcast(self):
         tape = tz.Tape()
         a = tape.constant(np.ones((2, 3)))
