@@ -8,8 +8,9 @@ declared once, in a parent group that the subcommands taking it share.
 Every command but mcnemar writes under --out through one `_Out`, which hands
 out each artifact's path and records its name. A command returns its config
 hash and a summary; `main` then writes manifest.json, whose `outputs` are
-the recorded names, and prints the summary. Exit codes: 0 success, 1 usage
-error, 2 data error.
+the recorded names and whose `environment` records the numpy and BLAS
+builds and thread settings, and prints the summary. Exit codes: 0 success,
+1 usage error, 2 data error.
 """
 
 from __future__ import annotations
@@ -23,6 +24,9 @@ import os
 import sys
 from dataclasses import dataclass
 
+import numpy as np
+
+from . import __version__
 from . import corpus as corpus_mod
 from . import evaluation, report
 from . import tensor as tz
@@ -607,6 +611,26 @@ def build_parser() -> _ArgumentParser:
     return parser
 
 
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _environment() -> dict:
+    """What a run's bits depend on besides its seed and options: the
+    fakeflow, numpy and BLAS builds and the BLAS thread settings (null where
+    unset). No wall-clock field, so same-seed manifests compare equal."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except TypeError:  # numpy < 1.25 only prints its config
+        blas = {}
+    return {
+        "fakeflow": __version__,
+        "numpy": np.__version__,
+        "blas": {"name": blas.get("name"), "version": blas.get("version")},
+        "cpu_count": os.cpu_count(),
+        "threads": {name: os.environ.get(name) for name in BLAS_THREAD_VARIABLES},
+    }
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -627,6 +651,7 @@ def main(argv=None) -> int:
                 "options": _options(args),
                 "config_hash": config_hash,
                 "outputs": sorted(out.names),
+                "environment": _environment(),
             })
         _emit(args, summary)
         return 0

@@ -9,11 +9,22 @@ NumericsError if found, so silent numerical blowups cannot propagate.
 
 Leading batch axes: ops documented with a core shape (e.g. ``(..., D)``)
 accept any number of leading axes and treat them as independent instances.
+
+Row gradients: a VJP may hand an input a RowGradient instead of an array
+when its gradient is zero outside a few rows (embedding_conv_max does, for
+the embedding table). backward keeps it as rows while it is the input's
+only gradient; the leaf of a Parameter then adds the rows straight into
+param.grad[index], so no (V, D) array is built. If a dense gradient
+reaches the same input, or the input is an op output whose own VJP runs,
+the rows are first spread into a zeros array, as a dense VJP would have
+built it, so the sums keep the dense path's order and bits. Every other op
+hands dense gradients.
 """
 
 from __future__ import annotations
 
 import weakref
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,7 +49,8 @@ class Parameter:
 
     def __init__(self, name: str, value):
         self.name = name
-        self.value = _as_f64(value)
+        # C order: the optimizer updates value and grad through flat views
+        self.value = np.asarray(value, dtype=DTYPE, order="C")
         if not np.all(np.isfinite(self.value)):
             raise NumericsError(f"parameter {name!r} initialized with non-finite values")
         self.grad = np.zeros_like(self.value)
@@ -153,11 +165,33 @@ def _coerce(tape: Tape, x) -> Tensor:
     raise UsageError(f"expected Tensor or Parameter, got {type(x).__name__}")
 
 
+class RowGradient(NamedTuple):
+    """A gradient that is zero outside the rows `index` (distinct) of its
+    input; `rows[i]` is the gradient of row `index[i]`."""
+
+    index: np.ndarray
+    rows: np.ndarray
+
+
+def _dense(grad, value: np.ndarray) -> np.ndarray:
+    """`grad` as an array: a RowGradient's rows land in zeros shaped like
+    `value`, -0.0 stored as +0.0, as backward stores a first gradient."""
+    if not isinstance(grad, RowGradient):
+        return grad
+    dense = np.zeros_like(value)
+    dense[grad.index] += grad.rows
+    return dense
+
+
 def backward(tape: Tape, loss: Tensor) -> None:
     """Populate gradients of every Parameter read under `tape`.
 
     `loss` must be a scalar produced on this tape. Traverses the op record
-    in exact reverse execution order.
+    in exact reverse execution order. Each tensor's gradients add up in
+    that order from a +0.0 start, and each leaf's total is then added into
+    its Parameter's grad; a leaf that received only a RowGradient keeps it
+    as its `grad` and adds its rows into the Parameter's (see the module
+    docstring).
     """
     if not isinstance(loss, Tensor) or loss.tape is not tape:
         raise UsageError("loss was not produced under this tape")
@@ -171,17 +205,28 @@ def backward(tape: Tape, loss: Tensor) -> None:
     for out, inputs, vjp in reversed(tape._entries):
         if out.grad is None:
             continue
-        grads = vjp(out.grad)
+        grads = vjp(_dense(out.grad, out.value))
         for tensor, grad in zip(inputs, grads):
             if grad is None:
                 continue
             if tensor.grad is None:
-                # a copy, not the VJP's array: add's VJP returns one g twice
-                tensor.grad = np.add(grad, 0.0, out=np.empty_like(tensor.value))
+                if isinstance(grad, RowGradient):
+                    tensor.grad = grad  # no array is built unless needed
+                else:
+                    # a copy, not the VJP's array: add's VJP returns one g twice
+                    tensor.grad = np.add(grad, 0.0, out=np.empty_like(tensor.value))
             else:
-                tensor.grad += grad
+                tensor.grad = _dense(tensor.grad, tensor.value)
+                if isinstance(grad, RowGradient):
+                    tensor.grad[grad.index] += grad.rows  # + 0.0 elsewhere changes no bit
+                else:
+                    tensor.grad += grad
     for leaf in tape._reads.values():
-        if leaf.grad is not None:
+        if isinstance(leaf.grad, RowGradient):
+            # param.grad holds no -0.0, so adding a -0.0 row entry keeps
+            # the bits of adding the +0.0 the dense path stored
+            leaf.param.grad[leaf.grad.index] += leaf.grad.rows
+        elif leaf.grad is not None:
             leaf.param.grad += leaf.grad
 
 

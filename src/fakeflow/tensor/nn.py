@@ -24,6 +24,7 @@ from . import engine
 from .engine import (
     DTYPE,
     Parameter,
+    RowGradient,
     Tensor,
     _check_finite,
     _coerce,
@@ -208,11 +209,16 @@ def embedding_conv_max(ids, table, filters, biases, starts, lengths) -> Tensor:
     A convolution is linear in each token's embedding row, so each distinct
     id's row meets every tap of every filter once, in one (U, sum_j w_j K_j)
     response table R, and a window sums its taps' columns of R in conv1d's
-    order. The gradient reaches one window per (segment, filter), so the VJP
-    is one bincount of those windows' taps into R's gradient and two matrix
-    products: no (T, D) embedded sequence is built, and the table gradient
-    is one assignment of the batch's U rows. The table is read from the
-    tape, or passed as a plain array when frozen; then it gets no gradient.
+    order. A width's windows are one reused (K_j, T) array, a filter per
+    row: one np.take per tap fills it through one reused buffer, then the
+    bias is added, and each segment's max and first maximal window are
+    found along its contiguous rows, so the backward keeps only those
+    windows' positions. The gradient reaches one window per (segment,
+    filter), so the VJP is one bincount of those windows' taps into R's
+    gradient and two matrix products: no (T, D) embedded sequence is
+    built, and the table's gradient is its U rows, handed to backward as a
+    RowGradient. The table is read from the tape, or passed as a plain
+    array when frozen; then it gets no gradient.
     """
     on_tape = [x for x in (table, *filters, *biases) if isinstance(x, Tensor)]
     if not on_tape:
@@ -255,60 +261,77 @@ def embedding_conv_max(ids, table, filters, biases, starts, lengths) -> Tensor:
     # R's columns: per width, per tap, that tap of every filter
     w_all = np.concatenate([f.value.transpose(1, 0, 2).reshape(-1, dim) for f in filters])
 
-    types, inv = np.unique(ids, return_inverse=True)
+    # the distinct ids in increasing order, and each id's index among them
+    present = np.zeros(vocab, dtype=bool)
+    present[ids] = True
+    types = np.flatnonzero(present)
+    index = np.cumsum(present, dtype=np.intp)
+    index -= 1
     rows_of_types = tv[types]
     response = rows_of_types @ w_all.T  # R: (U, sum_j w_j K_j)
     _check_finite(response, "embedding_conv_max")
-    edges = np.cumsum([k for w, k in zip(widths, counts) for _ in range(w)])[:-1]
-    response = [np.ascontiguousarray(b) for b in np.split(response, edges, axis=1)]
+    response = response.T.copy()  # a tap of a width: K rows of U
     # the windows starting at every live segment's rows, gathered as
-    # segment_max gathers rows: a window sums its taps' R rows at tokens
+    # segment_max gathers rows: a window sums its taps' R columns at tokens
     # t .. t + w - 1. One that runs past its segment's end is -inf (it may
     # read the padding after the last token, which holds type 0).
     begin = np.cumsum(n_rows) - n_rows
     rows = np.repeat(first_row - begin, n_rows) + np.arange(n_rows.sum())
     room = np.repeat(first_row + n_rows, n_rows) - rows  # tokens left in the segment
-    padded = np.concatenate([inv, np.zeros(max(widths) - 1, dtype=inv.dtype)])
+    padded = np.zeros(len(ids) + max(widths) - 1, dtype=np.intp)
+    np.take(index, ids, out=padded[: len(ids)])
     under = [padded[rows + i] for i in range(max(widths))]  # the type under tap i
-    windows = np.empty((len(rows), n_out), dtype=DTYPE)
-    block = 0  # R's block of each tap, in order
+    n_live, n_windows = len(n_rows), len(rows)
+    segment = np.repeat(np.arange(n_live), n_rows)  # each window's
+    windows = np.empty((max(counts), n_windows), dtype=DTYPE)  # one width's
+    spare = np.empty_like(windows)
+    hit = np.empty(windows.shape, dtype=bool)
+    # where each filter's row, and each (filter, segment)'s windows, start
+    # in a width's flattened windows
+    row_start = np.arange(max(counts))[:, None] * n_windows
+    seek = row_start + begin
+    best = np.empty((n_out, n_live), dtype=DTYPE)
+    max_at = np.empty((n_out, n_live), dtype=np.intp)  # where the gradient's window starts
+    block = 0  # R's rows of each tap, in order
     for w, k, o, bias in zip(widths, counts, firsts, biases):
-        acc = response[block][under[0]]
+        acc, buf = windows[:k], spare[:k]
+        np.take(response[block : block + k], under[0], axis=1, out=acc, mode="clip")
         for i in range(1, w):
-            acc += response[block + i][under[i]]
-        np.add(bias.value, acc, out=windows[:, o : o + k])  # conv1d's order
-        windows[room < w, o : o + k] = -np.inf
-        block += w
-    best = np.maximum.reduceat(windows, begin, axis=0)
-    column_width = np.repeat(widths, counts)
-    has = n_rows[:, None] >= column_width  # the segment holds a window of that width
+            block += k
+            np.take(response[block : block + k], under[i], axis=1, out=buf, mode="clip")
+            acc += buf
+        block += k
+        acc += bias.value[:, None]  # conv1d's bias + taps: addition commutes
+        acc[:, np.flatnonzero(room < w)] = -np.inf
+        np.maximum.reduceat(acc, begin, axis=1, out=best[o : o + k])
+        # each (filter, segment)'s first maximal window
+        np.take(best[o : o + k], segment, axis=1, out=buf, mode="clip")
+        np.equal(acc, buf, out=hit[:k])
+        found = np.flatnonzero(hit[:k])  # increasing
+        max_at[o : o + k] = rows[found[np.searchsorted(found, seek[:k])] - row_start[:k]]
+    # the segment holds a window of that width
+    has = n_rows >= np.repeat(widths, counts)[:, None]
     out = np.zeros((live.size, n_out), dtype=DTYPE)
-    out[live] = np.where(has, best, 0.0)
+    out[live] = np.where(has, best, 0.0).T
 
     def vjp(g):
-        # each (segment, filter)'s first maximal window
-        hit = windows == np.repeat(best, n_rows, axis=0)
-        position = np.where(hit, np.arange(len(rows))[:, None], len(rows))
-        arg = rows[np.minimum.reduceat(position, begin, axis=0)]
-        g_live = np.where(has, g.reshape(-1, n_out)[live], 0.0)
+        g_live = np.where(has.T, g.reshape(-1, n_out)[live], 0.0)
         # R column c is tap tap[c] of output column out_col[c]: the type
         # under that tap of each max window (a segment with no window of a
-        # width has zero gradient there)
+        # width has zero gradient there). Cell (u, c) of R's gradient adds
+        # its windows in segment order.
         out_col = np.concatenate([np.tile(np.arange(k) + o, w)
                                   for w, k, o in zip(widths, counts, firsts)])
         tap = np.concatenate([np.repeat(np.arange(w), k) for w, k in zip(widths, counts)])
         n_resp = len(tap)
-        under_max = padded[arg[:, out_col] + tap]
-        cells = under_max * n_resp + np.arange(n_resp)
-        g_response = np.bincount(cells.ravel(), weights=g_live[:, out_col].ravel(),
+        under_max = padded[max_at[out_col] + tap[:, None]]
+        under_max *= n_resp
+        under_max += np.arange(n_resp)[:, None]
+        g_response = np.bincount(under_max.ravel(), weights=g_live.T[out_col].ravel(),
                                  minlength=len(types) * n_resp)
         g_response = g_response.astype(DTYPE, copy=False).reshape(len(types), n_resp)
         g_w = g_response.T @ rows_of_types
-        grads = []
-        if not frozen:
-            g_table = np.zeros((vocab, dim), dtype=DTYPE)
-            g_table[types] = g_response @ w_all
-            grads.append(g_table)
+        grads = [] if frozen else [RowGradient(types, g_response @ w_all)]
         col = 0
         for w, k in zip(widths, counts):
             grads.append(g_w[col : col + w * k].reshape(w, k, dim).transpose(1, 0, 2))

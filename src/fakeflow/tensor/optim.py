@@ -4,7 +4,9 @@ All updates are the textbook forms. Their hyperparameters are the module
 constants BETA1, BETA2 and ADAM_EPS (adam), RMS_RHO and RMS_EPS (rmsprop),
 and ADA_RHO and ADA_EPS (adadelta); only the learning rate is set per
 optimizer. Auxiliary buffers are keyed by parameter name, so names must be
-unique within one optimizer. Gradients are zeroed after every step.
+unique within one optimizer. Gradients are zeroed after every step. An
+update runs in place over blocks of BLOCK elements, with the bits of the
+whole-array expression (see `step`).
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import ConfigError, UsageError
-from .engine import Parameter
+from .engine import DTYPE, Parameter
 
 DEFAULT_LEARNING_RATES = {
     "sgd": 0.01,
@@ -34,6 +36,10 @@ RMS_EPS = 1e-7
 ADA_RHO = 0.95
 ADA_EPS = 1e-6
 
+# elements per pass of an update: a block of each array it touches (at most
+# six, 128 KB each) stays in a core's L2 cache between its operations
+BLOCK = 16384
+
 
 @dataclass
 class OptimizerState:
@@ -41,6 +47,7 @@ class OptimizerState:
     learning_rate: float
     step_count: int = 0
     slots: dict = field(default_factory=dict)
+    scratch: np.ndarray | None = field(default=None, repr=False)
 
     def slot(self, param: Parameter, name: str) -> np.ndarray:
         key = (param.name, name)
@@ -67,41 +74,111 @@ def make_optimizer(algorithm: str, learning_rate: float | None = None) -> Optimi
 
 def step(opt: OptimizerState, params: list[Parameter]) -> None:
     """Apply one update to every parameter from its accumulated gradient,
-    then zero the gradients."""
+    then zero the gradients.
+
+    Each update runs its algorithm's textbook expression, operation by
+    operation in Python's evaluation order, in place over consecutive
+    blocks of BLOCK elements: every intermediate lands in one of two
+    block-sized scratch rows that the optimizer keeps, so a step allocates
+    nothing after the first and gives the bits of the whole-array form.
+    """
     names = [p.name for p in params]
     if len(set(names)) != len(names):
         raise UsageError("parameter names must be unique within an optimizer step")
+    try:
+        update, slot_names = _UPDATES[opt.algorithm]
+    except KeyError:  # make_optimizer validates; a hand-built state may not be
+        raise UsageError(f"unknown optimizer {opt.algorithm!r}") from None
     opt.step_count += 1
-    lr = opt.learning_rate
+    if opt.scratch is None:
+        opt.scratch = np.empty((2, BLOCK), dtype=DTYPE)
+    lr, t = opt.learning_rate, opt.step_count
+    a, b = opt.scratch
     for p in params:
-        g = p.grad
-        if opt.algorithm == "sgd":
-            p.value -= lr * g
-        elif opt.algorithm == "adam":
-            m = opt.slot(p, "m")
-            v = opt.slot(p, "v")
-            m *= BETA1
-            m += (1.0 - BETA1) * g
-            v *= BETA2
-            v += (1.0 - BETA2) * g * g
-            m_hat = m / (1.0 - BETA1 ** opt.step_count)
-            v_hat = v / (1.0 - BETA2 ** opt.step_count)
-            p.value -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-        elif opt.algorithm == "rmsprop":
-            acc = opt.slot(p, "acc")
-            acc *= RMS_RHO
-            acc += (1.0 - RMS_RHO) * g * g
-            p.value -= lr * g / (np.sqrt(acc) + RMS_EPS)
-        elif opt.algorithm == "adadelta":
-            acc = opt.slot(p, "acc")
-            acc_delta = opt.slot(p, "acc_delta")
-            acc *= ADA_RHO
-            acc += (1.0 - ADA_RHO) * g * g
-            delta = -np.sqrt(acc_delta + ADA_EPS) / np.sqrt(acc + ADA_EPS) * g
-            acc_delta *= ADA_RHO
-            acc_delta += (1.0 - ADA_RHO) * delta * delta
-            p.value += lr * delta
-        else:  # unreachable; make_optimizer validates
-            raise UsageError(f"unknown optimizer {opt.algorithm!r}")
+        arrays = [p.value, p.grad] + [opt.slot(p, name) for name in slot_names]
+        size, shape = p.value.size, p.value.shape
+        if size <= BLOCK:  # one block: the arrays as they are
+            update(*arrays, a[:size].reshape(shape), b[:size].reshape(shape), lr, t)
+            continue
+        flat = [x.reshape(-1) for x in arrays]
+        for lo in range(0, size, BLOCK):
+            n = min(BLOCK, size - lo)
+            update(*[x[lo : lo + n] for x in flat], a[:n], b[:n], lr, t)
     for p in params:
         p.zero_grad()
+
+
+# Each update takes one block of the parameter, its gradient and its slots,
+# then the scratch rows a and b. The comment above each is the whole-array
+# expression it computes, bit for bit.
+
+
+def _sgd(p, g, a, b, lr, t):
+    # p -= lr * g
+    np.multiply(lr, g, out=a)
+    p -= a
+
+
+def _adam(p, g, m, v, a, b, lr, t):
+    # m *= BETA1; m += (1 - BETA1) * g; v *= BETA2; v += (1 - BETA2) * g * g
+    # p -= lr * (m / (1 - BETA1**t)) / (sqrt(v / (1 - BETA2**t)) + ADAM_EPS)
+    m *= BETA1
+    np.multiply(1.0 - BETA1, g, out=a)
+    m += a
+    v *= BETA2
+    np.multiply(1.0 - BETA2, g, out=a)
+    a *= g
+    v += a
+    np.divide(m, 1.0 - BETA1 ** t, out=a)
+    np.multiply(lr, a, out=a)
+    np.divide(v, 1.0 - BETA2 ** t, out=b)
+    np.sqrt(b, out=b)
+    b += ADAM_EPS
+    a /= b
+    p -= a
+
+
+def _rmsprop(p, g, acc, a, b, lr, t):
+    # acc *= RMS_RHO; acc += (1 - RMS_RHO) * g * g
+    # p -= lr * g / (sqrt(acc) + RMS_EPS)
+    acc *= RMS_RHO
+    np.multiply(1.0 - RMS_RHO, g, out=a)
+    a *= g
+    acc += a
+    np.multiply(lr, g, out=a)
+    np.sqrt(acc, out=b)
+    b += RMS_EPS
+    a /= b
+    p -= a
+
+
+def _adadelta(p, g, acc, acc_delta, a, b, lr, t):
+    # acc *= ADA_RHO; acc += (1 - ADA_RHO) * g * g
+    # delta = -sqrt(acc_delta + ADA_EPS) / sqrt(acc + ADA_EPS) * g
+    # acc_delta *= ADA_RHO; acc_delta += (1 - ADA_RHO) * delta * delta
+    # p += lr * delta
+    acc *= ADA_RHO
+    np.multiply(1.0 - ADA_RHO, g, out=a)
+    a *= g
+    acc += a
+    np.add(acc_delta, ADA_EPS, out=a)
+    np.sqrt(a, out=a)
+    np.negative(a, out=a)
+    np.add(acc, ADA_EPS, out=b)
+    np.sqrt(b, out=b)
+    a /= b
+    a *= g  # delta
+    acc_delta *= ADA_RHO
+    np.multiply(1.0 - ADA_RHO, a, out=b)
+    b *= a
+    acc_delta += b
+    np.multiply(lr, a, out=a)
+    p += a
+
+
+_UPDATES = {
+    "sgd": (_sgd, ()),
+    "adam": (_adam, ("m", "v")),
+    "rmsprop": (_rmsprop, ("acc",)),
+    "adadelta": (_adadelta, ("acc", "acc_delta")),
+}

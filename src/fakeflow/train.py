@@ -276,6 +276,9 @@ def prepare_examples(docs: list[tuple[str, TokenizedDocument, str | None]],
     """
     examples = []
     for group in segment_groups([doc for _, doc, _ in docs], n_segments, max_seg_len):
+        empty = np.flatnonzero(group.doc_lengths < 1)
+        if empty.size:
+            raise UsageError(f"document {docs[len(examples) + empty[0]][0]!r} has no tokens")
         ids = token_ids(group.tokens, vocab)
         affect = group_affect(group, lex)
         offsets = group.offsets - group.offsets[:, :1]

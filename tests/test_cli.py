@@ -1,10 +1,13 @@
 import csv
 import json
+import os
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fakeflow
 from conftest import FEAR_WORDS, FILLER_WORDS, JOY_WORDS, make_flow_corpus
 from fakeflow import cli
 from fakeflow.cli import main
@@ -248,6 +251,27 @@ class TestExitCodes:
         code = main(["analyze", "--corpus", str(corpus),
                      "--n-segments", "2", "--out", str(tmp_path / "out")])
         assert code == 1
+
+
+class TestManifestEnvironment:
+    def test_records_the_numpy_and_blas_builds_and_thread_settings(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        corpus = write_flow_corpus(tmp_path, n_docs=6)
+        out = tmp_path / "run"
+        assert main(["analyze", "--corpus", str(corpus),
+                     "--lexicons", str(write_lexicon_fixture(tmp_path)), "--out", str(out)]) == 0
+        env = json.loads((out / "manifest.json").read_text())["environment"]
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        assert env == {
+            "fakeflow": fakeflow.__version__,
+            "numpy": np.__version__,
+            "blas": {"name": blas["name"], "version": blas["version"]},
+            "cpu_count": os.cpu_count(),
+            "threads": {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": None,
+                        "MKL_NUM_THREADS": None},
+        }
 
 
 class TestTrainEvaluatePipeline:

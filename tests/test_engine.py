@@ -1,5 +1,6 @@
 import gc
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -483,6 +484,121 @@ class TestEmbeddingConvMaxReference:
         with pytest.raises(UsageError):
             tz.embedding_conv_max(np.array([0, 1, 2, 3]), table.value, filters, biases,
                                   starts, lengths)
+
+
+def _with_dense_table_gradient(tape):
+    """Make each embedding_conv_max on `tape` hand its table the dense
+    (V, D) gradient it built before row gradients: zeros, then its rows."""
+    for i, (out, inputs, vjp) in enumerate(tape._entries):
+        def dense(g, vjp=vjp, value=inputs[0].value):
+            grads = list(vjp(g))
+            if isinstance(grads[0], tz.RowGradient):
+                full = np.zeros_like(value)
+                full[grads[0].index] = grads[0].rows
+                grads[0] = full
+            return grads
+        tape._entries[i] = (out, inputs, dense)
+
+
+class TestTableRowGradient:
+    """embedding_conv_max hands the table its U rows; param.grad must hold
+    the bytes the dense (V, D) gradient gave."""
+
+    @staticmethod
+    def batch(rng, vocab=40, dim=5):
+        lengths = np.array([[0, 3, 7, 1], [6, 2, 9, 4]])
+        ids = rng.integers(1, vocab // 2, size=int(lengths.sum()))  # rows past V/2 get no gradient
+        starts = (np.cumsum(lengths) - lengths.ravel()).reshape(lengths.shape)
+        table = tz.Parameter("table", rng.normal(size=(vocab, dim)))
+        filters = [tz.Parameter(f"f{w}", rng.normal(size=(3, w, dim))) for w in (2, 3)]
+        biases = [tz.Parameter(f"b{w}", rng.normal(size=3)) for w in (2, 3)]
+        weights = rng.normal(size=lengths.shape + (6,))
+        weights[0, :2] = -0.0
+        return ids, starts, lengths, table, filters, biases, weights
+
+    @staticmethod
+    def loss(tape, uses, ids, starts, lengths, table, filters, biases, weights):
+        terms = []
+        for use in uses:
+            if use == "lookup":
+                terms.append(tz.mean_all(tz.embedding_lookup(ids[:7], tape.read(table))))
+            else:  # the table itself, or an op output computed from it
+                t = tape.read(table) if use == "conv" else tz.scale(tape.read(table), 0.5)
+                out = tz.embedding_conv_max(ids, t, filters, biases, starts, lengths)
+                terms.append(tz.mean_all(tz.mul(out, tape.constant(weights))))
+        total = terms[0]
+        for term in terms[1:]:
+            total = tz.add(total, term)
+        return total
+
+    @pytest.mark.parametrize("uses", [
+        ("conv",), ("lookup", "conv"), ("conv", "lookup"), ("conv", "conv"),
+        ("lookup", "conv", "lookup"), ("scaled-conv",), ("conv", "scaled-conv"),
+    ])
+    def test_param_grad_bytes_equal_the_dense_path(self, uses):
+        got, want = [], []
+        for dense, grads in ((False, got), (True, want)):
+            args = self.batch(np.random.default_rng(70))
+            params = [args[3]] + args[4] + args[5]
+            for _ in range(2):  # the second pass accumulates without zero_grad
+                tape = tz.Tape()
+                loss = self.loss(tape, uses, *args)
+                if dense:
+                    _with_dense_table_gradient(tape)
+                tz.backward(tape, loss)
+                grads.append([p.grad.tobytes() for p in params])
+        assert got == want
+        table_grad = np.frombuffer(got[0][0]).reshape(40, 5)
+        assert not table_grad[20:].any() and not np.signbit(table_grad[table_grad == 0]).any()
+
+    def test_a_table_read_only_by_the_op_gets_rows(self):
+        ids, starts, lengths, table, filters, biases, weights = self.batch(np.random.default_rng(71))
+        tape = tz.Tape()
+        leaf = tape.read(table)
+        loss = self.loss(tape, ("conv",), ids, starts, lengths, table, filters, biases, weights)
+        tz.backward(tape, loss)
+        assert isinstance(leaf.grad, tz.RowGradient)
+        assert leaf.grad.index.tolist() == np.unique(ids).tolist()
+        assert leaf.grad.rows.shape == (len(np.unique(ids)), 5)
+
+    def test_documents_get_the_bits_of_their_own_call(self):
+        # each document's output rows are the same alone and in a batch
+        rng = np.random.default_rng(72)
+        table = rng.normal(size=(300, 8))
+        filters = [tz.Parameter(f"f{w}", rng.normal(size=(4, w, 8))) for w in (3, 4, 5)]
+        biases = [tz.Parameter(f"b{w}", rng.normal(size=4)) for w in (3, 4, 5)]
+        sizes = rng.integers(0, 60, size=32)
+        docs = [rng.integers(0, 300, size=n) for n in sizes]
+        offsets = [np.minimum(np.arange(11) * -(-n // 10), n) for n in sizes]
+
+        def call(ids, offsets):
+            tape = tz.Tape()
+            return tz.embedding_conv_max(ids, table, [tape.read(f) for f in filters], biases,
+                                         offsets[..., :-1], np.diff(offsets, axis=-1)).value
+
+        shift = np.cumsum(sizes) - sizes
+        batch = call(np.concatenate(docs), np.stack(offsets) + shift[:, None])
+        for i, (ids, doc_offsets) in enumerate(zip(docs, offsets)):
+            assert batch[i].tobytes() == call(ids, doc_offsets).tobytes(), i
+
+    def test_backward_allocates_less_than_one_table(self):
+        rng = np.random.default_rng(73)
+        table = tz.Parameter("table", rng.normal(size=(20_000, 64)))  # 10 MB
+        filters = [tz.Parameter(f"f{w}", rng.normal(size=(16, w, 64))) for w in (3, 4, 5)]
+        biases = [tz.Parameter(f"b{w}", np.zeros(16)) for w in (3, 4, 5)]
+        ids = rng.integers(0, 20_000, size=3_000)
+        starts, lengths = np.arange(0, 3_000, 300), np.full(10, 300)
+        tape = tz.Tape()
+        out = tz.embedding_conv_max(ids, tape.read(table), filters, biases, starts, lengths)
+        loss = tz.mean_all(tz.mul(out, tape.constant(rng.normal(size=out.shape))))
+        tracemalloc.start()
+        try:
+            tz.backward(tape, loss)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < table.value.nbytes, peak
+        assert table.grad.any()
 
 
 def _gru_params(rng, units, feat, scale=0.5):

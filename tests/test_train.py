@@ -377,7 +377,7 @@ class TestBatchedPreparation:
 
     def test_document_without_tokens_is_rejected(self):
         docs = [("a", TokenizedDocument(["w0"]), "real"), ("b", TokenizedDocument([]), "fake")]
-        with pytest.raises(UsageError):
+        with pytest.raises(UsageError, match="document 'b' has no tokens"):
             prepare_examples(docs, Vocabulary({}), flow_lexicons(), 4, 5)
 
     def test_peak_memory_of_a_2000_document_call(self):
