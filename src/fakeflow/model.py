@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from . import tensor as tz
-from .errors import ConfigError, ShapeError, UsageError
+from .errors import ConfigError, NumericsError, ShapeError, UsageError
 from .lexicon import N_FEATURES
 
 MODES = ("full", "topic_only", "affect_only")
@@ -166,6 +166,13 @@ class ForwardTrace:
         }
 
 
+def _batch_names(examples: list[Example]) -> str:
+    """The first five doc ids of a batch, and how many there are."""
+    names = ", ".join(repr(e.doc_id) for e in examples[:5])
+    more = f" and {len(examples) - 5} more" if len(examples) > 5 else ""
+    return f"{names}{more} ({len(examples)} in the batch)"
+
+
 def context_self_attention(v_fc, w1, w2, b_att, v_att):
     """Context-aware self-attention over segments.
 
@@ -289,30 +296,56 @@ class FakeFlowModel:
         the activated dense bias.
         """
         c = self.config
-        for e in examples:
-            ids, offsets = np.asarray(e.ids), np.asarray(e.offsets)
-            ok = (ids.ndim == 1 and ids.dtype.kind in "iu"
-                  and offsets.shape == (c.n_segments + 1,) and offsets.dtype.kind in "iu")
-            if ok:
-                lengths = np.diff(offsets)
-                ok = (offsets[0] == 0 and offsets[-1] == len(ids)
-                      and lengths.min() >= 0 and lengths.max() <= c.max_seg_len
-                      and (not ids.size or (ids.min() >= 0 and ids.max() < c.vocab_size)))
-            if not ok:
-                raise ShapeError(
-                    f"document {e.doc_id!r}: segment offsets {offsets.tolist()} do not cut "
-                    f"{ids.shape} {ids.dtype} ids in [0, {c.vocab_size}) into "
-                    f"{c.n_segments} segments of at most {c.max_seg_len} tokens"
-                )
-        ids = np.concatenate([e.ids for e in examples])
-        sizes = np.array([len(e.ids) for e in examples])
-        offsets = np.stack([e.offsets for e in examples]) + (np.cumsum(sizes) - sizes)[:, None]
+        ids, offsets, sizes = self._segments(examples)
+        offsets = offsets + (np.cumsum(sizes) - sizes)[:, None]
         starts, lengths = offsets[:, :-1], np.diff(offsets, axis=1)
         # a frozen table is a plain array: no (V, D) gradient is built for it
         table = tape.read(self.embedding) if c.train_embeddings else self.embedding.value
         cnn_v = tz.embedding_conv_max(ids, table, [tape.read(f) for f, _ in self.conv],
                                       [b for _, b in self.conv], starts, lengths)
         return tz.dense(cnn_v, self.topic_w, self.topic_b, c.activation)
+
+    def _segments(self, examples: list[Example]):
+        """The batch's concatenated ids, its (B, N + 1) stacked offsets and
+        each document's id count, checked in one pass over the batch. Only
+        when the batch fails is each document checked on its own, so the
+        error names the first one at fault."""
+        try:
+            ids = np.concatenate([e.ids for e in examples])
+            offsets = np.stack([e.offsets for e in examples])
+            sizes = np.array([len(e.ids) for e in examples])
+        except ValueError:  # ids of different ranks, offsets of different shapes
+            ok = False
+        else:
+            ok = self._cuts(ids, offsets, sizes)
+        if ok:
+            return ids, offsets, sizes
+        c = self.config
+        for e in examples:
+            ids, offsets = np.asarray(e.ids), np.asarray(e.offsets)
+            if not self._cuts(ids, offsets[None], [ids.size]):
+                raise ShapeError(
+                    f"document {e.doc_id!r}: segment offsets {offsets.tolist()} do not cut "
+                    f"{ids.shape} {ids.dtype} ids in [0, {c.vocab_size}) into "
+                    f"{c.n_segments} segments of at most {c.max_seg_len} tokens"
+                )
+        # each document passes alone: numpy joined signed and unsigned
+        # 64-bit integers into floats
+        raise ShapeError(f"documents {_batch_names(examples)}: ids and offsets do not "
+                         f"join into integer arrays")
+
+    def _cuts(self, ids, offsets, sizes) -> bool:
+        """Whether (B, N + 1) integer offsets cut B documents' concatenated
+        integer ids, sizes[b] of them document b's, into N segments of at
+        most max_seg_len ids each, every id inside the vocabulary."""
+        c = self.config
+        if not (ids.ndim == 1 and ids.dtype.kind in "iu" and offsets.ndim == 2
+                and offsets.shape[1] == c.n_segments + 1 and offsets.dtype.kind in "iu"):
+            return False
+        lengths = np.diff(offsets, axis=1)
+        return bool((offsets[:, 0] == 0).all() and (offsets[:, -1] == sizes).all()
+                    and lengths.min() >= 0 and lengths.max() <= c.max_seg_len
+                    and (not ids.size or (ids.min() >= 0 and ids.max() < c.vocab_size)))
 
     def fuse(self, v_topic, v_affect, training: bool, rng):
         """Concatenate topic and affect rows (when both exist) and project
@@ -348,7 +381,8 @@ class FakeFlowModel:
         """Run one document as a batch of one at inference (no dropout) and
         capture every intermediate representation."""
         nodes = {}
-        logits = self.batch_logits(tz.Tape(), [example], training=False, rng=None, nodes=nodes)
+        logits = self.batch_logits(tz.Tape(records=False), [example], training=False, rng=None,
+                                   nodes=nodes)
         rows = {key: np.array(node.value[0]) for key, node in nodes.items()}
         rows["probabilities"] = tz.softmax_array(logits.value[0])
         return ForwardTrace(**rows, mode=self.config.mode, doc_id=example.doc_id)
@@ -359,43 +393,58 @@ class FakeFlowModel:
 
         This is the forward pass of every mode. When `nodes` is a dict, each
         intermediate (B, ...) tensor the mode produces is stored in it under
-        its ForwardTrace field name.
+        its ForwardTrace field name. A NumericsError raised on the way is
+        raised again naming the batch's documents.
         """
         if not examples:
             raise UsageError("empty batch")
         c = self.config
-        for e in examples:
-            if np.shape(e.affect) != (c.n_segments, N_FEATURES):
-                raise ShapeError(
-                    f"document {e.doc_id!r}: affect matrix shape {np.shape(e.affect)} "
-                    f"does not match ({c.n_segments}, {N_FEATURES})"
-                )
+        affect = self._affect(examples)
         found = {}
         v_affect = None
-        if c.mode != "topic_only":
-            v_affect = found["v_affect"] = tape.constant(
-                np.stack([np.asarray(e.affect, dtype=np.float64) for e in examples])
-            )
-        if c.mode == "affect_only":
-            v_flow = found["v_flow"] = self.affect_flow(v_affect)
-            v_compact = tz.mean_axis(v_flow, axis=-2)
-        else:
-            v_topic = self.topic_branch(tape, examples)
-            v_concat, v_fc = self.fuse(v_topic, v_affect, training, rng)
-            l_t, weights = context_self_attention(
-                v_fc, self.att_w1, self.att_w2, self.att_b, self.att_v
-            )
-            found.update(v_topic=v_topic, v_concat=v_concat, v_fc=v_fc,
-                         l_t=l_t, attention_weights=weights)
-            if c.mode == "full":
+        try:
+            if c.mode != "topic_only":
+                v_affect = found["v_affect"] = tape.constant(affect)
+            if c.mode == "affect_only":
                 v_flow = found["v_flow"] = self.affect_flow(v_affect)
-                v_compact = combine(v_flow, l_t)
+                v_compact = tz.mean_axis(v_flow, axis=-2)
             else:
-                v_compact = tz.mean_axis(l_t, axis=-2)
-        v_final, logits = self.classify(v_compact, training, rng)
+                v_topic = self.topic_branch(tape, examples)
+                v_concat, v_fc = self.fuse(v_topic, v_affect, training, rng)
+                l_t, weights = context_self_attention(
+                    v_fc, self.att_w1, self.att_w2, self.att_b, self.att_v
+                )
+                found.update(v_topic=v_topic, v_concat=v_concat, v_fc=v_fc,
+                             l_t=l_t, attention_weights=weights)
+                if c.mode == "full":
+                    v_flow = found["v_flow"] = self.affect_flow(v_affect)
+                    v_compact = combine(v_flow, l_t)
+                else:
+                    v_compact = tz.mean_axis(l_t, axis=-2)
+            v_final, logits = self.classify(v_compact, training, rng)
+        except NumericsError as exc:
+            raise NumericsError(f"{exc} in documents {_batch_names(examples)}") from exc
         if nodes is not None:
             nodes.update(found, v_compact=v_compact, v_final=v_final)
         return logits
+
+    def _affect(self, examples: list[Example]) -> np.ndarray:
+        """The batch's (B, N, 23) affect matrices, stacked and checked in
+        one pass; on a mismatch the error names the first document at
+        fault."""
+        want = (self.config.n_segments, N_FEATURES)
+        try:
+            affect = np.stack([e.affect for e in examples]).astype(np.float64, copy=False)
+        except ValueError:  # matrices of different shapes
+            affect = None
+        if affect is None or affect.shape[1:] != want:
+            for e in examples:
+                if np.shape(e.affect) != want:
+                    raise ShapeError(
+                        f"document {e.doc_id!r}: affect matrix shape {np.shape(e.affect)} "
+                        f"does not match {want}"
+                    )
+        return affect
 
     def batch_loss(self, tape, examples: list[Example], gold: np.ndarray,
                    training: bool, rng: np.random.Generator | None):
@@ -415,7 +464,7 @@ class FakeFlowModel:
         out = []
         for start in range(0, len(examples), batch_size):
             batch = examples[start : start + batch_size]
-            logits = self.batch_logits(tz.Tape(), batch, training=False, rng=None)
+            logits = self.batch_logits(tz.Tape(records=False), batch, training=False, rng=None)
             out.append(np.array(logits.value))
         return np.concatenate(out, axis=0)
 

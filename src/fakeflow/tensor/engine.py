@@ -2,7 +2,12 @@
 
 Everything is float64. Operations record themselves on a Tape; backward()
 replays the tape in exact reverse execution order and accumulates gradients
-into the Parameters that were read under that tape. There is no implicit
+into the Parameters that were read under that tape. A tape made with
+Tape(records=False) is for inference: every op computes and checks its
+output exactly as on a recording tape, but the tape keeps no entry, so
+nothing an op saves for its backward outlives the op, and fused ops that
+read `tape.records` skip the work only their backward uses. backward()
+on such a tape raises UsageError. There is no implicit
 broadcasting: each op validates its input shapes and raises ShapeError on
 any mismatch. Every op output is checked for NaN/Inf and raises
 NumericsError if found, so silent numerical blowups cannot propagate.
@@ -110,13 +115,22 @@ class Tensor:
 class Tape:
     """Ordered record of executed differentiable operations.
 
-    One backward pass per tape; a second call raises UsageError.
+    One backward pass per tape; a second call raises UsageError. With
+    records=False the tape records nothing: ops still check their outputs
+    for non-finite values and return Tensors, but `len(tape)` stays 0 and
+    backward raises UsageError.
     """
 
-    def __init__(self):
+    def __init__(self, records: bool = True):
         self._entries = []  # (out Tensor, input Tensors, vjp)
         self._reads = {}  # id(Parameter) -> leaf Tensor
         self._spent = False
+        self._records = records
+
+    @property
+    def records(self) -> bool:
+        """Whether ops are recorded for a backward pass."""
+        return self._records
 
     def read(self, param: Parameter) -> Tensor:
         """Bring a Parameter onto the tape. Repeated reads share one leaf,
@@ -150,7 +164,8 @@ def _check_finite(value: np.ndarray, op: str) -> None:
 def _record(tape: Tape, out_value: np.ndarray, inputs, vjp, op: str) -> Tensor:
     _check_finite(out_value, op)
     out = Tensor(out_value, tape)
-    tape._entries.append((out, tuple(inputs), vjp))
+    if tape._records:
+        tape._entries.append((out, tuple(inputs), vjp))
     return out
 
 
@@ -195,6 +210,8 @@ def backward(tape: Tape, loss: Tensor) -> None:
     """
     if not isinstance(loss, Tensor) or loss.tape is not tape:
         raise UsageError("loss was not produced under this tape")
+    if not tape._records:
+        raise UsageError("backward on a tape that records no ops")
     if tape._spent:
         raise UsageError("backward already ran on this tape")
     if loss.value.shape != ():

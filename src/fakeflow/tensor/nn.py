@@ -218,7 +218,9 @@ def embedding_conv_max(ids, table, filters, biases, starts, lengths) -> Tensor:
     gradient and two matrix products: no (T, D) embedded sequence is
     built, and the table's gradient is its U rows, handed to backward as a
     RowGradient. The table is read from the tape, or passed as a plain
-    array when frozen; then it gets no gradient.
+    array when frozen; then it gets no gradient. On a tape that records no
+    ops, only the maxima are taken: the search for each (filter, segment)'s
+    first maximal window, and the arrays it fills, are skipped.
     """
     on_tape = [x for x in (table, *filters, *biases) if isinstance(x, Tensor)]
     if not on_tape:
@@ -282,16 +284,18 @@ def embedding_conv_max(ids, table, filters, biases, starts, lengths) -> Tensor:
     np.take(index, ids, out=padded[: len(ids)])
     under = [padded[rows + i] for i in range(max(widths))]  # the type under tap i
     n_live, n_windows = len(n_rows), len(rows)
-    segment = np.repeat(np.arange(n_live), n_rows)  # each window's
     windows = np.empty((max(counts), n_windows), dtype=DTYPE)  # one width's
     spare = np.empty_like(windows)
-    hit = np.empty(windows.shape, dtype=bool)
-    # where each filter's row, and each (filter, segment)'s windows, start
-    # in a width's flattened windows
-    row_start = np.arange(max(counts))[:, None] * n_windows
-    seek = row_start + begin
     best = np.empty((n_out, n_live), dtype=DTYPE)
-    max_at = np.empty((n_out, n_live), dtype=np.intp)  # where the gradient's window starts
+    records = tape.records  # only the VJP reads where the maxima are
+    if records:
+        segment = np.repeat(np.arange(n_live), n_rows)  # each window's
+        hit = np.empty(windows.shape, dtype=bool)
+        # where each filter's row, and each (filter, segment)'s windows,
+        # start in a width's flattened windows
+        row_start = np.arange(max(counts))[:, None] * n_windows
+        seek = row_start + begin
+        max_at = np.empty((n_out, n_live), dtype=np.intp)  # where the gradient's window starts
     block = 0  # R's rows of each tap, in order
     for w, k, o, bias in zip(widths, counts, firsts, biases):
         acc, buf = windows[:k], spare[:k]
@@ -304,11 +308,11 @@ def embedding_conv_max(ids, table, filters, biases, starts, lengths) -> Tensor:
         acc += bias.value[:, None]  # conv1d's bias + taps: addition commutes
         acc[:, np.flatnonzero(room < w)] = -np.inf
         np.maximum.reduceat(acc, begin, axis=1, out=best[o : o + k])
-        # each (filter, segment)'s first maximal window
-        np.take(best[o : o + k], segment, axis=1, out=buf, mode="clip")
-        np.equal(acc, buf, out=hit[:k])
-        found = np.flatnonzero(hit[:k])  # increasing
-        max_at[o : o + k] = rows[found[np.searchsorted(found, seek[:k])] - row_start[:k]]
+        if records:  # each (filter, segment)'s first maximal window
+            np.take(best[o : o + k], segment, axis=1, out=buf, mode="clip")
+            np.equal(acc, buf, out=hit[:k])
+            found = np.flatnonzero(hit[:k])  # increasing
+            max_at[o : o + k] = rows[found[np.searchsorted(found, seek[:k])] - row_start[:k]]
     # the segment holds a window of that width
     has = n_rows >= np.repeat(widths, counts)[:, None]
     out = np.zeros((live.size, n_out), dtype=DTYPE)
@@ -520,12 +524,13 @@ class BiGRUParams:
         return self.fwd.all() + self.bwd.all()
 
 
-def _gru_forward(x, w, b, u_zr, u_h, reverse: bool):
+def _gru_forward(x, w, b, u_zr, u_h, reverse: bool, keep: bool):
     """Run one GRU direction over the (..., N, F) array x.
 
     w, b: [W_z; W_r; W_h] and [b_z; b_r; b_h]; u_zr: [U_z; U_r]. Returns
     the (..., N, H) states and, for the backward pass, each position's
-    (h_prev, z, r, r * h_prev, cand) stacked step-major as (N, ..., H).
+    (h_prev, z, r, r * h_prev, cand) stacked step-major as (N, ..., H);
+    None in its place unless `keep`.
     """
     units = u_h.shape[0]
     proj = x @ w.T + b  # every step's input terms W x + b at once
@@ -533,7 +538,7 @@ def _gru_forward(x, w, b, u_zr, u_h, reverse: bool):
     proj = np.moveaxis(proj, -2, 0)
     steps = len(proj)
     states = np.empty(proj.shape[:-1] + (units,), dtype=DTYPE)
-    saved = np.empty((5,) + states.shape, dtype=DTYPE)
+    saved = np.empty((5,) + states.shape, dtype=DTYPE) if keep else None
     h = np.zeros(states.shape[1:], dtype=DTYPE)
     for t in reversed(range(steps)) if reverse else range(steps):
         gates = proj[t, ..., : 2 * units] + h @ u_zr.T
@@ -544,7 +549,8 @@ def _gru_forward(x, w, b, u_zr, u_h, reverse: bool):
         pre = proj[t, ..., 2 * units :] + rh @ u_h.T
         _check_finite(pre, "bigru")
         cand = np.tanh(pre)
-        saved[0, t], saved[1, t], saved[2, t], saved[3, t], saved[4, t] = h, z, r, rh, cand
+        if keep:
+            saved[0, t], saved[1, t], saved[2, t], saved[3, t], saved[4, t] = h, z, r, rh, cand
         h = (1.0 - z) * h + z * cand
         states[t] = h
     return np.moveaxis(states, 0, -2), saved
@@ -585,7 +591,8 @@ def bigru(x, params: BiGRUParams) -> Tensor:
     W x + b are one product over all N steps; the recurrence runs in numpy
     and the backward pass is hand-written backpropagation through time.
     Non-finite input terms, gate or candidate pre-activations raise
-    NumericsError.
+    NumericsError. On a tape that records no ops, the per-step gate and
+    state values the backward pass reads are not kept.
     """
     tape = x.tape
     x = _coerce(tape, x)
@@ -607,7 +614,8 @@ def bigru(x, params: BiGRUParams) -> Tensor:
         cells.append((np.concatenate([w_z, w_r, w_h]), np.concatenate([b_z, b_r, b_h]),
                       np.concatenate([u_z, u_r]), u_h))
     directions = (False, True)  # reverse: the forward pass, then the backward one
-    runs = [_gru_forward(xv, *cell, reverse) for cell, reverse in zip(cells, directions)]
+    runs = [_gru_forward(xv, *cell, reverse, tape.records)
+            for cell, reverse in zip(cells, directions)]
     out = np.concatenate([states for states, _ in runs], axis=-1)
 
     def vjp(g):

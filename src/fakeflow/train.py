@@ -139,7 +139,7 @@ def train(model: FakeFlowModel, train_set: list[Example], val_set: list[Example]
             losses.append(float(loss.value))
 
         val_logits = model.predict_logits(val_set)
-        tape = tz.Tape()
+        tape = tz.Tape(records=False)
         val_loss = float(tz.softmax_cross_entropy(tape.constant(val_logits), gold_val).value)
         val_probs = tz.softmax_array(val_logits)
         val_pred_labels = [classes[i] for i in val_probs.argmax(axis=1)]

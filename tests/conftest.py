@@ -49,6 +49,15 @@ json_values = st.recursive(
 )
 
 
+def overflowing(model):
+    """Give `model` finite weights whose class logits overflow: every
+    v_final entry is act(1) > 0.7 and every softmax weight 1e308."""
+    model.out_w.assign(np.zeros(model.out_w.shape))
+    model.out_b.assign(np.ones(model.out_b.shape))
+    model.cls_w.assign(np.full(model.cls_w.shape, 1e308))
+    return model
+
+
 def max_relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     denom = np.abs(numeric) + 1e-8
     return float(np.max(np.abs(analytic - numeric) / denom))

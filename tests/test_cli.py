@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fakeflow
-from conftest import FEAR_WORDS, FILLER_WORDS, JOY_WORDS, make_flow_corpus
+from conftest import FEAR_WORDS, FILLER_WORDS, JOY_WORDS, make_flow_corpus, overflowing
 from fakeflow import cli
 from fakeflow.cli import main
 from fakeflow.corpus import load_vocabulary
@@ -388,6 +388,21 @@ class TestLoadedModelErrors:
             assert str(damaged) in capsys.readouterr().err
 
         check()
+
+    def test_evaluate_overflowing_model_exits_2_naming_documents(self, trained, tmp_path,
+                                                                   capsys):
+        manifest, corpus, out = trained
+        overflowing(FakeFlowModel.load(out / "checkpoint.bin")).save(tmp_path / "overflowing.bin")
+        first = json.loads(corpus.read_text().splitlines()[0])["id"]
+        capsys.readouterr()
+        with np.errstate(over="ignore"):
+            code = main(["evaluate", "--checkpoint", str(tmp_path / "overflowing.bin"),
+                         "--vocab", str(out / "vocab.json"), "--corpus", str(corpus),
+                         "--lexicons", str(manifest), "--out", str(tmp_path / "scored")])
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err[-1].startswith("error: op 'linear' produced non-finite values in documents ")
+        assert f"'{first}'" in err[-1] and "(16 in the batch)" in err[-1]
 
     def test_evaluate_corpus_without_tokens_is_usage_error(self, trained, tmp_path, capsys):
         manifest, _, out = trained

@@ -668,9 +668,9 @@ class TestBiGRUReference:
         rng = np.random.default_rng(211)
         params = _gru_params(rng, units=3, feat=4)
         params.fwd.w_z.assign(np.full((3, 4), 1e308))
-        tape = tz.Tape()
-        with np.errstate(over="ignore"), pytest.raises(NumericsError, match="'bigru'"):
-            tz.bigru(tape.constant(np.ones((2, 5, 4))), params)
+        for tape in (tz.Tape(), tz.Tape(records=False)):
+            with np.errstate(over="ignore"), pytest.raises(NumericsError, match="'bigru'"):
+                tz.bigru(tape.constant(np.ones((2, 5, 4))), params)
 
     def test_overflowing_recurrent_term_raises(self):
         # step 0 starts from h = 0, so U h is finite; h is then close to 1
@@ -680,9 +680,9 @@ class TestBiGRUReference:
         params.bwd.w_h.assign(np.full((3, 4), 5.0))
         params.bwd.b_z.assign(np.full(3, 20.0))
         params.bwd.u_z.assign(np.full((3, 3), np.finfo(np.float64).max))
-        tape = tz.Tape()
-        with np.errstate(over="ignore"), pytest.raises(NumericsError, match="'bigru'"):
-            tz.bigru(tape.constant(np.ones((2, 5, 4))), params)
+        for tape in (tz.Tape(), tz.Tape(records=False)):
+            with np.errstate(over="ignore"), pytest.raises(NumericsError, match="'bigru'"):
+                tz.bigru(tape.constant(np.ones((2, 5, 4))), params)
 
     def test_parameter_shape_mismatch_raises(self):
         rng = np.random.default_rng(213)
@@ -691,6 +691,72 @@ class TestBiGRUReference:
         tape = tz.Tape()
         with pytest.raises(ShapeError, match="bwd.u_r"):
             tz.bigru(tape.constant(np.ones((5, 4))), params)
+
+
+class TestNonRecordingTape:
+    """A tape made with records=False: ops give the bits of a recording
+    tape and keep their finite checks, but nothing is recorded."""
+
+    def test_backward_raises(self):
+        tape = tz.Tape(records=False)
+        p = tz.Parameter("p", np.array([1.0, 2.0]))
+        loss = tz.mean_all(tz.mul(tape.read(p), p))
+        assert not tape.records and tz.Tape().records
+        with pytest.raises(UsageError, match="records no ops"):
+            tz.backward(tape, loss)
+        assert len(tape) == 0 and not p.grad.any()
+
+    @staticmethod
+    def conv_inputs(rng, lengths):
+        # empty segments, segments shorter than each width, and longer ones
+        lengths = np.array(lengths)
+        starts = (np.cumsum(lengths) - lengths.ravel()).reshape(lengths.shape)
+        ids = rng.integers(0, 9, size=int(lengths.sum()))
+        table = tz.Parameter("table", rng.normal(size=(9, 6)))
+        filters = [tz.Parameter(f"f{w}", rng.normal(size=(3, w, 6))) for w in (2, 3, 5)]
+        biases = [tz.Parameter(f"b{w}", rng.normal(size=3)) for w in (2, 3, 5)]
+        return ids, table, filters, biases, starts, lengths
+
+    @pytest.mark.parametrize("lengths", [
+        [[0, 1, 2, 7], [5, 12, 4, 3]],
+        [[0, 2], [1, 0]],
+        [[0, 0]],
+    ], ids=["segments", "short-batch", "empty-batch"])
+    def test_embedding_conv_max_bytes_equal(self, lengths):
+        ids, table, filters, biases, starts, lengths = self.conv_inputs(
+            np.random.default_rng(70), lengths)
+        outs = []
+        for records in (True, False):
+            tape = tz.Tape(records=records)
+            out = tz.embedding_conv_max(ids, tape.read(table), filters, biases, starts, lengths)
+            assert len(tape) == (1 if records else 0)
+            outs.append(out.value)
+        assert np.array_equal(outs[0], outs[1])
+
+    @pytest.mark.parametrize("lead, steps", [((), 4), ((7,), 3), ((2, 3), 1)])
+    def test_bigru_bytes_equal(self, lead, steps):
+        rng = np.random.default_rng(71)
+        params = _gru_params(rng, units=3, feat=5)
+        x = rng.normal(size=lead + (steps, 5))
+        outs = []
+        for records in (True, False):
+            tape = tz.Tape(records=records)
+            outs.append(tz.bigru(tape.constant(x), params).value)
+            assert len(tape) == (1 if records else 0)
+        assert np.array_equal(outs[0], outs[1])
+
+    @pytest.mark.parametrize("records", [True, False])
+    @pytest.mark.parametrize("scale, dim", [(1e308, 2), (1e308, 1)],
+                             ids=["response", "window-sum"])
+    def test_embedding_conv_max_overflow_raises(self, records, scale, dim):
+        # dim 2: each row times a filter overflows; dim 1: each row times a
+        # filter is finite, and a window's sum of two taps overflows
+        table = tz.Parameter("table", np.full((3, dim), scale))
+        filters, biases = [tz.Parameter("f", np.ones((1, 2, dim)))], [tz.Parameter("b", np.zeros(1))]
+        tape = tz.Tape(records=records)
+        with np.errstate(over="ignore"), pytest.raises(NumericsError, match="'embedding_conv_max'"):
+            tz.embedding_conv_max(np.array([1, 2, 1]), tape.read(table), filters, biases,
+                                  np.array([0]), np.array([3]))
 
 
 class TestEmbeddingGradient:

@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fakeflow.tensor as tz
-from conftest import max_relative_error, numeric_gradient
-from fakeflow.errors import ConfigError, ShapeError
+from conftest import max_relative_error, numeric_gradient, overflowing
+from fakeflow.errors import ConfigError, NumericsError, ShapeError
 from fakeflow.model import (
     MODES,
     Example,
@@ -366,6 +366,85 @@ class TestBatchAndDeterminism:
         m2 = FakeFlowModel(cfg, seed=12)
         for p1, p2 in zip(m1.params, m2.params):
             assert np.array_equal(p1.value, p2.value)
+
+
+def edge_batch(cfg, size, seed):
+    """`size` documents whose first has a segment shorter than every filter
+    width and an empty one; the rest are random_example draws."""
+    rng = np.random.default_rng(seed)
+    first = Example(doc_id="edge", ids=np.array([3, 4, 5, 6, 7, 8, 9]),
+                    offsets=np.array([0, 1, 1, 7]), affect=rng.uniform(size=(3, 23)))
+    return [first] + [random_example(cfg, rng, doc_id=f"d{i}") for i in range(1, size)]
+
+
+class TestInferenceTape:
+    """Inference runs on a tape that records no ops; it must give the bits
+    of a recording tape in every mode and batch size."""
+
+    @pytest.mark.parametrize("size", [1, 7, 64])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_logits_bytes_equal_on_both_tapes(self, mode, size):
+        cfg = tiny_config(mode=mode)
+        model = FakeFlowModel(cfg, seed=30)
+        examples = edge_batch(cfg, size, seed=size)
+        values = {}
+        for records in (True, False):
+            nodes = {}
+            tape = tz.Tape(records=records)
+            logits = model.batch_logits(tape, examples, training=False, rng=None, nodes=nodes)
+            assert (len(tape) > 0) == records
+            values[records] = [logits.value] + [nodes[k].value for k in sorted(nodes)]
+        for recorded, unrecorded in zip(values[True], values[False]):
+            assert np.array_equal(recorded, unrecorded)
+        assert np.array_equal(model.predict_logits(examples), values[True][0])
+        trace = model.forward(examples[0])
+        assert np.array_equal(trace.probabilities, tz.softmax_array(values[True][0][0]))
+
+    def test_predict_logits_records_nothing(self, monkeypatch):
+        cfg = tiny_config()
+        model = FakeFlowModel(cfg, seed=31)
+        tapes = []
+        batch_logits = model.batch_logits
+
+        def spy(tape, *args, **kwargs):
+            tapes.append(tape)
+            return batch_logits(tape, *args, **kwargs)
+
+        monkeypatch.setattr(model, "batch_logits", spy)
+        model.predict_logits(edge_batch(cfg, 7, seed=31), batch_size=3)
+        model.forward(edge_batch(cfg, 1, seed=32)[0])
+        assert len(tapes) == 4
+        assert all(not tape.records and len(tape) == 0 for tape in tapes)
+
+    def test_first_bad_document_is_named(self):
+        cfg = tiny_config()
+        model = FakeFlowModel(cfg, seed=33)
+        examples = edge_batch(cfg, 7, seed=33)
+        examples[2].ids = examples[2].ids.copy()
+        examples[2].ids[0] = cfg.vocab_size  # outside the vocabulary
+        examples[4].offsets = examples[4].offsets[:-1]  # one boundary short
+        with pytest.raises(ShapeError, match="document 'd2'.* ids in"):
+            model.predict_logits(examples)
+        examples[2] = edge_batch(cfg, 3, seed=34)[2]
+        with pytest.raises(ShapeError, match="document 'd4'"):
+            model.predict_logits(examples)
+        examples[4] = edge_batch(cfg, 5, seed=35)[4]
+        examples[5].affect = examples[5].affect[:, :-1]
+        with pytest.raises(ShapeError, match="document 'd5': affect matrix shape"):
+            model.predict_logits(examples)
+
+    def test_overflow_names_the_batch_documents(self):
+        cfg = tiny_config()
+        model = overflowing(FakeFlowModel(cfg, seed=34))
+        with np.errstate(over="ignore"), pytest.raises(NumericsError) as info:
+            model.predict_proba(edge_batch(cfg, 7, seed=34))
+        assert str(info.value) == (
+            "op 'linear' produced non-finite values in documents "
+            "'edge', 'd1', 'd2', 'd3', 'd4' and 2 more (7 in the batch)"
+        )
+        assert isinstance(info.value.__cause__, NumericsError)
+        with np.errstate(over="ignore"), pytest.raises(NumericsError, match=r"'edge' \(1 in"):
+            model.forward(edge_batch(cfg, 1, seed=35)[0])
 
 
 class TestCheckpoint:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import build_lexicon_set, flow_lexicons, make_flow_corpus
+from conftest import build_lexicon_set, flow_lexicons, make_flow_corpus, overflowing
 from fakeflow import corpus
 from fakeflow.corpus import (
     GROUP_TOKENS,
@@ -19,7 +19,7 @@ from fakeflow.corpus import (
     encode,
     segment,
 )
-from fakeflow.errors import UsageError
+from fakeflow.errors import NumericsError, UsageError
 from fakeflow.lexicon import (
     EMOTION_CATEGORIES,
     FEATURE_NAMES,
@@ -164,6 +164,18 @@ class TestStableLoss:
         result = train(model, examples, examples[:3], cfg)
         assert result.history[0].train_loss == 800.0
         assert all(np.isfinite(r.val_loss) and r.val_loss > 700.0 for r in result.history)
+
+    def test_overflowing_logits_name_the_batch_documents(self):
+        examples, vocab, _ = _flow_examples(8)
+        model = overflowing(FakeFlowModel(_affect_config(vocab, dropout_rate=0.0), seed=7))
+        cfg = TrainConfig(max_epochs=2, patience=1, batch_size=8, seed=7, learning_rate=0.01)
+        with np.errstate(over="ignore"), pytest.raises(NumericsError) as info:
+            train(model, examples, examples[:3], cfg)
+        message = str(info.value)
+        assert message.startswith("op 'linear' produced non-finite values in documents ")
+        assert message.endswith(" and 3 more (8 in the batch)")
+        assert sum(f"'{e.doc_id}'" in message for e in examples) == 5
+        assert isinstance(info.value.__cause__, NumericsError)
 
     def test_validation_loss_is_the_mean_loss_of_the_probabilities(self):
         examples, vocab, _ = _flow_examples(70)
