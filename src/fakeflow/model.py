@@ -459,6 +459,8 @@ class FakeFlowModel:
 
     def predict_logits(self, examples: list[Example], batch_size: int = 64) -> np.ndarray:
         """(len(examples), C) inference logits; (0, C) for no examples."""
+        if batch_size < 1:
+            raise UsageError(f"batch_size must be >= 1, got {batch_size}")
         if not examples:
             return np.zeros((0, len(self.config.classes)))
         out = []

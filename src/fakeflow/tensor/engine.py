@@ -391,11 +391,12 @@ SELU_LAMBDA = 1.0507009873554804934193349852946
 SELU_ALPHA = 1.6732632423543772848170429916717
 
 
-def sigmoid_array(v: np.ndarray) -> np.ndarray:
+def sigmoid_array(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Logistic sigmoid of an array, off the tape: 1 / (1 + e^-v) for
-    v >= 0 and e^v / (1 + e^v) below, so no exponential overflows."""
+    v >= 0 and e^v / (1 + e^v) below, so no exponential overflows. The
+    quotient goes into `out` when given."""
     e = np.exp(-np.abs(v))
-    return np.where(v >= 0, 1.0, e) / (1.0 + e)
+    return np.divide(np.where(v >= 0, 1.0, e), 1.0 + e, out=out)
 
 
 def sigmoid(x) -> Tensor:

@@ -9,8 +9,9 @@ shifted row slices of its input. embedding_conv_max runs the lookup, every
 filter width and the per-segment max as one op: it multiplies each
 distinct token id's row by the filters once, and its backward reaches only
 each segment's max window; embedding_lookup, conv1d and segment_max stay
-as its reference. bigru records one tape entry for both recurrences and
-backpropagates through time in its own backward.
+as its reference. bigru runs its two directions as one stacked recurrence,
+records one tape entry for it and backpropagates through time in its own
+backward.
 """
 
 from __future__ import annotations
@@ -524,61 +525,82 @@ class BiGRUParams:
         return self.fwd.all() + self.bwd.all()
 
 
-def _gru_forward(x, w, b, u_zr, u_h, reverse: bool, keep: bool):
-    """Run one GRU direction over the (..., N, F) array x.
+def _gru_forward(x, w, b, u_zr, u_h, keep: bool):
+    """Run both GRU directions over the (M, N, F) array x as one recurrence.
 
-    w, b: [W_z; W_r; W_h] and [b_z; b_r; b_h]; u_zr: [U_z; U_r]. Returns
-    the (..., N, H) states and, for the backward pass, each position's
-    (h_prev, z, r, r * h_prev, cand) stacked step-major as (N, ..., H);
-    None in its place unless `keep`.
+    The cells are stacked on a leading direction axis (0 forward, 1
+    reverse): w, b: [W_z; W_r; W_h] and [b_z; b_r; b_h] as (2, 3H, F) and
+    (2, 3H); u_zr: [U_z; U_r] as (2, 2H, H); u_h: (2, H, H). Every step's
+    input terms W x + b are taken at once, one product per direction, and
+    laid out step-major with the reverse direction's flipped in time, so
+    step s reads position s forward and position N-1-s in reverse. Each
+    step is then one product per gate group over the (2, M, H) state.
+
+    Returns `states`, (N+1, 2, M, H) in step order with row 0 holding h_0 =
+    0, so row s is step s's previous state; and, for the backward pass,
+    step s's sigmoid gates [z, r], r * h_prev and candidate in `zr`
+    (N, 2, M, 2H), `rh` and `cand` (N, 2, M, H). Unless `keep`, those
+    three hold only the last step.
     """
-    units = u_h.shape[0]
-    proj = x @ w.T + b  # every step's input terms W x + b at once
+    steps, units = x.shape[1], u_h.shape[-1]
+    proj = np.empty((steps, 2, len(x), w.shape[1]), dtype=DTYPE)
+    np.matmul(x, w[0].T, out=proj[:, 0].swapaxes(0, 1))
+    # a time-flipped out= would have a negative stride, which numpy's
+    # matmul does not pass to BLAS (other bits), so this one is copied in
+    proj[::-1, 1] = np.swapaxes(x @ w[1].T, 0, 1)
+    proj += b[:, None]
     _check_finite(proj, "bigru")
-    proj = np.moveaxis(proj, -2, 0)
-    steps = len(proj)
-    states = np.empty(proj.shape[:-1] + (units,), dtype=DTYPE)
-    saved = np.empty((5,) + states.shape, dtype=DTYPE) if keep else None
-    h = np.zeros(states.shape[1:], dtype=DTYPE)
-    for t in reversed(range(steps)) if reverse else range(steps):
-        gates = proj[t, ..., : 2 * units] + h @ u_zr.T
+    u_zr_t, u_h_t = np.swapaxes(u_zr, 1, 2), np.swapaxes(u_h, 1, 2)
+    if x.shape[0] > 1:
+        # faster as contiguous stacks, with the same bits; a one-row product
+        # is BLAS's matrix-vector kernel, whose bits follow the matrix's
+        # layout, so there the transposed views stay
+        u_zr_t, u_h_t = np.ascontiguousarray(u_zr_t), np.ascontiguousarray(u_h_t)
+    states = np.zeros((steps + 1,) + proj.shape[1:-1] + (units,), dtype=DTYPE)
+    kept = steps if keep else 1
+    zr = np.empty((kept,) + states.shape[1:-1] + (2 * units,), dtype=DTYPE)
+    rh = np.empty((kept,) + states.shape[1:], dtype=DTYPE)
+    cand = np.empty_like(rh)
+    proj_zr, proj_h = proj[..., : 2 * units], proj[..., 2 * units :]
+    z_all, r_all = zr[..., :units], zr[..., units:]
+    for t in range(steps):
+        k = t if keep else 0
+        h = states[t]
+        gates = proj_zr[t] + np.matmul(h, u_zr_t)
         _check_finite(gates, "bigru")
-        zr = sigmoid_array(gates)
-        z, r = zr[..., :units], zr[..., units:]
-        rh = r * h
-        pre = proj[t, ..., 2 * units :] + rh @ u_h.T
+        sigmoid_array(gates, out=zr[k])
+        z = z_all[k]
+        np.multiply(r_all[k], h, out=rh[k])
+        pre = proj_h[t] + np.matmul(rh[k], u_h_t)
         _check_finite(pre, "bigru")
-        cand = np.tanh(pre)
-        if keep:
-            saved[0, t], saved[1, t], saved[2, t], saved[3, t], saved[4, t] = h, z, r, rh, cand
-        h = (1.0 - z) * h + z * cand
-        states[t] = h
-    return np.moveaxis(states, 0, -2), saved
+        np.tanh(pre, out=cand[k])
+        np.add((1.0 - z) * h, z * cand[k], out=states[t + 1])
+    return states, zr, rh, cand
 
 
-def _gru_backward(g, x, w, u_zr, u_h, saved, reverse: bool):
-    """Backpropagate the (..., N, H) state gradient g of one direction
-    through time. Returns the gradients of x, w, b, u_zr and u_h."""
-    h_prev, z, r, rh, cand = saved
-    units = u_h.shape[0]
-    steps = len(z)
-    g = np.moveaxis(g, -2, 0)
-    grad_pre = np.empty(z.shape[:-1] + (3 * units,), dtype=DTYPE)  # step-major
-    gh = np.zeros(z.shape[1:], dtype=DTYPE)
-    for t in range(steps) if reverse else reversed(range(steps)):
+def _gru_backward(g, w, u_zr, u_h, states, zr, cand):
+    """Backpropagate the step-major (N, 2, M, H) state gradient g of both
+    directions through time in one loop, mirroring _gru_forward's layout.
+    Returns the (N, 2, M, 3H) gradient of each step's gate and candidate
+    pre-activations."""
+    units = u_h.shape[-1]
+    steps = len(g)
+    grad_pre = np.empty(g.shape[:-1] + (3 * units,), dtype=DTYPE)
+    gh = np.zeros(g.shape[1:], dtype=DTYPE)
+    z_all, r_all = zr[..., :units], zr[..., units:]
+    g_zr, g_z_all, g_r_all, g_cand_all = (grad_pre[..., i * units : j * units]
+                                          for i, j in ((0, 2), (0, 1), (1, 2), (2, 3)))
+    for t in reversed(range(steps)):
         gh = gh + g[t]
-        zt, rt, ct, ht = z[t], r[t], cand[t], h_prev[t]
-        g_cand = gh * zt * (1.0 - ct * ct)
-        g_rh = g_cand @ u_h
-        grad_pre[t, ..., :units] = gh * (ct - ht) * zt * (1.0 - zt)
-        grad_pre[t, ..., units : 2 * units] = g_rh * ht * rt * (1.0 - rt)
-        grad_pre[t, ..., 2 * units :] = g_cand
-        gh = gh * (1.0 - zt) + g_rh * rt + grad_pre[t, ..., : 2 * units] @ u_zr
-    flat = grad_pre.reshape(-1, 3 * units)
-    gw = flat.T @ np.moveaxis(x, -2, 0).reshape(-1, x.shape[-1])
-    gu_zr = flat[:, : 2 * units].T @ h_prev.reshape(-1, units)
-    gu_h = flat[:, 2 * units :].T @ rh.reshape(-1, units)
-    return np.moveaxis(grad_pre @ w, 0, -2), gw, flat.sum(axis=0), gu_zr, gu_h
+        zt, rt, ct, ht = z_all[t], r_all[t], cand[t], states[t]
+        g_z, g_r, g_cand = g_z_all[t], g_r_all[t], g_cand_all[t]
+        keep_z = 1.0 - zt
+        np.multiply(gh * zt, 1.0 - ct * ct, out=g_cand)
+        g_rh = np.matmul(g_cand, u_h)
+        np.multiply(gh * (ct - ht) * zt, keep_z, out=g_z)
+        np.multiply(g_rh * ht * rt, 1.0 - rt, out=g_r)
+        gh = gh * keep_z + g_rh * rt + np.matmul(g_zr[t], u_zr)
+    return grad_pre
 
 
 def bigru(x, params: BiGRUParams) -> Tensor:
@@ -587,12 +609,14 @@ def bigru(x, params: BiGRUParams) -> Tensor:
     Gates: z = sigmoid(Wz x + Uz h + bz), r = sigmoid(Wr x + Ur h + br),
     htilde = tanh(Wh x + Uh (r * h) + bh), h' = (1 - z) * h + z * htilde,
     with h_0 = 0. At each step the forward hidden state is concatenated
-    with the backward hidden state for the same position. The input terms
-    W x + b are one product over all N steps; the recurrence runs in numpy
-    and the backward pass is hand-written backpropagation through time.
-    Non-finite input terms, gate or candidate pre-activations raise
-    NumericsError. On a tape that records no ops, the per-step gate and
-    state values the backward pass reads are not kept.
+    with the backward hidden state for the same position. The two
+    directions run as one recurrence over the leading axes flattened to M
+    rows, with their cells stacked and the reverse direction's inputs
+    flipped in time (see _gru_forward); the input terms W x + b are one
+    product over all N steps per direction, and the backward pass is one
+    hand-written backpropagation through time for both. Non-finite input
+    terms, gate or candidate pre-activations raise NumericsError. On a
+    tape that records no ops, only the last step's gate values are kept.
     """
     tape = x.tape
     x = _coerce(tape, x)
@@ -608,25 +632,37 @@ def bigru(x, params: BiGRUParams) -> Tensor:
                 f"bigru: {name} has shape {leaf.value.shape}, expected {shape} "
                 f"for input feature dim {feat} and {units} units"
             )
-    cells = []  # per direction: [W_z; W_r; W_h], [b_z; b_r; b_h], [U_z; U_r], U_h
-    for cell in (leaves[:9], leaves[9:]):
-        w_z, u_z, b_z, w_r, u_r, b_r, w_h, u_h, b_h = (leaf.value for leaf in cell)
-        cells.append((np.concatenate([w_z, w_r, w_h]), np.concatenate([b_z, b_r, b_h]),
-                      np.concatenate([u_z, u_r]), u_h))
-    directions = (False, True)  # reverse: the forward pass, then the backward one
-    runs = [_gru_forward(xv, *cell, reverse, tape.records)
-            for cell, reverse in zip(cells, directions)]
-    out = np.concatenate([states for states, _ in runs], axis=-1)
+    # both cells' [W_z; W_r; W_h], [b_z; b_r; b_h], [U_z; U_r] and U_h, stacked
+    cells = [[leaf.value for leaf in cell] for cell in (leaves[:9], leaves[9:])]
+    w, b, u_zr, u_h = (np.array([[cell[i] for i in parts] for cell in cells])
+                       .reshape((2, -1) + cells[0][parts[0]].shape[1:])
+                       for parts in ((0, 3, 6), (2, 5, 8), (1, 4), (7,)))
+    lead, steps = xv.shape[:-2], xv.shape[-2]
+    xs = xv.reshape((-1, steps, feat))
+    states, zr, rh, cand = _gru_forward(xs, w, b, u_zr, u_h, tape.records)
+    out = np.empty((len(xs), steps, 2 * units), dtype=DTYPE)  # in time order
+    out[..., :units] = np.swapaxes(states[1:, 0], 0, 1)
+    out[..., units:] = np.swapaxes(states[:0:-1, 1], 0, 1)
+    out = out.reshape(lead + (steps, 2 * units))
 
     def vjp(g):
+        g = np.moveaxis(g.reshape((-1, steps, 2 * units)), 1, 0)
+        grad_pre = _gru_backward(np.stack([g[..., :units], g[::-1, :, units:]], axis=1),
+                                 w, u_zr, u_h, states, zr, cand)
+        x_rows = np.moveaxis(xs, 1, 0).reshape(-1, feat)  # time-major, as the rows below
         gx, grads = 0.0, []
-        for d, ((w, _, u_zr, u_h), (_, saved), reverse) in enumerate(zip(cells, runs, directions)):
-            g_dir = g[..., d * units : (d + 1) * units]
-            gx_d, gw, gb, gu_zr, gu_h = _gru_backward(g_dir, xv, w, u_zr, u_h, saved, reverse)
-            gx = gx + gx_d
-            (gw_z, gw_r, gw_h), (gb_z, gb_r, gb_h) = np.split(gw, 3), np.split(gb, 3)
-            gu_z, gu_r = np.split(gu_zr, 2)
-            grads += [gw_z, gu_z, gb_z, gw_r, gu_r, gb_r, gw_h, gu_h, gb_h]
+        for d, time in enumerate((slice(None), slice(None, None, -1))):
+            # the direction's values in time order, so every sum below runs in the same order
+            pre_d = np.ascontiguousarray(grad_pre[time, d])
+            flat = pre_d.reshape(-1, 3 * units)
+            gw = flat.T @ x_rows
+            gu_zr = flat[:, : 2 * units].T @ states[:-1][time, d].reshape(-1, units)
+            gu_h = flat[:, 2 * units :].T @ rh[time, d].reshape(-1, units)
+            gx = gx + np.moveaxis(pre_d.reshape((steps,) + lead + (3 * units,)) @ w[d], 0, -2)
+            gb = flat.sum(axis=0)
+            for i, gu in enumerate((gu_zr[:units], gu_zr[units:], gu_h)):  # z, r, candidate
+                rows = slice(i * units, (i + 1) * units)
+                grads += [gw[rows], gu, gb[rows]]
         return [gx] + grads
 
     return _record(tape, out, [x] + leaves, vjp, "bigru")

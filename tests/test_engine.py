@@ -684,6 +684,25 @@ class TestBiGRUReference:
             with np.errstate(over="ignore"), pytest.raises(NumericsError, match="'bigru'"):
                 tz.bigru(tape.constant(np.ones((2, 5, 4))), params)
 
+    @pytest.mark.parametrize("records", [True, False])
+    @pytest.mark.parametrize("direction", ["fwd", "bwd"])
+    @pytest.mark.parametrize("term", ["u_z", "u_h"])
+    def test_overflowing_recurrent_term_raises_in_each_direction(self, term, direction, records):
+        # as above, in one direction only: z and r are close to 1, so after
+        # step 0 h is close to 1 in every unit, and at step 1 the gate term
+        # U_z h or the candidate term U_h (r * h) overflows; without the
+        # check, sigmoid and tanh would map the inf back to a finite state
+        rng = np.random.default_rng(214)
+        params = _gru_params(rng, units=3, feat=4)
+        cell = getattr(params, direction)
+        cell.w_h.assign(np.full((3, 4), 5.0))
+        cell.b_z.assign(np.full(3, 20.0))
+        cell.b_r.assign(np.full(3, 20.0))
+        getattr(cell, term).assign(np.full((3, 3), np.finfo(np.float64).max))
+        tape = tz.Tape(records=records)
+        with np.errstate(over="ignore"), pytest.raises(NumericsError, match="'bigru'"):
+            tz.bigru(tape.constant(np.ones((2, 5, 4))), params)
+
     def test_parameter_shape_mismatch_raises(self):
         rng = np.random.default_rng(213)
         params = _gru_params(rng, units=3, feat=4)
@@ -691,6 +710,102 @@ class TestBiGRUReference:
         tape = tz.Tape()
         with pytest.raises(ShapeError, match="bwd.u_r"):
             tz.bigru(tape.constant(np.ones((5, 4))), params)
+
+
+def _gru_forward_per_direction(x, w, b, u_zr, u_h, reverse):
+    """One GRU direction as bigru ran it before its two directions were
+    stacked: the byte oracle of TestBiGRUStackedBytes."""
+    units = u_h.shape[0]
+    proj = x @ w.T + b
+    proj = np.moveaxis(proj, -2, 0)
+    steps = len(proj)
+    states = np.empty(proj.shape[:-1] + (units,))
+    saved = np.empty((5,) + states.shape)
+    h = np.zeros(states.shape[1:])
+    for t in reversed(range(steps)) if reverse else range(steps):
+        gates = proj[t, ..., : 2 * units] + h @ u_zr.T
+        e = np.exp(-np.abs(gates))
+        zr = np.where(gates >= 0, 1.0, e) / (1.0 + e)
+        z, r = zr[..., :units], zr[..., units:]
+        rh = r * h
+        pre = proj[t, ..., 2 * units :] + rh @ u_h.T
+        cand = np.tanh(pre)
+        saved[0, t], saved[1, t], saved[2, t], saved[3, t], saved[4, t] = h, z, r, rh, cand
+        h = (1.0 - z) * h + z * cand
+        states[t] = h
+    return np.moveaxis(states, 0, -2), saved
+
+
+def _gru_backward_per_direction(g, x, w, u_zr, u_h, saved, reverse):
+    h_prev, z, r, rh, cand = saved
+    units = u_h.shape[0]
+    steps = len(z)
+    g = np.moveaxis(g, -2, 0)
+    grad_pre = np.empty(z.shape[:-1] + (3 * units,))
+    gh = np.zeros(z.shape[1:])
+    for t in range(steps) if reverse else reversed(range(steps)):
+        gh = gh + g[t]
+        zt, rt, ct, ht = z[t], r[t], cand[t], h_prev[t]
+        g_cand = gh * zt * (1.0 - ct * ct)
+        g_rh = g_cand @ u_h
+        grad_pre[t, ..., :units] = gh * (ct - ht) * zt * (1.0 - zt)
+        grad_pre[t, ..., units : 2 * units] = g_rh * ht * rt * (1.0 - rt)
+        grad_pre[t, ..., 2 * units :] = g_cand
+        gh = gh * (1.0 - zt) + g_rh * rt + grad_pre[t, ..., : 2 * units] @ u_zr
+    flat = grad_pre.reshape(-1, 3 * units)
+    gw = flat.T @ np.moveaxis(x, -2, 0).reshape(-1, x.shape[-1])
+    gu_zr = flat[:, : 2 * units].T @ h_prev.reshape(-1, units)
+    gu_h = flat[:, 2 * units :].T @ rh.reshape(-1, units)
+    return np.moveaxis(grad_pre @ w, 0, -2), gw, flat.sum(axis=0), gu_zr, gu_h
+
+
+def _bigru_per_direction(x, params, g):
+    """Output, input gradient and the 18 parameter gradients (in
+    BiGRUParams.all() order) of the per-direction bi-GRU."""
+    units = params.units
+    cells, runs = [], []
+    for cell, reverse in ((params.fwd, False), (params.bwd, True)):
+        w_z, u_z, b_z, w_r, u_r, b_r, w_h, u_h, b_h = (p.value for p in cell.all())
+        cells.append((np.concatenate([w_z, w_r, w_h]), np.concatenate([b_z, b_r, b_h]),
+                      np.concatenate([u_z, u_r]), u_h))
+        runs.append(_gru_forward_per_direction(x, *cells[-1], reverse))
+    out = np.concatenate([states for states, _ in runs], axis=-1)
+    gx, grads = 0.0, []
+    for d, reverse in enumerate((False, True)):
+        w, _, u_zr, u_h = cells[d]
+        gx_d, gw, gb, gu_zr, gu_h = _gru_backward_per_direction(
+            g[..., d * units : (d + 1) * units], x, w, u_zr, u_h, runs[d][1], reverse)
+        gx = gx + gx_d
+        (gw_z, gw_r, gw_h), (gb_z, gb_r, gb_h) = np.split(gw, 3), np.split(gb, 3)
+        gu_z, gu_r = np.split(gu_zr, 2)
+        grads += [gw_z, gu_z, gb_z, gw_r, gu_r, gb_r, gw_h, gu_h, gb_h]
+    return out, gx, grads
+
+
+class TestBiGRUStackedBytes:
+    """bigru runs both directions as one stacked recurrence; its output
+    and every gradient equal, byte for byte, those of the two separate
+    per-direction recurrences it replaced."""
+
+    @pytest.mark.parametrize("steps", [1, 4, 10])
+    @pytest.mark.parametrize("lead", [(), (1,), (5,), (2, 3)])
+    def test_bytes_equal_per_direction(self, lead, steps):
+        rng = np.random.default_rng(300 + steps + 7 * len(lead))
+        params = _gru_params(rng, units=4, feat=6)
+        x = rng.normal(size=lead + (steps, 6))
+        g = rng.normal(size=lead + (steps, 8))
+        out, gx, grads = _bigru_per_direction(x, params, g)
+        for records in (True, False):
+            tape = tz.Tape(records=records)
+            assert tz.bigru(tape.constant(x), params).value.tobytes() == out.tobytes()
+        tape = tz.Tape()
+        tz.bigru(tape.constant(x), params)
+        got_gx, *got_grads = _vjp_of_last_op(tape, g)
+        assert got_gx.shape == gx.shape and got_gx.tobytes() == gx.tobytes()
+        assert len(got_grads) == len(grads) == 18
+        for p, got_g, want in zip(params.all(), got_grads, grads):
+            assert got_g.shape == want.shape == p.value.shape, p.name
+            assert got_g.tobytes() == want.tobytes(), p.name
 
 
 class TestNonRecordingTape:

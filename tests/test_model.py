@@ -1,11 +1,19 @@
+import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fakeflow
 import fakeflow.tensor as tz
 from conftest import max_relative_error, numeric_gradient, overflowing
-from fakeflow.errors import ConfigError, NumericsError, ShapeError
+from fakeflow.errors import ConfigError, NumericsError, ShapeError, UsageError
 from fakeflow.model import (
     MODES,
     Example,
@@ -416,6 +424,17 @@ class TestInferenceTape:
         assert len(tapes) == 4
         assert all(not tape.records and len(tape) == 0 for tape in tapes)
 
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_batch_size_below_one_rejected(self, batch_size):
+        cfg = tiny_config()
+        model = FakeFlowModel(cfg, seed=36)
+        examples = edge_batch(cfg, 3, seed=36)
+        for predict in (model.predict_logits, model.predict_proba, model.predict):
+            with pytest.raises(UsageError, match=f"batch_size must be >= 1, got {batch_size}"):
+                predict(examples, batch_size=batch_size)
+            with pytest.raises(UsageError, match="batch_size"):
+                predict([], batch_size=batch_size)
+
     def test_first_bad_document_is_named(self):
         cfg = tiny_config()
         model = FakeFlowModel(cfg, seed=33)
@@ -528,3 +547,58 @@ class TestEndToEndGradient:
             )
             worst = max(worst, max_relative_error(analytic[p.name], numeric))
         assert worst < 1e-4, f"worst rel err {worst:.2e}"
+
+
+def blas_thread_digests() -> dict[str, str]:
+    """sha256 of predict_proba in each mode, and of the parameters after
+    eight Adam steps of an affect_only model, at bench-like sizes."""
+    def sha(arrays):
+        h = hashlib.sha256()
+        for a in arrays:
+            h.update(np.ascontiguousarray(a, dtype=np.float64).tobytes())
+        return h.hexdigest()
+
+    sizes = dict(n_segments=10, vocab_size=3000, max_seg_len=40, embed_dim=32,
+                 dropout_rate=0.3, activation="relu")
+    digests = {}
+    for mode in MODES:
+        cfg = FakeFlowConfig(mode=mode, **sizes)
+        rng = np.random.default_rng(41)
+        examples = [random_example(cfg, rng, doc_id=f"d{i}") for i in range(96)]
+        digests[mode] = sha([FakeFlowModel(cfg, seed=41).predict_proba(examples)])
+    cfg = FakeFlowConfig(mode="affect_only", **sizes)
+    model = FakeFlowModel(cfg, seed=42)
+    rng = np.random.default_rng(42)
+    opt = tz.make_optimizer("adam")
+    params = model.trainable_params()
+    for _ in range(8):
+        examples = [random_example(cfg, rng, doc_id=f"d{i}") for i in range(32)]
+        tape = tz.Tape()
+        loss, _ = model.batch_loss(tape, examples, rng.integers(0, 2, size=32),
+                                   training=True, rng=rng)
+        tz.backward(tape, loss)
+        tz.step(opt, params)
+    digests["affect_only-adam"] = sha([p.value for p in params])
+    return digests
+
+
+class TestBlasThreads:
+    """Inference in every mode and affect_only training give the same bits
+    with one BLAS thread as with two. The thread count is fixed when numpy
+    loads, so each count runs in its own interpreter."""
+
+    def test_digests_independent_of_thread_count(self):
+        tests_dir = Path(__file__).resolve().parent
+        src_dir = Path(fakeflow.__file__).resolve().parent.parent
+        runs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join([str(src_dir), str(tests_dir)]))
+            done = subprocess.run(
+                [sys.executable, "-c",
+                 "import json, test_model; print(json.dumps(test_model.blas_thread_digests()))"],
+                env=env, cwd=tests_dir, capture_output=True, text=True, timeout=300)
+            assert done.returncode == 0, done.stderr
+            runs.append(json.loads(done.stdout.splitlines()[-1]))
+        assert sorted(runs[0]) == ["affect_only", "affect_only-adam", "full", "topic_only"]
+        assert runs[0] == runs[1]
