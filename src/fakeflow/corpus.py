@@ -316,9 +316,9 @@ def load_source_lists(path) -> list[SourceListEntry]:
             lineno = reader.line_num  # the record's last line; a quoted field may span lines
             if any(row[name] is None for name in required):
                 raise ParseError(f"{path}:{lineno}: expected the fields domain,list,category")
-            if not row["domain"] or not row["list"]:
-                raise ParseError(f"{path}:{lineno}: empty domain or list")
             key = (row["domain"].strip(), row["list"].strip())
+            if not key[0] or not key[1]:
+                raise ParseError(f"{path}:{lineno}: empty domain or list")
             if key in seen:
                 raise ParseError(f"{path}:{lineno}: duplicate entry for {key[0]} on {key[1]}")
             seen.add(key)

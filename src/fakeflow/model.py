@@ -198,6 +198,68 @@ def combine(v_flow, l_t):
     return tz.mean_axis(tz.mul(v_flow, l_t), axis=-2)
 
 
+GRU_NAMES = ("gru_w", "gru_b", "gru_u_zr", "gru_u_h")  # tz.bigru's w, b, u_zr, u_h
+
+
+def parameter_shapes(c: FakeFlowConfig) -> dict[str, tuple[int, ...]]:
+    """Name and shape of every parameter of a model of config `c`, in the
+    model's order: the model is built, and a checkpoint checked, from these."""
+    shapes = {}
+    if c.mode != "affect_only":
+        shapes["embedding"] = (c.vocab_size, c.embed_dim)
+        for w in c.cnn_filter_widths:
+            shapes[f"conv{w}_filters"] = (c.cnn_filter_count, w, c.embed_dim)
+            shapes[f"conv{w}_bias"] = (c.cnn_filter_count,)
+        cnn_dim = c.cnn_filter_count * len(c.cnn_filter_widths)
+        concat_dim = c.topic_dense_dim + (N_FEATURES if c.mode == "full" else 0)
+        d = c.fused_dense_dim
+        shapes.update(topic_dense_w=(c.topic_dense_dim, cnn_dim), topic_dense_b=(c.topic_dense_dim,),
+                      fuse_dense_w=(d, concat_dim), fuse_dense_b=(d,),
+                      att_w1=(d, d), att_w2=(d, d), att_b=(d,), att_v=(d,))
+    if c.mode != "topic_only":
+        shapes.update(zip(GRU_NAMES, tz.gru_shapes(c.gru_units, N_FEATURES)))
+    n_classes = len(c.classes)
+    shapes.update(out_dense_w=(c.final_dense_dim, 2 * c.gru_units),
+                  out_dense_b=(c.final_dense_dim,),
+                  softmax_w=(n_classes, c.final_dense_dim), softmax_b=(n_classes,))
+    return shapes
+
+
+def _gru_gates(units: int, feat: int) -> list[tuple[str, tuple[int, ...]]]:
+    """Name and shape of each per-gate bi-GRU array, in the order
+    tz.stack_gru takes them (gru_fwd_wz, gru_fwd_uz, gru_fwd_bz, gru_fwd_wr,
+    ... gru_bwd_bh), as checkpoints held them before it was stored stacked."""
+    kinds = (("w", (units, feat)), ("u", (units, units)), ("b", (units,)))
+    return [(f"gru_{d}_{k}{g}", shape) for d in ("fwd", "bwd") for g in "zrh" for k, shape in kinds]
+
+
+def _checked_state(state: dict, shapes: dict, where: str = "checkpoint") -> dict:
+    """`state` (name -> array) with a per-gate bi-GRU stacked, after a
+    ConfigError for the first parameter of `shapes` it lacks or holds in
+    another shape, or for any it holds that `shapes` has not."""
+
+    def check(name, shape):
+        if name not in state:
+            raise ConfigError(f"{where} is missing parameter {name!r}")
+        if state[name].shape != shape:
+            raise ConfigError(f"{where} has parameter {name!r} of shape {state[name].shape}, "
+                              f"but its config implies {shape}")
+
+    if "gru_w" in shapes and any(name.startswith(("gru_fwd_", "gru_bwd_")) for name in state):
+        gates = _gru_gates(shapes["gru_u_h"][-1], shapes["gru_w"][-1])
+        for name, shape in gates:
+            check(name, shape)
+        state = dict(state)
+        cells = [state.pop(name) for name, _ in gates]
+        state.update(zip(GRU_NAMES, tz.stack_gru([cells[:9], cells[9:]])))
+    for name, shape in shapes.items():
+        check(name, shape)
+    unexpected = sorted(set(state) - set(shapes))
+    if unexpected:
+        raise ConfigError(f"{where} has parameters this model does not have: {unexpected}")
+    return state
+
+
 class FakeFlowModel:
     """Owns the parameters and wires the forward pass for one config."""
 
@@ -209,8 +271,16 @@ class FakeFlowModel:
         self.params: list[tz.Parameter] = []
         c = config
 
+        shapes = parameter_shapes(c)
+
+        def weight(name):
+            return self._param(name, tz.dense_weight(rng, *shapes[name]))
+
+        def zeros(name):
+            return self._param(name, tz.zeros(shapes[name]))
+
         if c.mode != "affect_only":
-            table = tz.embedding_table(rng, c.vocab_size, c.embed_dim)
+            table = tz.embedding_table(rng, *shapes["embedding"])
             if pretrained:
                 if vocab_tokens is None:
                     raise UsageError("pretrained vectors need the vocabulary token map")
@@ -229,56 +299,27 @@ class FakeFlowModel:
             self.embedding = self._param("embedding", table)
             self.conv = []
             for w in c.cnn_filter_widths:
-                self.conv.append(
-                    (
-                        self._param(f"conv{w}_filters", tz.conv_filters(rng, c.cnn_filter_count, w, c.embed_dim)),
-                        self._param(f"conv{w}_bias", tz.zeros(c.cnn_filter_count)),
-                    )
-                )
-            cnn_dim = c.cnn_filter_count * len(c.cnn_filter_widths)
-            self.topic_w = self._param("topic_dense_w", tz.dense_weight(rng, c.topic_dense_dim, cnn_dim))
-            self.topic_b = self._param("topic_dense_b", tz.zeros(c.topic_dense_dim))
-            concat_dim = c.topic_dense_dim + (N_FEATURES if c.mode == "full" else 0)
-            self.fuse_w = self._param("fuse_dense_w", tz.dense_weight(rng, c.fused_dense_dim, concat_dim))
-            self.fuse_b = self._param("fuse_dense_b", tz.zeros(c.fused_dense_dim))
-            d = c.fused_dense_dim
-            self.att_w1 = self._param("att_w1", tz.dense_weight(rng, d, d))
-            self.att_w2 = self._param("att_w2", tz.dense_weight(rng, d, d))
-            self.att_b = self._param("att_b", tz.zeros(d))
-            self.att_v = self._param("att_v", tz.dense_weight(rng, 1, d)[0])
+                filters = f"conv{w}_filters"
+                self.conv.append((self._param(filters, tz.conv_filters(rng, *shapes[filters])),
+                                  zeros(f"conv{w}_bias")))
+            self.topic_w, self.topic_b = weight("topic_dense_w"), zeros("topic_dense_b")
+            self.fuse_w, self.fuse_b = weight("fuse_dense_w"), zeros("fuse_dense_b")
+            self.att_w1, self.att_w2, self.att_b = weight("att_w1"), weight("att_w2"), zeros("att_b")
+            self.att_v = self._param("att_v", tz.dense_weight(rng, 1, *shapes["att_v"])[0])
 
-        if c.mode != "topic_only":
-            self.gru = tz.BiGRUParams(
-                fwd=self._gru_cell(rng, "gru_fwd", c.gru_units),
-                bwd=self._gru_cell(rng, "gru_bwd", c.gru_units),
-                units=c.gru_units,
-            )
+        if c.mode != "topic_only":  # drawn gate by gate: W_z, U_z, W_r, U_r, W_h, U_h
+            cells = [tz.dense_weight(rng, *shape) if len(shape) == 2 else tz.zeros(shape)
+                     for _, shape in _gru_gates(c.gru_units, N_FEATURES)]
+            self.gru = [self._param(name, value)
+                        for name, value in zip(GRU_NAMES, tz.stack_gru([cells[:9], cells[9:]]))]
 
-        self.out_w = self._param("out_dense_w", tz.dense_weight(rng, c.final_dense_dim, 2 * c.gru_units))
-        self.out_b = self._param("out_dense_b", tz.zeros(c.final_dense_dim))
-        self.cls_w = self._param("softmax_w", tz.dense_weight(rng, len(c.classes), c.final_dense_dim))
-        self.cls_b = self._param("softmax_b", tz.zeros(len(c.classes)))
+        self.out_w, self.out_b = weight("out_dense_w"), zeros("out_dense_b")
+        self.cls_w, self.cls_b = weight("softmax_w"), zeros("softmax_b")
 
     def _param(self, name, value) -> tz.Parameter:
         p = tz.Parameter(name, value)
         self.params.append(p)
         return p
-
-    def _gru_cell(self, rng, prefix, units) -> tz.GRUCellParams:
-        def w(g):
-            return self._param(f"{prefix}_w{g}", tz.dense_weight(rng, units, N_FEATURES))
-
-        def u(g):
-            return self._param(f"{prefix}_u{g}", tz.dense_weight(rng, units, units))
-
-        def b(g):
-            return self._param(f"{prefix}_b{g}", tz.zeros(units))
-
-        return tz.GRUCellParams(
-            w_z=w("z"), u_z=u("z"), b_z=b("z"),
-            w_r=w("r"), u_r=u("r"), b_r=b("r"),
-            w_h=w("h"), u_h=u("h"), b_h=b("h"),
-        )
 
     # ------------------------------------------------------------------
     # branches
@@ -365,7 +406,7 @@ class FakeFlowModel:
     def affect_flow(self, v_affect):
         """Bi-GRU over the segment-level affect vectors; keeps the full
         per-segment output."""
-        return tz.bigru(v_affect, self.gru)
+        return tz.bigru(v_affect, *self.gru)
 
     def classify(self, v_compact, training: bool, rng):
         """Output dense layer with activation, then the linear layer whose
@@ -492,12 +533,10 @@ class FakeFlowModel:
         return {p.name: p.value.copy() for p in self.params}
 
     def load_state(self, state: dict[str, np.ndarray]) -> None:
-        unexpected = sorted(set(state) - {p.name for p in self.params})
-        if unexpected:
-            raise ConfigError(f"checkpoint has parameters this model does not have: {unexpected}")
+        """Assign every parameter from `state` (name -> array), which may
+        hold the bi-GRU gate by gate, as older checkpoints do."""
+        state = _checked_state(state, {p.name: p.shape for p in self.params})
         for p in self.params:
-            if p.name not in state:
-                raise ConfigError(f"checkpoint is missing parameter {p.name!r}")
             p.assign(state[p.name])
 
     def save(self, path) -> None:
@@ -506,8 +545,11 @@ class FakeFlowModel:
     @classmethod
     def load(cls, path) -> "FakeFlowModel":
         config_json, arrays = tz.load_checkpoint(path)
-        model = cls(FakeFlowConfig.from_json(config_json), seed=0)
-        model.load_state(arrays)
+        config = FakeFlowConfig.from_json(config_json)
+        # before the model is drawn: a config at odds with its arrays may not fit in memory
+        state = _checked_state(arrays, parameter_shapes(config), f"checkpoint {path}")
+        model = cls(config, seed=0)
+        model.load_state(state)
         return model
 
 

@@ -11,12 +11,11 @@ distinct token id's row by the filters once, and its backward reaches only
 each segment's max window; embedding_lookup, conv1d and segment_max stay
 as its reference. bigru runs its two directions as one stacked recurrence,
 records one tape entry for it and backpropagates through time in its own
-backward.
+backward; it takes the two cells as four arrays stacked on a direction
+axis, with the gates in the order z, r, h (see bigru).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -493,44 +492,28 @@ def additive_pair_scores(a, b, bias, v) -> Tensor:
 # recurrent layer
 
 
-@dataclass
-class GRUCellParams:
-    """Weights for one GRU direction; all Parameters."""
-
-    w_z: Parameter
-    u_z: Parameter
-    b_z: Parameter
-    w_r: Parameter
-    u_r: Parameter
-    b_r: Parameter
-    w_h: Parameter
-    u_h: Parameter
-    b_h: Parameter
-
-    def all(self):
-        return [
-            self.w_z, self.u_z, self.b_z,
-            self.w_r, self.u_r, self.b_r,
-            self.w_h, self.u_h, self.b_h,
-        ]
+def gru_shapes(units: int, feat: int) -> tuple[tuple[int, ...], ...]:
+    """The shapes of bigru's w, b, u_zr and u_h for H = units over F = feat."""
+    return (2, 3 * units, feat), (2, 3 * units), (2, 2 * units, units), (2, units, units)
 
 
-@dataclass
-class BiGRUParams:
-    fwd: GRUCellParams
-    bwd: GRUCellParams
-    units: int
+def stack_gru(cells) -> tuple[np.ndarray, ...]:
+    """bigru's w, b, u_zr and u_h from two GRU cells given gate by gate.
 
-    def all(self):
-        return self.fwd.all() + self.bwd.all()
+    cells: the forward and then the reverse direction, each the nine
+    arrays W_z, U_z, b_z, W_r, U_r, b_r, W_h, U_h, b_h of shapes (H, F),
+    (H, H) and (H,). Their values are copied unchanged.
+    """
+    return (np.stack([np.concatenate(cell[0::3]) for cell in cells]),
+            np.stack([np.concatenate(cell[2::3]) for cell in cells]),
+            np.stack([np.concatenate(cell[1:6:3]) for cell in cells]),
+            np.stack([cell[7] for cell in cells]))
 
 
 def _gru_forward(x, w, b, u_zr, u_h, keep: bool):
     """Run both GRU directions over the (M, N, F) array x as one recurrence.
 
-    The cells are stacked on a leading direction axis (0 forward, 1
-    reverse): w, b: [W_z; W_r; W_h] and [b_z; b_r; b_h] as (2, 3H, F) and
-    (2, 3H); u_zr: [U_z; U_r] as (2, 2H, H); u_h: (2, H, H). Every step's
+    w, b, u_zr and u_h are the cells as bigru takes them. Every step's
     input terms W x + b are taken at once, one product per direction, and
     laid out step-major with the reverse direction's flipped in time, so
     step s reads position s forward and position N-1-s in reverse. Each
@@ -578,7 +561,7 @@ def _gru_forward(x, w, b, u_zr, u_h, keep: bool):
     return states, zr, rh, cand
 
 
-def _gru_backward(g, w, u_zr, u_h, states, zr, cand):
+def _gru_backward(g, u_zr, u_h, states, zr, cand):
     """Backpropagate the step-major (N, 2, M, H) state gradient g of both
     directions through time in one loop, mirroring _gru_forward's layout.
     Returns the (N, 2, M, 3H) gradient of each step's gate and candidate
@@ -603,40 +586,40 @@ def _gru_backward(g, w, u_zr, u_h, states, zr, cand):
     return grad_pre
 
 
-def bigru(x, params: BiGRUParams) -> Tensor:
+def bigru(x, w, b, u_zr, u_h) -> Tensor:
     """Bidirectional GRU over (..., N, F) returning (..., N, 2H), as one op.
 
     Gates: z = sigmoid(Wz x + Uz h + bz), r = sigmoid(Wr x + Ur h + br),
     htilde = tanh(Wh x + Uh (r * h) + bh), h' = (1 - z) * h + z * htilde,
     with h_0 = 0. At each step the forward hidden state is concatenated
-    with the backward hidden state for the same position. The two
+    with the backward hidden state for the same position. The cells, and
+    their gradients, are stacked on a leading direction axis (0 forward,
+    1 reverse): w = [W_z; W_r; W_h] (2, 3H, F), b = [b_z; b_r; b_h]
+    (2, 3H), u_zr = [U_z; U_r] (2, 2H, H) and u_h (2, H, H), H being u_h's
+    last axis; stack_gru builds them from per-gate arrays. The two
     directions run as one recurrence over the leading axes flattened to M
-    rows, with their cells stacked and the reverse direction's inputs
-    flipped in time (see _gru_forward); the input terms W x + b are one
-    product over all N steps per direction, and the backward pass is one
-    hand-written backpropagation through time for both. Non-finite input
-    terms, gate or candidate pre-activations raise NumericsError. On a
-    tape that records no ops, only the last step's gate values are kept.
+    rows, with the reverse direction's inputs flipped in time (see
+    _gru_forward); the input terms W x + b are one product over all N
+    steps per direction, and the backward pass is one hand-written
+    backpropagation through time for both. Non-finite input terms, gate or
+    candidate pre-activations raise NumericsError. On a tape that records
+    no ops, only the last step's gate values are kept.
     """
     tape = x.tape
     x = _coerce(tape, x)
     xv = x.value
     if xv.ndim < 2 or xv.shape[-2] < 1:
         raise ShapeError(f"bigru: expected (..., N, F) with N >= 1, got {xv.shape}")
-    units, feat = params.units, xv.shape[-1]
-    leaves = [_coerce(tape, p) for p in params.all()]
-    names = [f"{d}.{f.name}" for d in ("fwd", "bwd") for f in fields(GRUCellParams)]
-    for name, leaf, shape in zip(names, leaves, [(units, feat), (units, units), (units,)] * 6):
-        if leaf.value.shape != shape:
+    leaves = [_coerce(tape, p) for p in (w, b, u_zr, u_h)]
+    w, b, u_zr, u_h = values = [leaf.value for leaf in leaves]
+    units, feat = (u_h.shape[-1] if u_h.ndim else 0), xv.shape[-1]
+    want = gru_shapes(units, feat)
+    for i in (3, 0, 1, 2):  # u_h first: the others are checked against its units
+        if values[i].shape != want[i]:
             raise ShapeError(
-                f"bigru: {name} has shape {leaf.value.shape}, expected {shape} "
-                f"for input feature dim {feat} and {units} units"
+                f"bigru: {('w', 'b', 'u_zr', 'u_h')[i]} has shape {values[i].shape}, expected "
+                f"{want[i]} for input feature dim {feat} and {units} units (u_h's last axis)"
             )
-    # both cells' [W_z; W_r; W_h], [b_z; b_r; b_h], [U_z; U_r] and U_h, stacked
-    cells = [[leaf.value for leaf in cell] for cell in (leaves[:9], leaves[9:])]
-    w, b, u_zr, u_h = (np.array([[cell[i] for i in parts] for cell in cells])
-                       .reshape((2, -1) + cells[0][parts[0]].shape[1:])
-                       for parts in ((0, 3, 6), (2, 5, 8), (1, 4), (7,)))
     lead, steps = xv.shape[:-2], xv.shape[-2]
     xs = xv.reshape((-1, steps, feat))
     states, zr, rh, cand = _gru_forward(xs, w, b, u_zr, u_h, tape.records)
@@ -648,21 +631,19 @@ def bigru(x, params: BiGRUParams) -> Tensor:
     def vjp(g):
         g = np.moveaxis(g.reshape((-1, steps, 2 * units)), 1, 0)
         grad_pre = _gru_backward(np.stack([g[..., :units], g[::-1, :, units:]], axis=1),
-                                 w, u_zr, u_h, states, zr, cand)
+                                 u_zr, u_h, states, zr, cand)
         x_rows = np.moveaxis(xs, 1, 0).reshape(-1, feat)  # time-major, as the rows below
-        gx, grads = 0.0, []
+        gx = 0.0
+        gw, gb, gu_zr, gu_h = (np.empty_like(v) for v in values)
         for d, time in enumerate((slice(None), slice(None, None, -1))):
             # the direction's values in time order, so every sum below runs in the same order
             pre_d = np.ascontiguousarray(grad_pre[time, d])
             flat = pre_d.reshape(-1, 3 * units)
-            gw = flat.T @ x_rows
-            gu_zr = flat[:, : 2 * units].T @ states[:-1][time, d].reshape(-1, units)
-            gu_h = flat[:, 2 * units :].T @ rh[time, d].reshape(-1, units)
+            gw[d] = flat.T @ x_rows
+            gu_zr[d] = flat[:, : 2 * units].T @ states[:-1][time, d].reshape(-1, units)
+            gu_h[d] = flat[:, 2 * units :].T @ rh[time, d].reshape(-1, units)
             gx = gx + np.moveaxis(pre_d.reshape((steps,) + lead + (3 * units,)) @ w[d], 0, -2)
-            gb = flat.sum(axis=0)
-            for i, gu in enumerate((gu_zr[:units], gu_zr[units:], gu_h)):  # z, r, candidate
-                rows = slice(i * units, (i + 1) * units)
-                grads += [gw[rows], gu, gb[rows]]
-        return [gx] + grads
+            gb[d] = flat.sum(axis=0)
+        return gx, gw, gb, gu_zr, gu_h
 
     return _record(tape, out, [x] + leaves, vjp, "bigru")

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+import fakeflow.tensor as tz
 from fakeflow.lexicon import (
     EMOTION_CATEGORIES,
     MORALITY_CATEGORIES,
@@ -32,6 +33,28 @@ def numeric_gradient(func, array: np.ndarray, step: float = 1e-5) -> np.ndarray:
         flat[i] = orig
         gflat[i] = (hi - lo) / (2.0 * step)
     return grad
+
+
+def bigru_params(draw, units: int, feat: int) -> list:
+    """tz.bigru's four stacked Parameters (w, b, u_zr, u_h), drawn gate by
+    gate: draw(shape) gives each direction's W_z, U_z, b_z, W_r, U_r, b_r,
+    W_h, U_h, b_h in that order, the forward direction first."""
+    shapes = [(units, feat), (units, units), (units,)] * 3
+    cells = [[draw(shape) for shape in shapes] for _ in range(2)]
+    return [tz.Parameter(name, value)
+            for name, value in zip(("gru_w", "gru_b", "gru_u_zr", "gru_u_h"), tz.stack_gru(cells))]
+
+
+def gru_gates(params, direction: int) -> list:
+    """One direction's nine per-gate views W_z, U_z, b_z, W_r, U_r, b_r,
+    W_h, U_h, b_h of bigru's stacked (w, b, u_zr, u_h) Parameters."""
+    w, b, u_zr, u_h = (p.value[direction] for p in params)
+    units = len(u_h)
+    gates = []
+    for i in range(3):
+        rows = slice(i * units, (i + 1) * units)
+        gates += [w[rows], u_zr[rows] if i < 2 else u_h, b[rows]]
+    return gates
 
 
 def segment_tokens(seg) -> list[list[str]]:

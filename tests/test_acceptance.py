@@ -17,6 +17,7 @@ import pytest
 
 import fakeflow.tensor as tz
 from conftest import (
+    bigru_params,
     build_lexicon_set,
     flow_lexicons,
     make_flow_corpus,
@@ -115,24 +116,10 @@ def test_criterion_01_gradient_fidelity():
 
     # Bi-GRU over 5 steps
     units, feat = 3, 4
-
-    def cell(prefix):
-        return tz.GRUCellParams(
-            w_z=tz.Parameter(f"{prefix}wz", rand(units, feat)),
-            u_z=tz.Parameter(f"{prefix}uz", rand(units, units)),
-            b_z=tz.Parameter(f"{prefix}bz", rand(units)),
-            w_r=tz.Parameter(f"{prefix}wr", rand(units, feat)),
-            u_r=tz.Parameter(f"{prefix}ur", rand(units, units)),
-            b_r=tz.Parameter(f"{prefix}br", rand(units)),
-            w_h=tz.Parameter(f"{prefix}wh", rand(units, feat)),
-            u_h=tz.Parameter(f"{prefix}uh", rand(units, units)),
-            b_h=tz.Parameter(f"{prefix}bh", rand(units)),
-        )
-
-    gru = tz.BiGRUParams(fwd=cell("f"), bwd=cell("b"), units=units)
+    gru = bigru_params(lambda shape: rand(*shape), units, feat)
     xg = tz.Parameter("xg", rng.normal(size=(5, feat)))
     worst["bigru"] = _grad_check(
-        lambda tape: tz.mean_all(tz.bigru(tape.read(xg), gru)), [xg] + gru.all()
+        lambda tape: tz.mean_all(tz.bigru(tape.read(xg), *gru)), [xg] + gru
     )
 
     # context self-attention scores through softmax mixing

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fakeflow
+import fakeflow.tensor as tz
 from conftest import FEAR_WORDS, FILLER_WORDS, JOY_WORDS, make_flow_corpus, overflowing
 from fakeflow import cli
 from fakeflow.cli import main
@@ -388,6 +389,27 @@ class TestLoadedModelErrors:
             assert str(damaged) in capsys.readouterr().err
 
         check()
+
+    @pytest.mark.parametrize("change, name", [
+        ({"vocab_size": 10**15}, "embedding"),
+        ({"gru_units": 10**8, "fused_dense_dim": 2 * 10**8}, "fuse_dense_w"),
+    ], ids=["vocab_size", "gru_units"])
+    def test_config_that_disagrees_with_the_arrays_exits_2(self, trained, tmp_path, capsys,
+                                                           change, name):
+        # sizes no address space holds: the check must come before any draw
+        manifest, corpus, out = trained
+        config, arrays = tz.load_checkpoint(out / "checkpoint.bin")
+        bad = tmp_path / "bad.bin"
+        tz.save_checkpoint(bad, [tz.Parameter(n, a) for n, a in arrays.items()],
+                           config={**config, **change})
+        capsys.readouterr()
+        code = main(["evaluate", "--checkpoint", str(bad), "--vocab", str(out / "vocab.json"),
+                     "--corpus", str(corpus), "--lexicons", str(manifest),
+                     "--out", str(tmp_path / "scored")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: checkpoint {bad} has parameter '{name}' of shape ")
+        assert err.count("\n") == 1
 
     def test_evaluate_overflowing_model_exits_2_naming_documents(self, trained, tmp_path,
                                                                    capsys):

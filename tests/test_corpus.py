@@ -487,7 +487,9 @@ class TestLoadSourceLists:
         (b"domain,list,category\nx.com,OS," + b"a" * 200_000 + b"\n", ": invalid CSV"),
         (b"", ":"),
         (b'domain,list,category\n"x.com",OS,"two\nlines"\ny.com,OS,a\ny.com,OS,b\n', ":5:"),
-    ], ids=["short-row", "latin-1", "field-over-csv-limit", "empty", "after-multi-line-field"])
+        (b"domain,list,category\nx.com,OS,a\n0,\x0c,\n", ":3: empty domain or list"),
+    ], ids=["short-row", "latin-1", "field-over-csv-limit", "empty", "after-multi-line-field",
+            "blank-list"])
     def test_malformed_file_is_parse_error_naming_the_file(self, tmp_path, content, where):
         path = tmp_path / "lists.csv"
         path.write_bytes(content)

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fakeflow.tensor as tz
-from conftest import max_relative_error, numeric_gradient
+from conftest import bigru_params, gru_gates, max_relative_error, numeric_gradient
 from fakeflow.errors import NumericsError, ShapeError, UsageError
 
 
@@ -147,41 +147,22 @@ class TestForwardExamples:
 
     def test_bigru_zero_weights_zero_output(self):
         units = 3
-        cells = []
-        for prefix in ("f", "b"):
-            cells.append(
-                tz.GRUCellParams(
-                    *[tz.Parameter(f"{prefix}{i}", np.zeros((units, 2) if i % 3 == 0 else (units, units) if i % 3 == 1 else units))
-                      for i in range(9)]
-                )
-            )
-        params = tz.BiGRUParams(fwd=cells[0], bwd=cells[1], units=units)
+        params = bigru_params(np.zeros, units, 2)
         tape = tz.Tape()
         x = tape.constant(np.ones((4, 2)))
-        out = tz.bigru(x, params)
+        out = tz.bigru(x, *params)
         assert out.value.shape == (4, 2 * units)
         assert np.all(out.value == 0.0)
 
     def test_bigru_single_step_uses_same_input_both_directions(self):
         rng = np.random.default_rng(0)
         units, feat = 2, 3
-        def cell(prefix):
-            return tz.GRUCellParams(
-                w_z=tz.Parameter(f"{prefix}wz", rng.normal(size=(units, feat))),
-                u_z=tz.Parameter(f"{prefix}uz", rng.normal(size=(units, units))),
-                b_z=tz.Parameter(f"{prefix}bz", rng.normal(size=units)),
-                w_r=tz.Parameter(f"{prefix}wr", rng.normal(size=(units, feat))),
-                u_r=tz.Parameter(f"{prefix}ur", rng.normal(size=(units, units))),
-                b_r=tz.Parameter(f"{prefix}br", rng.normal(size=units)),
-                w_h=tz.Parameter(f"{prefix}wh", rng.normal(size=(units, feat))),
-                u_h=tz.Parameter(f"{prefix}uh", rng.normal(size=(units, units))),
-                b_h=tz.Parameter(f"{prefix}bh", rng.normal(size=units)),
-            )
-        fwd = cell("f")
-        params = tz.BiGRUParams(fwd=fwd, bwd=fwd, units=units)  # shared weights
+        fwd = [rng.normal(size=shape) for shape in [(units, feat), (units, units), (units,)] * 3]
+        draws = iter(fwd * 2)  # shared weights: the reverse cell repeats the forward cell
+        params = bigru_params(lambda shape: next(draws), units, feat)
         tape = tz.Tape()
         x = tape.constant(rng.normal(size=(1, feat)))
-        out = tz.bigru(x, params)
+        out = tz.bigru(x, *params)
         # with shared weights and one step, both halves are identical
         assert np.allclose(out.value[0, :units], out.value[0, units:])
 
@@ -602,14 +583,7 @@ class TestTableRowGradient:
 
 
 def _gru_params(rng, units, feat, scale=0.5):
-    def cell(prefix):
-        shapes = [(units, feat), (units, units), (units,)] * 3
-        return tz.GRUCellParams(*[
-            tz.Parameter(f"{prefix}{i}", rng.normal(size=shape) * scale)
-            for i, shape in enumerate(shapes)
-        ])
-
-    return tz.BiGRUParams(fwd=cell("f"), bwd=cell("b"), units=units)
+    return bigru_params(lambda shape: rng.normal(size=shape) * scale, units, feat)
 
 
 class TestBiGRUReference:
@@ -621,11 +595,13 @@ class TestBiGRUReference:
         def sigmoid(v):
             return 1.0 / (1.0 + np.exp(-v))
 
-        def run(seq, cell, reverse):
-            p = {name: getattr(cell, name).value
-                 for name in ("w_z", "u_z", "b_z", "w_r", "u_r", "b_r", "w_h", "u_h", "b_h")}
-            h = np.zeros(params.units)
-            states = np.zeros((len(seq), params.units))
+        units = params[3].shape[-1]
+
+        def run(seq, direction, reverse):
+            p = dict(zip(("w_z", "u_z", "b_z", "w_r", "u_r", "b_r", "w_h", "u_h", "b_h"),
+                         gru_gates(params, direction)))
+            h = np.zeros(units)
+            states = np.zeros((len(seq), units))
             for t in reversed(range(len(seq))) if reverse else range(len(seq)):
                 z = sigmoid(p["w_z"] @ seq[t] + p["u_z"] @ h + p["b_z"])
                 r = sigmoid(p["w_r"] @ seq[t] + p["u_r"] @ h + p["b_r"])
@@ -635,9 +611,8 @@ class TestBiGRUReference:
             return states
 
         docs = x.reshape((-1,) + x.shape[-2:])
-        out = [np.concatenate([run(doc, params.fwd, False), run(doc, params.bwd, True)], axis=-1)
-               for doc in docs]
-        return np.array(out).reshape(x.shape[:-1] + (2 * params.units,))
+        out = [np.concatenate([run(doc, 0, False), run(doc, 1, True)], axis=-1) for doc in docs]
+        return np.array(out).reshape(x.shape[:-1] + (2 * units,))
 
     @pytest.mark.parametrize("lead, steps", [((), 4), ((1,), 4), ((5,), 4), ((2, 3), 4),
                                              ((), 1), ((3,), 1)])
@@ -646,7 +621,7 @@ class TestBiGRUReference:
         params = _gru_params(rng, units=3, feat=5)
         x = rng.normal(size=lead + (steps, 5))
         tape = tz.Tape()
-        out = tz.bigru(tape.constant(x), params)
+        out = tz.bigru(tape.constant(x), *params)
         assert len(tape) == 1  # both recurrences are one tape entry
         want = self.naive(x, params)
         assert out.value.shape == want.shape == lead + (steps, 6)
@@ -659,33 +634,33 @@ class TestBiGRUReference:
         weights = rng.normal(size=(2, 3, 3, 4))  # a distinct gradient per output
 
         def loss(tape):
-            out = tz.bigru(tape.read(xp), params)
+            out = tz.bigru(tape.read(xp), *params)
             return tz.mean_all(tz.mul(out, tape.constant(weights)))
 
-        check_gradients(loss, [xp] + params.all(), tol=1e-5)
+        check_gradients(loss, [xp] + params, tol=1e-5)
 
     def test_overflowing_input_term_raises(self):
         rng = np.random.default_rng(211)
-        params = _gru_params(rng, units=3, feat=4)
-        params.fwd.w_z.assign(np.full((3, 4), 1e308))
+        w, b, u_zr, u_h = _gru_params(rng, units=3, feat=4)
+        w.value[0, :3] = 1e308  # forward W_z
         for tape in (tz.Tape(), tz.Tape(records=False)):
             with np.errstate(over="ignore"), pytest.raises(NumericsError, match="'bigru'"):
-                tz.bigru(tape.constant(np.ones((2, 5, 4))), params)
+                tz.bigru(tape.constant(np.ones((2, 5, 4))), w, b, u_zr, u_h)
 
     def test_overflowing_recurrent_term_raises(self):
         # step 0 starts from h = 0, so U h is finite; h is then close to 1
         # in every unit, and at step 1 U_z h overflows
         rng = np.random.default_rng(212)
-        params = _gru_params(rng, units=3, feat=4)
-        params.bwd.w_h.assign(np.full((3, 4), 5.0))
-        params.bwd.b_z.assign(np.full(3, 20.0))
-        params.bwd.u_z.assign(np.full((3, 3), np.finfo(np.float64).max))
+        w, b, u_zr, u_h = _gru_params(rng, units=3, feat=4)
+        w.value[1, 6:] = 5.0  # reverse W_h
+        b.value[1, :3] = 20.0  # reverse b_z
+        u_zr.value[1, :3] = np.finfo(np.float64).max  # reverse U_z
         for tape in (tz.Tape(), tz.Tape(records=False)):
             with np.errstate(over="ignore"), pytest.raises(NumericsError, match="'bigru'"):
-                tz.bigru(tape.constant(np.ones((2, 5, 4))), params)
+                tz.bigru(tape.constant(np.ones((2, 5, 4))), w, b, u_zr, u_h)
 
     @pytest.mark.parametrize("records", [True, False])
-    @pytest.mark.parametrize("direction", ["fwd", "bwd"])
+    @pytest.mark.parametrize("direction", [0, 1], ids=["fwd", "bwd"])
     @pytest.mark.parametrize("term", ["u_z", "u_h"])
     def test_overflowing_recurrent_term_raises_in_each_direction(self, term, direction, records):
         # as above, in one direction only: z and r are close to 1, so after
@@ -693,23 +668,31 @@ class TestBiGRUReference:
         # U_z h or the candidate term U_h (r * h) overflows; without the
         # check, sigmoid and tanh would map the inf back to a finite state
         rng = np.random.default_rng(214)
-        params = _gru_params(rng, units=3, feat=4)
-        cell = getattr(params, direction)
-        cell.w_h.assign(np.full((3, 4), 5.0))
-        cell.b_z.assign(np.full(3, 20.0))
-        cell.b_r.assign(np.full(3, 20.0))
-        getattr(cell, term).assign(np.full((3, 3), np.finfo(np.float64).max))
+        w, b, u_zr, u_h = _gru_params(rng, units=3, feat=4)
+        w.value[direction, 6:] = 5.0  # W_h
+        b.value[direction, :6] = 20.0  # b_z and b_r
+        gate = u_zr.value[direction, :3] if term == "u_z" else u_h.value[direction]
+        gate[...] = np.finfo(np.float64).max
         tape = tz.Tape(records=records)
         with np.errstate(over="ignore"), pytest.raises(NumericsError, match="'bigru'"):
-            tz.bigru(tape.constant(np.ones((2, 5, 4))), params)
+            tz.bigru(tape.constant(np.ones((2, 5, 4))), w, b, u_zr, u_h)
 
     def test_parameter_shape_mismatch_raises(self):
-        rng = np.random.default_rng(213)
-        params = _gru_params(rng, units=3, feat=4)
-        params.bwd.u_r = tz.Parameter("bad", np.zeros((3, 2)))
-        tape = tz.Tape()
-        with pytest.raises(ShapeError, match="bwd.u_r"):
-            tz.bigru(tape.constant(np.ones((5, 4))), params)
+        # each argument with a wrong direction axis, 3H (or 2H) and H or F;
+        # the error names the argument
+        cases = {
+            "w": [(1, 9, 4), (2, 8, 4), (2, 9, 5)],
+            "b": [(3, 9), (2, 8)],
+            "u_zr": [(1, 6, 3), (2, 5, 3), (2, 6, 2)],
+            "u_h": [(3, 3, 3), (2, 3, 2), (2, 2, 3)],
+        }
+        for index, (name, shapes) in enumerate(cases.items()):
+            for shape in shapes:
+                params = _gru_params(np.random.default_rng(213), units=3, feat=4)
+                params[index] = tz.Parameter("bad", np.zeros(shape))
+                tape = tz.Tape()
+                with pytest.raises(ShapeError, match=rf"bigru: {name} has shape \({shape[0]}, "):
+                    tz.bigru(tape.constant(np.ones((5, 4))), *params)
 
 
 def _gru_forward_per_direction(x, w, b, u_zr, u_h, reverse):
@@ -759,13 +742,14 @@ def _gru_backward_per_direction(g, x, w, u_zr, u_h, saved, reverse):
     return np.moveaxis(grad_pre @ w, 0, -2), gw, flat.sum(axis=0), gu_zr, gu_h
 
 
-def _bigru_per_direction(x, params, g):
-    """Output, input gradient and the 18 parameter gradients (in
-    BiGRUParams.all() order) of the per-direction bi-GRU."""
-    units = params.units
+def _bigru_per_direction(x, gates, g):
+    """Output, input gradient and the 18 per-gate parameter gradients of
+    the per-direction bi-GRU; `gates` and the gradients are two cells'
+    W_z, U_z, b_z, W_r, U_r, b_r, W_h, U_h, b_h, forward first."""
+    units = len(gates[0][1])
     cells, runs = [], []
-    for cell, reverse in ((params.fwd, False), (params.bwd, True)):
-        w_z, u_z, b_z, w_r, u_r, b_r, w_h, u_h, b_h = (p.value for p in cell.all())
+    for cell, reverse in ((gates[0], False), (gates[1], True)):
+        w_z, u_z, b_z, w_r, u_r, b_r, w_h, u_h, b_h = cell
         cells.append((np.concatenate([w_z, w_r, w_h]), np.concatenate([b_z, b_r, b_h]),
                       np.concatenate([u_z, u_r]), u_h))
         runs.append(_gru_forward_per_direction(x, *cells[-1], reverse))
@@ -794,16 +778,16 @@ class TestBiGRUStackedBytes:
         params = _gru_params(rng, units=4, feat=6)
         x = rng.normal(size=lead + (steps, 6))
         g = rng.normal(size=lead + (steps, 8))
-        out, gx, grads = _bigru_per_direction(x, params, g)
+        out, gx, grads = _bigru_per_direction(x, [gru_gates(params, d) for d in (0, 1)], g)
         for records in (True, False):
             tape = tz.Tape(records=records)
-            assert tz.bigru(tape.constant(x), params).value.tobytes() == out.tobytes()
+            assert tz.bigru(tape.constant(x), *params).value.tobytes() == out.tobytes()
         tape = tz.Tape()
-        tz.bigru(tape.constant(x), params)
+        tz.bigru(tape.constant(x), *params)
         got_gx, *got_grads = _vjp_of_last_op(tape, g)
         assert got_gx.shape == gx.shape and got_gx.tobytes() == gx.tobytes()
-        assert len(got_grads) == len(grads) == 18
-        for p, got_g, want in zip(params.all(), got_grads, grads):
+        assert len(got_grads) == 4 and len(grads) == 18
+        for p, got_g, want in zip(params, got_grads, tz.stack_gru([grads[:9], grads[9:]])):
             assert got_g.shape == want.shape == p.value.shape, p.name
             assert got_g.tobytes() == want.tobytes(), p.name
 
@@ -856,7 +840,7 @@ class TestNonRecordingTape:
         outs = []
         for records in (True, False):
             tape = tz.Tape(records=records)
-            outs.append(tz.bigru(tape.constant(x), params).value)
+            outs.append(tz.bigru(tape.constant(x), *params).value)
             assert len(tape) == (1 if records else 0)
         assert np.array_equal(outs[0], outs[1])
 
@@ -982,27 +966,13 @@ class TestGradientChecks:
     def test_bigru_four_steps(self):
         rng = np.random.default_rng(4)
         units, feat, steps = 3, 4, 4
-
-        def cell(prefix):
-            return tz.GRUCellParams(
-                w_z=tz.Parameter(f"{prefix}wz", _rand(rng, units, feat)),
-                u_z=tz.Parameter(f"{prefix}uz", _rand(rng, units, units)),
-                b_z=tz.Parameter(f"{prefix}bz", _rand(rng, units)),
-                w_r=tz.Parameter(f"{prefix}wr", _rand(rng, units, feat)),
-                u_r=tz.Parameter(f"{prefix}ur", _rand(rng, units, units)),
-                b_r=tz.Parameter(f"{prefix}br", _rand(rng, units)),
-                w_h=tz.Parameter(f"{prefix}wh", _rand(rng, units, feat)),
-                u_h=tz.Parameter(f"{prefix}uh", _rand(rng, units, units)),
-                b_h=tz.Parameter(f"{prefix}bh", _rand(rng, units)),
-            )
-
-        params = tz.BiGRUParams(fwd=cell("f"), bwd=cell("b"), units=units)
+        params = bigru_params(lambda shape: _rand(rng, *shape), units, feat)
         xp = tz.Parameter("x", rng.normal(size=(steps, feat)))
 
         def loss(tape):
-            return tz.mean_all(tz.bigru(tape.read(xp), params))
+            return tz.mean_all(tz.bigru(tape.read(xp), *params))
 
-        check_gradients(loss, [xp] + params.all(), tol=1e-4)
+        check_gradients(loss, [xp] + params, tol=1e-4)
 
     def test_segment_max(self):
         rng = np.random.default_rng(12)

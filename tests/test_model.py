@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import fakeflow
 import fakeflow.tensor as tz
-from conftest import max_relative_error, numeric_gradient, overflowing
+from conftest import gru_gates, max_relative_error, numeric_gradient, overflowing
 from fakeflow.errors import ConfigError, NumericsError, ShapeError, UsageError
 from fakeflow.model import (
     MODES,
@@ -22,6 +22,7 @@ from fakeflow.model import (
     combine,
     config_for_mode,
     context_self_attention,
+    parameter_shapes,
 )
 
 
@@ -466,6 +467,23 @@ class TestInferenceTape:
             model.forward(edge_batch(cfg, 1, seed=35)[0])
 
 
+def save_per_gate(model, path):
+    """Save `model` as checkpoints were written before the bi-GRU was
+    stored stacked: in place of its four stacked arrays, each direction's
+    18 per-gate arrays gru_fwd_wz, gru_fwd_uz, gru_fwd_bz, ... gru_bwd_bh,
+    sliced from them."""
+    params = []
+    for p in model.params:
+        if p.name == "gru_w":
+            for d, direction in enumerate(("fwd", "bwd")):
+                names = [f"gru_{direction}_{k}{g}" for g in "zrh" for k in "wub"]
+                params += [tz.Parameter(name, gate)
+                           for name, gate in zip(names, gru_gates(model.gru, d))]
+        elif p.name not in ("gru_b", "gru_u_zr", "gru_u_h"):
+            params.append(p)
+    tz.save_checkpoint(path, params, config=model.config.to_json())
+
+
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path):
         cfg = tiny_config()
@@ -488,6 +506,55 @@ class TestCheckpoint:
         tz.save_checkpoint(tmp_path / "model.bin", model.params + [extra],
                            config=model.config.to_json())
         with pytest.raises(ConfigError, match="unused"):
+            FakeFlowModel.load(tmp_path / "model.bin")
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_parameters_are_built_from_parameter_shapes(self, mode):
+        cfg = tiny_config(mode)
+        model = FakeFlowModel(cfg, seed=13)
+        assert [(p.name, p.shape) for p in model.params] == list(parameter_shapes(cfg).items())
+        defaults = FakeFlowConfig(n_segments=10, vocab_size=20, mode=mode)
+        assert len(parameter_shapes(defaults)) == {"full": 23, "topic_only": 19,
+                                                   "affect_only": 8}[mode]
+
+    @pytest.mark.parametrize("mode", ["full", "affect_only"])
+    def test_per_gate_checkpoint_loads_byte_identically(self, tmp_path, mode):
+        cfg = tiny_config(mode)
+        model = FakeFlowModel(cfg, seed=13)
+        rng = np.random.default_rng(14)
+        for p in model.gru:  # every gate different, the biases too
+            p.assign(rng.normal(size=p.shape) * 0.5)
+        save_per_gate(model, tmp_path / "old.bin")
+        _, arrays = tz.load_checkpoint(tmp_path / "old.bin")
+        assert len(arrays) == len(model.params) + 14 and "gru_bwd_bh" in arrays
+        loaded = FakeFlowModel.load(tmp_path / "old.bin")
+        assert [p.name for p in loaded.params] == [p.name for p in model.params]
+        for p1, p2 in zip(model.params, loaded.params):
+            assert p1.value.tobytes() == p2.value.tobytes(), p1.name
+        examples = [random_example(cfg, rng, doc_id=f"d{i}") for i in range(5)]
+        assert loaded.predict_proba(examples).tobytes() == model.predict_proba(examples).tobytes()
+
+    @pytest.mark.parametrize("missing", ["gru_fwd_wz", "gru_bwd_ur", "gru_bwd_bh"])
+    def test_per_gate_checkpoint_missing_a_gate_is_config_error(self, tmp_path, missing):
+        model = FakeFlowModel(tiny_config("affect_only"), seed=13)
+        save_per_gate(model, tmp_path / "old.bin")
+        _, arrays = tz.load_checkpoint(tmp_path / "old.bin")
+        kept = [tz.Parameter(name, value) for name, value in arrays.items() if name != missing]
+        tz.save_checkpoint(tmp_path / "cut.bin", kept, config=model.config.to_json())
+        with pytest.raises(ConfigError, match=f"missing parameter '{missing}'"):
+            FakeFlowModel.load(tmp_path / "cut.bin")
+
+    @pytest.mark.parametrize("mode, change, name", [
+        ("full", {"vocab_size": 10**15}, "embedding"),
+        ("affect_only", {"gru_units": 10**8, "fused_dense_dim": 2 * 10**8}, "gru_w"),
+    ])
+    def test_config_that_disagrees_with_the_arrays_is_config_error(self, tmp_path, mode, change,
+                                                                    name):
+        # sizes no address space holds: the check must come before any draw
+        model = FakeFlowModel(tiny_config(mode), seed=13)
+        tz.save_checkpoint(tmp_path / "model.bin", model.params,
+                           config={**model.config.to_json(), **change})
+        with pytest.raises(ConfigError, match=f"parameter '{name}' of shape"):
             FakeFlowModel.load(tmp_path / "model.bin")
 
     @pytest.mark.parametrize("change", [
