@@ -217,11 +217,9 @@ def build_vocabulary(corpus: list[TokenizedDocument], min_count: int = 1) -> Voc
     counts = Counter()
     for doc in corpus:
         counts.update(doc.tokens)
-    kept = sorted(
-        (tok for tok, cnt in counts.items() if cnt >= min_count),
-        key=lambda tok: (-counts[tok], tok),
-    )
-    return Vocabulary(token_to_id={tok: i + 2 for i, tok in enumerate(kept)})
+    kept = sorted(tok for tok, cnt in counts.items() if cnt >= min_count)
+    kept.sort(key=counts.__getitem__, reverse=True)  # stable: ties stay in lexicographic order
+    return Vocabulary(token_to_id=dict(zip(kept, range(2, len(kept) + 2))))
 
 
 def token_ids(tokens: list[str], vocab: Vocabulary) -> np.ndarray:

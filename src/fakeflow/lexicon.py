@@ -19,6 +19,7 @@ from itertools import chain, repeat
 import numpy as np
 
 from .corpus import (
+    UNK_ID,
     SegmentedDocument,
     SegmentedGroup,
     TokenizedDocument,
@@ -110,6 +111,12 @@ class LexiconSet:
     feature order, are `_values[_indptr[r]:_indptr[r + 1]]`, for the
     features at the same positions of `_features`. A lexicon word has
     about two.
+
+    `vocabulary_rows` keeps, for the last vocabulary token map it met, the
+    lexicon row of each of its ids, so that preparation looks a token up
+    by string only once, in the vocabulary. The map is recognised by its
+    identity and length: do not edit a vocabulary's token map in place
+    after preparing with it.
     """
 
     emotions: CategoryLexicon
@@ -122,6 +129,7 @@ class LexiconSet:
     _indptr: np.ndarray = field(init=False, repr=False, compare=False)
     _features: np.ndarray = field(init=False, repr=False, compare=False)
     _values: np.ndarray = field(init=False, repr=False, compare=False)
+    _vocab_table: tuple = field(default=(None, 0, None), init=False, repr=False, compare=False)
 
     def __post_init__(self):
         groups = (
@@ -155,6 +163,34 @@ class LexiconSet:
         self._features, self._values = features[order], values[order]
         self._indptr = np.concatenate(
             ([0], np.cumsum(np.bincount(rows, minlength=len(self._rows) + 1))))
+
+    def token_rows(self, tokens: list[str]) -> np.ndarray:
+        """The intp lexicon row of each token, one dict lookup per token."""
+        return np.fromiter(map(self._rows.get, tokens, repeat(0)), dtype=np.intp,
+                           count=len(tokens))
+
+    def vocabulary_rows(self, token_to_id: dict[str, int]) -> np.ndarray:
+        """The (max id + 1,) intp table of the lexicon row of each id of a
+        vocabulary's token map, built from one lookup per type.
+
+        -1 marks the ids whose tokens must still be looked up by string:
+        UNK_ID, and an id the map gives to tokens with different rows. An
+        id no token has reads 0. The table of the last map is kept, and
+        returned again for the same map object at the same length.
+        """
+        known, size, table = self._vocab_table
+        if known is token_to_id and size == len(token_to_id):
+            return table
+        ids = np.fromiter(token_to_id.values(), dtype=np.intp, count=len(token_to_id))
+        if ids.size and ids.min() < 0:
+            raise UsageError(f"vocabulary ids must be >= 0, got {int(ids.min())}")
+        rows = self.token_rows(list(token_to_id))
+        table = np.zeros(int(ids.max(initial=UNK_ID)) + 1, dtype=np.intp)
+        table[ids] = rows
+        table[ids[table[ids] != rows]] = -1
+        table[UNK_ID] = -1
+        self._vocab_table = (token_to_id, len(token_to_id), table)
+        return table
 
     def token_categories(self, token: str) -> list[str]:
         """All emotion/morality/hyperbolic category names the token matches
@@ -291,22 +327,22 @@ def load_lexicon_set(manifest_path) -> LexiconSet:
     )
 
 
-def group_affect(group: SegmentedGroup, lex: LexiconSet) -> np.ndarray:
+def group_affect(group: SegmentedGroup, lex: LexiconSet, rows: np.ndarray) -> np.ndarray:
     """The (D, N, 23) affect matrices of a group of D segmented documents.
 
-    Row i of document d sums what each token of its segment i adds (its
-    row of the lexicons' weight matrix) and divides by the document's
-    pre-truncation length. One dict lookup per token finds the lexicon
-    words; only their nonzero weights are expanded, and one bincount over
-    `segment * 23 + feature` adds them all, each cell's in token order. The
-    weights left out are exact zeros, so the sums are those of a per-token
-    loop over the dense rows of the matrix, bit for bit.
+    `rows` holds each of `group.tokens`' row of the lexicons' weight
+    matrix, as `lex.token_rows` gives them (or, in preparation, as read
+    from `lex.vocabulary_rows` by vocabulary id). Row i of document d sums
+    what each token of its segment i adds and divides by the document's
+    pre-truncation length. Only the lexicon words' nonzero weights are
+    expanded, and one bincount over `segment * 23 + feature` adds them
+    all, each cell's in token order. The weights left out are exact zeros,
+    so the sums are those of a per-token loop over the dense rows of the
+    matrix, bit for bit.
     """
     if (group.doc_lengths < 1).any():
         raise UsageError("document length must be >= 1")
     n_docs, n_segments = group.offsets.shape[0], group.offsets.shape[1] - 1
-    rows = np.fromiter(map(lex._rows.get, group.tokens, repeat(0)), dtype=np.intp,
-                       count=len(group.tokens))
     hits = np.flatnonzero(rows)
     # each hit's segment among the group's D * N; an empty segment starts
     # where the next one does, so side="right" gives it nothing
@@ -337,7 +373,8 @@ def affect_matrices(docs: list[TokenizedDocument], lex: LexiconSet, n_segments: 
     """The (D, N, 23) affect matrices of `docs`, segmented as `segment`
     does and computed by `group_affect` one group of documents at a time."""
     return np.concatenate(
-        [group_affect(g, lex) for g in segment_groups(docs, n_segments, max_seg_len)]
+        [group_affect(g, lex, lex.token_rows(g.tokens))
+         for g in segment_groups(docs, n_segments, max_seg_len)]
         or [np.zeros((0, n_segments, N_FEATURES))])
 
 
@@ -346,4 +383,4 @@ def extract_affect(seg: SegmentedDocument, lex: LexiconSet) -> AffectFeatureMatr
     of a group holding only it."""
     group = SegmentedGroup(tokens=seg.tokens, offsets=seg.offsets[None],
                            doc_lengths=np.array([seg.doc_length]))
-    return AffectFeatureMatrix(values=group_affect(group, lex)[0])
+    return AffectFeatureMatrix(values=group_affect(group, lex, lex.token_rows(seg.tokens))[0])

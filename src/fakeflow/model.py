@@ -266,18 +266,10 @@ class FakeFlowModel:
     def __init__(self, config: FakeFlowConfig, seed: int = 0,
                  pretrained: dict[str, np.ndarray] | None = None,
                  vocab_tokens: dict[str, int] | None = None):
-        self.config = config
         rng = np.random.default_rng(seed)
-        self.params: list[tz.Parameter] = []
         c = config
-
         shapes = parameter_shapes(c)
-
-        def weight(name):
-            return self._param(name, tz.dense_weight(rng, *shapes[name]))
-
-        def zeros(name):
-            return self._param(name, tz.zeros(shapes[name]))
+        drawn = {}  # in draw order; every parameter not drawn starts at zero
 
         if c.mode != "affect_only":
             table = tz.embedding_table(rng, *shapes["embedding"])
@@ -296,30 +288,42 @@ class FakeFlowModel:
                         table[idx] = vec
                         hits += 1
                 self.pretrained_hits = hits
-            self.embedding = self._param("embedding", table)
-            self.conv = []
+            drawn["embedding"] = table
             for w in c.cnn_filter_widths:
-                filters = f"conv{w}_filters"
-                self.conv.append((self._param(filters, tz.conv_filters(rng, *shapes[filters])),
-                                  zeros(f"conv{w}_bias")))
-            self.topic_w, self.topic_b = weight("topic_dense_w"), zeros("topic_dense_b")
-            self.fuse_w, self.fuse_b = weight("fuse_dense_w"), zeros("fuse_dense_b")
-            self.att_w1, self.att_w2, self.att_b = weight("att_w1"), weight("att_w2"), zeros("att_b")
-            self.att_v = self._param("att_v", tz.dense_weight(rng, 1, *shapes["att_v"])[0])
+                drawn[f"conv{w}_filters"] = tz.conv_filters(rng, *shapes[f"conv{w}_filters"])
+            for name in ("topic_dense_w", "fuse_dense_w", "att_w1", "att_w2"):
+                drawn[name] = tz.dense_weight(rng, *shapes[name])
+            drawn["att_v"] = tz.dense_weight(rng, 1, *shapes["att_v"])[0]
 
         if c.mode != "topic_only":  # drawn gate by gate: W_z, U_z, W_r, U_r, W_h, U_h
             cells = [tz.dense_weight(rng, *shape) if len(shape) == 2 else tz.zeros(shape)
                      for _, shape in _gru_gates(c.gru_units, N_FEATURES)]
-            self.gru = [self._param(name, value)
-                        for name, value in zip(GRU_NAMES, tz.stack_gru([cells[:9], cells[9:]]))]
+            drawn.update(zip(GRU_NAMES, tz.stack_gru([cells[:9], cells[9:]])))
 
-        self.out_w, self.out_b = weight("out_dense_w"), zeros("out_dense_b")
-        self.cls_w, self.cls_b = weight("softmax_w"), zeros("softmax_b")
+        for name in ("out_dense_w", "softmax_w"):
+            drawn[name] = tz.dense_weight(rng, *shapes[name])
+        self._wire(config, {name: drawn[name] if name in drawn else tz.zeros(shape)
+                            for name, shape in shapes.items()})
 
-    def _param(self, name, value) -> tz.Parameter:
-        p = tz.Parameter(name, value)
-        self.params.append(p)
-        return p
+    def _wire(self, config: FakeFlowConfig, state: dict[str, np.ndarray]) -> None:
+        """Make the parameters of `config` from `state`, which holds each of
+        `parameter_shapes(config)` in its shape, and name them for the
+        forward pass. The arrays become the parameters' values, uncopied
+        when they are C-ordered float64."""
+        self.config = c = config
+        self.params = [tz.Parameter(name, state[name]) for name in parameter_shapes(c)]
+        p = {param.name: param for param in self.params}
+        if c.mode != "affect_only":
+            self.embedding = p["embedding"]
+            self.conv = [(p[f"conv{w}_filters"], p[f"conv{w}_bias"]) for w in c.cnn_filter_widths]
+            self.topic_w, self.topic_b = p["topic_dense_w"], p["topic_dense_b"]
+            self.fuse_w, self.fuse_b = p["fuse_dense_w"], p["fuse_dense_b"]
+            self.att_w1, self.att_w2, self.att_b = p["att_w1"], p["att_w2"], p["att_b"]
+            self.att_v = p["att_v"]
+        if c.mode != "topic_only":
+            self.gru = [p[name] for name in GRU_NAMES]
+        self.out_w, self.out_b = p["out_dense_w"], p["out_dense_b"]
+        self.cls_w, self.cls_b = p["softmax_w"], p["softmax_b"]
 
     # ------------------------------------------------------------------
     # branches
@@ -546,10 +550,10 @@ class FakeFlowModel:
     def load(cls, path) -> "FakeFlowModel":
         config_json, arrays = tz.load_checkpoint(path)
         config = FakeFlowConfig.from_json(config_json)
-        # before the model is drawn: a config at odds with its arrays may not fit in memory
+        # before the model is built: a config at odds with its arrays may not fit in memory
         state = _checked_state(arrays, parameter_shapes(config), f"checkpoint {path}")
-        model = cls(config, seed=0)
-        model.load_state(state)
+        model = cls.__new__(cls)  # the checkpoint's arrays are its parameters; nothing is drawn
+        model._wire(config, state)
         return model
 
 

@@ -268,19 +268,27 @@ def prepare_examples(docs: list[tuple[str, TokenizedDocument, str | None]],
 
     `docs` holds (doc_id, TokenizedDocument, label) triples. The documents
     are prepared in consecutive groups (`corpus.segment_groups`): each
-    group's kept tokens get one vocabulary lookup (`corpus.token_ids`) and
-    one lexicon lookup and sparse affect sum (`lexicon.group_affect`), and
-    each example's ids, offsets and affect are slices of the group's
-    arrays. The result equals `segment`, `encode` and `extract_affect`
-    applied to each document, bit for bit.
+    group's kept tokens get one vocabulary lookup (`corpus.token_ids`),
+    their lexicon rows are read by id from `lex.vocabulary_rows` (only
+    out-of-vocabulary tokens are looked up again, by string), and one
+    sparse affect sum (`lexicon.group_affect`) follows. Each example's
+    ids, offsets and affect are slices of the group's arrays. The result
+    equals `segment`, `encode` and `extract_affect` applied to each
+    document, bit for bit, as long as `vocab.token_to_id` is not edited in
+    place once prepared with (see `LexiconSet`).
     """
     examples = []
+    table = lex.vocabulary_rows(vocab.token_to_id)
     for group in segment_groups([doc for _, doc, _ in docs], n_segments, max_seg_len):
         empty = np.flatnonzero(group.doc_lengths < 1)
         if empty.size:
             raise UsageError(f"document {docs[len(examples) + empty[0]][0]!r} has no tokens")
         ids = token_ids(group.tokens, vocab)
-        affect = group_affect(group, lex)
+        rows = table[ids]
+        unknown = np.flatnonzero(rows < 0)
+        if unknown.size:
+            rows[unknown] = lex.token_rows([group.tokens[i] for i in unknown.tolist()])
+        affect = group_affect(group, lex, rows)
         offsets = group.offsets - group.offsets[:, :1]
         bounds = group.offsets[:, [0, -1]].tolist()
         start = len(examples)

@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -134,6 +135,17 @@ class TestVocabulary:
         docs = [TokenizedDocument(["b", "a"])]
         vocab = build_vocabulary(docs)
         assert vocab.token_to_id == {"a": 2, "b": 3}
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.lists(st.text(alphabet="abAé", min_size=1, max_size=3), max_size=12),
+                    min_size=1, max_size=8),
+           st.integers(1, 4))
+    def test_order_is_count_descending_then_lexicographic(self, token_lists, min_count):
+        counts = Counter(tok for tokens in token_lists for tok in tokens)
+        kept = sorted((tok for tok, cnt in counts.items() if cnt >= min_count),
+                      key=lambda tok: (-counts[tok], tok))
+        vocab = build_vocabulary([TokenizedDocument(t) for t in token_lists], min_count)
+        assert list(vocab.token_to_id.items()) == [(tok, i + 2) for i, tok in enumerate(kept)]
 
     def test_file_round_trip(self, tmp_path):
         vocab = build_vocabulary([TokenizedDocument(["b", "a", "b", "c"])])

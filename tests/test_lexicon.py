@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import build_lexicon_set, json_values, segment_tokens
-from fakeflow.corpus import SegmentedDocument, TokenizedDocument, segment
-from fakeflow.errors import ConfigError, FakeflowError, ParseError
+from fakeflow.corpus import UNK_ID, SegmentedDocument, TokenizedDocument, segment
+from fakeflow.errors import ConfigError, FakeflowError, ParseError, UsageError
 from fakeflow.lexicon import (
     FEATURE_NAMES,
     CategoryLexicon,
@@ -320,6 +320,40 @@ class TestWeightMatrix:
         assert np.array_equal(values, brute_force_affect(seg.tokens, segment_tokens(seg), 4, lex))
         assert lex.token_categories("flat") == []
         assert lex.token_categories("attack") == ["fear", "harm"]
+
+
+class TestVocabularyRows:
+    def test_each_id_reads_its_tokens_row(self, toy_lexicons):
+        token_to_id = {"x": 2, "kill": 3, "dog": 4, "terrifying": 5}
+        table = toy_lexicons.vocabulary_rows(token_to_id)
+        assert table.dtype == np.intp and table.shape == (6,)
+        ids = list(token_to_id.values())
+        assert table[ids].tolist() == toy_lexicons.token_rows(list(token_to_id)).tolist()
+        assert table[0] == 0 and table[UNK_ID] == -1  # UNK_ID is looked up by string
+
+    def test_an_id_gap_reads_no_lexicon_row(self, toy_lexicons):
+        table = toy_lexicons.vocabulary_rows({"dog": 2, "kill": 9})
+        assert table.shape == (10,)
+        assert table[3:9].tolist() == [0] * 6
+        assert table[[2, 9]].tolist() == toy_lexicons.token_rows(["dog", "kill"]).tolist()
+
+    def test_an_id_shared_by_tokens_of_different_rows_is_looked_up_by_string(self,
+                                                                             toy_lexicons):
+        table = toy_lexicons.vocabulary_rows({"dog": 2, "kill": 2, "x": 3, "y": 3})
+        assert table[2] == -1 and table[3] == 0
+
+    def test_negative_id_is_a_usage_error(self, toy_lexicons):
+        with pytest.raises(UsageError, match="-3"):
+            toy_lexicons.vocabulary_rows({"dog": 2, "kill": -3})
+
+    def test_table_is_kept_for_the_same_map_and_rebuilt_when_it_grows(self, toy_lexicons):
+        token_to_id = {"dog": 2, "x": 3}
+        table = toy_lexicons.vocabulary_rows(token_to_id)
+        assert toy_lexicons.vocabulary_rows(token_to_id) is table
+        assert toy_lexicons.vocabulary_rows(dict(token_to_id)) is not table
+        token_to_id["kill"] = 4
+        grown = toy_lexicons.vocabulary_rows(token_to_id)
+        assert grown.shape == (5,) and grown[4] == toy_lexicons.token_rows(["kill"])[0]
 
 
 def load_or_none(load, path):

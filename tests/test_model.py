@@ -500,6 +500,27 @@ class TestCheckpoint:
             model.forward(example).probabilities, loaded.forward(example).probabilities
         )
 
+    @pytest.mark.parametrize("mode", MODES)
+    def test_load_draws_nothing_and_keeps_every_byte(self, tmp_path, monkeypatch, mode):
+        cfg = tiny_config(mode)
+        model = FakeFlowModel(cfg, seed=13)
+        model.save(tmp_path / "model.bin")
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("load drew from a random generator")
+
+        with monkeypatch.context() as patched:
+            patched.setattr(np.random, "default_rng", no_draw)
+            loaded = FakeFlowModel.load(tmp_path / "model.bin")
+        assert [p.name for p in loaded.params] == [p.name for p in model.params]
+        for p1, p2 in zip(model.params, loaded.params):
+            assert p1.value.tobytes() == p2.value.tobytes(), p1.name
+            assert p2.value.flags.c_contiguous and p2.value.flags.writeable
+            assert not p2.grad.any()
+        rng = np.random.default_rng(14)
+        examples = [random_example(cfg, rng, doc_id=f"d{i}") for i in range(5)]
+        assert loaded.predict_proba(examples).tobytes() == model.predict_proba(examples).tobytes()
+
     def test_unexpected_parameter_is_config_error(self, tmp_path):
         model = FakeFlowModel(tiny_config(), seed=13)
         extra = tz.Parameter("unused", np.zeros(2))

@@ -17,6 +17,7 @@ from fakeflow.corpus import (
     Vocabulary,
     build_vocabulary,
     encode,
+    load_vocabulary,
     segment,
 )
 from fakeflow.errors import NumericsError, UsageError
@@ -391,6 +392,43 @@ class TestBatchedPreparation:
         docs = [("a", TokenizedDocument(["w0"]), "real"), ("b", TokenizedDocument([]), "fake")]
         with pytest.raises(UsageError, match="document 'b' has no tokens"):
             prepare_examples(docs, Vocabulary({}), flow_lexicons(), 4, 5)
+
+    @staticmethod
+    def _assert_prepared_as_the_references(doc, vocab, lex, n_segments=2, max_seg_len=4):
+        [e] = prepare_examples([("d", doc, "real")], vocab, lex, n_segments, max_seg_len)
+        seg = segment(doc, n_segments, max_seg_len)
+        assert e.ids.tolist() == [vocab.id_of(t) for t in seg.tokens]
+        assert e.affect.tobytes() == extract_affect(seg, lex).values.tobytes()
+        return e
+
+    def test_out_of_vocabulary_lexicon_word_still_counts(self, toy_lexicons):
+        # "terror" is a fear word with an abstractness rating, and not in the vocabulary
+        doc = TokenizedDocument(["terror", "smile", "x", "dog", "terror", "x"])
+        vocab = Vocabulary({"smile": 2, "x": 3, "dog": 4})
+        e = self._assert_prepared_as_the_references(doc, vocab, toy_lexicons)
+        assert e.ids[0] == UNK_ID
+        assert e.affect[0, FEATURE_NAMES.index("fear")] == 1 / 6
+        assert e.affect[0, FEATURE_NAMES.index("abstractness")] == 0.3 / 6
+
+    def test_one_lexicon_set_serves_vocabularies_in_turn(self, toy_lexicons):
+        # id 2 is "kill" in a and "smile" in b: a stale table would swap their rows
+        doc = TokenizedDocument(["kill", "dog", "smile", "idea", "kill"])
+        a = Vocabulary({"kill": 2, "dog": 3, "smile": 4})
+        b = Vocabulary({"smile": 2, "idea": 3, "kill": 4, "x": 5})
+        for vocab in (a, b, a):
+            self._assert_prepared_as_the_references(doc, vocab, toy_lexicons)
+
+    def test_vocab_file_with_keys_out_of_id_order(self, tmp_path, toy_lexicons):
+        path = tmp_path / "vocab.json"
+        path.write_text('{"tokens": {"smile": 4, "x": 2, "kill": 5, "dog": 3}}')
+        vocab = load_vocabulary(path)
+        doc = TokenizedDocument(["dog", "kill", "smile", "x", "idea"])
+        self._assert_prepared_as_the_references(doc, vocab, toy_lexicons)
+
+    def test_map_with_an_id_gap(self, toy_lexicons):
+        doc = TokenizedDocument(["kill", "dog", "x", "dog"])
+        self._assert_prepared_as_the_references(doc, Vocabulary({"kill": 2, "dog": 9}),
+                                                toy_lexicons)
 
     def test_peak_memory_of_a_2000_document_call(self):
         # the groups bound the transient arrays: one pass over all 2,000
