@@ -9,13 +9,25 @@ shifted row slices of its input. embedding_conv_max runs the lookup, every
 filter width and the per-segment max as one op: it multiplies each
 distinct token id's row by the filters once, and its backward reaches only
 each segment's max window; embedding_lookup, conv1d and segment_max stay
-as its reference. bigru runs its two directions as one stacked recurrence,
-records one tape entry for it and backpropagates through time in its own
-backward; it takes the two cells as four arrays stacked on a direction
-axis, with the gates in the order z, r, h (see bigru).
+as its reference. Its forward splits the filter rows into parts, one per
+CPU the process may use (its affinity, so `taskset` limits it), once the
+input is large enough (MIN_CELLS): a part gathers, sums and masks the
+windows of its rows and takes their maxima, on a worker thread for every
+part but the first. The response product and the whole backward stay on
+the calling thread. A part writes only its own rows, and each element
+takes the same ops in the same order in any part, so the bits do not
+depend on the part count. bigru runs its two directions as one stacked
+recurrence, records one tape entry for it and backpropagates through time
+in its own backward; it takes the two cells as four arrays stacked on a
+direction axis, with the gates in the order z, r, h (see bigru).
 """
 
 from __future__ import annotations
+
+import contextvars
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 
@@ -195,6 +207,60 @@ def segment_max(x, starts, counts) -> Tensor:
     return _record(x.tape, out.reshape(starts.shape + (channels,)), (x,), vjp, "segment_max")
 
 
+# embedding_conv_max runs its filter rows in parts, one per CPU the process
+# may use, when each part gets at least MIN_CELLS (filter row, window)
+# cells: below that, handing a part to a worker costs more than it saves.
+MIN_CELLS = 1 << 17
+_pool = None  # the worker threads, made on first use
+_pool_lock = threading.Lock()
+
+
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity on this platform
+        return os.cpu_count() or 1
+
+
+def _forget_pool() -> None:
+    """In a forked child: its parent's worker threads did not survive fork."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _worker_pool() -> ThreadPoolExecutor:
+    """This process's worker pool, made on first use. It starts a thread
+    only when a part finds none idle, so it holds no more threads than
+    parts ever waited at once, and no more than the machine's CPUs."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(os.cpu_count() or 1, thread_name_prefix="fakeflow-part")
+        return _pool
+
+
+def _run_parts(fill, bounds) -> None:
+    """fill(bounds[p], bounds[p + 1]) for each part p: part 0 on the calling
+    thread, the others on the pool, each in a copy of the caller's context
+    (where numpy 2 keeps its error state). Returns, or raises the first
+    exception in part order, only once every part has returned, so no part
+    writes after the caller moves on. One part starts no thread."""
+    futures = []
+    try:
+        for lo, hi in zip(bounds[1:-1], bounds[2:]):
+            futures.append(_worker_pool().submit(contextvars.copy_context().run, fill, lo, hi))
+        fill(bounds[0], bounds[1])
+    finally:
+        wait(futures)
+    for future in futures:
+        future.result()
+
+
 def embedding_conv_max(ids, table, filters, biases, starts, lengths) -> Tensor:
     """Each segment's max over its windows of a convolution over embedded ids.
 
@@ -221,6 +287,18 @@ def embedding_conv_max(ids, table, filters, biases, starts, lengths) -> Tensor:
     array when frozen; then it gets no gradient. On a tape that records no
     ops, only the maxima are taken: the search for each (filter, segment)'s
     first maximal window, and the arrays it fills, are skipped.
+
+    From the windows' gather to that search, each filter row is independent
+    of the others, and numpy releases the interpreter lock in take, in
+    ufunc arithmetic and in reduceat. So that stretch runs on rows [lo, hi)
+    of every width in parts: min(CPUs the process may use, the largest
+    K_j, (sum_j K_j) * windows // MIN_CELLS) of them, at least one. The
+    calling thread runs the first and waits for the rest. R, its
+    transposed copy and the VJP stay on the calling thread: a split of
+    R's product, or computing it transposed, changes its bits, and the
+    VJP's products are BLAS's to split. Each element takes the same ops
+    in the same order in any part, so the output and every gradient keep
+    their bits at any part count.
     """
     on_tape = [x for x in (table, *filters, *biases) if isinstance(x, Tensor)]
     if not on_tape:
@@ -284,7 +362,8 @@ def embedding_conv_max(ids, table, filters, biases, starts, lengths) -> Tensor:
     np.take(index, ids, out=padded[: len(ids)])
     under = [padded[rows + i] for i in range(max(widths))]  # the type under tap i
     n_live, n_windows = len(n_rows), len(rows)
-    windows = np.empty((max(counts), n_windows), dtype=DTYPE)  # one width's
+    height = max(counts)
+    windows = np.empty((height, n_windows), dtype=DTYPE)  # one width's
     spare = np.empty_like(windows)
     best = np.empty((n_out, n_live), dtype=DTYPE)
     records = tape.records  # only the VJP reads where the maxima are
@@ -293,26 +372,39 @@ def embedding_conv_max(ids, table, filters, biases, starts, lengths) -> Tensor:
         hit = np.empty(windows.shape, dtype=bool)
         # where each filter's row, and each (filter, segment)'s windows,
         # start in a width's flattened windows
-        row_start = np.arange(max(counts))[:, None] * n_windows
+        row_start = np.arange(height)[:, None] * n_windows
         seek = row_start + begin
         max_at = np.empty((n_out, n_live), dtype=np.intp)  # where the gradient's window starts
-    block = 0  # R's rows of each tap, in order
-    for w, k, o, bias in zip(widths, counts, firsts, biases):
-        acc, buf = windows[:k], spare[:k]
-        np.take(response[block : block + k], under[0], axis=1, out=acc, mode="clip")
-        for i in range(1, w):
+    dead = [np.flatnonzero(room < w) for w in widths]  # windows past the segment's end
+
+    def fill(lo, hi):  # filter rows [lo, hi) of every width
+        block = 0  # R's rows of each tap, in order
+        for w, k, o, bias, past in zip(widths, counts, firsts, biases, dead):
+            top = min(hi, k)
+            if top <= lo:
+                block += w * k
+                continue
+            acc, buf = windows[lo:top], spare[lo:top]
+            np.take(response[block + lo : block + top], under[0], axis=1, out=acc, mode="clip")
+            for i in range(1, w):
+                block += k
+                np.take(response[block + lo : block + top], under[i], axis=1, out=buf,
+                        mode="clip")
+                acc += buf
             block += k
-            np.take(response[block : block + k], under[i], axis=1, out=buf, mode="clip")
-            acc += buf
-        block += k
-        acc += bias.value[:, None]  # conv1d's bias + taps: addition commutes
-        acc[:, np.flatnonzero(room < w)] = -np.inf
-        np.maximum.reduceat(acc, begin, axis=1, out=best[o : o + k])
-        if records:  # each (filter, segment)'s first maximal window
-            np.take(best[o : o + k], segment, axis=1, out=buf, mode="clip")
-            np.equal(acc, buf, out=hit[:k])
-            found = np.flatnonzero(hit[:k])  # increasing
-            max_at[o : o + k] = rows[found[np.searchsorted(found, seek[:k])] - row_start[:k]]
+            acc += bias.value[lo:top, None]  # conv1d's bias + taps: addition commutes
+            acc[:, past] = -np.inf
+            np.maximum.reduceat(acc, begin, axis=1, out=best[o + lo : o + top])
+            if records:  # each (filter, segment)'s first maximal window
+                n = top - lo
+                np.take(best[o + lo : o + top], segment, axis=1, out=buf, mode="clip")
+                np.equal(acc, buf, out=hit[lo:top])
+                found = np.flatnonzero(hit[lo:top])  # increasing
+                max_at[o + lo : o + top] = rows[found[np.searchsorted(found, seek[:n])]
+                                                - row_start[:n]]
+
+    parts = max(1, min(_cpus(), height, n_out * n_windows // MIN_CELLS))
+    _run_parts(fill, [height * p // parts for p in range(parts + 1)])
     # the segment holds a window of that width
     has = n_rows >= np.repeat(widths, counts)[:, None]
     out = np.zeros((live.size, n_out), dtype=DTYPE)

@@ -543,6 +543,40 @@ class TestBuildDatasetCommand:
         domains = json.loads((out / "domains.json").read_text())
         assert domains["conflicting_domains"] == ["clash.com"]
 
+    def test_test_fake_articles_come_first_relabelled(self, tmp_path):
+        (tmp_path / "sources.csv").write_text(
+            "domain,list,category\ngood.com,OS,reliable\nbad.com,OS,fake\n")
+        text = " ".join(f"w{i}" for i in range(40))
+        with open(tmp_path / "articles.jsonl", "w") as fh:
+            for i in range(6):
+                fh.write(json.dumps({"id": f"g{i}", "text": text, "domain": "good.com"}) + "\n")
+            for i in range(3):
+                fh.write(json.dumps({"id": f"b{i}", "text": text, "domain": "bad.com"}) + "\n")
+        # labelled real, unlabelled and fake: each is written as fake
+        with open(tmp_path / "fake.jsonl", "w") as fh:
+            for i, label in enumerate(["real", None, "fake"]):
+                row = {"id": f"f{i}", "text": f"fake story {i}", "domain": "elsewhere.com"}
+                if label:
+                    row["label"] = label
+                fh.write(json.dumps(row) + "\n")
+        outs = [tmp_path / "first", tmp_path / "second"]
+        for out in outs:
+            assert main(["--seed", "5", "build-dataset", "--sources", str(tmp_path / "sources.csv"),
+                         "--articles", str(tmp_path / "articles.jsonl"),
+                         "--test-fake", str(tmp_path / "fake.jsonl"),
+                         "--test-real-sample", "2", "--out", str(out)]) == 0
+        test = [json.loads(line) for line in (outs[0] / "test.jsonl").read_text().splitlines()]
+        train = [json.loads(line) for line in (outs[0] / "train.jsonl").read_text().splitlines()]
+        assert [(r["id"], r["label"]) for r in test[:3]] == [("f0", "fake"), ("f1", "fake"),
+                                                              ("f2", "fake")]
+        real = test[3:]
+        assert len(real) == 2 and all(r["label"] == "real" and r["domain"] == "good.com"
+                                      for r in real)
+        assert not {r["id"] for r in real} & {r["id"] for r in train}
+        assert len(train) == 7
+        for name in ("test.jsonl", "train.jsonl"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
 
     @pytest.mark.parametrize("flag, named", [("--max-per-domain", "max_per_domain"),
                                              ("--test-real-sample", "n_real")],

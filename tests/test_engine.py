@@ -1,7 +1,13 @@
 import gc
 import math
+import os
+import signal
+import sys
+import time
 import tracemalloc
 import weakref
+from concurrent.futures import ThreadPoolExecutor
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,8 +15,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fakeflow.tensor as tz
-from conftest import bigru_params, gru_gates, max_relative_error, numeric_gradient
+from conftest import (
+    bigru_params,
+    gru_gates,
+    max_relative_error,
+    numeric_gradient,
+    split_into,
+)
 from fakeflow.errors import NumericsError, ShapeError, UsageError
+from fakeflow.tensor import nn as tnn
 
 
 def check_gradients(build_loss, params, step=1e-5, tol=1e-4):
@@ -580,6 +593,152 @@ class TestTableRowGradient:
             tracemalloc.stop()
         assert peak < table.value.nbytes, peak
         assert table.grad.any()
+
+
+def _conv_case(seed, count, widths, lengths, dim=5, vocab=11):
+    rng = np.random.default_rng(seed)
+    lengths = np.array(lengths)
+    starts = np.cumsum(lengths) - lengths
+    ids = rng.integers(0, vocab, size=int(lengths.sum()))
+    table = tz.Parameter("table", rng.normal(size=(vocab, dim)))
+    filters = [tz.Parameter(f"f{w}", rng.normal(size=(count, w, dim))) for w in widths]
+    biases = [tz.Parameter(f"b{w}", rng.normal(size=count)) for w in widths]
+    g = rng.normal(size=(len(lengths), count * len(widths)))
+    return ids, table, filters, biases, starts, lengths, g
+
+
+def _conv_bytes(ids, table, filters, biases, starts, lengths, g):
+    """The output on both tapes and every gradient the VJP hands back: the
+    table's RowGradient rows and index, then the filters' and biases'."""
+    tape = tz.Tape()
+    out = tz.embedding_conv_max(ids, tape.read(table), [tape.read(f) for f in filters],
+                                [tape.read(b) for b in biases], starts, lengths)
+    row_grad, *grads = _vjp_of_last_op(tape, g)
+    quiet_tape = tz.Tape(records=False)
+    quiet = tz.embedding_conv_max(ids, quiet_tape.read(table), filters, biases, starts, lengths)
+    return ([out.value.tobytes(), quiet.value.tobytes(), row_grad.index.tobytes(),
+             row_grad.rows.tobytes()] + [a.tobytes() for a in grads])
+
+
+class TestEmbeddingConvMaxParts:
+    """embedding_conv_max split by filter rows: the bits of one part at any
+    part count, and every part done before the op returns or raises."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([1, 3, 16]),
+           st.sampled_from([(3, 4, 5), (2,), (4, 6)]),
+           st.lists(st.integers(0, 9), min_size=1, max_size=6))
+    def test_bytes_equal_at_every_part_count(self, seed, count, widths, lengths):
+        # lengths 0 and below every width: empty and too-short segments
+        case = _conv_case(seed, count, widths, lengths)
+        with split_into(1) as calls:
+            want = _conv_bytes(*case)
+        assert all(len(bounds) == 2 for bounds in calls)
+        for parts in (2, 3, 4):
+            with split_into(parts) as calls:
+                assert _conv_bytes(*case) == want, parts
+            if sum(lengths):
+                assert all(len(bounds) == min(parts, count) + 1 for bounds in calls)
+
+    def test_concurrent_callers_get_their_own_bits(self, monkeypatch):
+        # more callers than CPUs, in two to four parts each, on a pool made
+        # while they run, with the interpreter switching threads as often
+        # as it can
+        cases = [_conv_case(seed, (2, 3, 16)[seed % 3], (3, 4, 5), [40, 0, 2, 60, 25])
+                 for seed in range(9)]
+        with split_into(1):
+            want = [_conv_bytes(*case) for case in cases]
+        monkeypatch.setattr(tnn, "_pool", None)
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with split_into(4) as calls, ThreadPoolExecutor(8) as callers:
+                got = list(callers.map(lambda case: _conv_bytes(*case), cases * 3))
+        finally:
+            sys.setswitchinterval(switch)
+        assert got == want * 3
+        assert {len(bounds) - 1 for bounds in calls} == {2, 3, 4}
+
+    def test_a_failing_part_raises_after_every_part_returned(self):
+        ids, table, filters, biases, starts, lengths, _ = _conv_case(
+            80, 16, (3, 4, 5), [30, 4, 0, 12])
+        done = []
+
+        def run_parts(fill, bounds):
+            def part(lo, hi):  # part 1 fails at once, and parts 2 and 3 are slow
+                if lo == bounds[1]:
+                    raise RuntimeError("part 1 failed")
+                time.sleep(0.2 if lo > bounds[1] else 0.0)
+                fill(lo, hi)
+                done.append(lo)
+            real(part, bounds)
+
+        real = tnn._run_parts
+        tape = tz.Tape()
+        with split_into(4), mock.patch.object(tnn, "_run_parts", run_parts):
+            with pytest.raises(RuntimeError, match="part 1 failed"):
+                tz.embedding_conv_max(ids, tape.read(table), filters, biases, starts, lengths)
+        assert sorted(done) == [0, 8, 12] and len(tape) == 0
+
+    def test_the_first_failure_in_part_order_is_raised(self):
+        finished = []
+
+        def fill(lo, hi):
+            time.sleep(0.1 * lo)  # part 3 fails last
+            finished.append(lo)
+            if lo in (1, 3):
+                raise ValueError(f"part {lo}")
+
+        for _ in range(2):  # the second call reuses the pool
+            finished.clear()
+            with pytest.raises(ValueError, match="part 1"):
+                tnn._run_parts(fill, [0, 1, 2, 3, 4])
+            assert sorted(finished) == [0, 1, 2, 3]
+
+    @pytest.mark.parametrize("records", [True, False])
+    def test_overflow_raises_with_the_split_forced(self, records):
+        # each row times a filter is finite; a window's two taps overflow
+        table = tz.Parameter("table", np.full((3, 1), 1e308))
+        filters = [tz.Parameter("f", np.ones((4, 2, 1)))]
+        biases = [tz.Parameter("b", np.zeros(4))]
+        tape = tz.Tape(records=records)
+        with split_into(2) as calls, np.errstate(over="ignore"), \
+                pytest.raises(NumericsError, match="'embedding_conv_max'"):
+            tz.embedding_conv_max(np.array([1, 2, 1]), tape.read(table), filters, biases,
+                                  np.array([0]), np.array([3]))
+        assert calls == [[0, 2, 4]] and len(tape) == 0
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_a_forked_child_runs_its_own_parts(self):
+        case = _conv_case(81, 16, (3, 4, 5), [50, 7, 0, 33])
+        with split_into(2):
+            want = _conv_bytes(*case)  # the parent's pool now has a worker
+            read, write = os.pipe()
+            pid = os.fork()
+            if pid == 0:  # the child: one more split forward, then exit
+                code = 1
+                try:
+                    os.close(read)
+                    with os.fdopen(write, "wb") as fh:
+                        fh.write(b"".join(_conv_bytes(*case)))
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(write)
+            with os.fdopen(read, "rb") as fh:
+                deadline = time.monotonic() + 10.0
+                while time.monotonic() < deadline:
+                    ended, status = os.waitpid(pid, os.WNOHANG)
+                    if ended:
+                        break
+                    time.sleep(0.01)
+                else:
+                    os.kill(pid, signal.SIGKILL)
+                    os.waitpid(pid, 0)
+                    pytest.fail("the forked child did not finish its split forward in 10 s")
+                got = fh.read()
+        assert os.waitstatus_to_exitcode(status) == 0
+        assert got == b"".join(want)
 
 
 def _gru_params(rng, units, feat, scale=0.5):

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 import fakeflow
 import fakeflow.tensor as tz
-from conftest import gru_gates, max_relative_error, numeric_gradient, overflowing
+from conftest import gru_gates, max_relative_error, numeric_gradient, overflowing, split_into
 from fakeflow.errors import ConfigError, NumericsError, ShapeError, UsageError
 from fakeflow.model import (
     MODES,
@@ -24,6 +25,8 @@ from fakeflow.model import (
     context_self_attention,
     parameter_shapes,
 )
+from fakeflow.tensor import nn as tnn
+from fakeflow.train import TrainConfig, train
 
 
 def tiny_config(mode="full", n_segments=3, **overrides):
@@ -637,15 +640,16 @@ class TestEndToEndGradient:
         assert worst < 1e-4, f"worst rel err {worst:.2e}"
 
 
+def sha(arrays) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a, dtype=np.float64).tobytes())
+    return h.hexdigest()
+
+
 def blas_thread_digests() -> dict[str, str]:
     """sha256 of predict_proba in each mode, and of the parameters after
     eight Adam steps of an affect_only model, at bench-like sizes."""
-    def sha(arrays):
-        h = hashlib.sha256()
-        for a in arrays:
-            h.update(np.ascontiguousarray(a, dtype=np.float64).tobytes())
-        return h.hexdigest()
-
     sizes = dict(n_segments=10, vocab_size=3000, max_seg_len=40, embed_dim=32,
                  dropout_rate=0.3, activation="relu")
     digests = {}
@@ -690,3 +694,85 @@ class TestBlasThreads:
             runs.append(json.loads(done.stdout.splitlines()[-1]))
         assert sorted(runs[0]) == ["affect_only", "affect_only-adam", "full", "topic_only"]
         assert runs[0] == runs[1]
+
+
+def part_digests(batch_sizes=(1, 7, 64)) -> dict[str, str]:
+    """sha256 of predict_proba in topic_only and full at each batch size,
+    and of the parameters after three topic_only Adam steps, at sizes where
+    embedding_conv_max splits on a machine with two or more CPUs."""
+    sizes = dict(n_segments=10, vocab_size=2000, max_seg_len=40, embed_dim=32,
+                 dropout_rate=0.3, activation="relu")
+    digests = {}
+    for mode in ("topic_only", "full"):
+        cfg = FakeFlowConfig(mode=mode, **sizes)
+        rng = np.random.default_rng(43)
+        examples = [random_example(cfg, rng, doc_id=f"d{i}") for i in range(64)]
+        model = FakeFlowModel(cfg, seed=43)
+        for size in batch_sizes:
+            digests[f"{mode}-{size}"] = sha([model.predict_proba(examples, batch_size=size)])
+    cfg = FakeFlowConfig(mode="topic_only", **sizes)
+    model = FakeFlowModel(cfg, seed=44)
+    rng = np.random.default_rng(44)
+    opt = tz.make_optimizer("adam")
+    params = model.trainable_params()
+    for _ in range(3):
+        examples = [random_example(cfg, rng, doc_id=f"d{i}") for i in range(32)]
+        tape = tz.Tape()
+        loss, _ = model.batch_loss(tape, examples, rng.integers(0, 2, size=32),
+                                   training=True, rng=rng)
+        tz.backward(tape, loss)
+        tz.step(opt, params)
+    digests["topic_only-adam"] = sha([p.value for p in params])
+    return digests
+
+
+class TestTopicThreads:
+    """The topic forward spreads embedding_conv_max's filter rows over the
+    CPUs the process may use; no result depends on how many."""
+
+    def test_one_and_two_parts_give_the_same_bytes(self):
+        with split_into(1) as one:
+            want = part_digests()
+        with split_into(2) as two:
+            got = part_digests()
+        assert got == want
+        assert {len(b) for b in one} == {2} and {len(b) for b in two} == {3}
+
+    def test_affinity_does_not_change_the_bytes(self):
+        cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
+        if len(cpus) < 2:
+            pytest.skip("needs two CPUs the process may use")
+        tests_dir = Path(__file__).resolve().parent
+        src_dir = Path(fakeflow.__file__).resolve().parent.parent
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join([str(src_dir), str(tests_dir)]))
+        runs = []
+        for pin in (f"os.sched_setaffinity(0, {{{cpus[0]}}}); ", ""):
+            # the child pins itself before numpy loads, so BLAS sees one CPU too
+            script = (f"import os; {pin}import json, test_model; "
+                      "from fakeflow.tensor import nn; "
+                      "print(json.dumps([test_model.part_digests(), nn._pool is not None]))")
+            done = subprocess.run([sys.executable, "-c", script], env=env, cwd=tests_dir,
+                                  capture_output=True, text=True, timeout=300)
+            assert done.returncode == 0, done.stderr
+            runs.append(json.loads(done.stdout.splitlines()[-1]))
+        (pinned, pinned_split), (free, free_split) = runs
+        assert sorted(pinned) == ["full-1", "full-64", "full-7", "topic_only-1",
+                                  "topic_only-64", "topic_only-7", "topic_only-adam"]
+        assert pinned == free
+        assert not pinned_split and free_split  # only the unpinned child split
+
+    def test_affect_only_starts_no_thread(self, monkeypatch):
+        def no_pool():
+            raise AssertionError("affect_only asked for a worker thread")
+
+        monkeypatch.setattr(tnn, "_worker_pool", no_pool)
+        threads = threading.active_count()
+        cfg = tiny_config(mode="affect_only")
+        rng = np.random.default_rng(45)
+        examples = [random_example(cfg, rng, doc_id=f"d{i}") for i in range(40)]
+        model = FakeFlowModel(cfg, seed=45)
+        train(model, examples[:32], examples[32:],
+              TrainConfig(max_epochs=2, patience=1, batch_size=8, seed=45))
+        model.predict_proba(examples)
+        assert threading.active_count() == threads
