@@ -19,7 +19,7 @@ single document is a batch of one.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -28,6 +28,8 @@ from .errors import ConfigError, NumericsError, ShapeError, UsageError
 from .lexicon import N_FEATURES
 
 MODES = ("full", "topic_only", "affect_only")
+SIZES = ("n_segments", "vocab_size", "max_seg_len", "embed_dim", "cnn_filter_count", "pool_size",
+         "topic_dense_dim", "gru_units", "fused_dense_dim", "final_dense_dim")
 
 
 @dataclass
@@ -56,9 +58,12 @@ class FakeFlowConfig:
     def __post_init__(self):
         if self.fused_dense_dim is None:
             self.fused_dense_dim = 2 * self.gru_units
-        self.cnn_filter_widths = tuple(int(w) for w in self.cnn_filter_widths)
+        self.cnn_filter_widths = tuple(self.cnn_filter_widths)
         self.classes = tuple(self.classes)
         self.validate()
+        for name in SIZES:  # 5.0 passes as 5, and is stored so
+            setattr(self, name, int(getattr(self, name)))
+        self.cnn_filter_widths = tuple(int(w) for w in self.cnn_filter_widths)
 
     def validate(self):
         if self.mode not in MODES:
@@ -68,22 +73,14 @@ class FakeFlowConfig:
                 f"fused_dense_dim must equal 2 * gru_units for the elementwise "
                 f"fusion; got {self.fused_dense_dim} vs 2*{self.gru_units}"
             )
-        positive = {
-            "n_segments": self.n_segments,
-            "vocab_size": self.vocab_size,
-            "max_seg_len": self.max_seg_len,
-            "embed_dim": self.embed_dim,
-            "cnn_filter_count": self.cnn_filter_count,
-            "pool_size": self.pool_size,
-            "topic_dense_dim": self.topic_dense_dim,
-            "gru_units": self.gru_units,
-            "final_dense_dim": self.final_dense_dim,
-        }
-        for name, value in positive.items():
+        for name in SIZES:
+            value = getattr(self, name)
             if int(value) != value or value < 1:
                 raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
-        if not self.cnn_filter_widths or any(w < 1 for w in self.cnn_filter_widths):
-            raise ConfigError(f"bad cnn_filter_widths {self.cnn_filter_widths}")
+        widths = self.cnn_filter_widths
+        if (not widths or any(int(w) != w or w < 1 for w in widths)
+                or len(set(widths)) != len(widths)):
+            raise ConfigError(f"cnn_filter_widths must be distinct integers >= 1, got {widths}")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ConfigError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
         if self.activation not in tz.ACTIVATIONS:
@@ -203,14 +200,14 @@ GRU_NAMES = ("gru_w", "gru_b", "gru_u_zr", "gru_u_h")  # tz.bigru's w, b, u_zr, 
 
 def parameter_shapes(c: FakeFlowConfig) -> dict[str, tuple[int, ...]]:
     """Name and shape of every parameter of a model of config `c`, in the
-    model's order: the model is built, and a checkpoint checked, from these."""
+    model's order: the model is built, and a checkpoint checked, from these.
+    The CNN and the bi-GRU are the arrays embedding_conv_max and bigru take."""
     shapes = {}
     if c.mode != "affect_only":
-        shapes["embedding"] = (c.vocab_size, c.embed_dim)
-        for w in c.cnn_filter_widths:
-            shapes[f"conv{w}_filters"] = (c.cnn_filter_count, w, c.embed_dim)
-            shapes[f"conv{w}_bias"] = (c.cnn_filter_count,)
         cnn_dim = c.cnn_filter_count * len(c.cnn_filter_widths)
+        shapes.update(embedding=(c.vocab_size, c.embed_dim),
+                      conv_taps=(sum(c.cnn_filter_widths), c.cnn_filter_count, c.embed_dim),
+                      conv_bias=(cnn_dim,))
         concat_dim = c.topic_dense_dim + (N_FEATURES if c.mode == "full" else 0)
         d = c.fused_dense_dim
         shapes.update(topic_dense_w=(c.topic_dense_dim, cnn_dim), topic_dense_b=(c.topic_dense_dim,),
@@ -233,10 +230,14 @@ def _gru_gates(units: int, feat: int) -> list[tuple[str, tuple[int, ...]]]:
     return [(f"gru_{d}_{k}{g}", shape) for d in ("fwd", "bwd") for g in "zrh" for k, shape in kinds]
 
 
-def _checked_state(state: dict, shapes: dict, where: str = "checkpoint") -> dict:
-    """`state` (name -> array) with a per-gate bi-GRU stacked, after a
-    ConfigError for the first parameter of `shapes` it lacks or holds in
-    another shape, or for any it holds that `shapes` has not."""
+def _checked_state(state: dict, c: FakeFlowConfig, where: str = "checkpoint") -> dict:
+    """`state` (name -> array) in the layout of a model of config `c`, after
+    a ConfigError for the first parameter it lacks or holds in another
+    shape, or for any it holds that the model has not. Where `state` holds
+    any array of a historical layout, that part is checked and stacked
+    first, values unchanged: the CNN as older checkpoints held it, width by
+    width in conv{w}_filters (K, w, D) and conv{w}_bias (K,), and the bi-GRU
+    gate by gate in gru_fwd_wz, gru_fwd_uz, gru_fwd_bz, ... gru_bwd_bh."""
 
     def check(name, shape):
         if name not in state:
@@ -245,13 +246,21 @@ def _checked_state(state: dict, shapes: dict, where: str = "checkpoint") -> dict
             raise ConfigError(f"{where} has parameter {name!r} of shape {state[name].shape}, "
                               f"but its config implies {shape}")
 
-    if "gru_w" in shapes and any(name.startswith(("gru_fwd_", "gru_bwd_")) for name in state):
-        gates = _gru_gates(shapes["gru_u_h"][-1], shapes["gru_w"][-1])
-        for name, shape in gates:
-            check(name, shape)
-        state = dict(state)
-        cells = [state.pop(name) for name, _ in gates]
-        state.update(zip(GRU_NAMES, tz.stack_gru([cells[:9], cells[9:]])))
+    shapes, widths, k = parameter_shapes(c), c.cnn_filter_widths, c.cnn_filter_count
+    n = len(widths)
+    per_width = ([(f"conv{w}_filters", (k, w, c.embed_dim)) for w in widths]
+                 + [(f"conv{w}_bias", (k,)) for w in widths])
+    historical = [  # the stored arrays, the historical ones in order, and how they stack
+        (("conv_taps", "conv_bias"), per_width, lambda a: (
+            np.concatenate([f.transpose(1, 0, 2) for f in a[:n]]), np.concatenate(a[n:]))),
+        (GRU_NAMES, _gru_gates(c.gru_units, N_FEATURES), lambda a: tz.stack_gru([a[:9], a[9:]])),
+    ]
+    state = dict(state)
+    for names, pieces, stack in historical:
+        if names[0] in shapes and any(name in state for name, _ in pieces):
+            for name, shape in pieces:
+                check(name, shape)
+            state.update(zip(names, stack([state.pop(name) for name, _ in pieces])))
     for name, shape in shapes.items():
         check(name, shape)
     unexpected = sorted(set(state) - set(shapes))
@@ -289,8 +298,9 @@ class FakeFlowModel:
                         hits += 1
                 self.pretrained_hits = hits
             drawn["embedding"] = table
-            for w in c.cnn_filter_widths:
-                drawn[f"conv{w}_filters"] = tz.conv_filters(rng, *shapes[f"conv{w}_filters"])
+            drawn["conv_taps"] = np.concatenate([  # each width's bank, drawn as (K, w, D)
+                tz.conv_filters(rng, c.cnn_filter_count, w, c.embed_dim).transpose(1, 0, 2)
+                for w in c.cnn_filter_widths])
             for name in ("topic_dense_w", "fuse_dense_w", "att_w1", "att_w2"):
                 drawn[name] = tz.dense_weight(rng, *shapes[name])
             drawn["att_v"] = tz.dense_weight(rng, 1, *shapes["att_v"])[0]
@@ -315,7 +325,7 @@ class FakeFlowModel:
         p = {param.name: param for param in self.params}
         if c.mode != "affect_only":
             self.embedding = p["embedding"]
-            self.conv = [(p[f"conv{w}_filters"], p[f"conv{w}_bias"]) for w in c.cnn_filter_widths]
+            self.conv_taps, self.conv_bias = p["conv_taps"], p["conv_bias"]
             self.topic_w, self.topic_b = p["topic_dense_w"], p["topic_dense_b"]
             self.fuse_w, self.fuse_b = p["fuse_dense_w"], p["fuse_dense_b"]
             self.att_w1, self.att_w2, self.att_b = p["att_w1"], p["att_w2"], p["att_b"]
@@ -334,11 +344,12 @@ class FakeFlowModel:
         The batch's ids are concatenated into one sequence, and one
         embedding_conv_max takes, for every filter width, each segment's max
         over the convolution windows that lie inside it; windows that
-        straddle two segments are never read. It multiplies each distinct
-        id's embedding by the filters once, and its backward reaches only
-        each segment's max window. A segment shorter than a filter width
-        contributes zeros for that width, so an empty segment's topic row is
-        the activated dense bias.
+        straddle two segments are never read. It takes every width's filters
+        as the one conv_taps array, multiplies each distinct id's embedding
+        by them once, and its backward reaches only each segment's max
+        window. A segment shorter than a filter width contributes zeros for
+        that width, so an empty segment's topic row is the activated dense
+        bias.
         """
         c = self.config
         ids, offsets, sizes = self._segments(examples)
@@ -346,8 +357,8 @@ class FakeFlowModel:
         starts, lengths = offsets[:, :-1], np.diff(offsets, axis=1)
         # a frozen table is a plain array: no (V, D) gradient is built for it
         table = tape.read(self.embedding) if c.train_embeddings else self.embedding.value
-        cnn_v = tz.embedding_conv_max(ids, table, [tape.read(f) for f, _ in self.conv],
-                                      [b for _, b in self.conv], starts, lengths)
+        cnn_v = tz.embedding_conv_max(ids, table, tape.read(self.conv_taps), self.conv_bias,
+                                      c.cnn_filter_widths, starts, lengths)
         return tz.dense(cnn_v, self.topic_w, self.topic_b, c.activation)
 
     def _segments(self, examples: list[Example]):
@@ -538,8 +549,9 @@ class FakeFlowModel:
 
     def load_state(self, state: dict[str, np.ndarray]) -> None:
         """Assign every parameter from `state` (name -> array), which may
-        hold the bi-GRU gate by gate, as older checkpoints do."""
-        state = _checked_state(state, {p.name: p.shape for p in self.params})
+        hold the CNN width by width and the bi-GRU gate by gate, as older
+        checkpoints do."""
+        state = _checked_state(state, self.config)
         for p in self.params:
             p.assign(state[p.name])
 
@@ -551,12 +563,8 @@ class FakeFlowModel:
         config_json, arrays = tz.load_checkpoint(path)
         config = FakeFlowConfig.from_json(config_json)
         # before the model is built: a config at odds with its arrays may not fit in memory
-        state = _checked_state(arrays, parameter_shapes(config), f"checkpoint {path}")
+        state = _checked_state(arrays, config, f"checkpoint {path}")
         model = cls.__new__(cls)  # the checkpoint's arrays are its parameters; nothing is drawn
         model._wire(config, state)
         return model
 
-
-def config_for_mode(base: FakeFlowConfig, mode: str) -> FakeFlowConfig:
-    """Same hyperparameters, different wiring."""
-    return replace(base, mode=mode)

@@ -6,9 +6,10 @@ bidirectional GRU) carry hand-derived backward rules; dense is wired from
 engine primitives so its gradient comes for free. No op copies a
 sliding-window view: conv1d sums one matrix product per filter tap over
 shifted row slices of its input. embedding_conv_max runs the lookup, every
-filter width and the per-segment max as one op: it multiplies each
-distinct token id's row by the filters once, and its backward reaches only
-each segment's max window; embedding_lookup, conv1d and segment_max stay
+filter width and the per-segment max as one op over the filters of every
+width stacked tap by tap in one array: it multiplies each distinct token
+id's row by the filters once, and its backward reaches only each
+segment's max window; embedding_lookup, conv1d and segment_max stay
 as its reference. Its forward splits the filter rows into parts, one per
 CPU the process may use (its affinity, so `taskset` limits it), once the
 input is large enough (MIN_CELLS): a part gathers, sums and masks the
@@ -261,28 +262,31 @@ def _run_parts(fill, bounds) -> None:
         future.result()
 
 
-def embedding_conv_max(ids, table, filters, biases, starts, lengths) -> Tensor:
+def embedding_conv_max(ids, table, taps, bias, widths, starts, lengths) -> Tensor:
     """Each segment's max over its windows of a convolution over embedded ids.
 
-    ids: (T,) integer ids into table (V, D); filters: one (K_j, w_j, D)
-    bank per filter width, with biases the matching (K_j,); starts,
-    lengths: integer arrays of one shape S, segment s being ids[starts[s]:
-    starts[s] + lengths[s]]. Output S + (sum_j K_j,): width j's columns are
-    segment_max(conv1d(embedding_lookup(ids, table), filters[j], biases[j]),
-    starts, max(lengths - w_j + 1, 0)), so a segment with no window of a
-    width gets zeros and ties route the gradient to the first maximal window.
+    ids: (T,) integer ids into table (V, D); taps: (sum_j w_j, K, D), the K
+    filters of each width w_j of `widths` stacked tap by tap in width order,
+    so that width j's bank is F_j = taps[t_j : t_j + w_j].transpose(1, 0, 2)
+    with t_j = sum_{i<j} w_i; bias: (n * K,) for n widths, width j's being
+    b_j = bias[j * K : (j + 1) * K]; starts, lengths: integer arrays of one
+    shape S, segment s being ids[starts[s]: starts[s] + lengths[s]]. Output
+    S + (n * K,): width j's columns are segment_max(conv1d(embedding_lookup(
+    ids, table), F_j, b_j), starts, max(lengths - w_j + 1, 0)), so a segment
+    with no window of a width gets zeros and ties route the gradient to the
+    first maximal window.
 
     A convolution is linear in each token's embedding row, so each distinct
-    id's row meets every tap of every filter once, in one (U, sum_j w_j K_j)
-    response table R, and a window sums its taps' columns of R in conv1d's
-    order. A width's windows are one reused (K_j, T) array, a filter per
-    row: one np.take per tap fills it through one reused buffer, then the
-    bias is added, and each segment's max and first maximal window are
-    found along its contiguous rows, so the backward keeps only those
+    id's row meets every tap once, in one (U, sum_j w_j K) response table
+    R = rows @ taps.reshape(-1, D).T, and a window sums its taps' columns of
+    R in conv1d's order. A width's windows are one reused (K, T) array, a
+    filter per row: one np.take per tap fills it through one reused buffer,
+    then the bias is added, and each segment's max and first maximal window
+    are found along its contiguous rows, so the backward keeps only those
     windows' positions. The gradient reaches one window per (segment,
     filter), so the VJP is one bincount of those windows' taps into R's
-    gradient and two matrix products: no (T, D) embedded sequence is
-    built, and the table's gradient is its U rows, handed to backward as a
+    gradient and two matrix products: no (T, D) embedded sequence is built,
+    and the table's gradient is its U rows, handed to backward as a
     RowGradient. The table is read from the tape, or passed as a plain
     array when frozen; then it gets no gradient. On a tape that records no
     ops, only the maxima are taken: the search for each (filter, segment)'s
@@ -290,25 +294,23 @@ def embedding_conv_max(ids, table, filters, biases, starts, lengths) -> Tensor:
 
     From the windows' gather to that search, each filter row is independent
     of the others, and numpy releases the interpreter lock in take, in
-    ufunc arithmetic and in reduceat. So that stretch runs on rows [lo, hi)
-    of every width in parts: min(CPUs the process may use, the largest
-    K_j, (sum_j K_j) * windows // MIN_CELLS) of them, at least one. The
-    calling thread runs the first and waits for the rest. R, its
-    transposed copy and the VJP stay on the calling thread: a split of
-    R's product, or computing it transposed, changes its bits, and the
-    VJP's products are BLAS's to split. Each element takes the same ops
-    in the same order in any part, so the output and every gradient keep
-    their bits at any part count.
+    ufunc arithmetic and in reduceat. So that stretch runs on filter rows
+    [lo, hi) of every width in parts: min(CPUs the process may use, K,
+    n * K * windows // MIN_CELLS) of them, at least one. The calling thread
+    runs the first and waits for the rest. R, its transposed copy and the
+    VJP stay on the calling thread: a split of R's product, or computing it
+    transposed, changes its bits, and the VJP's products are BLAS's to
+    split. Each element takes the same ops in the same order in any part,
+    so the output and every gradient keep their bits at any part count.
     """
-    on_tape = [x for x in (table, *filters, *biases) if isinstance(x, Tensor)]
+    on_tape = [x for x in (table, taps, bias) if isinstance(x, Tensor)]
     if not on_tape:
         raise UsageError("embedding_conv_max needs a tape Tensor among its inputs; use tape.read()")
     tape = on_tape[0].tape
     frozen = not isinstance(table, (Tensor, Parameter))
     if not frozen:
         table = _coerce(tape, table)
-    filters = [_coerce(tape, f) for f in filters]
-    biases = [_coerce(tape, b) for b in biases]
+    taps, bias = _coerce(tape, taps), _coerce(tape, bias)
     tv = np.asarray(table, dtype=DTYPE) if frozen else table.value
     ids, starts, lengths = np.asarray(ids), np.asarray(starts), np.asarray(lengths)
     if (tv.ndim != 2 or ids.ndim != 1 or ids.dtype.kind not in "iu"
@@ -320,11 +322,12 @@ def embedding_conv_max(ids, table, filters, biases, starts, lengths) -> Tensor:
             f"{starts.shape} {starts.dtype}, {lengths.shape} {lengths.dtype}"
         )
     vocab, dim = tv.shape
-    shapes = [(f.value.shape, b.value.shape) for f, b in zip(filters, biases)]
-    if (not filters or len(filters) != len(biases)
-            or any(len(fs) != 3 or fs[2] != dim or bs != fs[:1] for fs, bs in shapes)):
+    shape = taps.value.shape
+    if (not widths or min(widths) < 1 or len(shape) != 3
+            or shape[::2] != (sum(widths), dim) or bias.value.shape != (len(widths) * shape[1],)):
         raise ShapeError(
-            f"embedding_conv_max: filters/biases {shapes} do not match a (V, D) = {tv.shape} table"
+            f"embedding_conv_max: taps {shape} and bias {bias.value.shape} do not match "
+            f"widths {widths} over a (V, D) = {tv.shape} table"
         )
     if ids.size and (ids.min() < 0 or ids.max() >= vocab):
         raise IndexError(
@@ -335,11 +338,10 @@ def embedding_conv_max(ids, table, filters, biases, starts, lengths) -> Tensor:
     if np.any(lengths < 0) or np.any(first_row < 0) or np.any(first_row + n_rows > len(ids)):
         raise ShapeError(f"embedding_conv_max: segments fall outside the {len(ids)} ids")
 
-    widths, counts = [fs[1] for fs, _ in shapes], [fs[0] for fs, _ in shapes]
-    firsts = np.cumsum(counts) - counts  # each width's first output column
-    n_out = sum(counts)
-    # R's columns: per width, per tap, that tap of every filter
-    w_all = np.concatenate([f.value.transpose(1, 0, 2).reshape(-1, dim) for f in filters])
+    count = shape[1]
+    firsts = count * np.arange(len(widths))  # each width's first output column
+    n_out = count * len(widths)
+    w_all = taps.value.reshape(-1, dim)  # R's columns: per width, per tap, that tap of every filter
 
     # the distinct ids in increasing order, and each id's index among them
     present = np.zeros(vocab, dtype=bool)
@@ -348,7 +350,7 @@ def embedding_conv_max(ids, table, filters, biases, starts, lengths) -> Tensor:
     index = np.cumsum(present, dtype=np.intp)
     index -= 1
     rows_of_types = tv[types]
-    response = rows_of_types @ w_all.T  # R: (U, sum_j w_j K_j)
+    response = rows_of_types @ w_all.T  # R: (U, sum_j w_j K)
     _check_finite(response, "embedding_conv_max")
     response = response.T.copy()  # a tap of a width: K rows of U
     # the windows starting at every live segment's rows, gathered as
@@ -362,8 +364,7 @@ def embedding_conv_max(ids, table, filters, biases, starts, lengths) -> Tensor:
     np.take(index, ids, out=padded[: len(ids)])
     under = [padded[rows + i] for i in range(max(widths))]  # the type under tap i
     n_live, n_windows = len(n_rows), len(rows)
-    height = max(counts)
-    windows = np.empty((height, n_windows), dtype=DTYPE)  # one width's
+    windows = np.empty((count, n_windows), dtype=DTYPE)  # one width's
     spare = np.empty_like(windows)
     best = np.empty((n_out, n_live), dtype=DTYPE)
     records = tape.records  # only the VJP reads where the maxima are
@@ -372,41 +373,36 @@ def embedding_conv_max(ids, table, filters, biases, starts, lengths) -> Tensor:
         hit = np.empty(windows.shape, dtype=bool)
         # where each filter's row, and each (filter, segment)'s windows,
         # start in a width's flattened windows
-        row_start = np.arange(height)[:, None] * n_windows
+        row_start = np.arange(count)[:, None] * n_windows
         seek = row_start + begin
         max_at = np.empty((n_out, n_live), dtype=np.intp)  # where the gradient's window starts
     dead = [np.flatnonzero(room < w) for w in widths]  # windows past the segment's end
 
     def fill(lo, hi):  # filter rows [lo, hi) of every width
         block = 0  # R's rows of each tap, in order
-        for w, k, o, bias, past in zip(widths, counts, firsts, biases, dead):
-            top = min(hi, k)
-            if top <= lo:
-                block += w * k
-                continue
-            acc, buf = windows[lo:top], spare[lo:top]
-            np.take(response[block + lo : block + top], under[0], axis=1, out=acc, mode="clip")
+        for w, o, past in zip(widths, firsts, dead):
+            acc, buf = windows[lo:hi], spare[lo:hi]
+            np.take(response[block + lo : block + hi], under[0], axis=1, out=acc, mode="clip")
             for i in range(1, w):
-                block += k
-                np.take(response[block + lo : block + top], under[i], axis=1, out=buf,
+                block += count
+                np.take(response[block + lo : block + hi], under[i], axis=1, out=buf,
                         mode="clip")
                 acc += buf
-            block += k
-            acc += bias.value[lo:top, None]  # conv1d's bias + taps: addition commutes
+            block += count
+            acc += bias.value[o + lo : o + hi, None]  # conv1d's bias + taps: addition commutes
             acc[:, past] = -np.inf
-            np.maximum.reduceat(acc, begin, axis=1, out=best[o + lo : o + top])
+            np.maximum.reduceat(acc, begin, axis=1, out=best[o + lo : o + hi])
             if records:  # each (filter, segment)'s first maximal window
-                n = top - lo
-                np.take(best[o + lo : o + top], segment, axis=1, out=buf, mode="clip")
-                np.equal(acc, buf, out=hit[lo:top])
-                found = np.flatnonzero(hit[lo:top])  # increasing
-                max_at[o + lo : o + top] = rows[found[np.searchsorted(found, seek[:n])]
-                                                - row_start[:n]]
+                np.take(best[o + lo : o + hi], segment, axis=1, out=buf, mode="clip")
+                np.equal(acc, buf, out=hit[lo:hi])
+                found = np.flatnonzero(hit[lo:hi])  # increasing
+                max_at[o + lo : o + hi] = rows[found[np.searchsorted(found, seek[: hi - lo])]
+                                               - row_start[: hi - lo]]
 
-    parts = max(1, min(_cpus(), height, n_out * n_windows // MIN_CELLS))
-    _run_parts(fill, [height * p // parts for p in range(parts + 1)])
+    parts = max(1, min(_cpus(), count, n_out * n_windows // MIN_CELLS))
+    _run_parts(fill, [count * p // parts for p in range(parts + 1)])
     # the segment holds a window of that width
-    has = n_rows >= np.repeat(widths, counts)[:, None]
+    has = n_rows >= np.repeat(widths, count)[:, None]
     out = np.zeros((live.size, n_out), dtype=DTYPE)
     out[live] = np.where(has, best, 0.0).T
 
@@ -416,9 +412,8 @@ def embedding_conv_max(ids, table, filters, biases, starts, lengths) -> Tensor:
         # under that tap of each max window (a segment with no window of a
         # width has zero gradient there). Cell (u, c) of R's gradient adds
         # its windows in segment order.
-        out_col = np.concatenate([np.tile(np.arange(k) + o, w)
-                                  for w, k, o in zip(widths, counts, firsts)])
-        tap = np.concatenate([np.repeat(np.arange(w), k) for w, k in zip(widths, counts)])
+        out_col = np.concatenate([np.tile(np.arange(count) + o, w) for w, o in zip(widths, firsts)])
+        tap = np.repeat(np.concatenate([np.arange(w) for w in widths]), count)
         n_resp = len(tap)
         under_max = padded[max_at[out_col] + tap[:, None]]
         under_max *= n_resp
@@ -426,16 +421,12 @@ def embedding_conv_max(ids, table, filters, biases, starts, lengths) -> Tensor:
         g_response = np.bincount(under_max.ravel(), weights=g_live.T[out_col].ravel(),
                                  minlength=len(types) * n_resp)
         g_response = g_response.astype(DTYPE, copy=False).reshape(len(types), n_resp)
-        g_w = g_response.T @ rows_of_types
-        grads = [] if frozen else [RowGradient(types, g_response @ w_all)]
-        col = 0
-        for w, k in zip(widths, counts):
-            grads.append(g_w[col : col + w * k].reshape(w, k, dim).transpose(1, 0, 2))
-            col += w * k
-        grads += [g_live[:, o : o + k].sum(axis=0) for k, o in zip(counts, firsts)]
-        return grads
+        g_taps = (g_response.T @ rows_of_types).reshape(shape)
+        # summed width by width: one sum over every column rounds differently
+        g_bias = np.concatenate([g_live[:, o : o + count].sum(axis=0) for o in firsts])
+        return ([] if frozen else [RowGradient(types, g_response @ w_all)]) + [g_taps, g_bias]
 
-    inputs = ([] if frozen else [table]) + filters + biases
+    inputs = ([] if frozen else [table]) + [taps, bias]
     return _record(tape, out.reshape(starts.shape + (n_out,)), inputs, vjp, "embedding_conv_max")
 
 

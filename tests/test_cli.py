@@ -207,6 +207,16 @@ class TestExitCodes:
         assert err.startswith("error: --lr must be a finite positive number")
         assert err.count("\n") == 1
 
+    def test_repeated_filter_width_is_config_error(self, tmp_path, capsys):
+        manifest = write_lexicon_fixture(tmp_path)
+        code = main(["train", "--corpus", str(write_flow_corpus(tmp_path)),
+                     "--lexicons", str(manifest), "--out", str(tmp_path / "out")]
+                    + TRAIN_FLAGS + ["--filter-widths", "3,3"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cnn_filter_widths must be distinct integers >= 1, got (3, 3)")
+        assert err.count("\n") == 1
+
     def test_missing_embeddings_fail_alike_in_every_fitting_command(self, tmp_path, capsys):
         manifest = write_lexicon_fixture(tmp_path)
         corpus = write_flow_corpus(tmp_path, n_docs=24, year_cycle=[2013, 2013, 2014, 2014])

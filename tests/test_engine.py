@@ -386,24 +386,42 @@ def _topic_chain(tape, ids, table, filters, biases, starts, lengths):
     return tz.concat(pieces, axis=-1)
 
 
-def _fused(tape, ids, table, filters, biases, starts, lengths):
-    return tz.embedding_conv_max(ids, tape.read(table), filters, biases, starts, lengths)
+def _stack(filters, biases):
+    """The taps (sum_j w_j, K, D) and bias (n * K,) arrays embedding_conv_max
+    takes for per-width (K, w_j, D) filter banks and (K,) biases."""
+    return (np.concatenate([f.transpose(1, 0, 2) for f in filters]),
+            np.concatenate(biases))
+
+
+def _stacked_params(filters, biases):
+    """The taps and bias Parameters stacked from per-width filter and bias
+    Parameters, and the widths."""
+    taps, bias = _stack([f.value for f in filters], [b.value for b in biases])
+    return tz.Parameter("taps", taps), tz.Parameter("bias", bias), [f.shape[1] for f in filters]
 
 
 class TestEmbeddingConvMaxReference:
     """embedding_conv_max against the embedding_lookup -> conv1d ->
-    segment_max -> concat chain: values and every gradient."""
+    segment_max -> concat chain: values and every gradient, the chain's
+    per-width filter and bias gradients stacked as the op's."""
 
     @staticmethod
-    def run(build, ids, table, filters, biases, lengths, weights):
+    def run(fused, ids, table, filters, biases, lengths, weights):
         starts = (np.cumsum(lengths) - lengths.ravel()).reshape(lengths.shape)
-        params = [table] + filters + biases
+        taps, bias, widths = _stacked_params(filters, biases)
+        params = [table, taps, bias] if fused else [table] + filters + biases
         for p in params:
             p.zero_grad()
         tape = tz.Tape()
-        out = build(tape, ids, table, filters, biases, starts, lengths)
+        if fused:
+            out = tz.embedding_conv_max(ids, tape.read(table), taps, bias, widths, starts, lengths)
+        else:
+            out = _topic_chain(tape, ids, table, filters, biases, starts, lengths)
         tz.backward(tape, tz.mean_all(tz.mul(out, tape.constant(weights))))
-        return [out.value] + [p.grad.copy() for p in params]
+        grads = [p.grad.copy() for p in params]
+        if not fused:
+            grads[1:] = _stack(grads[1 : 1 + len(filters)], grads[1 + len(filters) :])
+        return [out.value] + grads
 
     def test_float_inputs_within_1e_12(self):
         rng = np.random.default_rng(60)
@@ -415,26 +433,24 @@ class TestEmbeddingConvMaxReference:
         biases = [tz.Parameter(f"b{w}", rng.normal(size=3)) for w in (3, 4, 5)]
         weights = rng.normal(size=lengths.shape + (9,))
         args = (ids, table, filters, biases, lengths, weights)
-        want = self.run(_topic_chain, *args)
-        got = self.run(_fused, *args)
-        names = ["out", "table"] + [p.name for p in filters + biases]
-        for name, a, b in zip(names, got, want):
+        want = self.run(False, *args)
+        got = self.run(True, *args)
+        for name, a, b in zip(["out", "table", "taps", "bias"], got, want):
             assert a.shape == b.shape and a.dtype == np.float64, name
             assert _relative_error(a, b) < 1e-12, name
 
         # a frozen table: the same values and filter and bias gradients,
         # and no table gradient
-        for p in [table] + filters + biases:
-            p.zero_grad()
+        table.zero_grad()
+        taps, bias, widths = _stacked_params(filters, biases)
         tape = tz.Tape()
         starts = (np.cumsum(lengths) - lengths.ravel()).reshape(lengths.shape)
-        out = tz.embedding_conv_max(ids, table.value, [tape.read(f) for f in filters],
-                                    biases, starts, lengths)
+        out = tz.embedding_conv_max(ids, table.value, tape.read(taps), bias, widths,
+                                    starts, lengths)
         tz.backward(tape, tz.mean_all(tz.mul(out, tape.constant(weights))))
         assert np.array_equal(out.value, got[0])
-        for p, grad in zip(filters + biases, got[2:]):
-            assert np.array_equal(p.grad, grad), p.name
-        assert not table.grad.any() and len(tape._reads) == len(filters + biases)
+        assert np.array_equal(taps.grad, got[2]) and np.array_equal(bias.grad, got[3])
+        assert not table.grad.any() and len(tape._reads) == 2
 
     @pytest.mark.parametrize("lengths", [
         [[0, 1, 2, 3], [5, 8, 3, 11]],  # empty, shorter than each width, longer
@@ -448,36 +464,39 @@ class TestEmbeddingConvMaxReference:
         # exact in any order; 5 ids, so most repeat
         ids = rng.integers(0, 5, size=int(lengths.sum()))
         table = tz.Parameter("table", rng.integers(-1, 2, size=(5, 3)))
-        widths, counts = (2, 3, 5), (2, 1, 1)
-        filters = [tz.Parameter(f"f{w}", rng.integers(-1, 2, size=(k, w, 3)))
-                   for w, k in zip(widths, counts)]
-        biases = [tz.Parameter(f"b{w}", rng.integers(-1, 2, size=k))
-                  for w, k in zip(widths, counts)]
-        # integer weights over 16 or 32 outputs: every gradient is exact
-        weights = rng.integers(-3, 4, size=lengths.shape + (4,)).astype(float)
+        widths = (2, 3, 4, 5)
+        filters = [tz.Parameter(f"f{w}", rng.integers(-1, 2, size=(2, w, 3))) for w in widths]
+        biases = [tz.Parameter(f"b{w}", rng.integers(-1, 2, size=2)) for w in widths]
+        # integer weights over 32 or 64 outputs: every gradient is exact
+        weights = rng.integers(-3, 4, size=lengths.shape + (8,)).astype(float)
         args = (ids, table, filters, biases, lengths, weights)
-        want = self.run(_topic_chain, *args)
-        got = self.run(_fused, *args)
-        names = ["out", "table"] + [p.name for p in filters + biases]
-        for name, a, b in zip(names, got, want):
+        want = self.run(False, *args)
+        got = self.run(True, *args)
+        for name, a, b in zip(["out", "table", "taps", "bias"], got, want):
             assert a.shape == b.shape and np.array_equal(a, b), name
 
     def test_bad_inputs_raise(self):
         table = tz.Parameter("table", np.zeros((4, 2)))
-        filters, biases = [tz.Parameter("f", np.zeros((1, 2, 2)))], [tz.Parameter("b", np.zeros(1))]
+        taps, bias = tz.Parameter("taps", np.zeros((2, 1, 2))), tz.Parameter("bias", np.zeros(1))
         tape = tz.Tape()
         leaf = tape.read(table)
-        starts, lengths = np.array([0, 2]), np.array([2, 2])
+        ids, starts, lengths = np.array([0, 1, 2, 3]), np.array([0, 2]), np.array([2, 2])
         with pytest.raises(IndexError):
-            tz.embedding_conv_max(np.array([0, 1, 2, 4]), leaf, filters, biases, starts, lengths)
+            tz.embedding_conv_max(np.array([0, 1, 2, 4]), leaf, taps, bias, [2], starts, lengths)
         with pytest.raises(ShapeError):
-            tz.embedding_conv_max(np.array([0, 1, 2]), leaf, filters, biases, starts, lengths)
-        with pytest.raises(ShapeError):
-            tz.embedding_conv_max(np.array([0, 1, 2, 3]), leaf,
-                                  [tz.Parameter("f", np.zeros((1, 2, 3)))], biases, starts, lengths)
+            tz.embedding_conv_max(ids[:3], leaf, taps, bias, [2], starts, lengths)
+        for bad_taps, bad_bias, widths in [
+            (tz.Parameter("t", np.zeros((2, 1, 3))), bias, [2]),  # taps over another dim
+            (taps, tz.Parameter("b", np.zeros(2)), [2]),  # one bias too many
+            (taps, bias, [3]),  # taps for a width of 2
+            (taps, bias, [1, 1]),  # two widths, one filter each: two biases
+            (taps, bias, []),
+            (tz.Parameter("t", np.zeros((2, 2))), bias, [2]),  # taps not (sum w, K, D)
+        ]:
+            with pytest.raises(ShapeError):
+                tz.embedding_conv_max(ids, leaf, bad_taps, bad_bias, widths, starts, lengths)
         with pytest.raises(UsageError):
-            tz.embedding_conv_max(np.array([0, 1, 2, 3]), table.value, filters, biases,
-                                  starts, lengths)
+            tz.embedding_conv_max(ids, table.value, taps, bias, [2], starts, lengths)
 
 
 def _with_dense_table_gradient(tape):
@@ -504,21 +523,21 @@ class TestTableRowGradient:
         ids = rng.integers(1, vocab // 2, size=int(lengths.sum()))  # rows past V/2 get no gradient
         starts = (np.cumsum(lengths) - lengths.ravel()).reshape(lengths.shape)
         table = tz.Parameter("table", rng.normal(size=(vocab, dim)))
-        filters = [tz.Parameter(f"f{w}", rng.normal(size=(3, w, dim))) for w in (2, 3)]
-        biases = [tz.Parameter(f"b{w}", rng.normal(size=3)) for w in (2, 3)]
+        taps = tz.Parameter("taps", rng.normal(size=(5, 3, dim)))  # widths 2 and 3
+        bias = tz.Parameter("bias", rng.normal(size=6))
         weights = rng.normal(size=lengths.shape + (6,))
         weights[0, :2] = -0.0
-        return ids, starts, lengths, table, filters, biases, weights
+        return ids, starts, lengths, table, taps, bias, weights
 
     @staticmethod
-    def loss(tape, uses, ids, starts, lengths, table, filters, biases, weights):
+    def loss(tape, uses, ids, starts, lengths, table, taps, bias, weights):
         terms = []
         for use in uses:
             if use == "lookup":
                 terms.append(tz.mean_all(tz.embedding_lookup(ids[:7], tape.read(table))))
             else:  # the table itself, or an op output computed from it
                 t = tape.read(table) if use == "conv" else tz.scale(tape.read(table), 0.5)
-                out = tz.embedding_conv_max(ids, t, filters, biases, starts, lengths)
+                out = tz.embedding_conv_max(ids, t, taps, bias, (2, 3), starts, lengths)
                 terms.append(tz.mean_all(tz.mul(out, tape.constant(weights))))
         total = terms[0]
         for term in terms[1:]:
@@ -533,7 +552,7 @@ class TestTableRowGradient:
         got, want = [], []
         for dense, grads in ((False, got), (True, want)):
             args = self.batch(np.random.default_rng(70))
-            params = [args[3]] + args[4] + args[5]
+            params = args[3:6]
             for _ in range(2):  # the second pass accumulates without zero_grad
                 tape = tz.Tape()
                 loss = self.loss(tape, uses, *args)
@@ -546,10 +565,10 @@ class TestTableRowGradient:
         assert not table_grad[20:].any() and not np.signbit(table_grad[table_grad == 0]).any()
 
     def test_a_table_read_only_by_the_op_gets_rows(self):
-        ids, starts, lengths, table, filters, biases, weights = self.batch(np.random.default_rng(71))
+        ids, starts, lengths, table, taps, bias, weights = self.batch(np.random.default_rng(71))
         tape = tz.Tape()
         leaf = tape.read(table)
-        loss = self.loss(tape, ("conv",), ids, starts, lengths, table, filters, biases, weights)
+        loss = self.loss(tape, ("conv",), ids, starts, lengths, table, taps, bias, weights)
         tz.backward(tape, loss)
         assert isinstance(leaf.grad, tz.RowGradient)
         assert leaf.grad.index.tolist() == np.unique(ids).tolist()
@@ -559,15 +578,15 @@ class TestTableRowGradient:
         # each document's output rows are the same alone and in a batch
         rng = np.random.default_rng(72)
         table = rng.normal(size=(300, 8))
-        filters = [tz.Parameter(f"f{w}", rng.normal(size=(4, w, 8))) for w in (3, 4, 5)]
-        biases = [tz.Parameter(f"b{w}", rng.normal(size=4)) for w in (3, 4, 5)]
+        taps = tz.Parameter("taps", rng.normal(size=(12, 4, 8)))  # widths 3, 4 and 5
+        bias = tz.Parameter("bias", rng.normal(size=12))
         sizes = rng.integers(0, 60, size=32)
         docs = [rng.integers(0, 300, size=n) for n in sizes]
         offsets = [np.minimum(np.arange(11) * -(-n // 10), n) for n in sizes]
 
         def call(ids, offsets):
             tape = tz.Tape()
-            return tz.embedding_conv_max(ids, table, [tape.read(f) for f in filters], biases,
+            return tz.embedding_conv_max(ids, table, tape.read(taps), bias, (3, 4, 5),
                                          offsets[..., :-1], np.diff(offsets, axis=-1)).value
 
         shift = np.cumsum(sizes) - sizes
@@ -578,12 +597,12 @@ class TestTableRowGradient:
     def test_backward_allocates_less_than_one_table(self):
         rng = np.random.default_rng(73)
         table = tz.Parameter("table", rng.normal(size=(20_000, 64)))  # 10 MB
-        filters = [tz.Parameter(f"f{w}", rng.normal(size=(16, w, 64))) for w in (3, 4, 5)]
-        biases = [tz.Parameter(f"b{w}", np.zeros(16)) for w in (3, 4, 5)]
+        taps = tz.Parameter("taps", rng.normal(size=(12, 16, 64)))  # widths 3, 4 and 5
+        bias = tz.Parameter("bias", np.zeros(48))
         ids = rng.integers(0, 20_000, size=3_000)
         starts, lengths = np.arange(0, 3_000, 300), np.full(10, 300)
         tape = tz.Tape()
-        out = tz.embedding_conv_max(ids, tape.read(table), filters, biases, starts, lengths)
+        out = tz.embedding_conv_max(ids, tape.read(table), taps, bias, (3, 4, 5), starts, lengths)
         loss = tz.mean_all(tz.mul(out, tape.constant(rng.normal(size=out.shape))))
         tracemalloc.start()
         try:
@@ -601,21 +620,22 @@ def _conv_case(seed, count, widths, lengths, dim=5, vocab=11):
     starts = np.cumsum(lengths) - lengths
     ids = rng.integers(0, vocab, size=int(lengths.sum()))
     table = tz.Parameter("table", rng.normal(size=(vocab, dim)))
-    filters = [tz.Parameter(f"f{w}", rng.normal(size=(count, w, dim))) for w in widths]
-    biases = [tz.Parameter(f"b{w}", rng.normal(size=count)) for w in widths]
+    taps = tz.Parameter("taps", rng.normal(size=(sum(widths), count, dim)))
+    bias = tz.Parameter("bias", rng.normal(size=count * len(widths)))
     g = rng.normal(size=(len(lengths), count * len(widths)))
-    return ids, table, filters, biases, starts, lengths, g
+    return ids, table, taps, bias, widths, starts, lengths, g
 
 
-def _conv_bytes(ids, table, filters, biases, starts, lengths, g):
+def _conv_bytes(ids, table, taps, bias, widths, starts, lengths, g):
     """The output on both tapes and every gradient the VJP hands back: the
-    table's RowGradient rows and index, then the filters' and biases'."""
+    table's RowGradient rows and index, then the taps' and bias'."""
     tape = tz.Tape()
-    out = tz.embedding_conv_max(ids, tape.read(table), [tape.read(f) for f in filters],
-                                [tape.read(b) for b in biases], starts, lengths)
+    out = tz.embedding_conv_max(ids, tape.read(table), tape.read(taps), tape.read(bias), widths,
+                                starts, lengths)
     row_grad, *grads = _vjp_of_last_op(tape, g)
     quiet_tape = tz.Tape(records=False)
-    quiet = tz.embedding_conv_max(ids, quiet_tape.read(table), filters, biases, starts, lengths)
+    quiet = tz.embedding_conv_max(ids, quiet_tape.read(table), taps, bias, widths,
+                                  starts, lengths)
     return ([out.value.tobytes(), quiet.value.tobytes(), row_grad.index.tobytes(),
              row_grad.rows.tobytes()] + [a.tobytes() for a in grads])
 
@@ -626,7 +646,7 @@ class TestEmbeddingConvMaxParts:
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.sampled_from([1, 3, 16]),
-           st.sampled_from([(3, 4, 5), (2,), (4, 6)]),
+           st.sampled_from([(3, 4, 5), (2,), (4, 6), (1, 3), (2, 3, 4)]),
            st.lists(st.integers(0, 9), min_size=1, max_size=6))
     def test_bytes_equal_at_every_part_count(self, seed, count, widths, lengths):
         # lengths 0 and below every width: empty and too-short segments
@@ -660,7 +680,7 @@ class TestEmbeddingConvMaxParts:
         assert {len(bounds) - 1 for bounds in calls} == {2, 3, 4}
 
     def test_a_failing_part_raises_after_every_part_returned(self):
-        ids, table, filters, biases, starts, lengths, _ = _conv_case(
+        ids, table, taps, bias, widths, starts, lengths, _ = _conv_case(
             80, 16, (3, 4, 5), [30, 4, 0, 12])
         done = []
 
@@ -677,7 +697,7 @@ class TestEmbeddingConvMaxParts:
         tape = tz.Tape()
         with split_into(4), mock.patch.object(tnn, "_run_parts", run_parts):
             with pytest.raises(RuntimeError, match="part 1 failed"):
-                tz.embedding_conv_max(ids, tape.read(table), filters, biases, starts, lengths)
+                tz.embedding_conv_max(ids, tape.read(table), taps, bias, widths, starts, lengths)
         assert sorted(done) == [0, 8, 12] and len(tape) == 0
 
     def test_the_first_failure_in_part_order_is_raised(self):
@@ -699,12 +719,11 @@ class TestEmbeddingConvMaxParts:
     def test_overflow_raises_with_the_split_forced(self, records):
         # each row times a filter is finite; a window's two taps overflow
         table = tz.Parameter("table", np.full((3, 1), 1e308))
-        filters = [tz.Parameter("f", np.ones((4, 2, 1)))]
-        biases = [tz.Parameter("b", np.zeros(4))]
+        taps, bias = tz.Parameter("taps", np.ones((2, 4, 1))), tz.Parameter("bias", np.zeros(4))
         tape = tz.Tape(records=records)
         with split_into(2) as calls, np.errstate(over="ignore"), \
                 pytest.raises(NumericsError, match="'embedding_conv_max'"):
-            tz.embedding_conv_max(np.array([1, 2, 1]), tape.read(table), filters, biases,
+            tz.embedding_conv_max(np.array([1, 2, 1]), tape.read(table), taps, bias, [2],
                                   np.array([0]), np.array([3]))
         assert calls == [[0, 2, 4]] and len(tape) == 0
 
@@ -971,9 +990,9 @@ class TestNonRecordingTape:
         starts = (np.cumsum(lengths) - lengths.ravel()).reshape(lengths.shape)
         ids = rng.integers(0, 9, size=int(lengths.sum()))
         table = tz.Parameter("table", rng.normal(size=(9, 6)))
-        filters = [tz.Parameter(f"f{w}", rng.normal(size=(3, w, 6))) for w in (2, 3, 5)]
-        biases = [tz.Parameter(f"b{w}", rng.normal(size=3)) for w in (2, 3, 5)]
-        return ids, table, filters, biases, starts, lengths
+        taps = tz.Parameter("taps", rng.normal(size=(10, 3, 6)))  # widths 2, 3 and 5
+        bias = tz.Parameter("bias", rng.normal(size=9))
+        return ids, table, taps, bias, starts, lengths
 
     @pytest.mark.parametrize("lengths", [
         [[0, 1, 2, 7], [5, 12, 4, 3]],
@@ -981,12 +1000,13 @@ class TestNonRecordingTape:
         [[0, 0]],
     ], ids=["segments", "short-batch", "empty-batch"])
     def test_embedding_conv_max_bytes_equal(self, lengths):
-        ids, table, filters, biases, starts, lengths = self.conv_inputs(
+        ids, table, taps, bias, starts, lengths = self.conv_inputs(
             np.random.default_rng(70), lengths)
         outs = []
         for records in (True, False):
             tape = tz.Tape(records=records)
-            out = tz.embedding_conv_max(ids, tape.read(table), filters, biases, starts, lengths)
+            out = tz.embedding_conv_max(ids, tape.read(table), taps, bias, (2, 3, 5),
+                                        starts, lengths)
             assert len(tape) == (1 if records else 0)
             outs.append(out.value)
         assert np.array_equal(outs[0], outs[1])
@@ -1010,10 +1030,10 @@ class TestNonRecordingTape:
         # dim 2: each row times a filter overflows; dim 1: each row times a
         # filter is finite, and a window's sum of two taps overflows
         table = tz.Parameter("table", np.full((3, dim), scale))
-        filters, biases = [tz.Parameter("f", np.ones((1, 2, dim)))], [tz.Parameter("b", np.zeros(1))]
+        taps, bias = tz.Parameter("taps", np.ones((2, 1, dim))), tz.Parameter("bias", np.zeros(1))
         tape = tz.Tape(records=records)
         with np.errstate(over="ignore"), pytest.raises(NumericsError, match="'embedding_conv_max'"):
-            tz.embedding_conv_max(np.array([1, 2, 1]), tape.read(table), filters, biases,
+            tz.embedding_conv_max(np.array([1, 2, 1]), tape.read(table), taps, bias, [2],
                                   np.array([0]), np.array([3]))
 
 
@@ -1147,17 +1167,18 @@ class TestGradientChecks:
     def test_embedding_conv_max(self):
         rng = np.random.default_rng(13)
         table = tz.Parameter("emb", rng.normal(size=(6, 3)))
-        filters = [tz.Parameter(f"f{w}", _rand(rng, 2, w, 3)) for w in (2, 3)]
-        biases = [tz.Parameter(f"b{w}", _rand(rng, 2)) for w in (2, 3)]
+        taps, bias, widths = _stacked_params(
+            [tz.Parameter(f"f{w}", _rand(rng, 2, w, 3)) for w in (2, 3)],
+            [tz.Parameter(f"b{w}", _rand(rng, 2)) for w in (2, 3)])
         ids = np.array([1, 4, 4, 0, 5, 2, 1, 3, 3, 5, 0, 2])  # repeated ids
         starts = np.array([[0, 2, 2], [7, 9, 12]])
         lengths = np.array([[2, 0, 5], [2, 3, 0]])  # empty, and shorter than a width
 
         def loss(tape):
-            out = tz.embedding_conv_max(ids, tape.read(table), filters, biases, starts, lengths)
+            out = tz.embedding_conv_max(ids, tape.read(table), taps, bias, widths, starts, lengths)
             return tz.mean_all(tz.tanh(out))
 
-        check_gradients(loss, [table] + filters + biases, tol=1e-6)
+        check_gradients(loss, [table, taps, bias], tol=1e-6)
 
     def test_additive_pair_scores(self):
         rng = np.random.default_rng(5)

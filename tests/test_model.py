@@ -17,11 +17,11 @@ from conftest import gru_gates, max_relative_error, numeric_gradient, overflowin
 from fakeflow.errors import ConfigError, NumericsError, ShapeError, UsageError
 from fakeflow.model import (
     MODES,
+    SIZES,
     Example,
     FakeFlowConfig,
     FakeFlowModel,
     combine,
-    config_for_mode,
     context_self_attention,
     parameter_shapes,
 )
@@ -77,6 +77,24 @@ class TestConfig:
     def test_bad_mode_rejected(self):
         with pytest.raises(ConfigError):
             tiny_config(mode="both")
+
+    @pytest.mark.parametrize("widths", [(3, 3), (2, 3, 2), (3.7,), (3, 4.5), ()])
+    def test_repeated_or_fractional_widths_rejected(self, widths):
+        # a repeated width would share one filter bank; 3.7 was cut to 3
+        with pytest.raises(ConfigError, match="cnn_filter_widths must be distinct integers"):
+            FakeFlowConfig(n_segments=2, vocab_size=5, cnn_filter_widths=widths)
+        with pytest.raises(ConfigError, match="cnn_filter_widths"):
+            FakeFlowConfig.from_json({**tiny_config().to_json(), "cnn_filter_widths": widths})
+
+    def test_integral_sizes_are_stored_as_ints(self):
+        cfg = tiny_config(n_segments=3.0, vocab_size=12.0, cnn_filter_widths=(2.0, np.int64(3)),
+                          gru_units=np.int64(3), fused_dense_dim=None)
+        assert all(type(getattr(cfg, name)) is int for name in SIZES)
+        assert [type(w) for w in cfg.cnn_filter_widths] == [int, int]
+        assert cfg == tiny_config() and json.dumps(cfg.to_json()) == json.dumps(
+            tiny_config().to_json())
+        model = FakeFlowModel(cfg, seed=1)
+        assert model.embedding.shape == (12, 4)
 
 
 class TestAttention:
@@ -470,21 +488,52 @@ class TestInferenceTape:
             model.forward(edge_batch(cfg, 1, seed=35)[0])
 
 
-def save_per_gate(model, path):
-    """Save `model` as checkpoints were written before the bi-GRU was
+def per_gate(model, params):
+    """`params` with the bi-GRU as checkpoints held it before it was
     stored stacked: in place of its four stacked arrays, each direction's
     18 per-gate arrays gru_fwd_wz, gru_fwd_uz, gru_fwd_bz, ... gru_bwd_bh,
     sliced from them."""
-    params = []
-    for p in model.params:
+    out = []
+    for p in params:
         if p.name == "gru_w":
             for d, direction in enumerate(("fwd", "bwd")):
                 names = [f"gru_{direction}_{k}{g}" for g in "zrh" for k in "wub"]
-                params += [tz.Parameter(name, gate)
-                           for name, gate in zip(names, gru_gates(model.gru, d))]
+                out += [tz.Parameter(name, gate)
+                        for name, gate in zip(names, gru_gates(model.gru, d))]
         elif p.name not in ("gru_b", "gru_u_zr", "gru_u_h"):
-            params.append(p)
-    tz.save_checkpoint(path, params, config=model.config.to_json())
+            out.append(p)
+    return out
+
+
+def per_width(model, params):
+    """`params` with the CNN as checkpoints held it before it was stored
+    stacked: in place of conv_taps and conv_bias, each width's filter bank
+    conv{w}_filters (K, w, D) and bias conv{w}_bias (K,), sliced from them."""
+    widths, count = model.config.cnn_filter_widths, model.config.cnn_filter_count
+    out = []
+    for p in params:
+        if p.name == "conv_taps":
+            for j, w in enumerate(widths):
+                first = sum(widths[:j])
+                bank = p.value[first : first + w].transpose(1, 0, 2)
+                bias = model.conv_bias.value[j * count : (j + 1) * count]
+                out += [tz.Parameter(f"conv{w}_filters", bank), tz.Parameter(f"conv{w}_bias", bias)]
+        elif p.name != "conv_bias":
+            out.append(p)
+    return out
+
+
+def save_per_gate(model, path):
+    """Save `model` as checkpoints were written before the bi-GRU was
+    stored stacked: the CNN width by width and the bi-GRU gate by gate."""
+    tz.save_checkpoint(path, per_gate(model, per_width(model, model.params)),
+                       config=model.config.to_json())
+
+
+def save_per_width(model, path):
+    """Save `model` as checkpoints were written before the CNN was stored
+    stacked: the CNN width by width, the bi-GRU as it is stored."""
+    tz.save_checkpoint(path, per_width(model, model.params), config=model.config.to_json())
 
 
 class TestCheckpoint:
@@ -538,30 +587,58 @@ class TestCheckpoint:
         model = FakeFlowModel(cfg, seed=13)
         assert [(p.name, p.shape) for p in model.params] == list(parameter_shapes(cfg).items())
         defaults = FakeFlowConfig(n_segments=10, vocab_size=20, mode=mode)
-        assert len(parameter_shapes(defaults)) == {"full": 23, "topic_only": 19,
+        assert len(parameter_shapes(defaults)) == {"full": 19, "topic_only": 15,
                                                    "affect_only": 8}[mode]
 
-    @pytest.mark.parametrize("mode", ["full", "affect_only"])
-    def test_per_gate_checkpoint_loads_byte_identically(self, tmp_path, mode):
+    @staticmethod
+    def load_saved_as(save, mode, tmp_path):
+        """The arrays `save` writes for a model of `mode` with every gate,
+        filter and bias different, after a check that the checkpoint loads
+        with its bytes and its predict_proba."""
         cfg = tiny_config(mode)
         model = FakeFlowModel(cfg, seed=13)
         rng = np.random.default_rng(14)
-        for p in model.gru:  # every gate different, the biases too
+        for p in model.gru if mode != "topic_only" else []:
             p.assign(rng.normal(size=p.shape) * 0.5)
-        save_per_gate(model, tmp_path / "old.bin")
-        _, arrays = tz.load_checkpoint(tmp_path / "old.bin")
-        assert len(arrays) == len(model.params) + 14 and "gru_bwd_bh" in arrays
+        if mode != "affect_only":
+            model.conv_bias.assign(rng.normal(size=model.conv_bias.shape))
+        save(model, tmp_path / "old.bin")
         loaded = FakeFlowModel.load(tmp_path / "old.bin")
         assert [p.name for p in loaded.params] == [p.name for p in model.params]
         for p1, p2 in zip(model.params, loaded.params):
             assert p1.value.tobytes() == p2.value.tobytes(), p1.name
         examples = [random_example(cfg, rng, doc_id=f"d{i}") for i in range(5)]
         assert loaded.predict_proba(examples).tobytes() == model.predict_proba(examples).tobytes()
+        return tz.load_checkpoint(tmp_path / "old.bin")[1], len(model.params)
+
+    @pytest.mark.parametrize("mode", ["full", "affect_only"])
+    def test_per_gate_checkpoint_loads_byte_identically(self, tmp_path, mode):
+        arrays, n_params = self.load_saved_as(save_per_gate, mode, tmp_path)
+        assert len(arrays) == n_params + 14 + (2 if mode == "full" else 0)
+        assert "gru_bwd_bh" in arrays and ("conv3_filters" in arrays) == (mode == "full")
+
+    @pytest.mark.parametrize("mode", ["full", "topic_only"])
+    def test_per_width_checkpoint_loads_byte_identically(self, tmp_path, mode):
+        # the CNN width by width, the bi-GRU stacked (or absent)
+        arrays, n_params = self.load_saved_as(save_per_width, mode, tmp_path)
+        assert len(arrays) == n_params + 2 and "conv3_filters" in arrays
+        assert "gru_bwd_bh" not in arrays and ("gru_w" in arrays) == (mode == "full")
 
     @pytest.mark.parametrize("missing", ["gru_fwd_wz", "gru_bwd_ur", "gru_bwd_bh"])
     def test_per_gate_checkpoint_missing_a_gate_is_config_error(self, tmp_path, missing):
         model = FakeFlowModel(tiny_config("affect_only"), seed=13)
         save_per_gate(model, tmp_path / "old.bin")
+        _, arrays = tz.load_checkpoint(tmp_path / "old.bin")
+        kept = [tz.Parameter(name, value) for name, value in arrays.items() if name != missing]
+        tz.save_checkpoint(tmp_path / "cut.bin", kept, config=model.config.to_json())
+        with pytest.raises(ConfigError, match=f"missing parameter '{missing}'"):
+            FakeFlowModel.load(tmp_path / "cut.bin")
+
+    @pytest.mark.parametrize("save", [save_per_width, save_per_gate])
+    @pytest.mark.parametrize("missing", ["conv2_filters", "conv3_bias"])
+    def test_per_width_checkpoint_missing_a_width_is_config_error(self, tmp_path, save, missing):
+        model = FakeFlowModel(tiny_config(), seed=13)
+        save(model, tmp_path / "old.bin")
         _, arrays = tz.load_checkpoint(tmp_path / "old.bin")
         kept = [tz.Parameter(name, value) for name, value in arrays.items() if name != missing]
         tz.save_checkpoint(tmp_path / "cut.bin", kept, config=model.config.to_json())
