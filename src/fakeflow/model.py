@@ -318,10 +318,16 @@ class FakeFlowModel:
     def _wire(self, config: FakeFlowConfig, state: dict[str, np.ndarray]) -> None:
         """Make the parameters of `config` from `state`, which holds each of
         `parameter_shapes(config)` in its shape, and name them for the
-        forward pass. The arrays become the parameters' values, uncopied
-        when they are C-ordered float64."""
+        forward pass. Each is a view, in that order, of `self.buffers`: the
+        value buffer that `state` is copied into and the gradient buffer."""
         self.config = c = config
-        self.params = [tz.Parameter(name, state[name]) for name in parameter_shapes(c)]
+        shapes = parameter_shapes(c)
+        values = np.concatenate([np.ravel(state[name]) for name in shapes], dtype=tz.DTYPE)
+        self.buffers = values, np.zeros(values.size)
+        cuts = np.cumsum([state[name].size for name in shapes])[:-1]
+        self.params = [tz.Parameter(name, value.reshape(shape), grad.reshape(shape))
+                       for (name, shape), value, grad
+                       in zip(shapes.items(), *(np.split(b, cuts) for b in self.buffers))]
         p = {param.name: param for param in self.params}
         if c.mode != "affect_only":
             self.embedding = p["embedding"]
@@ -535,11 +541,10 @@ class FakeFlowModel:
         return [self.config.classes[i] for i in probs.argmax(axis=1)]
 
     def trainable_params(self) -> list[tz.Parameter]:
-        """Parameters the optimizer may update; excludes the embedding table
-        when the config freezes it."""
-        if self.config.mode != "affect_only" and not self.config.train_embeddings:
-            return [p for p in self.params if p.name != "embedding"]
-        return list(self.params)
+        """The optimizer's one parameter: the model's buffers, past a frozen table."""
+        frozen = self.config.mode != "affect_only" and not self.config.train_embeddings
+        start = self.embedding.value.size if frozen else 0
+        return [tz.Parameter("trainable", *(b[start:] for b in self.buffers))]
 
     # ------------------------------------------------------------------
     # persistence
@@ -550,8 +555,12 @@ class FakeFlowModel:
     def load_state(self, state: dict[str, np.ndarray]) -> None:
         """Assign every parameter from `state` (name -> array), which may
         hold the CNN width by width and the bi-GRU gate by gate, as older
-        checkpoints do."""
+        checkpoints do. A non-finite array is a NumericsError naming it,
+        raised before any parameter is written."""
         state = _checked_state(state, self.config)
+        bad = [name for name, array in state.items() if not np.isfinite(array).all()]
+        if bad:
+            raise NumericsError(f"parameter {bad[0]!r} assigned non-finite values")
         for p in self.params:
             p.assign(state[p.name])
 
@@ -564,7 +573,7 @@ class FakeFlowModel:
         config = FakeFlowConfig.from_json(config_json)
         # before the model is built: a config at odds with its arrays may not fit in memory
         state = _checked_state(arrays, config, f"checkpoint {path}")
-        model = cls.__new__(cls)  # the checkpoint's arrays are its parameters; nothing is drawn
+        model = cls.__new__(cls)  # the checkpoint's arrays are copied in; nothing is drawn
         model._wire(config, state)
         return model
 

@@ -47,18 +47,19 @@ class Parameter:
     """A named, trainable array with a persistent gradient buffer.
 
     The gradient accumulates across backward passes and is zeroed by the
-    optimizer after each step. Shape is fixed at creation.
+    optimizer after each step. Shape is fixed at creation, and so are both
+    arrays, written only in place: either may be a view of a shared buffer.
     """
 
     __slots__ = ("name", "value", "grad")
 
-    def __init__(self, name: str, value):
+    def __init__(self, name: str, value, grad: np.ndarray | None = None):
         self.name = name
         # C order: the optimizer updates value and grad through flat views
         self.value = np.asarray(value, dtype=DTYPE, order="C")
         if not np.all(np.isfinite(self.value)):
             raise NumericsError(f"parameter {name!r} initialized with non-finite values")
-        self.grad = np.zeros_like(self.value)
+        self.grad = np.zeros_like(self.value) if grad is None else grad
 
     @property
     def shape(self):
@@ -68,13 +69,17 @@ class Parameter:
         self.grad[...] = 0.0
 
     def assign(self, value):
+        """Write `value` into the parameter's array in place; on a
+        ShapeError or NumericsError the array is left as it was."""
         value = _as_f64(value)
         if value.shape != self.value.shape:
             raise ShapeError(
                 f"parameter {self.name!r} has shape {self.value.shape}, "
                 f"cannot assign shape {value.shape}"
             )
-        self.value = value.copy()
+        if not np.all(np.isfinite(value)):
+            raise NumericsError(f"parameter {self.name!r} assigned non-finite values")
+        self.value[...] = value
 
     def __repr__(self):
         return f"Parameter({self.name!r}, shape={self.value.shape})"

@@ -10,7 +10,7 @@ from .engine import DTYPE
 
 def glorot_uniform(rng: np.random.Generator, shape: tuple, fan_in: int, fan_out: int) -> np.ndarray:
     limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=shape).astype(DTYPE)
+    return rng.uniform(-limit, limit, size=shape).astype(DTYPE, copy=False)
 
 
 def dense_weight(rng: np.random.Generator, out_dim: int, in_dim: int) -> np.ndarray:
@@ -24,7 +24,7 @@ def conv_filters(rng: np.random.Generator, n_filters: int, width: int, in_dim: i
 
 
 def embedding_table(rng: np.random.Generator, vocab: int, dim: int) -> np.ndarray:
-    return rng.uniform(-0.05, 0.05, size=(vocab, dim)).astype(DTYPE)
+    return rng.uniform(-0.05, 0.05, size=(vocab, dim)).astype(DTYPE, copy=False)
 
 
 def zeros(shape) -> np.ndarray:

@@ -4,9 +4,9 @@ All updates are the textbook forms. Their hyperparameters are the module
 constants BETA1, BETA2 and ADAM_EPS (adam), RMS_RHO and RMS_EPS (rmsprop),
 and ADA_RHO and ADA_EPS (adadelta); only the learning rate is set per
 optimizer. Auxiliary buffers are keyed by parameter name, so names must be
-unique within one optimizer. Gradients are zeroed after every step. An
-update runs in place over blocks of BLOCK elements, with the bits of the
-whole-array expression (see `step`).
+unique within one optimizer. An update runs in place over blocks of BLOCK
+elements, with the bits of the whole-array expression, and zeroes each
+gradient block after it (see `step`), so one parameter can span a model.
 """
 
 from __future__ import annotations
@@ -53,8 +53,10 @@ class OptimizerState:
         key = (param.name, name)
         buf = self.slots.get(key)
         if buf is None:
-            buf = np.zeros_like(param.value)
-            self.slots[key] = buf
+            buf = self.slots[key] = np.zeros_like(param.value)
+        elif buf.shape != param.value.shape:
+            raise UsageError(f"optimizer holds {name!r} of parameter {param.name!r} in shape "
+                             f"{buf.shape}, but the parameter has shape {param.value.shape}")
         return buf
 
 
@@ -74,13 +76,14 @@ def make_optimizer(algorithm: str, learning_rate: float | None = None) -> Optimi
 
 def step(opt: OptimizerState, params: list[Parameter]) -> None:
     """Apply one update to every parameter from its accumulated gradient,
-    then zero the gradients.
+    zeroing each gradient block right after its update, while in cache.
 
     Each update runs its algorithm's textbook expression, operation by
     operation in Python's evaluation order, in place over consecutive
     blocks of BLOCK elements: every intermediate lands in one of two
     block-sized scratch rows that the optimizer keeps, so a step allocates
     nothing after the first and gives the bits of the whole-array form.
+    A slot held in another shape than its parameter's is a UsageError.
     """
     names = [p.name for p in params]
     if len(set(names)) != len(names):
@@ -89,23 +92,19 @@ def step(opt: OptimizerState, params: list[Parameter]) -> None:
         update, slot_names = _UPDATES[opt.algorithm]
     except KeyError:  # make_optimizer validates; a hand-built state may not be
         raise UsageError(f"unknown optimizer {opt.algorithm!r}") from None
+    work = [[p.value, p.grad] + [opt.slot(p, name) for name in slot_names] for p in params]
     opt.step_count += 1
     if opt.scratch is None:
         opt.scratch = np.empty((2, BLOCK), dtype=DTYPE)
     lr, t = opt.learning_rate, opt.step_count
     a, b = opt.scratch
-    for p in params:
-        arrays = [p.value, p.grad] + [opt.slot(p, name) for name in slot_names]
-        size, shape = p.value.size, p.value.shape
-        if size <= BLOCK:  # one block: the arrays as they are
-            update(*arrays, a[:size].reshape(shape), b[:size].reshape(shape), lr, t)
-            continue
+    for arrays in work:
         flat = [x.reshape(-1) for x in arrays]
-        for lo in range(0, size, BLOCK):
-            n = min(BLOCK, size - lo)
-            update(*[x[lo : lo + n] for x in flat], a[:n], b[:n], lr, t)
-    for p in params:
-        p.zero_grad()
+        for lo in range(0, flat[0].size, BLOCK):
+            blocks = [x[lo : lo + BLOCK] for x in flat]
+            n = blocks[0].size
+            update(*blocks, a[:n], b[:n], lr, t)
+            blocks[1].fill(0.0)
 
 
 # Each update takes one block of the parameter, its gradient and its slots,

@@ -199,6 +199,22 @@ class TestForwardExamples:
             tz.cross_entropy(p, 1)  # -log(0)
 
 
+class TestParameter:
+    def test_assign_writes_in_place(self):
+        values = np.zeros(5)
+        p = tz.Parameter("w", values[1:4], np.zeros(3))
+        value = p.value
+        p.assign([1.0, 2.0, 3.0])
+        assert p.value is value and values.tolist() == [0.0, 1.0, 2.0, 3.0, 0.0]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_assign_of_non_finite_values_is_numerics_error(self, bad):
+        p = tz.Parameter("w", np.zeros(3))
+        with pytest.raises(NumericsError, match="'w'"):
+            p.assign([bad, 1.0, 2.0])
+        assert p.value.tolist() == [0.0, 0.0, 0.0]
+
+
 class TestTapeMechanics:
     def test_second_backward_raises(self):
         tape = tz.Tape()

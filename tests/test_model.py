@@ -670,6 +670,109 @@ class TestCheckpoint:
         with pytest.raises(ConfigError):
             FakeFlowConfig.from_json(payload)
 
+    @pytest.mark.parametrize("name", ["embedding", "att_b", "softmax_b"])
+    def test_load_state_of_non_finite_values_is_numerics_error(self, name):
+        model = FakeFlowModel(tiny_config(), seed=13)
+        before = model.buffers[0].copy()
+        state = FakeFlowModel(tiny_config(), seed=14).state()
+        state[name][0] = np.nan
+        with pytest.raises(NumericsError, match=f"'{name}'"):
+            model.load_state(state)
+        assert model.buffers[0].tobytes() == before.tobytes()  # nothing was written
+
+
+def offset(view: np.ndarray, buffer: np.ndarray) -> int:
+    """Where `view` starts in `buffer`, in elements."""
+    return (view.ctypes.data - buffer.ctypes.data) // buffer.itemsize
+
+
+def assert_buffer_views(model):
+    """Every parameter's value and grad are C-ordered views of the model's
+    value and gradient buffers, back to back in parameter_shapes order."""
+    values, grads = model.buffers
+    assert [(p.name, p.shape) for p in model.params] == list(parameter_shapes(model.config).items())
+    start = 0
+    for p in model.params:
+        for view, buffer in ((p.value, values), (p.grad, grads)):
+            assert np.shares_memory(view, buffer) and view.flags.c_contiguous, p.name
+            assert offset(view, buffer) == start, p.name
+        start += p.value.size
+    assert start == values.size == grads.size
+
+
+class TestParameterBuffers:
+    @pytest.mark.parametrize("mode", MODES)
+    def test_every_parameter_stays_a_view_of_the_buffers(self, tmp_path, mode):
+        cfg = tiny_config(mode)
+        model = FakeFlowModel(cfg, seed=50)
+        assert_buffer_views(model)
+        rng = np.random.default_rng(50)
+        for p in model.params:
+            value = p.value
+            p.assign(rng.normal(size=p.shape))
+            assert p.value is value
+        assert_buffer_views(model)
+        examples = [random_example(cfg, rng, doc_id=f"d{i}") for i in range(12)]
+        train(model, examples[:8], examples[8:],
+              TrainConfig(max_epochs=2, patience=1, batch_size=4, seed=50))  # ends in load_state
+        assert_buffer_views(model)
+        assert not model.buffers[1].any()
+        model.load_state(FakeFlowModel(cfg, seed=51).state())
+        assert_buffer_views(model)
+        for save in (FakeFlowModel.save, save_per_width, save_per_gate):
+            save(model, tmp_path / "model.bin")
+            loaded = FakeFlowModel.load(tmp_path / "model.bin")
+            assert_buffer_views(loaded)
+            assert loaded.buffers[0].tobytes() == model.buffers[0].tobytes()
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("trained", [True, False])
+    def test_trainable_params_is_one_span_past_a_frozen_table(self, mode, trained):
+        model = FakeFlowModel(tiny_config(mode, train_embeddings=trained), seed=52)
+        (span,) = model.trainable_params()
+        skip = model.embedding.value.size if mode != "affect_only" and not trained else 0
+        for view, buffer in zip((span.value, span.grad), model.buffers):
+            assert view.shape == (buffer.size - skip,) and offset(view, buffer) == skip
+        if skip:
+            assert not np.shares_memory(span.value, model.embedding.value)
+            assert not np.shares_memory(span.grad, model.embedding.grad)
+
+    @pytest.mark.parametrize("algorithm", tz.ALGORITHMS)
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("trained", [True, False])
+    def test_stepping_the_buffer_gives_the_bits_of_stepping_each_view(self, algorithm, mode,
+                                                                      trained):
+        cfg = tiny_config(mode, train_embeddings=trained, dropout_rate=0.3, optimizer=algorithm)
+        whole, views = FakeFlowModel(cfg, seed=53), FakeFlowModel(cfg, seed=53)
+        frozen = mode != "affect_only" and not trained
+        runs = [(whole, whole.trainable_params(), tz.make_optimizer(algorithm)),
+                (views, [p for p in views.params if not (frozen and p.name == "embedding")],
+                 tz.make_optimizer(algorithm))]
+        rng = np.random.default_rng(53)
+        for t in range(4):
+            examples = [random_example(cfg, rng, doc_id=f"d{i}") for i in range(4)]
+            gold = rng.integers(0, 2, size=4)
+            for model, params, opt in runs:
+                tape = tz.Tape()
+                loss, _ = model.batch_loss(tape, examples, gold, training=True,
+                                           rng=np.random.default_rng(t))
+                tz.backward(tape, loss)
+                tz.step(opt, params)
+            assert whole.buffers[0].tobytes() == views.buffers[0].tobytes(), t
+            assert not whole.buffers[1].any() and not views.buffers[1].any()
+
+    def test_one_optimizer_for_a_trained_and_a_frozen_table_is_usage_error(self):
+        opt = tz.make_optimizer("adam")
+        trained = FakeFlowModel(tiny_config(), seed=54)
+        tz.step(opt, trained.trainable_params())
+        frozen = FakeFlowModel(tiny_config(train_embeddings=False), seed=54)
+        before = frozen.buffers[0].copy()
+        size = trained.buffers[0].size
+        with pytest.raises(UsageError, match=rf"'trainable'.*\({size},\).*"
+                                             rf"\({size - frozen.embedding.value.size},\)"):
+            tz.step(opt, frozen.trainable_params())
+        assert frozen.buffers[0].tobytes() == before.tobytes()
+
 
 class TestPretrainedEmbeddings:
     def test_vectors_injected_and_fallback(self):

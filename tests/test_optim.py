@@ -91,6 +91,25 @@ class TestStep:
         assert opt.slots[("w", "m")].shape == (3, 2)
         assert opt.slots[("w", "v")].shape == (3, 2)
 
+    @pytest.mark.parametrize("algorithm", ["adam", "rmsprop", "adadelta"])
+    def test_slot_of_another_shape_is_usage_error_before_any_update(self, algorithm):
+        opt = tz.make_optimizer(algorithm)
+        first = _param(1.0, 0.5)
+        tz.step(opt, [first, tz.Parameter("w", np.zeros(3))])
+        value = first.value.copy()
+        first.grad[:] = 0.5
+        with pytest.raises(UsageError, match=r"'w'.*\(3,\).*\(4,\)"):
+            tz.step(opt, [first, tz.Parameter("w", np.zeros(4))])
+        assert first.value.tobytes() == value.tobytes() and first.grad.tolist() == [0.5]
+        assert opt.step_count == 1
+
+    def test_steps_a_view_of_a_shared_buffer_in_place(self):
+        values, grads = np.arange(6.0), np.full(6, 0.5)
+        p = tz.Parameter("mid", values[1:5].reshape(2, 2), grads[1:5].reshape(2, 2))
+        tz.step(tz.make_optimizer("sgd", 1.0), [p])
+        assert values.tolist() == [0.0, 0.5, 1.5, 2.5, 3.5, 5.0]
+        assert grads.tolist() == [0.5, 0.0, 0.0, 0.0, 0.0, 0.5]
+
 
 def _textbook_step(algorithm, lr, t, p, g, slots):
     """One whole-array update, as the optimizer wrote it before it ran
