@@ -17,13 +17,11 @@ accept any number of leading axes and treat them as independent instances.
 
 Row gradients: a VJP may hand an input a RowGradient instead of an array
 when its gradient is zero outside a few rows (embedding_conv_max does, for
-the embedding table). backward keeps it as rows while it is the input's
-only gradient; the leaf of a Parameter then adds the rows straight into
-param.grad[index], so no (V, D) array is built. If a dense gradient
-reaches the same input, or the input is an op output whose own VJP runs,
-the rows are first spread into a zeros array, as a dense VJP would have
-built it, so the sums keep the dense path's order and bits. Every other op
-hands dense gradients.
+the embedding table). backward uses it up where it arrives: at the leaf of
+a Parameter its rows are index-added into param.grad, so no (V, D) array
+is built; at any other tensor it is made dense first, its rows added into
+zeros as a dense VJP would have built them, so the sums keep the dense
+path's order and bits. Every other op hands dense gradients.
 """
 
 from __future__ import annotations
@@ -36,11 +34,6 @@ import numpy as np
 from ..errors import NumericsError, ShapeError, UsageError
 
 DTYPE = np.float64
-
-
-def _as_f64(value) -> np.ndarray:
-    arr = np.asarray(value, dtype=DTYPE)
-    return arr
 
 
 class Parameter:
@@ -71,7 +64,7 @@ class Parameter:
     def assign(self, value):
         """Write `value` into the parameter's array in place; on a
         ShapeError or NumericsError the array is left as it was."""
-        value = _as_f64(value)
+        value = np.asarray(value, dtype=DTYPE)
         if value.shape != self.value.shape:
             raise ShapeError(
                 f"parameter {self.name!r} has shape {self.value.shape}, "
@@ -92,6 +85,9 @@ class Tensor:
     tensors, so a strong reference back would make every tape a reference
     cycle, and the arrays it holds would wait for the cycle collector
     instead of being freed when the tape's owner drops it.
+
+    backward fills `grad` of op outputs and constants. A Parameter's leaf
+    (`param` set) keeps none: its gradients go into the Parameter's.
     """
 
     __slots__ = ("value", "grad", "_tape", "param")
@@ -148,14 +144,10 @@ class Tape:
 
     def constant(self, value) -> Tensor:
         """A non-trainable input. Gradients reaching it are discarded."""
-        arr = _as_f64(value)
+        arr = np.asarray(value, dtype=DTYPE)
         if not np.all(np.isfinite(arr)):
             raise NumericsError("constant input contains non-finite values")
         return Tensor(arr, self)
-
-    @property
-    def spent(self) -> bool:
-        return self._spent
 
     def __len__(self):
         return len(self._entries)
@@ -193,25 +185,40 @@ class RowGradient(NamedTuple):
     rows: np.ndarray
 
 
-def _dense(grad, value: np.ndarray) -> np.ndarray:
-    """`grad` as an array: a RowGradient's rows land in zeros shaped like
-    `value`, -0.0 stored as +0.0, as backward stores a first gradient."""
-    if not isinstance(grad, RowGradient):
-        return grad
-    dense = np.zeros_like(value)
-    dense[grad.index] += grad.rows
-    return dense
+def _arrive(tensor: Tensor, grad) -> None:
+    """Add `grad` into the Parameter of a leaf, or else into the tensor's
+    own grad (see backward)."""
+    param = tensor.param
+    if param is not None:
+        if isinstance(grad, RowGradient):
+            # param.grad holds no -0.0, so adding a -0.0 row entry keeps
+            # the bits of adding the +0.0 a dense gradient holds there
+            param.grad[grad.index] += grad.rows
+        else:
+            param.grad += grad
+    elif isinstance(grad, RowGradient):
+        if tensor.grad is None:
+            tensor.grad = np.zeros_like(tensor.value)
+        tensor.grad[grad.index] += grad.rows  # -0.0 lands as +0.0, as a copy stores it
+    elif tensor.grad is None:
+        # a copy, not the VJP's array, which may be the op's own g;
+        # adding +0.0 stores a -0.0 as +0.0
+        tensor.grad = np.add(grad, 0.0, out=np.empty_like(tensor.value))
+    else:
+        tensor.grad += grad
 
 
 def backward(tape: Tape, loss: Tensor) -> None:
-    """Populate gradients of every Parameter read under `tape`.
+    """Add the gradient of `loss` into every Parameter read under `tape`.
 
     `loss` must be a scalar produced on this tape. Traverses the op record
-    in exact reverse execution order. Each tensor's gradients add up in
-    that order from a +0.0 start, and each leaf's total is then added into
-    its Parameter's grad; a leaf that received only a RowGradient keeps it
-    as its `grad` and adds its rows into the Parameter's (see the module
-    docstring).
+    in exact reverse execution order. A gradient that reaches a Parameter's
+    leaf is added straight into its `grad`, in that order, and no leaf
+    Tensor holds a gradient; a RowGradient is index-added there (see the
+    module docstring). Every other tensor's gradients add up in that order
+    from a +0.0 start, a RowGradient first made dense. So a second backward
+    without a step in between leaves (p + g1) + g2 in a Parameter's grad,
+    not the p + (g1 + g2) of one leaf total added once.
     """
     if not isinstance(loss, Tensor) or loss.tape is not tape:
         raise UsageError("loss was not produced under this tape")
@@ -223,46 +230,16 @@ def backward(tape: Tape, loss: Tensor) -> None:
         raise UsageError(f"loss must be scalar, got shape {loss.value.shape}")
     tape._spent = True
 
-    loss.grad = np.ones((), dtype=DTYPE)
+    _arrive(loss, np.ones((), dtype=DTYPE))
     for out, inputs, vjp in reversed(tape._entries):
-        if out.grad is None:
-            continue
-        grads = vjp(_dense(out.grad, out.value))
-        for tensor, grad in zip(inputs, grads):
-            if grad is None:
-                continue
-            if tensor.grad is None:
-                if isinstance(grad, RowGradient):
-                    tensor.grad = grad  # no array is built unless needed
-                else:
-                    # a copy, not the VJP's array: add's VJP returns one g twice
-                    tensor.grad = np.add(grad, 0.0, out=np.empty_like(tensor.value))
-            else:
-                tensor.grad = _dense(tensor.grad, tensor.value)
-                if isinstance(grad, RowGradient):
-                    tensor.grad[grad.index] += grad.rows  # + 0.0 elsewhere changes no bit
-                else:
-                    tensor.grad += grad
-    for leaf in tape._reads.values():
-        if isinstance(leaf.grad, RowGradient):
-            # param.grad holds no -0.0, so adding a -0.0 row entry keeps
-            # the bits of adding the +0.0 the dense path stored
-            leaf.param.grad[leaf.grad.index] += leaf.grad.rows
-        elif leaf.grad is not None:
-            leaf.param.grad += leaf.grad
+        if out.grad is not None:
+            for tensor, grad in zip(inputs, vjp(out.grad)):
+                if grad is not None:
+                    _arrive(tensor, grad)
 
 
 # ---------------------------------------------------------------------------
 # structural ops
-
-
-def add(a, b) -> Tensor:
-    """Elementwise sum; shapes must match exactly."""
-    tape = a.tape if isinstance(a, Tensor) else b.tape
-    a, b = _coerce(tape, a), _coerce(tape, b)
-    if a.value.shape != b.value.shape:
-        raise ShapeError(f"add: shapes {a.value.shape} and {b.value.shape} differ")
-    return _record(tape, a.value + b.value, (a, b), lambda g: (g, g), "add")
 
 
 def mul(a, b) -> Tensor:
@@ -273,13 +250,6 @@ def mul(a, b) -> Tensor:
         raise ShapeError(f"mul: shapes {a.value.shape} and {b.value.shape} differ")
     av, bv = a.value, b.value
     return _record(tape, av * bv, (a, b), lambda g: (g * bv, g * av), "mul")
-
-
-def scale(x, factor: float) -> Tensor:
-    """Multiply by a compile-time scalar constant."""
-    x = _coerce(x.tape, x)
-    factor = float(factor)
-    return _record(x.tape, x.value * factor, (x,), lambda g: (g * factor,), "scale")
 
 
 def add_bias(x, b) -> Tensor:
@@ -402,12 +372,6 @@ def sigmoid_array(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     quotient goes into `out` when given."""
     e = np.exp(-np.abs(v))
     return np.divide(np.where(v >= 0, 1.0, e), 1.0 + e, out=out)
-
-
-def sigmoid(x) -> Tensor:
-    x = _coerce(x.tape, x)
-    out = sigmoid_array(x.value)
-    return _record(x.tape, out, (x,), lambda g: (g * out * (1.0 - out),), "sigmoid")
 
 
 def tanh(x) -> Tensor:

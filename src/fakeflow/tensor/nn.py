@@ -1,7 +1,7 @@
 """Differentiable layers built on the engine primitives.
 
-Fused ops (conv1d, pooling, segment max, embedding lookup, the topic
-branch's embedding-convolution-max, pairwise attention scores, the
+Fused ops (conv1d, pooling, embedding lookup, the topic branch's
+embedding-convolution-max, pairwise attention scores, the
 bidirectional GRU) carry hand-derived backward rules; dense is wired from
 engine primitives so its gradient comes for free. No op copies a
 sliding-window view: conv1d sums one matrix product per filter tap over
@@ -9,8 +9,8 @@ shifted row slices of its input. embedding_conv_max runs the lookup, every
 filter width and the per-segment max as one op over the filters of every
 width stacked tap by tap in one array: it multiplies each distinct token
 id's row by the filters once, and its backward reaches only each
-segment's max window; embedding_lookup, conv1d and segment_max stay
-as its reference. Its forward splits the filter rows into parts, one per
+segment's max window; per segment, embedding_lookup, conv1d, maxpool1d
+and global_maxpool stay as its reference. Its forward splits the filter rows into parts, one per
 CPU the process may use (its affinity, so `taskset` limits it), once the
 input is large enough (MIN_CELLS): a part gathers, sums and masks the
 windows of its rows and takes their maxima, on a worker thread for every
@@ -165,49 +165,6 @@ def global_maxpool(x) -> Tensor:
     return _record(x.tape, out.copy(), (x,), vjp, "global_maxpool")
 
 
-def segment_max(x, starts, counts) -> Tensor:
-    """Columnwise max of each segment of rows of a (L, K) sequence.
-
-    starts, counts: integer arrays of one shape S; segment s is rows
-    [starts[s], starts[s] + counts[s]). Output S + (K,): each segment's
-    max, or zeros for a segment with no rows. Ties route the gradient to
-    the first maximal row of the segment, as global_maxpool does.
-    """
-    x = _coerce(x.tape, x)
-    xv = x.value
-    starts, counts = np.asarray(starts), np.asarray(counts)
-    if (xv.ndim != 2 or starts.shape != counts.shape
-            or starts.dtype.kind not in "iu" or counts.dtype.kind not in "iu"):
-        raise ShapeError(
-            f"segment_max: expected x (L, K) and integer starts/counts of one shape, "
-            f"got {xv.shape}, {starts.shape} {starts.dtype}, {counts.shape} {counts.dtype}"
-        )
-    length, channels = xv.shape
-    live = counts.ravel() > 0
-    first_row, n_rows = starts.ravel()[live], counts.ravel()[live]
-    if np.any(counts < 0) or np.any(first_row < 0) or np.any(first_row + n_rows > length):
-        raise ShapeError(f"segment_max: segments fall outside the {length} rows of x")
-    # gather every live segment's rows into one block; segment i then
-    # starts at row `begin[i]` of the block
-    begin = np.cumsum(n_rows) - n_rows
-    rows = np.repeat(first_row - begin, n_rows) + np.arange(n_rows.sum())
-    block = xv[rows]
-    best = np.maximum.reduceat(block, begin, axis=0)
-    hit = block == np.repeat(best, n_rows, axis=0)
-    position = np.where(hit, np.arange(len(rows))[:, None], len(rows))
-    arg = rows[np.minimum.reduceat(position, begin, axis=0)]  # first maximal row
-    out = np.zeros((live.size, channels), dtype=DTYPE)
-    out[live] = best
-
-    def vjp(g):
-        gx = np.zeros_like(xv)
-        cols = np.broadcast_to(np.arange(channels), arg.shape)
-        np.add.at(gx, (arg, cols), g.reshape(-1, channels)[live])
-        return (gx,)
-
-    return _record(x.tape, out.reshape(starts.shape + (channels,)), (x,), vjp, "segment_max")
-
-
 # embedding_conv_max runs its filter rows in parts, one per CPU the process
 # may use, when each part gets at least MIN_CELLS (filter row, window)
 # cells: below that, handing a part to a worker costs more than it saves.
@@ -271,10 +228,10 @@ def embedding_conv_max(ids, table, taps, bias, widths, starts, lengths) -> Tenso
     with t_j = sum_{i<j} w_i; bias: (n * K,) for n widths, width j's being
     b_j = bias[j * K : (j + 1) * K]; starts, lengths: integer arrays of one
     shape S, segment s being ids[starts[s]: starts[s] + lengths[s]]. Output
-    S + (n * K,): width j's columns are segment_max(conv1d(embedding_lookup(
-    ids, table), F_j, b_j), starts, max(lengths - w_j + 1, 0)), so a segment
-    with no window of a width gets zeros and ties route the gradient to the
-    first maximal window.
+    S + (n * K,): width j's columns of segment s are global_maxpool(conv1d(
+    embedding_lookup(segment s, table), F_j, b_j)), the max over the
+    windows that lie inside the segment, or zeros for a segment shorter
+    than w_j; ties route the gradient to the first maximal window.
 
     A convolution is linear in each token's embedding row, so each distinct
     id's row meets every tap once, in one (U, sum_j w_j K) response table
@@ -353,8 +310,8 @@ def embedding_conv_max(ids, table, taps, bias, widths, starts, lengths) -> Tenso
     response = rows_of_types @ w_all.T  # R: (U, sum_j w_j K)
     _check_finite(response, "embedding_conv_max")
     response = response.T.copy()  # a tap of a width: K rows of U
-    # the windows starting at every live segment's rows, gathered as
-    # segment_max gathers rows: a window sums its taps' R columns at tokens
+    # the windows starting at every live segment's rows, gathered into one
+    # block where live segment i starts at `begin[i]`: a window sums its taps' R columns at tokens
     # t .. t + w - 1. One that runs past its segment's end is -inf (it may
     # read the padding after the last token, which holds type 0).
     begin = np.cumsum(n_rows) - n_rows

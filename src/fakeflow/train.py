@@ -39,6 +39,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.max_epochs < 1:
             raise UsageError(f"max_epochs must be >= 1, got {self.max_epochs}")
+        if self.patience < 0:
+            raise UsageError(f"patience must be >= 0, got {self.patience}")
         if self.patience >= self.max_epochs:
             raise UsageError(
                 f"patience ({self.patience}) must be smaller than max_epochs ({self.max_epochs})"

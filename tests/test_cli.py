@@ -178,12 +178,13 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command, flags, named", [
         ("train", ["--epochs", "0", "--patience", "-1"], "max_epochs"),
+        ("train", ["--patience", "-1"], "patience"),
         ("train", ["--val-fraction", "1.5"], "val_fraction"),
         ("train", ["--val-fraction", "-0.5"], "val_fraction"),
         ("train", ["--val-fraction", "nan"], "val_fraction"),
         ("train", ["--filter-widths", "3,x"], "--filter-widths"),
         ("select-n", ["--candidates", "x"], "--candidates"),
-    ], ids=["epochs-0", "val-fraction-1.5", "val-fraction-negative", "val-fraction-nan",
+    ], ids=["epochs-0", "patience-negative", "val-fraction-1.5", "val-fraction-negative", "val-fraction-nan",
             "filter-widths-x", "candidates-x"])
     def test_bad_training_flag_is_usage_error(self, tmp_path, capsys, command, flags, named):
         manifest = write_lexicon_fixture(tmp_path)

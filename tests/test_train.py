@@ -112,6 +112,10 @@ class TestTrainLoop:
         with pytest.raises(UsageError):
             TrainConfig(max_epochs=4, patience=4)
 
+    def test_negative_patience_rejected(self):
+        with pytest.raises(UsageError, match="-3"):
+            TrainConfig(max_epochs=5, patience=-3)
+
     def test_unknown_label_rejected(self):
         examples, vocab, _ = _flow_examples(6)
         examples[0].label = "satire"
