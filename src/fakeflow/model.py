@@ -87,8 +87,8 @@ class FakeFlowConfig:
             raise ConfigError(f"unknown activation {self.activation!r}")
         if self.optimizer not in tz.ALGORITHMS:
             raise ConfigError(f"unknown optimizer {self.optimizer!r}")
-        if len(self.classes) < 2:
-            raise ConfigError("need at least 2 classes")
+        if len(self.classes) < 2 or len(set(self.classes)) != len(self.classes):
+            raise ConfigError(f"need at least 2 distinct classes, got {self.classes}")
 
     def to_json(self) -> dict:
         payload = asdict(self)
@@ -358,20 +358,19 @@ class FakeFlowModel:
         bias.
         """
         c = self.config
-        ids, offsets, sizes = self._segments(examples)
-        offsets = offsets + (np.cumsum(sizes) - sizes)[:, None]
-        starts, lengths = offsets[:, :-1], np.diff(offsets, axis=1)
+        ids, offsets = self._segments(examples)
         # a frozen table is a plain array: no (V, D) gradient is built for it
         table = tape.read(self.embedding) if c.train_embeddings else self.embedding.value
         cnn_v = tz.embedding_conv_max(ids, table, tape.read(self.conv_taps), self.conv_bias,
-                                      c.cnn_filter_widths, starts, lengths)
+                                      c.cnn_filter_widths, np.diff(offsets, axis=1))
         return tz.dense(cnn_v, self.topic_w, self.topic_b, c.activation)
 
     def _segments(self, examples: list[Example]):
-        """The batch's concatenated ids, its (B, N + 1) stacked offsets and
-        each document's id count, checked in one pass over the batch. Only
-        when the batch fails is each document checked on its own, so the
-        error names the first one at fault."""
+        """The batch's concatenated ids and its (B, N + 1) stacked offsets,
+        checked in one pass over the batch: each document's offsets cut its
+        own ids, so the segments' lengths tile the ids. Only when the batch
+        fails is each document checked on its own, so the error names the
+        first one at fault."""
         try:
             ids = np.concatenate([e.ids for e in examples])
             offsets = np.stack([e.offsets for e in examples])
@@ -381,7 +380,7 @@ class FakeFlowModel:
         else:
             ok = self._cuts(ids, offsets, sizes)
         if ok:
-            return ids, offsets, sizes
+            return ids, offsets
         c = self.config
         for e in examples:
             ids, offsets = np.asarray(e.ids), np.asarray(e.offsets)

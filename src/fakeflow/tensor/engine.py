@@ -17,11 +17,10 @@ accept any number of leading axes and treat them as independent instances.
 
 Row gradients: a VJP may hand an input a RowGradient instead of an array
 when its gradient is zero outside a few rows (embedding_conv_max does, for
-the embedding table). backward uses it up where it arrives: at the leaf of
-a Parameter its rows are index-added into param.grad, so no (V, D) array
-is built; at any other tensor it is made dense first, its rows added into
-zeros as a dense VJP would have built them, so the sums keep the dense
-path's order and bits. Every other op hands dense gradients.
+the embedding table, which must be a Parameter or its leaf). It reaches
+only the leaf of a Parameter, where backward index-adds its rows into
+param.grad, so no (V, D) array is built. Every other op hands dense
+gradients.
 """
 
 from __future__ import annotations
@@ -196,10 +195,6 @@ def _arrive(tensor: Tensor, grad) -> None:
             param.grad[grad.index] += grad.rows
         else:
             param.grad += grad
-    elif isinstance(grad, RowGradient):
-        if tensor.grad is None:
-            tensor.grad = np.zeros_like(tensor.value)
-        tensor.grad[grad.index] += grad.rows  # -0.0 lands as +0.0, as a copy stores it
     elif tensor.grad is None:
         # a copy, not the VJP's array, which may be the op's own g;
         # adding +0.0 stores a -0.0 as +0.0
@@ -216,9 +211,9 @@ def backward(tape: Tape, loss: Tensor) -> None:
     leaf is added straight into its `grad`, in that order, and no leaf
     Tensor holds a gradient; a RowGradient is index-added there (see the
     module docstring). Every other tensor's gradients add up in that order
-    from a +0.0 start, a RowGradient first made dense. So a second backward
-    without a step in between leaves (p + g1) + g2 in a Parameter's grad,
-    not the p + (g1 + g2) of one leaf total added once.
+    from a +0.0 start. So a second backward without a step in between
+    leaves (p + g1) + g2 in a Parameter's grad, not the p + (g1 + g2) of
+    one leaf total added once.
     """
     if not isinstance(loss, Tensor) or loss.tape is not tape:
         raise UsageError("loss was not produced under this tape")

@@ -7,20 +7,22 @@ engine primitives so its gradient comes for free. No op copies a
 sliding-window view: conv1d sums one matrix product per filter tap over
 shifted row slices of its input. embedding_conv_max runs the lookup, every
 filter width and the per-segment max as one op over the filters of every
-width stacked tap by tap in one array: it multiplies each distinct token
-id's row by the filters once, and its backward reaches only each
-segment's max window; per segment, embedding_lookup, conv1d, maxpool1d
-and global_maxpool stay as its reference. Its forward splits the filter rows into parts, one per
-CPU the process may use (its affinity, so `taskset` limits it), once the
-input is large enough (MIN_CELLS): a part gathers, sums and masks the
-windows of its rows and takes their maxima, on a worker thread for every
-part but the first. The response product and the whole backward stay on
-the calling thread. A part writes only its own rows, and each element
-takes the same ops in the same order in any part, so the bits do not
-depend on the part count. bigru runs its two directions as one stacked
-recurrence, records one tape entry for it and backpropagates through time
-in its own backward; it takes the two cells as four arrays stacked on a
-direction axis, with the gates in the order z, r, h (see bigru).
+width stacked tap by tap in one array, over segments that tile one id
+array and a table that is a Parameter or a frozen array: it multiplies
+each distinct token id's row by the filters once, and its backward
+reaches only each segment's max window; per segment, embedding_lookup,
+conv1d, maxpool1d and global_maxpool stay as its reference. Its forward
+splits the filter rows into parts, one per CPU the process may use (its
+affinity, so `taskset` limits it), once the input is large enough
+(MIN_CELLS): a part gathers, sums and masks the windows of its rows and
+takes their maxima, on a worker thread for every part but the first. The
+response product and the whole backward stay on the calling thread. A
+part writes only its own rows, and each element takes the same ops in
+the same order in any part, so the bits do not depend on the part count.
+bigru runs its two directions as one stacked recurrence, records one
+tape entry for it and backpropagates through time in its own backward;
+it takes the two cells as four arrays stacked on a direction axis, with
+the gates in the order z, r, h (see bigru).
 """
 
 from __future__ import annotations
@@ -219,15 +221,15 @@ def _run_parts(fill, bounds) -> None:
         future.result()
 
 
-def embedding_conv_max(ids, table, taps, bias, widths, starts, lengths) -> Tensor:
+def embedding_conv_max(ids, table, taps, bias, widths, lengths) -> Tensor:
     """Each segment's max over its windows of a convolution over embedded ids.
 
     ids: (T,) integer ids into table (V, D); taps: (sum_j w_j, K, D), the K
     filters of each width w_j of `widths` stacked tap by tap in width order,
     so that width j's bank is F_j = taps[t_j : t_j + w_j].transpose(1, 0, 2)
     with t_j = sum_{i<j} w_i; bias: (n * K,) for n widths, width j's being
-    b_j = bias[j * K : (j + 1) * K]; starts, lengths: integer arrays of one
-    shape S, segment s being ids[starts[s]: starts[s] + lengths[s]]. Output
+    b_j = bias[j * K : (j + 1) * K]; lengths: integers >= 0 of a shape S
+    that add up to T, the segments tiling ids in their C order. Output
     S + (n * K,): width j's columns of segment s are global_maxpool(conv1d(
     embedding_lookup(segment s, table), F_j, b_j)), the max over the
     windows that lie inside the segment, or zeros for a segment shorter
@@ -244,16 +246,17 @@ def embedding_conv_max(ids, table, taps, bias, widths, starts, lengths) -> Tenso
     filter), so the VJP is one bincount of those windows' taps into R's
     gradient and two matrix products: no (T, D) embedded sequence is built,
     and the table's gradient is its U rows, handed to backward as a
-    RowGradient. The table is read from the tape, or passed as a plain
-    array when frozen; then it gets no gradient. On a tape that records no
-    ops, only the maxima are taken: the search for each (filter, segment)'s
-    first maximal window, and the arrays it fills, are skipped.
+    RowGradient. So the table is a Parameter or its leaf, whose gradient
+    takes those rows (an op output is a UsageError), or a plain array when
+    frozen; then it gets no gradient. On a tape that records no ops, only
+    the maxima are taken: the search for each (filter, segment)'s first
+    maximal window, and the arrays it fills, are skipped.
 
     From the windows' gather to that search, each filter row is independent
     of the others, and numpy releases the interpreter lock in take, in
     ufunc arithmetic and in reduceat. So that stretch runs on filter rows
     [lo, hi) of every width in parts: min(CPUs the process may use, K,
-    n * K * windows // MIN_CELLS) of them, at least one. The calling thread
+    n * K * T // MIN_CELLS) of them, at least one. The calling thread
     runs the first and waits for the rest. R, its transposed copy and the
     VJP stay on the calling thread: a split of R's product, or computing it
     transposed, changes its bits, and the VJP's products are BLAS's to
@@ -267,16 +270,17 @@ def embedding_conv_max(ids, table, taps, bias, widths, starts, lengths) -> Tenso
     frozen = not isinstance(table, (Tensor, Parameter))
     if not frozen:
         table = _coerce(tape, table)
+        if table.param is None:
+            raise UsageError("embedding_conv_max: the table must be a Parameter, its tape leaf "
+                             "or a plain array, not an op output")
     taps, bias = _coerce(tape, taps), _coerce(tape, bias)
     tv = np.asarray(table, dtype=DTYPE) if frozen else table.value
-    ids, starts, lengths = np.asarray(ids), np.asarray(starts), np.asarray(lengths)
+    ids, lengths = np.asarray(ids), np.asarray(lengths)
     if (tv.ndim != 2 or ids.ndim != 1 or ids.dtype.kind not in "iu"
-            or starts.shape != lengths.shape
-            or starts.dtype.kind not in "iu" or lengths.dtype.kind not in "iu"):
+            or lengths.dtype.kind not in "iu"):
         raise ShapeError(
-            f"embedding_conv_max: expected table (V, D), ids (T,) and integer starts/lengths "
-            f"of one shape, got {tv.shape}, {ids.shape} {ids.dtype}, "
-            f"{starts.shape} {starts.dtype}, {lengths.shape} {lengths.dtype}"
+            f"embedding_conv_max: expected table (V, D), ids (T,) and integer lengths, "
+            f"got {tv.shape}, {ids.shape} {ids.dtype}, {lengths.shape} {lengths.dtype}"
         )
     vocab, dim = tv.shape
     shape = taps.value.shape
@@ -290,10 +294,10 @@ def embedding_conv_max(ids, table, taps, bias, widths, starts, lengths) -> Tenso
         raise IndexError(
             f"token id out of range: ids span [{ids.min()}, {ids.max()}], vocab size {vocab}"
         )
+    if np.any(lengths < 0) or lengths.sum() != len(ids):
+        raise ShapeError(f"embedding_conv_max: segment lengths do not tile the {len(ids)} ids")
     live = lengths.ravel() > 0
-    first_row, n_rows = starts.ravel()[live], lengths.ravel()[live]
-    if np.any(lengths < 0) or np.any(first_row < 0) or np.any(first_row + n_rows > len(ids)):
-        raise ShapeError(f"embedding_conv_max: segments fall outside the {len(ids)} ids")
+    n_rows = lengths.ravel()[live]
 
     count = shape[1]
     firsts = count * np.arange(len(widths))  # each width's first output column
@@ -310,17 +314,16 @@ def embedding_conv_max(ids, table, taps, bias, widths, starts, lengths) -> Tenso
     response = rows_of_types @ w_all.T  # R: (U, sum_j w_j K)
     _check_finite(response, "embedding_conv_max")
     response = response.T.copy()  # a tap of a width: K rows of U
-    # the windows starting at every live segment's rows, gathered into one
-    # block where live segment i starts at `begin[i]`: a window sums its taps' R columns at tokens
-    # t .. t + w - 1. One that runs past its segment's end is -inf (it may
-    # read the padding after the last token, which holds type 0).
+    # the window at token t sums its taps' R columns at tokens t .. t + w - 1;
+    # live segment i starts at `begin[i]`. A window that runs past its
+    # segment's end is -inf (it may read the padding after the last token,
+    # which holds type 0).
     begin = np.cumsum(n_rows) - n_rows
-    rows = np.repeat(first_row - begin, n_rows) + np.arange(n_rows.sum())
-    room = np.repeat(first_row + n_rows, n_rows) - rows  # tokens left in the segment
+    room = np.repeat(begin + n_rows, n_rows) - np.arange(len(ids))  # tokens left in the segment
     padded = np.zeros(len(ids) + max(widths) - 1, dtype=np.intp)
     np.take(index, ids, out=padded[: len(ids)])
-    under = [padded[rows + i] for i in range(max(widths))]  # the type under tap i
-    n_live, n_windows = len(n_rows), len(rows)
+    under = [padded[i : i + len(ids)] for i in range(max(widths))]  # the type under tap i
+    n_live, n_windows = len(n_rows), len(ids)
     windows = np.empty((count, n_windows), dtype=DTYPE)  # one width's
     spare = np.empty_like(windows)
     best = np.empty((n_out, n_live), dtype=DTYPE)
@@ -353,8 +356,8 @@ def embedding_conv_max(ids, table, taps, bias, widths, starts, lengths) -> Tenso
                 np.take(best[o + lo : o + hi], segment, axis=1, out=buf, mode="clip")
                 np.equal(acc, buf, out=hit[lo:hi])
                 found = np.flatnonzero(hit[lo:hi])  # increasing
-                max_at[o + lo : o + hi] = rows[found[np.searchsorted(found, seek[: hi - lo])]
-                                               - row_start[: hi - lo]]
+                max_at[o + lo : o + hi] = (found[np.searchsorted(found, seek[: hi - lo])]
+                                           - row_start[: hi - lo])
 
     parts = max(1, min(_cpus(), count, n_out * n_windows // MIN_CELLS))
     _run_parts(fill, [count * p // parts for p in range(parts + 1)])
@@ -384,7 +387,7 @@ def embedding_conv_max(ids, table, taps, bias, widths, starts, lengths) -> Tenso
         return ([] if frozen else [RowGradient(types, g_response @ w_all)]) + [g_taps, g_bias]
 
     inputs = ([] if frozen else [table]) + [taps, bias]
-    return _record(tape, out.reshape(starts.shape + (n_out,)), inputs, vjp, "embedding_conv_max")
+    return _record(tape, out.reshape(lengths.shape + (n_out,)), inputs, vjp, "embedding_conv_max")
 
 
 def dense(x, w, b, act: str = "identity") -> Tensor:

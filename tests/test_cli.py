@@ -422,6 +422,19 @@ class TestLoadedModelErrors:
         assert err.startswith(f"error: checkpoint {bad} has parameter '{name}' of shape ")
         assert err.count("\n") == 1
 
+    def test_evaluate_checkpoint_with_repeated_classes_exits_2(self, trained, tmp_path, capsys):
+        manifest, corpus, out = trained
+        config, arrays = tz.load_checkpoint(out / "checkpoint.bin")
+        bad = tmp_path / "bad.bin"
+        tz.save_checkpoint(bad, [tz.Parameter(n, a) for n, a in arrays.items()],
+                           config={**config, "classes": ["real", "real"]})
+        capsys.readouterr()
+        code = main(["evaluate", "--checkpoint", str(bad), "--vocab", str(out / "vocab.json"),
+                     "--corpus", str(corpus), "--lexicons", str(manifest),
+                     "--out", str(tmp_path / "scored")])
+        assert code == 2
+        assert "distinct classes" in capsys.readouterr().err
+
     def test_evaluate_overflowing_model_exits_2_naming_documents(self, trained, tmp_path,
                                                                    capsys):
         manifest, corpus, out = trained

@@ -350,14 +350,15 @@ class TestConv1dReference:
             assert _relative_error(a, b) < 1e-12, name
 
 
-def _topic_chain(tape, ids, table, filters, biases, starts, lengths, pool):
+def _topic_chain(tape, ids, table, filters, biases, lengths, pool):
     """The composite embedding_conv_max replaces, segment by segment: one
     embedding_lookup, then per filter width conv1d, maxpool1d(pool) and
     global_maxpool (zeros where the segment is shorter than the width),
     every segment's pieces joined by one concat into a flat vector."""
     leaf = tape.read(table)
+    starts = np.cumsum(lengths) - lengths.ravel()  # the segments tile the ids
     pieces = []
-    for start, length in zip(starts.ravel(), lengths.ravel()):
+    for start, length in zip(starts, lengths.ravel()):
         emb = tz.embedding_lookup(ids[start : start + length], leaf)
         for f, b in zip(filters, biases):
             n_filters, width, _ = f.shape
@@ -390,16 +391,15 @@ class TestEmbeddingConvMaxReference:
 
     @staticmethod
     def run(fused, ids, table, filters, biases, lengths, weights, pool=1):
-        starts = (np.cumsum(lengths) - lengths.ravel()).reshape(lengths.shape)
         taps, bias, widths = _stacked_params(filters, biases)
         params = [table, taps, bias] if fused else [table] + filters + biases
         for p in params:
             p.zero_grad()
         tape = tz.Tape()
         if fused:
-            out = tz.embedding_conv_max(ids, tape.read(table), taps, bias, widths, starts, lengths)
+            out = tz.embedding_conv_max(ids, tape.read(table), taps, bias, widths, lengths)
         else:
-            out = _topic_chain(tape, ids, table, filters, biases, starts, lengths, pool)
+            out = _topic_chain(tape, ids, table, filters, biases, lengths, pool)
             weights = weights.reshape(-1)
         tz.backward(tape, tz.mean_all(tz.mul(out, tape.constant(weights))))
         grads = [p.grad.copy() for p in params]
@@ -429,9 +429,7 @@ class TestEmbeddingConvMaxReference:
         table.zero_grad()
         taps, bias, widths = _stacked_params(filters, biases)
         tape = tz.Tape()
-        starts = (np.cumsum(lengths) - lengths.ravel()).reshape(lengths.shape)
-        out = tz.embedding_conv_max(ids, table.value, tape.read(taps), bias, widths,
-                                    starts, lengths)
+        out = tz.embedding_conv_max(ids, table.value, tape.read(taps), bias, widths, lengths)
         tz.backward(tape, tz.mean_all(tz.mul(out, tape.constant(weights))))
         assert np.array_equal(out.value, got[0])
         assert np.array_equal(taps.grad, got[2]) and np.array_equal(bias.grad, got[3])
@@ -466,11 +464,11 @@ class TestEmbeddingConvMaxReference:
         taps, bias = tz.Parameter("taps", np.zeros((2, 1, 2))), tz.Parameter("bias", np.zeros(1))
         tape = tz.Tape()
         leaf = tape.read(table)
-        ids, starts, lengths = np.array([0, 1, 2, 3]), np.array([0, 2]), np.array([2, 2])
+        ids, lengths = np.array([0, 1, 2, 3]), np.array([2, 2])
         with pytest.raises(IndexError):
-            tz.embedding_conv_max(np.array([0, 1, 2, 4]), leaf, taps, bias, [2], starts, lengths)
+            tz.embedding_conv_max(np.array([0, 1, 2, 4]), leaf, taps, bias, [2], lengths)
         with pytest.raises(ShapeError):
-            tz.embedding_conv_max(ids[:3], leaf, taps, bias, [2], starts, lengths)
+            tz.embedding_conv_max(ids[:3], leaf, taps, bias, [2], lengths)
         for bad_taps, bad_bias, widths in [
             (tz.Parameter("t", np.zeros((2, 1, 3))), bias, [2]),  # taps over another dim
             (taps, tz.Parameter("b", np.zeros(2)), [2]),  # one bias too many
@@ -480,23 +478,23 @@ class TestEmbeddingConvMaxReference:
             (tz.Parameter("t", np.zeros((2, 2))), bias, [2]),  # taps not (sum w, K, D)
         ]:
             with pytest.raises(ShapeError):
-                tz.embedding_conv_max(ids, leaf, bad_taps, bad_bias, widths, starts, lengths)
+                tz.embedding_conv_max(ids, leaf, bad_taps, bad_bias, widths, lengths)
         with pytest.raises(UsageError):
-            tz.embedding_conv_max(ids, table.value, taps, bias, [2], starts, lengths)
+            tz.embedding_conv_max(ids, table.value, taps, bias, [2], lengths)
 
-    @pytest.mark.parametrize("starts, lengths", [
-        ([0, 2], [2, 3]),  # runs past the last id
-        ([-1, 0], [1, 1]),  # starts before the first id
-        ([0, 1], [1, -1]),  # negative length
-        ([0, 1], [1]),  # shapes differ
-        ([0.0, 1.0], [1, 1]),  # not integers
+    @pytest.mark.parametrize("lengths", [
+        [5, -1],  # a negative length
+        [2, 3],  # more ids than there are
+        [1, 2],  # fewer
+        [2.0, 2.0],  # not integers
+        3,  # one segment of another count
     ])
-    def test_rejects_segments_outside_ids(self, starts, lengths):
+    def test_rejects_lengths_that_do_not_tile_the_ids(self, lengths):
         tape = tz.Tape()
         taps, bias = tz.Parameter("taps", np.zeros((2, 1, 2))), tz.Parameter("bias", np.zeros(1))
         with pytest.raises(ShapeError):
             tz.embedding_conv_max(np.arange(4), tape.read(tz.Parameter("table", np.zeros((4, 2)))),
-                                  taps, bias, [2], np.array(starts), np.array(lengths))
+                                  taps, bias, [2], np.array(lengths))
 
 
 def _with_dense_table_gradient(tape):
@@ -521,24 +519,21 @@ class TestTableRowGradient:
     def batch(rng, vocab=40, dim=5):
         lengths = np.array([[0, 3, 7, 1], [6, 2, 9, 4]])
         ids = rng.integers(1, vocab // 2, size=int(lengths.sum()))  # rows past V/2 get no gradient
-        starts = (np.cumsum(lengths) - lengths.ravel()).reshape(lengths.shape)
         table = tz.Parameter("table", rng.normal(size=(vocab, dim)))
         taps = tz.Parameter("taps", rng.normal(size=(5, 3, dim)))  # widths 2 and 3
         bias = tz.Parameter("bias", rng.normal(size=6))
         weights = rng.normal(size=lengths.shape + (6,))
         weights[0, :2] = -0.0
-        return ids, starts, lengths, table, taps, bias, weights
+        return ids, lengths, table, taps, bias, weights
 
     @staticmethod
-    def loss(tape, uses, ids, starts, lengths, table, taps, bias, weights):
+    def loss(tape, uses, ids, lengths, table, taps, bias, weights):
         terms = []
         for use in uses:
             if use == "lookup":
                 terms.append(tz.mean_all(tz.embedding_lookup(ids[:7], tape.read(table))))
-            else:  # the table itself, or an op output computed from it
-                t = tape.read(table) if use == "conv" else tz.mul(
-                    tape.read(table), tape.constant(np.full(table.shape, 0.5)))
-                out = tz.embedding_conv_max(ids, t, taps, bias, (2, 3), starts, lengths)
+            else:
+                out = tz.embedding_conv_max(ids, tape.read(table), taps, bias, (2, 3), lengths)
                 terms.append(tz.mean_all(tz.mul(out, tape.constant(weights))))
         total = terms[0]
         for term in terms[1:]:
@@ -547,13 +542,13 @@ class TestTableRowGradient:
 
     @pytest.mark.parametrize("uses", [
         ("conv",), ("lookup", "conv"), ("conv", "lookup"), ("conv", "conv"),
-        ("lookup", "conv", "lookup"), ("scaled-conv",), ("conv", "scaled-conv"),
+        ("lookup", "conv", "lookup"),
     ])
     def test_param_grad_bytes_equal_the_dense_path(self, uses):
         got, want = [], []
         for dense, grads in ((False, got), (True, want)):
             args = self.batch(np.random.default_rng(70))
-            params = args[3:6]
+            params = args[2:5]
             for _ in range(2):  # the second pass accumulates without zero_grad
                 tape = tz.Tape()
                 loss = self.loss(tape, uses, *args)
@@ -566,10 +561,10 @@ class TestTableRowGradient:
         assert not table_grad[20:].any() and not np.signbit(table_grad[table_grad == 0]).any()
 
     def test_a_table_read_only_by_the_op_gets_rows(self):
-        ids, starts, lengths, table, taps, bias, weights = self.batch(np.random.default_rng(71))
+        ids, lengths, table, taps, bias, weights = self.batch(np.random.default_rng(71))
         tape = tz.Tape()
         leaf = tape.read(table)
-        loss = self.loss(tape, ("conv",), ids, starts, lengths, table, taps, bias, weights)
+        loss = self.loss(tape, ("conv",), ids, lengths, table, taps, bias, weights)
         out, inputs, vjp = tape._entries[0]
         handed = []
 
@@ -588,6 +583,16 @@ class TestTableRowGradient:
         want[rows.index] = rows.rows
         assert leaf.grad is None and table.grad.tobytes() == want.tobytes()
 
+    def test_an_op_output_table_is_usage_error(self):
+        # a RowGradient is index-added only at a Parameter's leaf
+        ids, lengths, table, taps, bias, _ = self.batch(np.random.default_rng(74))
+        tape = tz.Tape()
+        scaled = tz.mul(tape.read(table), tape.constant(np.full(table.shape, 0.5)))
+        recorded = len(tape)
+        with pytest.raises(UsageError, match="not an op output"):
+            tz.embedding_conv_max(ids, scaled, taps, bias, (2, 3), lengths)
+        assert len(tape) == recorded
+
     def test_documents_get_the_bits_of_their_own_call(self):
         # each document's output rows are the same alone and in a batch
         rng = np.random.default_rng(72)
@@ -601,10 +606,9 @@ class TestTableRowGradient:
         def call(ids, offsets):
             tape = tz.Tape()
             return tz.embedding_conv_max(ids, table, tape.read(taps), bias, (3, 4, 5),
-                                         offsets[..., :-1], np.diff(offsets, axis=-1)).value
+                                         np.diff(offsets, axis=-1)).value
 
-        shift = np.cumsum(sizes) - sizes
-        batch = call(np.concatenate(docs), np.stack(offsets) + shift[:, None])
+        batch = call(np.concatenate(docs), np.stack(offsets))
         for i, (ids, doc_offsets) in enumerate(zip(docs, offsets)):
             assert batch[i].tobytes() == call(ids, doc_offsets).tobytes(), i
 
@@ -614,9 +618,9 @@ class TestTableRowGradient:
         taps = tz.Parameter("taps", rng.normal(size=(12, 16, 64)))  # widths 3, 4 and 5
         bias = tz.Parameter("bias", np.zeros(48))
         ids = rng.integers(0, 20_000, size=3_000)
-        starts, lengths = np.arange(0, 3_000, 300), np.full(10, 300)
+        lengths = np.full(10, 300)
         tape = tz.Tape()
-        out = tz.embedding_conv_max(ids, tape.read(table), taps, bias, (3, 4, 5), starts, lengths)
+        out = tz.embedding_conv_max(ids, tape.read(table), taps, bias, (3, 4, 5), lengths)
         loss = tz.mean_all(tz.mul(out, tape.constant(rng.normal(size=out.shape))))
         tracemalloc.start()
         try:
@@ -631,25 +635,23 @@ class TestTableRowGradient:
 def _conv_case(seed, count, widths, lengths, dim=5, vocab=11):
     rng = np.random.default_rng(seed)
     lengths = np.array(lengths)
-    starts = np.cumsum(lengths) - lengths
     ids = rng.integers(0, vocab, size=int(lengths.sum()))
     table = tz.Parameter("table", rng.normal(size=(vocab, dim)))
     taps = tz.Parameter("taps", rng.normal(size=(sum(widths), count, dim)))
     bias = tz.Parameter("bias", rng.normal(size=count * len(widths)))
     g = rng.normal(size=(len(lengths), count * len(widths)))
-    return ids, table, taps, bias, widths, starts, lengths, g
+    return ids, table, taps, bias, widths, lengths, g
 
 
-def _conv_bytes(ids, table, taps, bias, widths, starts, lengths, g):
+def _conv_bytes(ids, table, taps, bias, widths, lengths, g):
     """The output on both tapes and every gradient the VJP hands back: the
     table's RowGradient rows and index, then the taps' and bias'."""
     tape = tz.Tape()
     out = tz.embedding_conv_max(ids, tape.read(table), tape.read(taps), tape.read(bias), widths,
-                                starts, lengths)
+                                lengths)
     row_grad, *grads = _vjp_of_last_op(tape, g)
     quiet_tape = tz.Tape(records=False)
-    quiet = tz.embedding_conv_max(ids, quiet_tape.read(table), taps, bias, widths,
-                                  starts, lengths)
+    quiet = tz.embedding_conv_max(ids, quiet_tape.read(table), taps, bias, widths, lengths)
     return ([out.value.tobytes(), quiet.value.tobytes(), row_grad.index.tobytes(),
              row_grad.rows.tobytes()] + [a.tobytes() for a in grads])
 
@@ -694,7 +696,7 @@ class TestEmbeddingConvMaxParts:
         assert {len(bounds) - 1 for bounds in calls} == {2, 3, 4}
 
     def test_a_failing_part_raises_after_every_part_returned(self):
-        ids, table, taps, bias, widths, starts, lengths, _ = _conv_case(
+        ids, table, taps, bias, widths, lengths, _ = _conv_case(
             80, 16, (3, 4, 5), [30, 4, 0, 12])
         done = []
 
@@ -711,7 +713,7 @@ class TestEmbeddingConvMaxParts:
         tape = tz.Tape()
         with split_into(4), mock.patch.object(tnn, "_run_parts", run_parts):
             with pytest.raises(RuntimeError, match="part 1 failed"):
-                tz.embedding_conv_max(ids, tape.read(table), taps, bias, widths, starts, lengths)
+                tz.embedding_conv_max(ids, tape.read(table), taps, bias, widths, lengths)
         assert sorted(done) == [0, 8, 12] and len(tape) == 0
 
     def test_the_first_failure_in_part_order_is_raised(self):
@@ -738,7 +740,7 @@ class TestEmbeddingConvMaxParts:
         with split_into(2) as calls, np.errstate(over="ignore"), \
                 pytest.raises(NumericsError, match="'embedding_conv_max'"):
             tz.embedding_conv_max(np.array([1, 2, 1]), tape.read(table), taps, bias, [2],
-                                  np.array([0]), np.array([3]))
+                                  np.array([3]))
         assert calls == [[0, 2, 4]] and len(tape) == 0
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
@@ -1001,12 +1003,11 @@ class TestNonRecordingTape:
     def conv_inputs(rng, lengths):
         # empty segments, segments shorter than each width, and longer ones
         lengths = np.array(lengths)
-        starts = (np.cumsum(lengths) - lengths.ravel()).reshape(lengths.shape)
         ids = rng.integers(0, 9, size=int(lengths.sum()))
         table = tz.Parameter("table", rng.normal(size=(9, 6)))
         taps = tz.Parameter("taps", rng.normal(size=(10, 3, 6)))  # widths 2, 3 and 5
         bias = tz.Parameter("bias", rng.normal(size=9))
-        return ids, table, taps, bias, starts, lengths
+        return ids, table, taps, bias, lengths
 
     @pytest.mark.parametrize("lengths", [
         [[0, 1, 2, 7], [5, 12, 4, 3]],
@@ -1014,13 +1015,12 @@ class TestNonRecordingTape:
         [[0, 0]],
     ], ids=["segments", "short-batch", "empty-batch"])
     def test_embedding_conv_max_bytes_equal(self, lengths):
-        ids, table, taps, bias, starts, lengths = self.conv_inputs(
+        ids, table, taps, bias, lengths = self.conv_inputs(
             np.random.default_rng(70), lengths)
         outs = []
         for records in (True, False):
             tape = tz.Tape(records=records)
-            out = tz.embedding_conv_max(ids, tape.read(table), taps, bias, (2, 3, 5),
-                                        starts, lengths)
+            out = tz.embedding_conv_max(ids, tape.read(table), taps, bias, (2, 3, 5), lengths)
             assert len(tape) == (1 if records else 0)
             outs.append(out.value)
         assert np.array_equal(outs[0], outs[1])
@@ -1048,7 +1048,7 @@ class TestNonRecordingTape:
         tape = tz.Tape(records=records)
         with np.errstate(over="ignore"), pytest.raises(NumericsError, match="'embedding_conv_max'"):
             tz.embedding_conv_max(np.array([1, 2, 1]), tape.read(table), taps, bias, [2],
-                                  np.array([0]), np.array([3]))
+                                  np.array([3]))
 
 
 class TestEmbeddingGradient:
@@ -1174,11 +1174,10 @@ class TestGradientChecks:
             [tz.Parameter(f"f{w}", _rand(rng, 2, w, 3)) for w in (2, 3)],
             [tz.Parameter(f"b{w}", _rand(rng, 2)) for w in (2, 3)])
         ids = np.array([1, 4, 4, 0, 5, 2, 1, 3, 3, 5, 0, 2])  # repeated ids
-        starts = np.array([[0, 2, 2], [7, 9, 12]])
         lengths = np.array([[2, 0, 5], [2, 3, 0]])  # empty, and shorter than a width
 
         def loss(tape):
-            out = tz.embedding_conv_max(ids, tape.read(table), taps, bias, widths, starts, lengths)
+            out = tz.embedding_conv_max(ids, tape.read(table), taps, bias, widths, lengths)
             return tz.mean_all(tz.tanh(out))
 
         check_gradients(loss, [table, taps, bias], tol=1e-6)

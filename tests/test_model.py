@@ -86,6 +86,11 @@ class TestConfig:
         with pytest.raises(ConfigError, match="cnn_filter_widths"):
             FakeFlowConfig.from_json({**tiny_config().to_json(), "cnn_filter_widths": widths})
 
+    def test_repeated_classes_rejected(self):
+        # every label of a repeated class mapped to its last index
+        with pytest.raises(ConfigError, match="distinct classes"):
+            FakeFlowConfig(n_segments=2, vocab_size=10, classes=("real", "real"))
+
     def test_integral_sizes_are_stored_as_ints(self):
         cfg = tiny_config(n_segments=3.0, vocab_size=12.0, cnn_filter_widths=(2.0, np.int64(3)),
                           gru_units=np.int64(3), fused_dense_dim=None)
@@ -656,6 +661,13 @@ class TestCheckpoint:
         tz.save_checkpoint(tmp_path / "model.bin", model.params,
                            config={**model.config.to_json(), **change})
         with pytest.raises(ConfigError, match=f"parameter '{name}' of shape"):
+            FakeFlowModel.load(tmp_path / "model.bin")
+
+    def test_checkpoint_with_repeated_classes_is_config_error(self, tmp_path):
+        model = FakeFlowModel(tiny_config(), seed=13)
+        tz.save_checkpoint(tmp_path / "model.bin", model.params,
+                           config={**model.config.to_json(), "classes": ["real", "real"]})
+        with pytest.raises(ConfigError, match="distinct classes"):
             FakeFlowModel.load(tmp_path / "model.bin")
 
     @pytest.mark.parametrize("change", [
