@@ -142,7 +142,8 @@ class Tape:
         return leaf
 
     def constant(self, value) -> Tensor:
-        """A non-trainable input. Gradients reaching it are discarded."""
+        """A non-trainable input. backward stores the gradient reaching it in
+        its `grad`; no optimizer steps it."""
         arr = np.asarray(value, dtype=DTYPE)
         if not np.all(np.isfinite(arr)):
             raise NumericsError("constant input contains non-finite values")

@@ -15,7 +15,8 @@ conv1d, maxpool1d and global_maxpool stay as its reference. Its forward
 splits the filter rows into parts, one per CPU the process may use (its
 affinity, so `taskset` limits it), once the input is large enough
 (MIN_CELLS): a part gathers, sums and masks the windows of its rows and
-takes their maxima, on a worker thread for every part but the first. The
+takes their maxima, on a thread started for that call for every part but
+the first, and every such thread ends before the op returns. The
 response product and the whole backward stay on the calling thread. A
 part writes only its own rows, and each element takes the same ops in
 the same order in any part, so the bits do not depend on the part count.
@@ -30,7 +31,6 @@ from __future__ import annotations
 import contextvars
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 
@@ -169,10 +169,8 @@ def global_maxpool(x) -> Tensor:
 
 # embedding_conv_max runs its filter rows in parts, one per CPU the process
 # may use, when each part gets at least MIN_CELLS (filter row, window)
-# cells: below that, handing a part to a worker costs more than it saves.
+# cells: below that, starting a thread for a part costs more than it saves.
 MIN_CELLS = 1 << 17
-_pool = None  # the worker threads, made on first use
-_pool_lock = threading.Lock()
 
 
 def _cpus() -> int:
@@ -183,42 +181,34 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _forget_pool() -> None:
-    """In a forked child: its parent's worker threads did not survive fork."""
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
-
-
-def _worker_pool() -> ThreadPoolExecutor:
-    """This process's worker pool, made on first use. It starts a thread
-    only when a part finds none idle, so it holds no more threads than
-    parts ever waited at once, and no more than the machine's CPUs."""
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            _pool = ThreadPoolExecutor(os.cpu_count() or 1, thread_name_prefix="fakeflow-part")
-        return _pool
-
-
 def _run_parts(fill, bounds) -> None:
     """fill(bounds[p], bounds[p + 1]) for each part p: part 0 on the calling
-    thread, the others on the pool, each in a copy of the caller's context
-    (where numpy 2 keeps its error state). Returns, or raises the first
-    exception in part order, only once every part has returned, so no part
-    writes after the caller moves on. One part starts no thread."""
-    futures = []
+    thread, each other part on a thread started for this call, in a copy of
+    the caller's context (where numpy 2 keeps its error state). Returns, or
+    raises the first exception in part order, only once every thread has
+    ended, so no part writes after the caller moves on and no thread
+    outlives the call. One part starts no thread; concurrent callers share
+    none, each starting at most _cpus() - 1."""
+    errors = {}
+
+    def part(p):
+        try:
+            fill(bounds[p], bounds[p + 1])
+        except BaseException as error:
+            errors[p] = error
+
+    threads = []
     try:
-        for lo, hi in zip(bounds[1:-1], bounds[2:]):
-            futures.append(_worker_pool().submit(contextvars.copy_context().run, fill, lo, hi))
+        for p in range(1, len(bounds) - 1):
+            thread = threading.Thread(target=contextvars.copy_context().run, args=(part, p))
+            thread.start()
+            threads.append(thread)
         fill(bounds[0], bounds[1])
     finally:
-        wait(futures)
-    for future in futures:
-        future.result()
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[min(errors)]
 
 
 def embedding_conv_max(ids, table, taps, bias, widths, lengths) -> Tensor:

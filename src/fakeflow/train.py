@@ -176,19 +176,21 @@ def train(model: FakeFlowModel, train_set: list[Example], val_set: list[Example]
 # hyperparameter search
 
 
-@dataclass
 class SearchSpace:
-    dropout_low: float = 0.1
-    dropout_high: float = 0.6
-    dense_dims: tuple = (8, 16, 32, 64, 128)
-    activations: tuple = ("selu", "relu", "tanh", "elu")
-    filter_width_tuples: tuple = (
+    """The hyperparameter ranges random_search draws from, fixed for the
+    class: construct it as SearchSpace()."""
+
+    dropout_low = 0.1
+    dropout_high = 0.6
+    dense_dims = (8, 16, 32, 64, 128)
+    activations = ("selu", "relu", "tanh", "elu")
+    filter_width_tuples = (
         (2, 3, 4), (3, 4, 5), (4, 5, 6), (3, 5), (2, 4), (4,), (5,), (3, 5, 7), (3, 6),
     )
-    filter_counts: tuple = (4, 8, 16, 32, 64, 128)
-    pool_sizes: tuple = (2, 3)
-    gru_units: tuple = (8, 16, 32, 64, 128)
-    optimizers: tuple = ("adam", "adadelta", "rmsprop", "sgd")
+    filter_counts = (4, 8, 16, 32, 64, 128)
+    pool_sizes = (2, 3)
+    gru_units = (8, 16, 32, 64, 128)
+    optimizers = ("adam", "adadelta", "rmsprop", "sgd")
 
     def sample(self, rng: np.random.Generator, base: FakeFlowConfig) -> FakeFlowConfig:
         """One independent uniform draw per dimension. The fused dense width

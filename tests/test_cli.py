@@ -133,12 +133,25 @@ class TestExitCodes:
                      "--n-segments", "2", "--out", str(tmp_path / "out")])
         assert code == 2
 
+    def test_train_on_unlabeled_article_is_usage_error(self, tmp_path, capsys):
+        manifest = write_lexicon_fixture(tmp_path)
+        corpus = write_flow_corpus(tmp_path, n_docs=16)
+        with open(corpus, "a") as fh:
+            fh.write(json.dumps({"id": "nolabel", "text": "a plain article"}) + "\n")
+        capsys.readouterr()
+        code = main(["train", "--corpus", str(corpus), "--lexicons", str(manifest),
+                     "--out", str(tmp_path / "run")] + TRAIN_FLAGS)
+        assert code == 1
+        assert "1 articles have no label (first: nolabel)" in capsys.readouterr().err
+        assert not (tmp_path / "run" / "checkpoint.bin").exists()
+
     @pytest.mark.parametrize("content", [
         b"5\n",
         '{"id": "1", "text": "a b", "year": 1e400}\n'.encode(),
         '{"id": "1", "text": "caf\xe9"}\n'.encode("latin-1"),
+        b'{"id": "1", "text": "   "}\n',
         None,  # a directory
-    ], ids=["number", "year-1e400", "latin-1", "directory"])
+    ], ids=["number", "year-1e400", "latin-1", "blank-text", "directory"])
     def test_unreadable_corpus_is_data_error_naming_it(self, tmp_path, capsys, content):
         manifest = write_lexicon_fixture(tmp_path)
         bad = tmp_path / "bad.jsonl"
@@ -450,6 +463,16 @@ class TestLoadedModelErrors:
         assert err[-1].startswith("error: op 'linear' produced non-finite values in documents ")
         assert f"'{first}'" in err[-1] and "(16 in the batch)" in err[-1]
 
+    def test_attention_unknown_doc_id_is_usage_error(self, trained, tmp_path, capsys):
+        manifest, corpus, out = trained
+        capsys.readouterr()
+        code = main(["attention", "--checkpoint", str(out / "checkpoint.bin"),
+                     "--vocab", str(out / "vocab.json"), "--corpus", str(corpus),
+                     "--lexicons", str(manifest), "--doc-id", "no-such-doc",
+                     "--out", str(tmp_path / "att")])
+        assert code == 1
+        assert "document id 'no-such-doc' not found" in capsys.readouterr().err
+
     def test_evaluate_corpus_without_tokens_is_usage_error(self, trained, tmp_path, capsys):
         manifest, _, out = trained
         empty = tmp_path / "punctuation.jsonl"
@@ -689,6 +712,18 @@ class TestCrossYearCommand:
         assert code == 0
         assert "article punct dropped" in caplog.text
         assert json.loads((out / "cross_year.json").read_text())["years"] == [2013, 2014]
+
+    def test_article_without_year_is_usage_error(self, tmp_path, capsys):
+        manifest = write_lexicon_fixture(tmp_path)
+        corpus = write_flow_corpus(tmp_path, n_docs=24, year_cycle=[2013, 2013, 2014, 2014])
+        with open(corpus, "a") as fh:
+            fh.write(json.dumps({"id": "noyear", "text": "a plain article",
+                                 "label": "real", "domain": "site0.com"}) + "\n")
+        capsys.readouterr()
+        code = main(["cross-year", "--corpus", str(corpus), "--lexicons", str(manifest),
+                     "--mode", "affect_only", "--out", str(tmp_path / "xyear")] + TRAIN_FLAGS)
+        assert code == 1
+        assert "article noyear has no year" in capsys.readouterr().err
 
     def test_val_corpus_rejected(self, tmp_path, capsys):
         # each year's model validates on a split of its own training year

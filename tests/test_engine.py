@@ -3,6 +3,7 @@ import math
 import os
 import signal
 import sys
+import threading
 import time
 import tracemalloc
 import weakref
@@ -676,15 +677,13 @@ class TestEmbeddingConvMaxParts:
             if sum(lengths):
                 assert all(len(bounds) == min(parts, count) + 1 for bounds in calls)
 
-    def test_concurrent_callers_get_their_own_bits(self, monkeypatch):
-        # more callers than CPUs, in two to four parts each, on a pool made
-        # while they run, with the interpreter switching threads as often
-        # as it can
+    def test_concurrent_callers_get_their_own_bits(self):
+        # more callers than CPUs, in two to four parts each, with the
+        # interpreter switching threads as often as it can
         cases = [_conv_case(seed, (2, 3, 16)[seed % 3], (3, 4, 5), [40, 0, 2, 60, 25])
                  for seed in range(9)]
         with split_into(1):
             want = [_conv_bytes(*case) for case in cases]
-        monkeypatch.setattr(tnn, "_pool", None)
         switch = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -725,11 +724,19 @@ class TestEmbeddingConvMaxParts:
             if lo in (1, 3):
                 raise ValueError(f"part {lo}")
 
-        for _ in range(2):  # the second call reuses the pool
+        for _ in range(2):  # a second call runs the same way
             finished.clear()
             with pytest.raises(ValueError, match="part 1"):
                 tnn._run_parts(fill, [0, 1, 2, 3, 4])
             assert sorted(finished) == [0, 1, 2, 3]
+
+    def test_no_thread_outlives_a_split_call(self):
+        case = _conv_case(82, 16, (3, 4, 5), [40, 0, 2, 60, 25])
+        threads = threading.active_count()
+        with split_into(2) as calls:
+            _conv_bytes(*case)
+        assert calls and all(len(bounds) == 3 for bounds in calls)
+        assert threading.active_count() == threads
 
     @pytest.mark.parametrize("records", [True, False])
     def test_overflow_raises_with_the_split_forced(self, records):
@@ -747,7 +754,7 @@ class TestEmbeddingConvMaxParts:
     def test_a_forked_child_runs_its_own_parts(self):
         case = _conv_case(81, 16, (3, 4, 5), [50, 7, 0, 33])
         with split_into(2):
-            want = _conv_bytes(*case)  # the parent's pool now has a worker
+            want = _conv_bytes(*case)  # the parent has run a split forward
             read, write = os.pipe()
             pid = os.fork()
             if pid == 0:  # the child: one more split forward, then exit
