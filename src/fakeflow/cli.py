@@ -56,14 +56,17 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 class _Out:
     """The --out directory of one run. `path` hands out an artifact's path
-    and records its name, so the manifest lists exactly what the run wrote."""
+    and records its name, so the manifest lists exactly what the run wrote.
+    The directory is made when the first path is handed out, so a run that
+    fails before it writes anything leaves none behind; every command hands
+    out one before `main` writes manifest.json there."""
 
     def __init__(self, directory: str):
-        os.makedirs(directory, exist_ok=True)
         self.directory = directory
         self.names: list[str] = []
 
     def path(self, name: str) -> str:
+        os.makedirs(self.directory, exist_ok=True)
         self.names.append(name)
         return os.path.join(self.directory, name)
 

@@ -12,6 +12,11 @@ broadcasting: each op validates its input shapes and raises ShapeError on
 any mismatch. Every op output is checked for NaN/Inf and raises
 NumericsError if found, so silent numerical blowups cannot propagate.
 
+Op inputs, one rule for every op (_on_tape): it records on the tape of its
+first Tensor input and reads each Parameter input onto that tape with
+tape.read. No Tensor input, an input that is neither, a dead tape or
+Tensors of two tapes are a UsageError.
+
 Leading batch axes: ops documented with a core shape (e.g. ``(..., D)``)
 accept any number of leading axes and treat them as independent instances.
 
@@ -166,15 +171,26 @@ def _record(tape: Tape, out_value: np.ndarray, inputs, vjp, op: str) -> Tensor:
     return out
 
 
-def _coerce(tape: Tape, x) -> Tensor:
-    """Accept a Tensor or a Parameter wherever an op input is expected."""
-    if isinstance(x, Tensor):
-        if x.tape is not tape:
-            raise UsageError("tensors from different tapes cannot be combined")
-        return x
-    if isinstance(x, Parameter):
-        return tape.read(x)
-    raise UsageError(f"expected Tensor or Parameter, got {type(x).__name__}")
+def _on_tape(*inputs) -> tuple[Tape, list[Tensor]]:
+    """The tape an op records on, and its inputs as Tensors on it (see the
+    module docstring). Plain loops: with a generator a call took twice as long."""
+    for x in inputs:
+        if isinstance(x, Tensor):
+            tape = x.tape
+            break
+    else:
+        raise UsageError("an op needs a Tensor among its inputs; use tape.read() or constant()")
+    tensors = []
+    for x in inputs:
+        if isinstance(x, Tensor):
+            if x.tape is not tape:
+                raise UsageError("tensors from different tapes cannot be combined")
+        elif isinstance(x, Parameter):
+            x = tape.read(x)
+        else:
+            raise UsageError(f"expected Tensor or Parameter, got {type(x).__name__}")
+        tensors.append(x)
+    return tape, tensors
 
 
 class RowGradient(NamedTuple):
@@ -240,8 +256,7 @@ def backward(tape: Tape, loss: Tensor) -> None:
 
 def mul(a, b) -> Tensor:
     """Elementwise product; shapes must match exactly."""
-    tape = a.tape if isinstance(a, Tensor) else b.tape
-    a, b = _coerce(tape, a), _coerce(tape, b)
+    tape, (a, b) = _on_tape(a, b)
     if a.value.shape != b.value.shape:
         raise ShapeError(f"mul: shapes {a.value.shape} and {b.value.shape} differ")
     av, bv = a.value, b.value
@@ -250,8 +265,7 @@ def mul(a, b) -> Tensor:
 
 def add_bias(x, b) -> Tensor:
     """x + b where b is a vector applied along the last axis of x."""
-    tape = x.tape if isinstance(x, Tensor) else b.tape
-    x, b = _coerce(tape, x), _coerce(tape, b)
+    tape, (x, b) = _on_tape(x, b)
     if b.value.ndim != 1 or x.value.shape[-1] != b.value.shape[0]:
         raise ShapeError(
             f"add_bias: x last dim {x.value.shape} incompatible with bias {b.value.shape}"
@@ -266,8 +280,7 @@ def add_bias(x, b) -> Tensor:
 
 def linear(x, w) -> Tensor:
     """x @ w.T with w of shape (D_out, D_in); x is (..., D_in)."""
-    tape = x.tape if isinstance(x, Tensor) else w.tape
-    x, w = _coerce(tape, x), _coerce(tape, w)
+    tape, (x, w) = _on_tape(x, w)
     if w.value.ndim != 2:
         raise ShapeError(f"linear: weight must be 2-D, got {w.value.shape}")
     if x.value.ndim < 1 or x.value.shape[-1] != w.value.shape[1]:
@@ -288,8 +301,7 @@ def linear(x, w) -> Tensor:
 
 def bmatmul(a, b) -> Tensor:
     """Stacked matrix product: (..., M, K) @ (..., K, P), leading axes equal."""
-    tape = a.tape if isinstance(a, Tensor) else b.tape
-    a, b = _coerce(tape, a), _coerce(tape, b)
+    tape, (a, b) = _on_tape(a, b)
     av, bv = a.value, b.value
     if av.ndim < 2 or bv.ndim < 2 or av.ndim != bv.ndim:
         raise ShapeError(f"bmatmul: ranks {av.ndim} and {bv.ndim} do not conform")
@@ -302,24 +314,23 @@ def bmatmul(a, b) -> Tensor:
     return _record(tape, av @ bv, (a, b), vjp, "bmatmul")
 
 
+def _axis(op: str, axis: int, ndim: int) -> int:
+    if not -ndim <= axis < ndim:
+        raise ShapeError(f"{op}: axis {axis} is out of range for rank {ndim}")
+    return axis % ndim
+
+
 def concat(tensors, axis: int = -1) -> Tensor:
     """Concatenate along one axis; all other extents must match."""
-    tensors = [t for t in tensors]
-    if not tensors:
-        raise UsageError("concat of zero tensors")
-    tape = tensors[0].tape
-    tensors = [_coerce(tape, t) for t in tensors]
+    tape, tensors = _on_tape(*tensors)
     values = [t.value for t in tensors]
     ndim = values[0].ndim
-    ax = axis % ndim
-    ref = list(values[0].shape)
+    ax = _axis("concat", axis, ndim)
+    ref = values[0].shape
     for v in values[1:]:
-        if v.ndim != ndim or [s for i, s in enumerate(v.shape) if i != ax] != [
-            s for i, s in enumerate(ref) if i != ax
-        ]:
-            raise ShapeError(f"concat: shape {v.shape} incompatible with {tuple(ref)}")
-    sizes = [v.shape[ax] for v in values]
-    splits = np.cumsum(sizes)[:-1]
+        if v.ndim != ndim or v.shape[:ax] + v.shape[ax + 1 :] != ref[:ax] + ref[ax + 1 :]:
+            raise ShapeError(f"concat: shape {v.shape} incompatible with {ref}")
+    splits = np.cumsum([v.shape[ax] for v in values])[:-1]
 
     def vjp(g):
         return tuple(np.ascontiguousarray(piece) for piece in np.split(g, splits, axis=ax))
@@ -329,8 +340,8 @@ def concat(tensors, axis: int = -1) -> Tensor:
 
 def mean_axis(x, axis: int) -> Tensor:
     """Arithmetic mean along one axis."""
-    x = _coerce(x.tape, x)
-    ax = axis % x.value.ndim
+    tape, (x,) = _on_tape(x)
+    ax = _axis("mean_axis", axis, x.value.ndim)
     n = x.value.shape[ax]
     if n == 0:
         raise ShapeError("mean_axis over empty axis")
@@ -338,12 +349,12 @@ def mean_axis(x, axis: int) -> Tensor:
     def vjp(g):
         return (np.repeat(np.expand_dims(g / n, ax), n, axis=ax),)
 
-    return _record(x.tape, x.value.mean(axis=ax), (x,), vjp, "mean_axis")
+    return _record(tape, x.value.mean(axis=ax), (x,), vjp, "mean_axis")
 
 
 def mean_all(x) -> Tensor:
     """Mean of every element, producing a scalar."""
-    x = _coerce(x.tape, x)
+    tape, (x,) = _on_tape(x)
     n = x.value.size
     if n == 0:
         raise ShapeError("mean_all of empty tensor")
@@ -352,7 +363,7 @@ def mean_all(x) -> Tensor:
     def vjp(g):
         return (np.full(xshape, float(g) / n, dtype=DTYPE),)
 
-    return _record(x.tape, x.value.mean(), (x,), vjp, "mean_all")
+    return _record(tape, x.value.mean(), (x,), vjp, "mean_all")
 
 
 # ---------------------------------------------------------------------------
@@ -371,38 +382,38 @@ def sigmoid_array(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 
 def tanh(x) -> Tensor:
-    x = _coerce(x.tape, x)
+    tape, (x,) = _on_tape(x)
     out = np.tanh(x.value)
-    return _record(x.tape, out, (x,), lambda g: (g * (1.0 - out * out),), "tanh")
+    return _record(tape, out, (x,), lambda g: (g * (1.0 - out * out),), "tanh")
 
 
 def relu(x) -> Tensor:
-    x = _coerce(x.tape, x)
+    tape, (x,) = _on_tape(x)
     v = x.value
     out = np.maximum(v, 0.0)
-    return _record(x.tape, out, (x,), lambda g: (g * (v > 0.0),), "relu")
+    return _record(tape, out, (x,), lambda g: (g * (v > 0.0),), "relu")
 
 
 def elu(x) -> Tensor:
     """ELU with alpha = 1."""
-    x = _coerce(x.tape, x)
+    tape, (x,) = _on_tape(x)
     v = x.value
     neg = v <= 0.0
     ev = np.exp(np.minimum(v, 0.0))
     out = np.where(neg, ev - 1.0, v)
     dv = np.where(neg, ev, 1.0)
-    return _record(x.tape, out, (x,), lambda g: (g * dv,), "elu")
+    return _record(tape, out, (x,), lambda g: (g * dv,), "elu")
 
 
 def selu(x) -> Tensor:
     """Self-normalizing ELU with the standard (lambda, alpha) constants."""
-    x = _coerce(x.tape, x)
+    tape, (x,) = _on_tape(x)
     v = x.value
     neg = v <= 0.0
     ev = np.exp(np.minimum(v, 0.0))
     out = SELU_LAMBDA * np.where(neg, SELU_ALPHA * (ev - 1.0), v)
     dv = SELU_LAMBDA * np.where(neg, SELU_ALPHA * ev, 1.0)
-    return _record(x.tape, out, (x,), lambda g: (g * dv,), "selu")
+    return _record(tape, out, (x,), lambda g: (g * dv,), "selu")
 
 
 def identity(x) -> Tensor:

@@ -42,7 +42,7 @@ from .engine import (
     RowGradient,
     Tensor,
     _check_finite,
-    _coerce,
+    _on_tape,
     _record,
     activation,
     sigmoid_array,
@@ -53,12 +53,10 @@ def embedding_lookup(ids, table) -> Tensor:
     """Gather rows of `table` (V x D) for an integer id array of any shape.
 
     Output shape is ids.shape + (D,). Row 0 is reserved: no token maps to
-    it, but it is trainable like any other row.
+    it, but it is trainable like any other row. A Parameter table is read
+    onto the tape like any other input (alone, it has no tape: UsageError).
     """
-    if not isinstance(table, Tensor):
-        raise UsageError("embedding_lookup requires the table as a tape Tensor; use tape.read()")
-    tape = table.tape
-    table = _coerce(tape, table)
+    tape, (table,) = _on_tape(table)
     if table.value.ndim != 2:
         raise ShapeError(f"embedding table must be 2-D, got {table.value.shape}")
     ids = np.asarray(ids)
@@ -87,8 +85,7 @@ def conv1d(x, filters, bias) -> Tensor:
     as bias + sum_i x[i:i + L'] @ filters[:, i].T: one matrix product per
     tap over a shifted slice of x, so no (L', D, w) window is copied.
     """
-    tape = x.tape
-    x, filters, bias = _coerce(tape, x), _coerce(tape, filters), _coerce(tape, bias)
+    tape, (x, filters, bias) = _on_tape(x, filters, bias)
     xv, fv, bv = x.value, filters.value, bias.value
     if xv.ndim != 2 or fv.ndim != 3 or bv.ndim != 1:
         raise ShapeError(
@@ -122,7 +119,7 @@ def maxpool1d(x, pool: int) -> Tensor:
     Output has ceil(L / pool) rows. The subgradient routes to the first
     maximal index within each window.
     """
-    x = _coerce(x.tape, x)
+    tape, (x,) = _on_tape(x)
     xv = x.value
     if xv.ndim != 2:
         raise ShapeError(f"maxpool1d: expected (L, K), got {xv.shape}")
@@ -143,7 +140,7 @@ def maxpool1d(x, pool: int) -> Tensor:
         np.add.at(gx, (rows.ravel(), cols.ravel()), g.ravel())
         return (gx,)
 
-    return _record(x.tape, out, (x,), vjp, "maxpool1d")
+    return _record(tape, out, (x,), vjp, "maxpool1d")
 
 
 def global_maxpool(x) -> Tensor:
@@ -151,7 +148,7 @@ def global_maxpool(x) -> Tensor:
 
     Ties route the gradient to the first maximal row.
     """
-    x = _coerce(x.tape, x)
+    tape, (x,) = _on_tape(x)
     xv = x.value
     if xv.ndim != 2 or xv.shape[0] < 1:
         raise ShapeError(f"global_maxpool: expected non-empty (L, K), got {xv.shape}")
@@ -164,7 +161,7 @@ def global_maxpool(x) -> Tensor:
         np.add.at(gx, (arg, cols), g)
         return (gx,)
 
-    return _record(x.tape, out.copy(), (x,), vjp, "global_maxpool")
+    return _record(tape, out.copy(), (x,), vjp, "global_maxpool")
 
 
 # embedding_conv_max runs its filter rows in parts, one per CPU the process
@@ -236,11 +233,12 @@ def embedding_conv_max(ids, table, taps, bias, widths, lengths) -> Tensor:
     filter), so the VJP is one bincount of those windows' taps into R's
     gradient and two matrix products: no (T, D) embedded sequence is built,
     and the table's gradient is its U rows, handed to backward as a
-    RowGradient. So the table is a Parameter or its leaf, whose gradient
-    takes those rows (an op output is a UsageError), or a plain array when
-    frozen; then it gets no gradient. On a tape that records no ops, only
-    the maxima are taken: the search for each (filter, segment)'s first
-    maximal window, and the arrays it fills, are skipped.
+    RowGradient. So the table is a Parameter (read onto the tape like any
+    other input) or its leaf, whose gradient takes those rows (an op output
+    is a UsageError), or a plain array when frozen, which is not bound and
+    gets no gradient. On a tape that records no ops, only the maxima are
+    taken: the search for each (filter, segment)'s first maximal window,
+    and the arrays it fills, are skipped.
 
     From the windows' gather to that search, each filter row is independent
     of the others, and numpy releases the interpreter lock in take, in
@@ -248,23 +246,20 @@ def embedding_conv_max(ids, table, taps, bias, widths, lengths) -> Tensor:
     [lo, hi) of every width in parts: min(CPUs the process may use, K,
     n * K * T // MIN_CELLS) of them, at least one. The calling thread
     runs the first and waits for the rest. R, its transposed copy and the
-    VJP stay on the calling thread: a split of R's product, or computing it
-    transposed, changes its bits, and the VJP's products are BLAS's to
-    split. Each element takes the same ops in the same order in any part,
-    so the output and every gradient keep their bits at any part count.
+    VJP stay on the calling thread; BLAS may split the VJP's products. R
+    computed in row blocks, or in column halves, kept its bits at every
+    shape, part count and BLAS thread count measured, but not computed
+    transposed (w_all @ rows.T). Each element takes the same ops in the
+    same order in any part, so the output and every gradient keep their
+    bits at any part count.
     """
-    on_tape = [x for x in (table, taps, bias) if isinstance(x, Tensor)]
-    if not on_tape:
-        raise UsageError("embedding_conv_max needs a tape Tensor among its inputs; use tape.read()")
-    tape = on_tape[0].tape
     frozen = not isinstance(table, (Tensor, Parameter))
-    if not frozen:
-        table = _coerce(tape, table)
-        if table.param is None:
-            raise UsageError("embedding_conv_max: the table must be a Parameter, its tape leaf "
-                             "or a plain array, not an op output")
-    taps, bias = _coerce(tape, taps), _coerce(tape, bias)
-    tv = np.asarray(table, dtype=DTYPE) if frozen else table.value
+    tape, inputs = _on_tape(*([] if frozen else [table]), taps, bias)
+    taps, bias = inputs[-2:]
+    if not frozen and inputs[0].param is None:
+        raise UsageError("embedding_conv_max: the table must be a Parameter, its tape leaf "
+                         "or a plain array, not an op output")
+    tv = np.asarray(table, dtype=DTYPE) if frozen else inputs[0].value
     ids, lengths = np.asarray(ids), np.asarray(lengths)
     if (tv.ndim != 2 or ids.ndim != 1 or ids.dtype.kind not in "iu"
             or lengths.dtype.kind not in "iu"):
@@ -376,7 +371,6 @@ def embedding_conv_max(ids, table, taps, bias, widths, lengths) -> Tensor:
         g_bias = np.concatenate([g_live[:, o : o + count].sum(axis=0) for o in firsts])
         return ([] if frozen else [RowGradient(types, g_response @ w_all)]) + [g_taps, g_bias]
 
-    inputs = ([] if frozen else [table]) + [taps, bias]
     return _record(tape, out.reshape(lengths.shape + (n_out,)), inputs, vjp, "embedding_conv_max")
 
 
@@ -397,14 +391,14 @@ def softmax_array(v: np.ndarray) -> np.ndarray:
 
 def softmax(x) -> Tensor:
     """Max-subtracted stable softmax along the last axis."""
-    x = _coerce(x.tape, x)
+    tape, (x,) = _on_tape(x)
     out = softmax_array(x.value)
 
     def vjp(g):
         dot = (g * out).sum(axis=-1, keepdims=True)
         return ((g - dot) * out,)
 
-    return _record(x.tape, out, (x,), vjp, "softmax")
+    return _record(tape, out, (x,), vjp, "softmax")
 
 
 def _gold_rows(op: str, scores: np.ndarray, gold) -> np.ndarray:
@@ -432,7 +426,7 @@ def cross_entropy(probs, gold) -> Tensor:
     index array (or a single int for a 1-D probs vector). Returns a scalar.
     A zero gold-class probability produces an infinite loss and raises.
     """
-    probs = _coerce(probs.tape, probs)
+    tape, (probs,) = _on_tape(probs)
     pv = probs.value
     gold_flat = _gold_rows("cross_entropy", pv, gold)
     flat = pv.reshape(-1, pv.shape[-1])
@@ -446,7 +440,7 @@ def cross_entropy(probs, gold) -> Tensor:
         gp[np.arange(n), gold_flat] = -float(g) / (n * picked)
         return (gp.reshape(pv.shape),)
 
-    return _record(probs.tape, out, (probs,), vjp, "cross_entropy")
+    return _record(tape, out, (probs,), vjp, "cross_entropy")
 
 
 def softmax_cross_entropy(logits, gold) -> Tensor:
@@ -456,7 +450,7 @@ def softmax_cross_entropy(logits, gold) -> Tensor:
     max subtracted, so the loss is finite whenever the logits are, even
     where the gold probability underflows to 0. Gradient (softmax - onehot) / n.
     """
-    logits = _coerce(logits.tape, logits)
+    tape, (logits,) = _on_tape(logits)
     lv = logits.value
     gold_flat = _gold_rows("softmax_cross_entropy", lv, gold)
     flat = lv.reshape(-1, lv.shape[-1])
@@ -472,7 +466,7 @@ def softmax_cross_entropy(logits, gold) -> Tensor:
         gl[rows, gold_flat] -= 1.0
         return ((gl * (float(g) / n)).reshape(lv.shape),)
 
-    return _record(logits.tape, out, (logits,), vjp, "softmax_cross_entropy")
+    return _record(tape, out, (logits,), vjp, "softmax_cross_entropy")
 
 
 def dropout(x, rate: float, training: bool, rng: np.random.Generator | None = None) -> Tensor:
@@ -484,13 +478,9 @@ def dropout(x, rate: float, training: bool, rng: np.random.Generator | None = No
         return x
     if rng is None:
         raise ShapeError("dropout in training mode requires an rng")
-    x = _coerce(x.tape, x)
+    tape, (x,) = _on_tape(x)
     keep = (rng.random(x.value.shape) >= rate) / (1.0 - rate)
-
-    def vjp(g):
-        return (g * keep,)
-
-    return _record(x.tape, x.value * keep, (x,), vjp, "dropout")
+    return _record(tape, x.value * keep, (x,), lambda g: (g * keep,), "dropout")
 
 
 def additive_pair_scores(a, b, bias, v) -> Tensor:
@@ -499,9 +489,7 @@ def additive_pair_scores(a, b, bias, v) -> Tensor:
     a, b: (..., N, d) projected queries/keys; bias: (d,); v: (d,). Returns
     the (..., N, N) matrices s[t, u] = v . tanh(a[t] + b[u] + bias).
     """
-    tape = a.tape
-    a, b = _coerce(tape, a), _coerce(tape, b)
-    bias, v = _coerce(tape, bias), _coerce(tape, v)
+    tape, (a, b, bias, v) = _on_tape(a, b, bias, v)
     av, bv, cv, vv = a.value, b.value, bias.value, v.value
     if av.ndim < 2 or bv.shape != av.shape or cv.shape != (av.shape[-1],) or vv.shape != cv.shape:
         raise ShapeError(
@@ -638,12 +626,10 @@ def bigru(x, w, b, u_zr, u_h) -> Tensor:
     candidate pre-activations raise NumericsError. On a tape that records
     no ops, only the last step's gate values are kept.
     """
-    tape = x.tape
-    x = _coerce(tape, x)
+    tape, (x, *leaves) = _on_tape(x, w, b, u_zr, u_h)
     xv = x.value
     if xv.ndim < 2 or xv.shape[-2] < 1:
         raise ShapeError(f"bigru: expected (..., N, F) with N >= 1, got {xv.shape}")
-    leaves = [_coerce(tape, p) for p in (w, b, u_zr, u_h)]
     w, b, u_zr, u_h = values = [leaf.value for leaf in leaves]
     units, feat = (u_h.shape[-1] if u_h.ndim else 0), xv.shape[-1]
     want = gru_shapes(units, feat)

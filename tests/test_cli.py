@@ -270,6 +270,15 @@ class TestExitCodes:
                      "--n-segments", "2", "--out", str(tmp_path / "out")])
         assert code == 0
 
+    def test_missing_lexicon_manifest_is_data_error(self, tmp_path, capsys):
+        missing = tmp_path / "no-lexicons.json"
+        code = main(["analyze", "--corpus", str(write_flow_corpus(tmp_path)),
+                     "--lexicons", str(missing), "--n-segments", "2",
+                     "--out", str(tmp_path / "an")])
+        assert code == 2
+        assert str(missing) in capsys.readouterr().err
+        assert not (tmp_path / "an").exists()
+
     def test_missing_lexicons_is_usage_error(self, tmp_path, capsys, monkeypatch):
         monkeypatch.delenv("FAKEFLOW_LEXICONS", raising=False)
         corpus = write_flow_corpus(tmp_path)
@@ -472,6 +481,7 @@ class TestLoadedModelErrors:
                      "--out", str(tmp_path / "att")])
         assert code == 1
         assert "document id 'no-such-doc' not found" in capsys.readouterr().err
+        assert not (tmp_path / "att").exists()
 
     def test_evaluate_corpus_without_tokens_is_usage_error(self, trained, tmp_path, capsys):
         manifest, _, out = trained
@@ -724,6 +734,7 @@ class TestCrossYearCommand:
                      "--mode", "affect_only", "--out", str(tmp_path / "xyear")] + TRAIN_FLAGS)
         assert code == 1
         assert "article noyear has no year" in capsys.readouterr().err
+        assert not (tmp_path / "xyear").exists()
 
     def test_val_corpus_rejected(self, tmp_path, capsys):
         # each year's model validates on a split of its own training year

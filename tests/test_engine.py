@@ -205,6 +205,36 @@ class TestParameter:
         assert p.value.tolist() == [0.0, 0.0, 0.0]
 
 
+# every recording op, called on inputs of valid shapes that make(shape) gives
+_OP_CALLS = {
+    "mul": lambda make: tz.mul(make((2, 3)), make((2, 3))),
+    "add_bias": lambda make: tz.add_bias(make((2, 3)), make((3,))),
+    "linear": lambda make: tz.linear(make((2, 3)), make((4, 3))),
+    "bmatmul": lambda make: tz.bmatmul(make((2, 2, 3)), make((2, 3, 4))),
+    "concat": lambda make: tz.concat([make((2, 3)), make((2, 1))]),
+    "mean_axis": lambda make: tz.mean_axis(make((2, 3)), -1),
+    "mean_all": lambda make: tz.mean_all(make((2, 3))),
+    "tanh": lambda make: tz.tanh(make((2, 3))),
+    "relu": lambda make: tz.relu(make((2, 3))),
+    "elu": lambda make: tz.elu(make((2, 3))),
+    "selu": lambda make: tz.selu(make((2, 3))),
+    "embedding_lookup": lambda make: tz.embedding_lookup(np.array([0, 2]), make((4, 3))),
+    "conv1d": lambda make: tz.conv1d(make((5, 3)), make((2, 2, 3)), make((2,))),
+    "maxpool1d": lambda make: tz.maxpool1d(make((4, 3)), 2),
+    "global_maxpool": lambda make: tz.global_maxpool(make((4, 3))),
+    "embedding_conv_max": lambda make: tz.embedding_conv_max(
+        np.arange(4), make((4, 2)), make((2, 1, 2)), make((1,)), [2], np.array([2, 2])),
+    "softmax": lambda make: tz.softmax(make((2, 3))),
+    "cross_entropy": lambda make: tz.cross_entropy(make((2, 3)), np.array([0, 2])),
+    "softmax_cross_entropy": lambda make: tz.softmax_cross_entropy(make((2, 3)),
+                                                                   np.array([0, 2])),
+    "dropout": lambda make: tz.dropout(make((2, 3)), 0.5, True, np.random.default_rng(0)),
+    "additive_pair_scores": lambda make: tz.additive_pair_scores(
+        make((2, 3, 4)), make((2, 3, 4)), make((4,)), make((4,))),
+    "bigru": lambda make: tz.bigru(make((1, 3, 2)), *(make(s) for s in tz.gru_shapes(2, 2))),
+}
+
+
 class TestTapeMechanics:
     def test_second_backward_raises(self):
         tape = tz.Tape()
@@ -297,6 +327,68 @@ class TestTapeMechanics:
             gc.enable()
         with pytest.raises(UsageError):
             tz.relu(out)
+
+    @pytest.mark.parametrize("op", sorted(_OP_CALLS))
+    @pytest.mark.parametrize("kind", ["parameter", "array"])
+    def test_ops_without_a_tape_tensor_are_usage_errors(self, op, kind):
+        # every input that would be a Tensor is a Parameter, or a plain array
+        rng = np.random.default_rng(80)
+        tape = tz.Tape()
+        _OP_CALLS[op](lambda shape: tape.read(tz.Parameter("p", rng.uniform(0.1, 1.0, shape))))
+        recorded = len(tape)
+        assert recorded == 1  # the shapes are valid
+
+        def make(shape):
+            value = rng.uniform(0.1, 1.0, size=shape)
+            return tz.Parameter("p", value) if kind == "parameter" else value
+
+        with pytest.raises(UsageError):
+            _OP_CALLS[op](make)
+        assert len(tape) == recorded
+
+    @pytest.mark.parametrize("case", ["concat", "conv1d", "additive_pair_scores", "mul"])
+    def test_a_parameter_reads_onto_the_tape_in_any_position(self, case):
+        # a Parameter, wherever it stands, gives the bits of its tape.read
+        got = []
+        for bind in (False, True):
+            rng = np.random.default_rng(81)
+            params = {name: tz.Parameter(name, rng.normal(size=shape)) for name, shape in {
+                "concat": [("a", (2, 3)), ("b", (2, 1))],
+                "conv1d": [("x", (5, 3)), ("filters", (2, 2, 3)), ("bias", (2,))],
+                "additive_pair_scores": [("a", (2, 3, 4)), ("b", (2, 3, 4)), ("bias", (4,)),
+                                         ("v", (4,))],
+                "mul": [("a", (2, 3)), ("b", (2, 3))],
+            }[case]}
+            tape = tz.Tape()
+            read = {name: tape.read(p) if bind else p for name, p in params.items()}
+            if case == "concat":
+                out = tz.concat([read["a"], tape.read(params["b"])])
+            elif case == "conv1d":
+                out = tz.conv1d(read["x"], tape.read(params["filters"]), read["bias"])
+            elif case == "additive_pair_scores":
+                out = tz.additive_pair_scores(read["a"], tape.read(params["b"]), read["bias"],
+                                              read["v"])
+            else:
+                out = tz.mul(read["a"], tape.constant(params["b"].value))
+            weights = tape.constant(rng.normal(size=out.shape))
+            tz.backward(tape, tz.mean_all(tz.mul(out, weights)))
+            got.append([out.value.tobytes()] + [p.grad.tobytes() for p in params.values()])
+        assert got[0] == got[1]
+
+    @pytest.mark.parametrize("call", [
+        lambda x: tz.mean_axis(x, 3),
+        lambda x: tz.mean_axis(x, -3),
+        lambda x: tz.concat([x, x.tape.constant(np.ones((2, 1)))], axis=5),
+        lambda x: tz.mean_axis(x.tape.constant(2.0), 0),
+    ], ids=["mean_axis-3", "mean_axis-minus-3", "concat-5", "mean_axis-of-a-scalar"])
+    def test_an_axis_out_of_range_is_shape_error(self, call):
+        # numpy's .mean(axis=3) raises too; axis % ndim would wrap it, or
+        # divide by zero on a scalar
+        tape = tz.Tape()
+        x = tape.constant(np.arange(6.0).reshape(2, 3))
+        with pytest.raises(ShapeError, match=r"axis -?\d is out of range for rank [02]"):
+            call(x)
+        assert len(tape) == 0
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=10_000))
