@@ -17,9 +17,13 @@ affinity, so `taskset` limits it), once the input is large enough
 (MIN_CELLS): a part gathers, sums and masks the windows of its rows and
 takes their maxima, on a thread started for that call for every part but
 the first, and every such thread ends before the op returns. The
-response product and the whole backward stay on the calling thread. A
-part writes only its own rows, and each element takes the same ops in
-the same order in any part, so the bits do not depend on the part count.
+response product, taken in row blocks, and the whole backward stay on the
+calling thread. A part writes only its own rows, and each element takes
+the same ops in the same order in any part, so the bits do not depend on
+the part count. The op's large scratch arrays come from a per-thread
+workspace (_Workspace) that keeps each between calls, grown to the
+largest call the thread has run, so they are not faulted in again on
+every call; only arrays that no VJP reads come from it.
 bigru runs its two directions as one stacked recurrence, records one
 tape entry for it and backpropagates through time in its own backward;
 it takes the two cells as four arrays stacked on a direction axis, with
@@ -29,6 +33,7 @@ the gates in the order z, r, h (see bigru).
 from __future__ import annotations
 
 import contextvars
+import math
 import os
 import threading
 
@@ -168,6 +173,40 @@ def global_maxpool(x) -> Tensor:
 # may use, when each part gets at least MIN_CELLS (filter row, window)
 # cells: below that, starting a thread for a part costs more than it saves.
 MIN_CELLS = 1 << 17
+# embedding_conv_max computes its response table in near-equal row blocks
+# of R_CELLS to 2 * R_CELLS cells, to a row (one block below 2 * R_CELLS
+# cells): a block stays in cache, and a block of up to about 1,200 cells
+# took OpenBLAS's small-matrix kernel, whose bits differ from the whole
+# product's, on the build measured.
+R_CELLS = 1 << 15
+
+
+class _Workspace(threading.local):
+    """Scratch arrays kept by each thread that runs embedding_conv_max.
+
+    take(role, shape, dtype) hands out a C-contiguous array over the
+    role's bytes, which grow to the largest call seen and are sliced to
+    this one; their values are what the role's last user left. So the op's
+    large temporaries are not handed back to the allocator, and faulted in
+    again, on every call. Only scratch that no VJP reads comes from here:
+    a tape may be backpropagated after later calls. Part threads write into
+    their caller's arrays and never take any, and a forked child gets a
+    copy-on-write copy of the forking thread's workspace.
+    """
+
+    def __init__(self):
+        self.held = {}
+
+    def take(self, role: str, shape: tuple, dtype=DTYPE) -> np.ndarray:
+        dtype = np.dtype(dtype)
+        size = math.prod(shape) * dtype.itemsize
+        held = self.held.get(role)
+        if held is None or held.size < size:
+            held = self.held[role] = np.empty(size, dtype=np.uint8)
+        return held[:size].view(dtype).reshape(shape)
+
+
+_workspace = _Workspace()
 
 
 def _cpus() -> int:
@@ -208,6 +247,25 @@ def _run_parts(fill, bounds) -> None:
         raise errors[min(errors)]
 
 
+def _response_table(rows: np.ndarray, w_all: np.ndarray) -> np.ndarray:
+    """(rows @ w_all.T).T, embedding_conv_max's transposed response table,
+    in the workspace's "response" role. The product is taken in row blocks
+    (see R_CELLS) through the "spare" role, each block checked for
+    non-finite values and transposed into its columns, so no whole R is
+    built. A row block keeps the whole product's bits while BLAS runs both
+    in its general kernel."""
+    n_types, n_resp = len(rows), len(w_all)
+    table = _workspace.take("response", (n_resp, n_types))
+    blocks = max(1, n_types * n_resp // R_CELLS)
+    block = _workspace.take("spare", (-(-n_types // blocks), n_resp))  # unused until the windows
+    for p in range(blocks):
+        a, b = n_types * p // blocks, n_types * (p + 1) // blocks
+        np.matmul(rows[a:b], w_all.T, out=block[: b - a])
+        _check_finite(block[: b - a], "embedding_conv_max")
+        table[:, a:b] = block[: b - a].T
+    return table
+
+
 def embedding_conv_max(ids, table, taps, bias, widths, lengths) -> Tensor:
     """Each segment's max over its windows of a convolution over embedded ids.
 
@@ -224,14 +282,15 @@ def embedding_conv_max(ids, table, taps, bias, widths, lengths) -> Tensor:
 
     A convolution is linear in each token's embedding row, so each distinct
     id's row meets every tap once, in one (U, sum_j w_j K) response table
-    R = rows @ taps.reshape(-1, D).T, and a window sums its taps' columns of
-    R in conv1d's order. A width's windows are one reused (K, T) array, a
-    filter per row: one np.take per tap fills it through one reused buffer,
-    then the bias is added, and each segment's max and first maximal window
-    are found along its contiguous rows, so the backward keeps only those
-    windows' positions. The gradient reaches one window per (segment,
-    filter), so the VJP is one bincount of those windows' taps into R's
-    gradient and two matrix products: no (T, D) embedded sequence is built,
+    R = rows @ taps.reshape(-1, D).T, kept transposed, and a window sums
+    its taps' columns of R in conv1d's order. A width's windows are one
+    reused (K, T) array, a filter per row: one np.take per tap fills it
+    through one reused buffer, then the bias is added, and each segment's
+    max and first maximal window are found along its contiguous rows, so
+    the backward keeps only those windows' positions. The gradient reaches
+    one window per (segment, filter), so the VJP is one np.add.at of those
+    windows' taps into R's zeroed gradient (the bits of a bincount) and two
+    matrix products: no (T, D) embedded sequence is built,
     and the table's gradient is its U rows, handed to backward as a
     RowGradient. So the table is a Parameter (read onto the tape like any
     other input) or its leaf, whose gradient takes those rows (an op output
@@ -245,13 +304,23 @@ def embedding_conv_max(ids, table, taps, bias, widths, lengths) -> Tensor:
     ufunc arithmetic and in reduceat. So that stretch runs on filter rows
     [lo, hi) of every width in parts: min(CPUs the process may use, K,
     n * K * T // MIN_CELLS) of them, at least one. The calling thread
-    runs the first and waits for the rest. R, its transposed copy and the
-    VJP stay on the calling thread; BLAS may split the VJP's products. R
-    computed in row blocks, or in column halves, kept its bits at every
-    shape, part count and BLAS thread count measured, but not computed
-    transposed (w_all @ rows.T). Each element takes the same ops in the
-    same order in any part, so the output and every gradient keep their
-    bits at any part count.
+    runs the first and waits for the rest. R and the VJP stay on the
+    calling thread; BLAS may split the VJP's products. R is taken in row
+    blocks, each transposed into its columns of the table the windows read
+    (_response_table): blocks of R_CELLS cells or more kept R's bits at
+    every shape and BLAS thread count measured, but blocks of up to about
+    1,200 cells did not, nor did R computed transposed (w_all @ rows.T).
+    Each element takes the same ops in the same order in any part, so the
+    output and every gradient keep their bits at any part count.
+
+    The transposed R, the windows, their buffer and the mask of maximal
+    windows are scratch of the calling thread's workspace (_Workspace),
+    kept from call to call; so, in the VJP, are R's gradient, in R's role,
+    and the (sum_j w_j K, live segments) gathers of the max windows, in
+    the windows' and the buffer's roles, all dead by then. What the VJP
+    reads (the types, their rows, the padded type array and where the
+    maxima are) is allocated per call, so tapes may be backpropagated in
+    any order.
     """
     frozen = not isinstance(table, (Tensor, Parameter))
     tape, inputs = _on_tape(*([] if frozen else [table]), taps, bias)
@@ -296,9 +365,7 @@ def embedding_conv_max(ids, table, taps, bias, widths, lengths) -> Tensor:
     index = np.cumsum(present, dtype=np.intp)
     index -= 1
     rows_of_types = tv[types]
-    response = rows_of_types @ w_all.T  # R: (U, sum_j w_j K)
-    _check_finite(response, "embedding_conv_max")
-    response = response.T.copy()  # a tap of a width: K rows of U
+    response = _response_table(rows_of_types, w_all)  # R.T: a tap of a width is K rows of U
     # the window at token t sums its taps' R columns at tokens t .. t + w - 1;
     # live segment i starts at `begin[i]`. A window that runs past its
     # segment's end is -inf (it may read the padding after the last token,
@@ -309,13 +376,13 @@ def embedding_conv_max(ids, table, taps, bias, widths, lengths) -> Tensor:
     np.take(index, ids, out=padded[: len(ids)])
     under = [padded[i : i + len(ids)] for i in range(max(widths))]  # the type under tap i
     n_live, n_windows = len(n_rows), len(ids)
-    windows = np.empty((count, n_windows), dtype=DTYPE)  # one width's
-    spare = np.empty_like(windows)
+    windows = _workspace.take("windows", (count, n_windows))  # one width's
+    spare = _workspace.take("spare", (count, n_windows))
     best = np.empty((n_out, n_live), dtype=DTYPE)
     records = tape.records  # only the VJP reads where the maxima are
     if records:
         segment = np.repeat(np.arange(n_live), n_rows)  # each window's
-        hit = np.empty(windows.shape, dtype=bool)
+        hit = _workspace.take("hit", windows.shape, bool)
         # where each filter's row, and each (filter, segment)'s windows,
         # start in a width's flattened windows
         row_start = np.arange(count)[:, None] * n_windows
@@ -359,13 +426,21 @@ def embedding_conv_max(ids, table, taps, bias, widths, lengths) -> Tensor:
         # its windows in segment order.
         out_col = np.concatenate([np.tile(np.arange(count) + o, w) for w, o in zip(widths, firsts)])
         tap = np.repeat(np.concatenate([np.arange(w) for w in widths]), count)
+        # in the forward's roles, dead by now: R.T's for R's gradient, and
+        # the windows' and spare's for the (n_resp, n_live) gathers
         n_resp = len(tap)
-        under_max = padded[max_at[out_col] + tap[:, None]]
+        at = _workspace.take("spare", (n_resp, n_live), np.intp)
+        np.take(max_at, out_col, axis=0, out=at)
+        at += tap[:, None]
+        under_max = _workspace.take("windows", at.shape, np.intp)
+        np.take(padded, at, out=under_max, mode="clip")
         under_max *= n_resp
         under_max += np.arange(n_resp)[:, None]
-        g_response = np.bincount(under_max.ravel(), weights=g_live.T[out_col].ravel(),
-                                 minlength=len(types) * n_resp)
-        g_response = g_response.astype(DTYPE, copy=False).reshape(len(types), n_resp)
+        weights = _workspace.take("spare", at.shape)
+        np.take(g_live.T, out_col, axis=0, out=weights)
+        g_response = _workspace.take("response", (len(types), n_resp))
+        g_response.fill(0.0)
+        np.add.at(g_response.reshape(-1), under_max.reshape(-1), weights.reshape(-1))
         g_taps = (g_response.T @ rows_of_types).reshape(shape)
         # summed width by width: one sum over every column rounds differently
         g_bias = np.concatenate([g_live[:, o : o + count].sum(axis=0) for o in firsts])
@@ -471,14 +546,15 @@ def softmax_cross_entropy(logits, gold) -> Tensor:
 
 def dropout(x, rate: float, training: bool, rng: np.random.Generator | None = None) -> Tensor:
     """Inverted dropout: zero entries with probability `rate` during
-    training and scale survivors by 1/(1-rate); identity at inference."""
+    training and scale survivors by 1/(1-rate); identity at inference,
+    where it returns its input as bound to the tape, as every op binds it."""
     if not 0.0 <= rate < 1.0:
         raise ShapeError(f"dropout rate must be in [0, 1), got {rate}")
+    tape, (x,) = _on_tape(x)
     if not training or rate == 0.0:
         return x
     if rng is None:
         raise ShapeError("dropout in training mode requires an rng")
-    tape, (x,) = _on_tape(x)
     keep = (rng.random(x.value.shape) >= rate) / (1.0 - rate)
     return _record(tape, x.value * keep, (x,), lambda g: (g * keep,), "dropout")
 
@@ -495,7 +571,12 @@ def additive_pair_scores(a, b, bias, v) -> Tensor:
         raise ShapeError(
             f"additive_pair_scores: got a {av.shape}, b {bv.shape}, bias {cv.shape}, v {vv.shape}"
         )
-    hidden = np.tanh(av[..., :, None, :] + bv[..., None, :, :] + cv)  # (..., N, N, d)
+    # one (..., N, N, d) array per call, as a second one pushed the heap of a
+    # process that only predicts past the allocator's trim threshold, so its
+    # pages were faulted in again on every call
+    hidden = av[..., :, None, :] + bv[..., None, :, :]
+    hidden += cv
+    np.tanh(hidden, out=hidden)
     out = hidden @ vv
 
     def vjp(g):

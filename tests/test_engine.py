@@ -175,6 +175,16 @@ class TestForwardExamples:
         assert tz.dropout(x, 0.0, training=True, rng=np.random.default_rng(0)) is x
         assert tz.dropout(x, 0.5, training=False) is x
 
+    @pytest.mark.parametrize("rate, training", [(0.5, False), (0.0, True)])
+    def test_dropout_binds_its_input_even_where_it_records_nothing(self, rate, training):
+        # a Parameter alone has no tape, and an array or a string is no input
+        rng = np.random.default_rng(0)
+        for bad in (tz.Parameter("p", np.ones(3)), np.ones(3), "x"):
+            with pytest.raises(UsageError):
+                tz.dropout(bad, rate, training, rng)
+        with pytest.raises(ShapeError, match="rate"):  # the rate is checked first
+            tz.dropout("x", 1.0, training, rng)
+
     def test_dropout_expectation_preserved(self):
         rng = np.random.default_rng(42)
         tape = tz.Tape()
@@ -873,6 +883,156 @@ class TestEmbeddingConvMaxParts:
                 got = fh.read()
         assert os.waitstatus_to_exitcode(status) == 0
         assert got == b"".join(want)
+
+
+def _in_a_new_thread(fn):
+    """fn() on a thread of its own, which starts with an empty workspace."""
+    result = []
+    thread = threading.Thread(target=lambda: result.append(fn()))
+    thread.start()
+    thread.join(timeout=60.0)
+    assert not thread.is_alive() and result, "fn raised or hung on its thread"
+    return result[0]
+
+
+def _held():
+    """The calling thread's workspace: each role's address and size."""
+    return {role: (held.ctypes.data, held.nbytes) for role, held in tnn._workspace.held.items()}
+
+
+class _TakeLog(tnn._Workspace):
+    """A workspace that lists every array it hands out, with its role."""
+
+    def __init__(self):
+        super().__init__()
+        self.log = []
+
+    def take(self, role, shape, dtype=tnn.DTYPE):
+        out = super().take(role, shape, dtype)
+        self.log.append((role, out))
+        return out
+
+
+class TestEmbeddingConvMaxWorkspace:
+    """embedding_conv_max's scratch comes from a per-thread workspace:
+    kept between calls, never read by a VJP, one per thread."""
+
+    def test_calls_reuse_every_role(self):
+        big = _conv_case(90, 16, (3, 4, 5), [60, 0, 7, 45])
+        small = _conv_case(91, 3, (2, 3), [9, 2])
+
+        def run():
+            seen = []
+            for case in (big, big, big, small):
+                _conv_bytes(*case)  # a recorded forward, its VJP, an unrecorded forward
+                seen.append(_held())
+            return seen
+
+        first, second, third, after_small = _in_a_new_thread(run)
+        assert set(first) == {"response", "windows", "spare", "hit"}
+        assert third == second and after_small == second
+
+    @pytest.mark.parametrize("larger_first", [False, True])
+    def test_tapes_backpropagate_in_any_order(self, larger_first):
+        # the later, larger call grows every role; a later, smaller one reuses them
+        small = _conv_case(92, 3, (2, 3), [5, 9, 0])
+        large = _conv_case(93, 16, (3, 4, 5), [40, 2, 60, 25])
+        cases = (large, small) if larger_first else (small, large)
+
+        def record(case):
+            ids, table, taps, bias, widths, lengths, _ = case
+            tape = tz.Tape()
+            tz.embedding_conv_max(ids, tape.read(table), tape.read(taps), tape.read(bias),
+                                  widths, lengths)
+            return tape
+
+        def grads(tape, case):
+            row_grad, *rest = _vjp_of_last_op(tape, case[-1])
+            return [row_grad.index.tobytes(), row_grad.rows.tobytes()] + [a.tobytes() for a in rest]
+
+        def run():
+            alone = [grads(record(case), case) for case in cases]
+            tapes = [record(case) for case in cases]
+            return alone, [grads(tape, case) for tape, case in zip(tapes, cases)]
+
+        alone, interleaved = _in_a_new_thread(run)
+        assert interleaved == alone
+
+    def test_two_threads_keep_their_own_workspaces(self):
+        cases = [_conv_case(94, 16, (3, 4, 5), [50, 3, 0, 41]), _conv_case(95, 3, (2,), [30, 1])]
+        with split_into(1):
+            want = [_conv_bytes(*case) for case in cases]
+        barrier = threading.Barrier(2)
+
+        def run(case):
+            got = []
+            for _ in range(10):
+                barrier.wait(timeout=60.0)  # both threads call at once
+                got.append(_conv_bytes(*case))
+            return got, _held()
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with split_into(2), ThreadPoolExecutor(2) as callers:
+                (got_a, held_a), (got_b, held_b) = callers.map(run, cases)
+        finally:
+            sys.setswitchinterval(switch)
+        assert got_a == [want[0]] * 10 and got_b == [want[1]] * 10
+        spans = sorted((a, a + n) for a, n in [*held_a.values(), *held_b.values()])
+        assert all(end <= start for (_, end), (start, _) in zip(spans, spans[1:]))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 3000), st.sampled_from([5, 32, 300]),
+           st.sampled_from([6, 48, 192]), st.integers(1, 4))
+    def test_row_blocks_keep_the_products_bits(self, seed, n_types, dim, n_resp, blocks):
+        # blocks below about 1,200 cells may take BLAS's small-matrix kernel
+        rng = np.random.default_rng(seed)
+        rows, w_all = rng.normal(size=(n_types, dim)), rng.normal(size=(n_resp, dim))
+        cells = max(n_types * n_resp // blocks, 2048)
+        checks = []
+        with mock.patch.object(tnn, "R_CELLS", cells), \
+                mock.patch.object(tnn, "_check_finite", lambda a, op: checks.append(a.shape)):
+            got = tnn._response_table(rows, w_all)
+        assert got.tobytes() == (rows @ w_all.T).T.tobytes()
+        assert len(checks) == max(1, n_types * n_resp // cells)
+        assert sum(rows for rows, _ in checks) == n_types
+
+    @pytest.mark.parametrize("n_types, dim, n_resp", [(2000, 32, 192), (3000, 300, 192),
+                                                      (20_000, 4, 36)])
+    def test_default_row_blocks_keep_the_products_bits(self, n_types, dim, n_resp):
+        # topic-v2k's and the paper's table widths, and many blocks of few columns
+        rng = np.random.default_rng(n_types)
+        rows, w_all = rng.normal(size=(n_types, dim)), rng.normal(size=(n_resp, dim))
+        assert n_types * n_resp >= 4 * tnn.R_CELLS  # in four blocks or more
+        got = tnn._response_table(rows, w_all)
+        assert got.tobytes() == (rows @ w_all.T).T.tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([1, 3, 16]),
+           st.sampled_from([(3, 4, 5), (2,), (1, 3)]),
+           st.lists(st.integers(0, 9), min_size=1, max_size=6),
+           st.sampled_from(["random", "too short", "one type"]))
+    def test_add_at_into_zeros_equals_bincount(self, seed, count, widths, lengths, kind):
+        if kind == "too short":  # every segment shorter than every width
+            lengths = [min(n, min(widths) - 1) for n in lengths]
+        ids, table, taps, bias, widths, lengths, g = _conv_case(seed, count, widths, lengths)
+        if kind == "one type":
+            ids = np.full_like(ids, 7)
+        log = _TakeLog()
+        with mock.patch.object(tnn, "_workspace", log):
+            tape = tz.Tape()
+            tz.embedding_conv_max(ids, tape.read(table), taps, bias, widths, lengths)
+            log.log.clear()
+            _vjp_of_last_op(tape, g)
+        # the VJP's last three takes: R's cells under the max windows, their
+        # gradients and R's gradient
+        (_, cells), (_, weights), (role, g_response) = log.log[-3:]
+        assert role == "response" and cells.dtype == np.intp and weights.dtype == np.float64
+        want = np.bincount(cells.ravel(), weights=weights.ravel(), minlength=g_response.size)
+        assert g_response.tobytes() == want.astype(np.float64).tobytes()
+        if kind == "too short":
+            assert not g_response.any()
 
 
 def _gru_params(rng, units, feat, scale=0.5):

@@ -975,3 +975,38 @@ class TestTopicThreads:
               TrainConfig(max_epochs=2, patience=1, batch_size=8, seed=45))
         model.predict_proba(examples)
         assert threading.active_count() == threads
+
+
+class TestTopicFaults:
+    """embedding_conv_max keeps its scratch between calls, so a steady
+    stream of topic forwards does not fault its pages in again."""
+
+    def test_steady_inference_takes_few_minor_faults(self):
+        try:
+            import resource  # noqa: F401
+        except ImportError:
+            pytest.skip("needs the resource module")
+        tests_dir = Path(__file__).resolve().parent
+        src_dir = Path(fakeflow.__file__).resolve().parent.parent
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join([str(src_dir), str(tests_dir)]))
+        # a fresh process at topic-v2k's sizes: three warm-up calls on 64
+        # documents, then the faults of ten more
+        script = ("import resource, numpy as np, test_model\n"
+                  "from fakeflow.model import FakeFlowConfig, FakeFlowModel\n"
+                  "cfg = FakeFlowConfig(mode='topic_only', n_segments=10, vocab_size=2000,\n"
+                  "                     max_seg_len=40, embed_dim=32, activation='relu')\n"
+                  "rng = np.random.default_rng(46)\n"
+                  "docs = [test_model.random_example(cfg, rng, doc_id=f'd{i}') for i in range(64)]\n"
+                  "model = FakeFlowModel(cfg, seed=46)\n"
+                  "for _ in range(3):\n"
+                  "    model.predict_proba(docs)\n"
+                  "start = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+                  "for _ in range(10):\n"
+                  "    model.predict_proba(docs)\n"
+                  "print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - start) / 10)\n")
+        done = subprocess.run([sys.executable, "-c", script], env=env, cwd=tests_dir,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        per_call = float(done.stdout.splitlines()[-1])
+        assert per_call < 100, per_call
