@@ -10,7 +10,7 @@ out each artifact's path and records its name. A command returns its config
 hash and a summary; `main` then writes manifest.json, whose `outputs` are
 the recorded names and whose `environment` records the numpy and BLAS
 builds and thread settings, and prints the summary. Exit codes: 0 success,
-1 usage error, 2 data error.
+1 usage error, 2 data error or a size too large to allocate.
 """
 
 from __future__ import annotations
@@ -666,6 +666,9 @@ def main(argv=None) -> int:
         return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # numpy's message names the shape it could not allocate
+        print(f"error: {args.command}: out of memory: {exc}", file=sys.stderr)
         return 2
 
 

@@ -24,12 +24,14 @@ Row gradients: a VJP may hand an input a RowGradient instead of an array
 when its gradient is zero outside a few rows (embedding_conv_max does, for
 the embedding table, which must be a Parameter or its leaf). It reaches
 only the leaf of a Parameter, where backward index-adds its rows into
-param.grad, so no (V, D) array is built. Every other op hands dense
+param.grad in blocks of about ROW_CELLS cells, so no (V, D) array, nor a
+(U, D) gather of all U rows, is built. Every other op hands dense
 gradients.
 """
 
 from __future__ import annotations
 
+import math
 import weakref
 from typing import NamedTuple
 
@@ -38,6 +40,11 @@ import numpy as np
 from ..errors import NumericsError, ShapeError, UsageError
 
 DTYPE = np.float64
+# backward index-adds a RowGradient in blocks of about ROW_CELLS cells: one
+# gather of all U rows was a (U, D) temporary that, in a topic training
+# step, grew the heap past glibc's trim threshold, so its pages were
+# faulted in again on every step
+ROW_CELLS = 1 << 13
 
 
 class Parameter:
@@ -208,8 +215,11 @@ def _arrive(tensor: Tensor, grad) -> None:
     if param is not None:
         if isinstance(grad, RowGradient):
             # param.grad holds no -0.0, so adding a -0.0 row entry keeps
-            # the bits of adding the +0.0 a dense gradient holds there
-            param.grad[grad.index] += grad.rows
+            # the bits of adding the +0.0 a dense gradient holds there; the
+            # rows are distinct, so each cell takes one addition in any block
+            step = max(1, ROW_CELLS // max(1, math.prod(grad.rows.shape[1:])))
+            for a in range(0, len(grad.index), step):
+                param.grad[grad.index[a : a + step]] += grad.rows[a : a + step]
         else:
             param.grad += grad
     elif tensor.grad is None:

@@ -12,18 +12,19 @@ array and a table that is a Parameter or a frozen array: it multiplies
 each distinct token id's row by the filters once, and its backward
 reaches only each segment's max window; per segment, embedding_lookup,
 conv1d, maxpool1d and global_maxpool stay as its reference. Its forward
-splits the filter rows into parts, one per CPU the process may use (its
-affinity, so `taskset` limits it), once the input is large enough
-(MIN_CELLS): a part gathers, sums and masks the windows of its rows and
-takes their maxima, on a thread started for that call for every part but
-the first, and every such thread ends before the op returns. The
-response product, taken in row blocks, and the whole backward stay on the
-calling thread. A part writes only its own rows, and each element takes
-the same ops in the same order in any part, so the bits do not depend on
-the part count. The op's large scratch arrays come from a per-thread
-workspace (_Workspace) that keeps each between calls, grown to the
-largest call the thread has run, so they are not faulted in again on
-every call; only arrays that no VJP reads come from it.
+gathers, sums and masks the windows and takes their maxima in blocks of
+ROWS filter rows, one block after another on the calling thread, so a
+block's arrays stay in cache; no op starts a thread (BLAS may run its
+own). A block writes only its own rows, and each element takes the same
+ops in the same order in any block, so the bits do not depend on ROWS.
+The op's large scratch arrays come from a per-thread workspace
+(_Workspace) that keeps each between calls, grown to the largest call
+the thread has run, so they are not faulted in again on every call; only
+arrays that no VJP reads after it returns come from it.
+additive_pair_scores' VJP works in place: it turns its forward's hidden
+array into 1 - hidden^2, as a tape is backpropagated once, and takes its
+(..., N, N, d) product from the workspace's "windows" role, which only
+embedding_conv_max's forward and VJP use while they run.
 bigru runs its two directions as one stacked recurrence, records one
 tape entry for it and backpropagates through time in its own backward;
 it takes the two cells as four arrays stacked on a direction axis, with
@@ -32,9 +33,7 @@ the gates in the order z, r, h (see bigru).
 
 from __future__ import annotations
 
-import contextvars
 import math
-import os
 import threading
 
 import numpy as np
@@ -169,10 +168,10 @@ def global_maxpool(x) -> Tensor:
     return _record(tape, out.copy(), (x,), vjp, "global_maxpool")
 
 
-# embedding_conv_max runs its filter rows in parts, one per CPU the process
-# may use, when each part gets at least MIN_CELLS (filter row, window)
-# cells: below that, starting a thread for a part costs more than it saves.
-MIN_CELLS = 1 << 17
+# embedding_conv_max runs its window stage in blocks of ROWS filter rows on
+# the calling thread, so a block's windows and buffer stay in cache: one
+# block of all K = 16 rows ran 2-3% slower at T = 12,960 ids.
+ROWS = 8
 # embedding_conv_max computes its response table in near-equal row blocks
 # of R_CELLS to 2 * R_CELLS cells, to a row (one block below 2 * R_CELLS
 # cells): a block stays in cache, and a block of up to about 1,200 cells
@@ -182,16 +181,18 @@ R_CELLS = 1 << 15
 
 
 class _Workspace(threading.local):
-    """Scratch arrays kept by each thread that runs embedding_conv_max.
+    """Scratch arrays kept by each thread that runs the topic branch.
 
     take(role, shape, dtype) hands out a C-contiguous array over the
     role's bytes, which grow to the largest call seen and are sliced to
-    this one; their values are what the role's last user left. So the op's
+    this one; their values are what the role's last user left. So an op's
     large temporaries are not handed back to the allocator, and faulted in
-    again, on every call. Only scratch that no VJP reads comes from here:
-    a tape may be backpropagated after later calls. Part threads write into
-    their caller's arrays and never take any, and a forked child gets a
-    copy-on-write copy of the forking thread's workspace.
+    again, on every call. Only scratch that no VJP reads after its op or
+    VJP returns comes from here: a tape may be backpropagated after later
+    calls. embedding_conv_max's forward and VJP take every role, and
+    additive_pair_scores' VJP borrows "windows", dead outside those two.
+    One workspace per thread keeps concurrent callers apart, and a forked
+    child gets a copy-on-write copy of the forking thread's workspace.
     """
 
     def __init__(self):
@@ -207,44 +208,6 @@ class _Workspace(threading.local):
 
 
 _workspace = _Workspace()
-
-
-def _cpus() -> int:
-    """The number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity on this platform
-        return os.cpu_count() or 1
-
-
-def _run_parts(fill, bounds) -> None:
-    """fill(bounds[p], bounds[p + 1]) for each part p: part 0 on the calling
-    thread, each other part on a thread started for this call, in a copy of
-    the caller's context (where numpy 2 keeps its error state). Returns, or
-    raises the first exception in part order, only once every thread has
-    ended, so no part writes after the caller moves on and no thread
-    outlives the call. One part starts no thread; concurrent callers share
-    none, each starting at most _cpus() - 1."""
-    errors = {}
-
-    def part(p):
-        try:
-            fill(bounds[p], bounds[p + 1])
-        except BaseException as error:
-            errors[p] = error
-
-    threads = []
-    try:
-        for p in range(1, len(bounds) - 1):
-            thread = threading.Thread(target=contextvars.copy_context().run, args=(part, p))
-            thread.start()
-            threads.append(thread)
-        fill(bounds[0], bounds[1])
-    finally:
-        for thread in threads:
-            thread.join()
-    if errors:
-        raise errors[min(errors)]
 
 
 def _response_table(rows: np.ndarray, w_all: np.ndarray) -> np.ndarray:
@@ -300,18 +263,21 @@ def embedding_conv_max(ids, table, taps, bias, widths, lengths) -> Tensor:
     and the arrays it fills, are skipped.
 
     From the windows' gather to that search, each filter row is independent
-    of the others, and numpy releases the interpreter lock in take, in
-    ufunc arithmetic and in reduceat. So that stretch runs on filter rows
-    [lo, hi) of every width in parts: min(CPUs the process may use, K,
-    n * K * T // MIN_CELLS) of them, at least one. The calling thread
-    runs the first and waits for the rest. R and the VJP stay on the
-    calling thread; BLAS may split the VJP's products. R is taken in row
-    blocks, each transposed into its columns of the table the windows read
+    of the others, so that stretch runs on filter rows [lo, hi) of every
+    width in blocks of ROWS rows, one block after another on the calling
+    thread, so that a block's windows and buffer stay in cache. Threads
+    would not pay here: numpy's take, ufunc and reduceat calls at these
+    sizes take 10-50 us each, and on a 2-vCPU VM two threads that each ran
+    3,000 of take, flatnonzero or reduceat took 1.9-2.6 times as long as
+    one thread, though numpy releases the interpreter lock inside them
+    (two processes: 1.0-1.8 times). BLAS may
+    split R's and the VJP's products. R is taken in row blocks, each
+    transposed into its columns of the table the windows read
     (_response_table): blocks of R_CELLS cells or more kept R's bits at
     every shape and BLAS thread count measured, but blocks of up to about
     1,200 cells did not, nor did R computed transposed (w_all @ rows.T).
-    Each element takes the same ops in the same order in any part, so the
-    output and every gradient keep their bits at any part count.
+    Each element takes the same ops in the same order in any block, so the
+    output and every gradient keep their bits at any ROWS.
 
     The transposed R, the windows, their buffer and the mask of maximal
     windows are scratch of the calling thread's workspace (_Workspace),
@@ -411,8 +377,8 @@ def embedding_conv_max(ids, table, taps, bias, widths, lengths) -> Tensor:
                 max_at[o + lo : o + hi] = (found[np.searchsorted(found, seek[: hi - lo])]
                                            - row_start[: hi - lo])
 
-    parts = max(1, min(_cpus(), count, n_out * n_windows // MIN_CELLS))
-    _run_parts(fill, [count * p // parts for p in range(parts + 1)])
+    for lo in range(0, count, ROWS):
+        fill(lo, min(lo + ROWS, count))
     # the segment holds a window of that width
     has = n_rows >= np.repeat(widths, count)[:, None]
     out = np.zeros((live.size, n_out), dtype=DTYPE)
@@ -580,11 +546,17 @@ def additive_pair_scores(a, b, bias, v) -> Tensor:
     out = hidden @ vv
 
     def vjp(g):
-        gh = g[..., None] * vv * (1.0 - hidden * hidden)
+        gv = np.einsum("...tu,...tud->d", g, hidden, optimize=True)
+        # g[..., None] * vv * (1.0 - hidden * hidden), in that order, with no
+        # temporary: a tape is backpropagated once, so hidden is not read again
+        np.multiply(hidden, hidden, out=hidden)
+        np.subtract(1.0, hidden, out=hidden)
+        gh = _workspace.take("windows", hidden.shape)
+        np.multiply(g[..., None], vv, out=gh)
+        gh *= hidden
         ga = gh.sum(axis=-2)
         gb = gh.sum(axis=-3)
         gbias = gh.sum(axis=tuple(range(gh.ndim - 1)))
-        gv = np.einsum("...tu,...tud->d", g, hidden, optimize=True)
         return ga, gb, gbias, gv
 
     return _record(tape, out, (a, b, bias, v), vjp, "additive_pair_scores")

@@ -3,8 +3,6 @@ finite-difference gradient oracle."""
 
 from __future__ import annotations
 
-import contextlib
-
 import numpy as np
 import pytest
 from hypothesis import strategies as st
@@ -18,7 +16,6 @@ from fakeflow.lexicon import (
     LexiconSet,
     RatingLexicon,
 )
-from fakeflow.tensor import nn as tnn
 
 
 def numeric_gradient(func, array: np.ndarray, step: float = 1e-5) -> np.ndarray:
@@ -82,25 +79,6 @@ def overflowing(model):
     model.out_b.assign(np.ones(model.out_b.shape))
     model.cls_w.assign(np.full(model.cls_w.shape, 1e308))
     return model
-
-
-@contextlib.contextmanager
-def split_into(parts):
-    """Run every embedding_conv_max in `parts` parts where it has that many
-    filter rows, whatever its size and the CPUs the process may use, and
-    list each call's part bounds in the yielded list."""
-    saved = tnn.MIN_CELLS, tnn._cpus, tnn._run_parts
-    calls = []
-
-    def run_parts(fill, bounds):
-        calls.append(list(bounds))
-        saved[2](fill, bounds)
-
-    tnn.MIN_CELLS, tnn._cpus, tnn._run_parts = 1, lambda: parts, run_parts
-    try:
-        yield calls
-    finally:
-        tnn.MIN_CELLS, tnn._cpus, tnn._run_parts = saved
 
 
 def max_relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:

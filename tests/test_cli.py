@@ -231,6 +231,23 @@ class TestExitCodes:
         assert err.startswith("error: cnn_filter_widths must be distinct integers >= 1, got (3, 3)")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("command, flag", [
+        ("train", "--embed-dim"), ("train", "--gru-units"), ("train", "--filter-count"),
+        ("train", "--topic-dim"), ("search", "--embed-dim"),
+    ])
+    def test_a_size_too_large_to_allocate_exits_2(self, tmp_path, capsys, command, flag):
+        # 10^15 makes arrays of petabytes, beyond the address space, so numpy
+        # refuses them at once whatever the machine's overcommit policy
+        manifest = write_lexicon_fixture(tmp_path)
+        code = main([command, "--corpus", str(write_flow_corpus(tmp_path)),
+                     "--lexicons", str(manifest), "--out", str(tmp_path / "out")]
+                    + TRAIN_FLAGS + [flag, str(10**15)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {command}: out of memory: Unable to allocate")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_embeddings_fail_alike_in_every_fitting_command(self, tmp_path, capsys):
         manifest = write_lexicon_fixture(tmp_path)
         corpus = write_flow_corpus(tmp_path, n_docs=24, year_cycle=[2013, 2013, 2014, 2014])

@@ -21,7 +21,6 @@ from conftest import (
     gru_gates,
     max_relative_error,
     numeric_gradient,
-    split_into,
 )
 from fakeflow.errors import NumericsError, ShapeError, UsageError
 from fakeflow.tensor import engine
@@ -643,11 +642,13 @@ class TestTableRowGradient:
             total = _add(total, term)
         return total
 
+    # index-added one row, two rows and every row at a time
+    @pytest.mark.parametrize("row_cells", [5, 10, engine.ROW_CELLS])
     @pytest.mark.parametrize("uses", [
         ("conv",), ("lookup", "conv"), ("conv", "lookup"), ("conv", "conv"),
         ("lookup", "conv", "lookup"),
     ])
-    def test_param_grad_bytes_equal_the_dense_path(self, uses):
+    def test_param_grad_bytes_equal_the_dense_path(self, uses, row_cells):
         got, want = [], []
         for dense, grads in ((False, got), (True, want)):
             args = self.batch(np.random.default_rng(70))
@@ -657,7 +658,8 @@ class TestTableRowGradient:
                 loss = self.loss(tape, uses, *args)
                 if dense:
                     _with_dense_table_gradient(tape)
-                tz.backward(tape, loss)
+                with mock.patch.object(engine, "ROW_CELLS", row_cells):
+                    tz.backward(tape, loss)
                 grads.append([p.grad.tobytes() for p in params])
         assert got == want
         table_grad = np.frombuffer(got[0][0]).reshape(40, 5)
@@ -759,128 +761,78 @@ def _conv_bytes(ids, table, taps, bias, widths, lengths, g):
              row_grad.rows.tobytes()] + [a.tobytes() for a in grads])
 
 
-class TestEmbeddingConvMaxParts:
-    """embedding_conv_max split by filter rows: the bits of one part at any
-    part count, and every part done before the op returns or raises."""
+class TestEmbeddingConvMaxBlocks:
+    """embedding_conv_max's window stage, run in blocks of ROWS filter rows
+    on the calling thread: the bits of one block at any block size."""
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.sampled_from([1, 3, 16]),
            st.sampled_from([(3, 4, 5), (2,), (4, 6), (1, 3), (2, 3, 4)]),
            st.lists(st.integers(0, 9), min_size=1, max_size=6))
-    def test_bytes_equal_at_every_part_count(self, seed, count, widths, lengths):
+    def test_bytes_equal_at_every_block_size(self, seed, count, widths, lengths):
         # lengths 0 and below every width: empty and too-short segments
         case = _conv_case(seed, count, widths, lengths)
-        with split_into(1) as calls:
+        with mock.patch.object(tnn, "ROWS", count):
             want = _conv_bytes(*case)
-        assert all(len(bounds) == 2 for bounds in calls)
-        for parts in (2, 3, 4):
-            with split_into(parts) as calls:
-                assert _conv_bytes(*case) == want, parts
-            if sum(lengths):
-                assert all(len(bounds) == min(parts, count) + 1 for bounds in calls)
+        for rows in (1, 2, 3, 8):
+            with mock.patch.object(tnn, "ROWS", rows):
+                assert _conv_bytes(*case) == want, rows
 
     def test_concurrent_callers_get_their_own_bits(self):
-        # more callers than CPUs, in two to four parts each, with the
-        # interpreter switching threads as often as it can
+        # more callers than CPUs, with the interpreter switching threads as
+        # often as it can
         cases = [_conv_case(seed, (2, 3, 16)[seed % 3], (3, 4, 5), [40, 0, 2, 60, 25])
                  for seed in range(9)]
-        with split_into(1):
-            want = [_conv_bytes(*case) for case in cases]
+        want = [_conv_bytes(*case) for case in cases]
         switch = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            with split_into(4) as calls, ThreadPoolExecutor(8) as callers:
+            with ThreadPoolExecutor(8) as callers:
                 got = list(callers.map(lambda case: _conv_bytes(*case), cases * 3))
         finally:
             sys.setswitchinterval(switch)
         assert got == want * 3
-        assert {len(bounds) - 1 for bounds in calls} == {2, 3, 4}
-
-    def test_a_failing_part_raises_after_every_part_returned(self):
-        ids, table, taps, bias, widths, lengths, _ = _conv_case(
-            80, 16, (3, 4, 5), [30, 4, 0, 12])
-        done = []
-
-        def run_parts(fill, bounds):
-            def part(lo, hi):  # part 1 fails at once, and parts 2 and 3 are slow
-                if lo == bounds[1]:
-                    raise RuntimeError("part 1 failed")
-                time.sleep(0.2 if lo > bounds[1] else 0.0)
-                fill(lo, hi)
-                done.append(lo)
-            real(part, bounds)
-
-        real = tnn._run_parts
-        tape = tz.Tape()
-        with split_into(4), mock.patch.object(tnn, "_run_parts", run_parts):
-            with pytest.raises(RuntimeError, match="part 1 failed"):
-                tz.embedding_conv_max(ids, tape.read(table), taps, bias, widths, lengths)
-        assert sorted(done) == [0, 8, 12] and len(tape) == 0
-
-    def test_the_first_failure_in_part_order_is_raised(self):
-        finished = []
-
-        def fill(lo, hi):
-            time.sleep(0.1 * lo)  # part 3 fails last
-            finished.append(lo)
-            if lo in (1, 3):
-                raise ValueError(f"part {lo}")
-
-        for _ in range(2):  # a second call runs the same way
-            finished.clear()
-            with pytest.raises(ValueError, match="part 1"):
-                tnn._run_parts(fill, [0, 1, 2, 3, 4])
-            assert sorted(finished) == [0, 1, 2, 3]
-
-    def test_no_thread_outlives_a_split_call(self):
-        case = _conv_case(82, 16, (3, 4, 5), [40, 0, 2, 60, 25])
-        threads = threading.active_count()
-        with split_into(2) as calls:
-            _conv_bytes(*case)
-        assert calls and all(len(bounds) == 3 for bounds in calls)
-        assert threading.active_count() == threads
 
     @pytest.mark.parametrize("records", [True, False])
-    def test_overflow_raises_with_the_split_forced(self, records):
+    def test_overflow_raises_in_blocks_of_one_row(self, records):
         # each row times a filter is finite; a window's two taps overflow
         table = tz.Parameter("table", np.full((3, 1), 1e308))
         taps, bias = tz.Parameter("taps", np.ones((2, 4, 1))), tz.Parameter("bias", np.zeros(4))
         tape = tz.Tape(records=records)
-        with split_into(2) as calls, np.errstate(over="ignore"), \
+        with mock.patch.object(tnn, "ROWS", 1), np.errstate(over="ignore"), \
                 pytest.raises(NumericsError, match="'embedding_conv_max'"):
             tz.embedding_conv_max(np.array([1, 2, 1]), tape.read(table), taps, bias, [2],
                                   np.array([3]))
-        assert calls == [[0, 2, 4]] and len(tape) == 0
+        assert len(tape) == 0
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-    def test_a_forked_child_runs_its_own_parts(self):
+    def test_a_forked_child_gets_the_parents_bits(self):
         case = _conv_case(81, 16, (3, 4, 5), [50, 7, 0, 33])
-        with split_into(2):
-            want = _conv_bytes(*case)  # the parent has run a split forward
-            read, write = os.pipe()
-            pid = os.fork()
-            if pid == 0:  # the child: one more split forward, then exit
-                code = 1
-                try:
-                    os.close(read)
-                    with os.fdopen(write, "wb") as fh:
-                        fh.write(b"".join(_conv_bytes(*case)))
-                    code = 0
-                finally:
-                    os._exit(code)
-            os.close(write)
-            with os.fdopen(read, "rb") as fh:
-                deadline = time.monotonic() + 10.0
-                while time.monotonic() < deadline:
-                    ended, status = os.waitpid(pid, os.WNOHANG)
-                    if ended:
-                        break
-                    time.sleep(0.01)
-                else:
-                    os.kill(pid, signal.SIGKILL)
-                    os.waitpid(pid, 0)
-                    pytest.fail("the forked child did not finish its split forward in 10 s")
-                got = fh.read()
+        want = _conv_bytes(*case)  # the parent's workspace holds every role
+        read, write = os.pipe()
+        pid = os.fork()
+        if pid == 0:  # the child: one more forward and VJP, then exit
+            code = 1
+            try:
+                os.close(read)
+                with os.fdopen(write, "wb") as fh:
+                    fh.write(b"".join(_conv_bytes(*case)))
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(write)
+        with os.fdopen(read, "rb") as fh:
+            deadline = time.monotonic() + 10.0
+            while time.monotonic() < deadline:
+                ended, status = os.waitpid(pid, os.WNOHANG)
+                if ended:
+                    break
+                time.sleep(0.01)
+            else:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                pytest.fail("the forked child did not finish its forward in 10 s")
+            got = fh.read()
         assert os.waitstatus_to_exitcode(status) == 0
         assert got == b"".join(want)
 
@@ -960,8 +912,7 @@ class TestEmbeddingConvMaxWorkspace:
 
     def test_two_threads_keep_their_own_workspaces(self):
         cases = [_conv_case(94, 16, (3, 4, 5), [50, 3, 0, 41]), _conv_case(95, 3, (2,), [30, 1])]
-        with split_into(1):
-            want = [_conv_bytes(*case) for case in cases]
+        want = [_conv_bytes(*case) for case in cases]
         barrier = threading.Barrier(2)
 
         def run(case):
@@ -974,7 +925,7 @@ class TestEmbeddingConvMaxWorkspace:
         switch = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            with split_into(2), ThreadPoolExecutor(2) as callers:
+            with ThreadPoolExecutor(2) as callers:
                 (got_a, held_a), (got_b, held_b) = callers.map(run, cases)
         finally:
             sys.setswitchinterval(switch)
@@ -1033,6 +984,61 @@ class TestEmbeddingConvMaxWorkspace:
         assert g_response.tobytes() == want.astype(np.float64).tobytes()
         if kind == "too short":
             assert not g_response.any()
+
+
+def _pair_case(seed, lead, n, d):
+    rng = np.random.default_rng(seed)
+    a, b = rng.normal(size=lead + (n, d)), rng.normal(size=lead + (n, d))
+    bias, v = rng.normal(size=d), rng.normal(size=d)
+    return a, b, bias, v, rng.normal(size=lead + (n, n))
+
+
+def _pair_grads(a, b, bias, v, g):
+    """additive_pair_scores' ga, gb, gbias and gv for output gradient g,
+    from a tape that records the op, and the tape's VJP."""
+    tape = tz.Tape()
+    tz.additive_pair_scores(*(tape.constant(x) for x in (a, b, bias, v)))
+    return tape, lambda: [x.tobytes() for x in _vjp_of_last_op(tape, g)]
+
+
+class TestAdditivePairScoresVjp:
+    """additive_pair_scores' VJP turns the forward's hidden array into
+    1 - hidden^2 in place and takes its (..., N, N, d) product from the
+    workspace: the bits of the expression it replaces, on tapes
+    backpropagated in any order."""
+
+    @staticmethod
+    def reference(a, b, bias, v, g):
+        hidden = a[..., :, None, :] + b[..., None, :, :]
+        hidden += bias
+        np.tanh(hidden, out=hidden)
+        gh = g[..., None] * v * (1.0 - hidden * hidden)
+        return [x.tobytes() for x in (
+            gh.sum(axis=-2), gh.sum(axis=-3), gh.sum(axis=tuple(range(gh.ndim - 1))),
+            np.einsum("...tu,...tud->d", g, hidden, optimize=True))]
+
+    @pytest.mark.parametrize("lead", [(), (32,), (2, 3)])
+    def test_gradients_equal_the_reference_bytes(self, lead):
+        case = _pair_case(100, lead, 10, 32)
+        _, grads = _pair_grads(*case)
+        assert grads() == self.reference(*case)
+
+    @pytest.mark.parametrize("larger_first", [False, True])
+    def test_tapes_backpropagate_in_any_order(self, larger_first):
+        # the later call grows the borrowed role; an embedding_conv_max
+        # call in between writes every role
+        cases = [_pair_case(101, (2,), 4, 3), _pair_case(102, (16,), 10, 32)]
+        if larger_first:
+            cases.reverse()
+
+        def run():
+            alone = [_pair_grads(*case)[1]() for case in cases]
+            recorded = [_pair_grads(*case)[1] for case in cases]
+            _conv_bytes(*_conv_case(103, 16, (3, 4, 5), [60, 0, 7, 45]))
+            return alone, [grads() for grads in recorded]
+
+        alone, interleaved = _in_a_new_thread(run)
+        assert interleaved == alone
 
 
 def _gru_params(rng, units, feat, scale=0.5):

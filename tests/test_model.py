@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import fakeflow
 import fakeflow.tensor as tz
-from conftest import gru_gates, max_relative_error, numeric_gradient, overflowing, split_into
+from conftest import gru_gates, max_relative_error, numeric_gradient, overflowing
 from fakeflow.errors import ConfigError, NumericsError, ShapeError, UsageError
 from fakeflow.model import (
     MODES,
@@ -889,10 +889,10 @@ class TestBlasThreads:
         assert runs[0] == runs[1]
 
 
-def part_digests(batch_sizes=(1, 7, 64)) -> dict[str, str]:
+def block_digests(batch_sizes=(1, 7, 64)) -> dict[str, str]:
     """sha256 of predict_proba in topic_only and full at each batch size,
-    and of the parameters after three topic_only Adam steps, at sizes where
-    embedding_conv_max splits on a machine with two or more CPUs."""
+    and of the parameters after three Adam steps in each, at topic-v2k's
+    sizes, where each width has K = 16 filter rows."""
     sizes = dict(n_segments=10, vocab_size=2000, max_seg_len=40, embed_dim=32,
                  dropout_rate=0.3, activation="relu")
     digests = {}
@@ -903,85 +903,61 @@ def part_digests(batch_sizes=(1, 7, 64)) -> dict[str, str]:
         model = FakeFlowModel(cfg, seed=43)
         for size in batch_sizes:
             digests[f"{mode}-{size}"] = sha([model.predict_proba(examples, batch_size=size)])
-    cfg = FakeFlowConfig(mode="topic_only", **sizes)
-    model = FakeFlowModel(cfg, seed=44)
-    rng = np.random.default_rng(44)
-    opt = tz.make_optimizer("adam")
-    params = model.trainable_params()
-    for _ in range(3):
-        examples = [random_example(cfg, rng, doc_id=f"d{i}") for i in range(32)]
-        tape = tz.Tape()
-        loss, _ = model.batch_loss(tape, examples, rng.integers(0, 2, size=32),
-                                   training=True, rng=rng)
-        tz.backward(tape, loss)
-        tz.step(opt, params)
-    digests["topic_only-adam"] = sha([p.value for p in params])
+        model = FakeFlowModel(cfg, seed=44)
+        rng = np.random.default_rng(44)
+        opt = tz.make_optimizer("adam")
+        params = model.trainable_params()
+        for _ in range(3):
+            examples = [random_example(cfg, rng, doc_id=f"d{i}") for i in range(32)]
+            tape = tz.Tape()
+            loss, _ = model.batch_loss(tape, examples, rng.integers(0, 2, size=32),
+                                       training=True, rng=rng)
+            tz.backward(tape, loss)
+            tz.step(opt, params)
+        digests[f"{mode}-adam"] = sha([p.value for p in params])
     return digests
 
 
-class TestTopicThreads:
-    """The topic forward spreads embedding_conv_max's filter rows over the
-    CPUs the process may use; no result depends on how many."""
+class TestTopicBlocks:
+    """The topic forward runs embedding_conv_max's window stage in blocks of
+    ROWS filter rows on the calling thread: no result depends on ROWS, and
+    no mode starts a thread."""
 
-    def test_one_and_two_parts_give_the_same_bytes(self):
-        with split_into(1) as one:
-            want = part_digests()
-        with split_into(2) as two:
-            got = part_digests()
-        assert got == want
-        assert {len(b) for b in one} == {2} and {len(b) for b in two} == {3}
-
-    def test_affinity_does_not_change_the_bytes(self):
-        cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
-        if len(cpus) < 2:
-            pytest.skip("needs two CPUs the process may use")
-        tests_dir = Path(__file__).resolve().parent
-        src_dir = Path(fakeflow.__file__).resolve().parent.parent
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
-                   PYTHONPATH=os.pathsep.join([str(src_dir), str(tests_dir)]))
+    def test_every_block_size_gives_the_same_bytes(self, monkeypatch):
         runs = []
-        for pin in (f"os.sched_setaffinity(0, {{{cpus[0]}}}); ", ""):
-            # the child pins itself before numpy loads, so BLAS sees one CPU too
-            # and records whether any embedding_conv_max ran in more than one part
-            script = (f"import os; {pin}import json, test_model\n"
-                      "from fakeflow.tensor import nn\n"
-                      "run, split = nn._run_parts, []\n"
-                      "def run_parts(fill, bounds):\n"
-                      "    split.append(len(bounds) > 2)\n"
-                      "    run(fill, bounds)\n"
-                      "nn._run_parts = run_parts\n"
-                      "print(json.dumps([test_model.part_digests(), any(split)]))")
-            done = subprocess.run([sys.executable, "-c", script], env=env, cwd=tests_dir,
-                                  capture_output=True, text=True, timeout=300)
-            assert done.returncode == 0, done.stderr
-            runs.append(json.loads(done.stdout.splitlines()[-1]))
-        (pinned, pinned_split), (free, free_split) = runs
-        assert sorted(pinned) == ["full-1", "full-64", "full-7", "topic_only-1",
-                                  "topic_only-64", "topic_only-7", "topic_only-adam"]
-        assert pinned == free
-        assert not pinned_split and free_split  # only the unpinned child split
+        for rows in (8, 1, 16):  # the default, one row, and every row of a width
+            monkeypatch.setattr(tnn, "ROWS", rows)
+            runs.append(block_digests())
+        assert sorted(runs[0]) == ["full-1", "full-64", "full-7", "full-adam", "topic_only-1",
+                                   "topic_only-64", "topic_only-7", "topic_only-adam"]
+        assert runs[1] == runs[0] and runs[2] == runs[0]
 
-    def test_affect_only_starts_no_thread(self, monkeypatch):
-        def no_parts(fill, bounds):
-            raise AssertionError("affect_only ran embedding_conv_max's parts")
+    @pytest.mark.parametrize("mode", MODES)
+    def test_training_and_inference_start_no_thread(self, monkeypatch, mode):
+        # at these sizes a batch of 32 has about 6,400 windows per filter row
+        def start(thread):
+            raise AssertionError(f"{mode} started a thread")
 
-        monkeypatch.setattr(tnn, "_run_parts", no_parts)
-        threads = threading.active_count()
-        cfg = tiny_config(mode="affect_only")
+        monkeypatch.setattr(threading.Thread, "start", start)
+        cfg = FakeFlowConfig(mode=mode, n_segments=10, vocab_size=2000, max_seg_len=40,
+                             embed_dim=32)
         rng = np.random.default_rng(45)
-        examples = [random_example(cfg, rng, doc_id=f"d{i}") for i in range(40)]
+        examples = [random_example(cfg, rng, doc_id=f"d{i}") for i in range(72)]
         model = FakeFlowModel(cfg, seed=45)
-        train(model, examples[:32], examples[32:],
-              TrainConfig(max_epochs=2, patience=1, batch_size=8, seed=45))
+        train(model, examples[:64], examples[64:],
+              TrainConfig(max_epochs=2, patience=1, batch_size=32, seed=45))
         model.predict_proba(examples)
-        assert threading.active_count() == threads
 
 
 class TestTopicFaults:
-    """embedding_conv_max keeps its scratch between calls, so a steady
-    stream of topic forwards does not fault its pages in again."""
+    """The topic branch keeps its scratch between calls, so a steady stream
+    of topic forwards, or of training steps, does not fault its pages in
+    again."""
 
-    def test_steady_inference_takes_few_minor_faults(self):
+    @staticmethod
+    def faults_per_call(setup: str, call: str) -> float:
+        """ru_minflt per `call` in a fresh process, over ten calls after
+        three warm-up calls, once `setup` has run."""
         try:
             import resource  # noqa: F401
         except ImportError:
@@ -990,23 +966,47 @@ class TestTopicFaults:
         src_dir = Path(fakeflow.__file__).resolve().parent.parent
         env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                    PYTHONPATH=os.pathsep.join([str(src_dir), str(tests_dir)]))
-        # a fresh process at topic-v2k's sizes: three warm-up calls on 64
-        # documents, then the faults of ten more
-        script = ("import resource, numpy as np, test_model\n"
-                  "from fakeflow.model import FakeFlowConfig, FakeFlowModel\n"
-                  "cfg = FakeFlowConfig(mode='topic_only', n_segments=10, vocab_size=2000,\n"
-                  "                     max_seg_len=40, embed_dim=32, activation='relu')\n"
-                  "rng = np.random.default_rng(46)\n"
-                  "docs = [test_model.random_example(cfg, rng, doc_id=f'd{i}') for i in range(64)]\n"
-                  "model = FakeFlowModel(cfg, seed=46)\n"
-                  "for _ in range(3):\n"
-                  "    model.predict_proba(docs)\n"
-                  "start = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
-                  "for _ in range(10):\n"
-                  "    model.predict_proba(docs)\n"
-                  "print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - start) / 10)\n")
+        script = (f"import resource, numpy as np, test_model\n"
+                  f"import fakeflow.tensor as tz\n"
+                  f"from fakeflow.model import FakeFlowConfig, FakeFlowModel\n"
+                  f"{setup}\n"
+                  f"def call():\n"
+                  f"    {call}\n"
+                  f"for _ in range(3):\n"
+                  f"    call()\n"
+                  f"start = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+                  f"for _ in range(10):\n"
+                  f"    call()\n"
+                  f"print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - start) / 10)\n")
         done = subprocess.run([sys.executable, "-c", script], env=env, cwd=tests_dir,
                               capture_output=True, text=True, timeout=300)
         assert done.returncode == 0, done.stderr
-        per_call = float(done.stdout.splitlines()[-1])
+        return float(done.stdout.splitlines()[-1])
+
+    @staticmethod
+    def model_setup(mode: str, max_seg_len: int, n_docs: int) -> str:
+        """A model at topic-v2k's sizes and n_docs documents of segments of
+        0 to max_seg_len ids."""
+        return (f"cfg = FakeFlowConfig(mode={mode!r}, n_segments=10, vocab_size=2000,\n"
+                f"                     max_seg_len={max_seg_len}, embed_dim=32, activation='relu')\n"
+                f"rng = np.random.default_rng(46)\n"
+                f"docs = [test_model.random_example(cfg, rng, doc_id=f'd{{i}}')\n"
+                f"        for i in range({n_docs})]\n"
+                f"model = FakeFlowModel(cfg, seed=46)\n"
+                f"opt, params = tz.make_optimizer('adam'), model.trainable_params()\n"
+                f"gold = rng.integers(0, 2, size={n_docs})")
+
+    def test_steady_inference_takes_few_minor_faults(self):
+        per_call = self.faults_per_call(self.model_setup("topic_only", 40, 64),
+                                        "model.predict_proba(docs)")
         assert per_call < 100, per_call
+
+    @pytest.mark.parametrize("max_seg_len", [40, 80])
+    @pytest.mark.parametrize("mode", ["topic_only", "full"])
+    def test_steady_training_takes_few_minor_faults(self, mode, max_seg_len):
+        # a step is a forward, a backward and an Adam step on 32 documents
+        step = ("tape = tz.Tape(); "
+                "tz.backward(tape, model.batch_loss(tape, docs, gold, training=True, rng=rng)[0]); "
+                "tz.step(opt, params)")
+        per_step = self.faults_per_call(self.model_setup(mode, max_seg_len, 32), step)
+        assert per_step < 100, per_step

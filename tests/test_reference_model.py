@@ -1,6 +1,6 @@
 """FakeFlowModel against the plain-numpy reference in reference_model.py:
 its logits, and every parameter gradient of its loss, on tiny configs of
-every mode."""
+every mode, and its logits at the bench's topic sizes and at paper scale."""
 
 import numpy as np
 import pytest
@@ -12,6 +12,7 @@ import reference_model as ref
 from conftest import max_relative_error, numeric_gradient
 from fakeflow.lexicon import N_FEATURES
 from fakeflow.model import MODES, Example, FakeFlowConfig, FakeFlowModel
+from fakeflow.tensor import nn as tnn
 
 
 @st.composite
@@ -87,3 +88,28 @@ def test_gradients_match_central_differences_of_the_reference(mode, case):
             for i in coords])
         err = max_relative_error(param.grad.reshape(-1)[coords], numeric)
         assert err < 1e-4, f"{param.name}: rel err {err:.2e}"
+
+
+@pytest.mark.parametrize("mode, sizes, n_docs", [
+    ("topic_only", dict(n_segments=10, vocab_size=2000, max_seg_len=40, embed_dim=32), 32),
+    ("full", dict(n_segments=10, vocab_size=20289, max_seg_len=80, embed_dim=300), 8),
+], ids=["bench-topic_only", "paper-full"])
+def test_logits_match_the_reference_at_real_sizes(monkeypatch, mode, sizes, n_docs):
+    # sizes where R is taken in several row blocks (R_CELLS), the window
+    # stage in several blocks of ROWS filter rows, and BLAS picks the
+    # kernels of a real batch
+    config = FakeFlowConfig(mode=mode, **sizes)
+    model = FakeFlowModel(config, seed=47)
+    rng = np.random.default_rng(47)
+    examples = []
+    for i in range(n_docs):
+        lengths = rng.integers(0, config.max_seg_len + 1, size=config.n_segments)
+        examples.append(Example(
+            doc_id=f"d{i}", ids=rng.integers(0, config.vocab_size, size=lengths.sum()),
+            offsets=np.concatenate([[0], np.cumsum(lengths)]),
+            affect=rng.uniform(0.0, 0.5, size=(config.n_segments, N_FEATURES))))
+    want = ref.batch_logits(model, examples)
+    for rows in (tnn.ROWS, 1):
+        monkeypatch.setattr(tnn, "ROWS", rows)
+        logits = model.batch_logits(tz.Tape(), examples, training=False, rng=None).value
+        assert max_relative_error(logits, want) < 1e-12, rows
