@@ -145,8 +145,11 @@ def segment_offsets(lengths, n_segments: int, max_seg_len: int) -> np.ndarray:
     tokens and cut into chunks of ceil(L'/N) tokens; trailing chunks may be
     shorter or empty.
     """
-    if n_segments < 1 or max_seg_len < 1:
-        raise UsageError("n_segments and max_seg_len must be >= 1")
+    # as many int64 offsets, or a segment of as many int64 ids, as an array can hold
+    most = np.iinfo(np.intp).max // 8 - 1
+    if not (1 <= n_segments <= most and 1 <= max_seg_len <= most):
+        raise UsageError(f"n_segments and max_seg_len must be between 1 and {most}, "
+                         f"got {n_segments} and {max_seg_len}")
     lengths = np.asarray(lengths, dtype=np.int64)
     # no longer than the longest document either, so a huge cap fits int64
     kept = np.minimum(lengths, min(n_segments * max_seg_len, lengths.max(initial=0)))

@@ -19,6 +19,7 @@ single document is a batch of one.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -30,6 +31,14 @@ from .lexicon import N_FEATURES
 MODES = ("full", "topic_only", "affect_only")
 SIZES = ("n_segments", "vocab_size", "max_seg_len", "embed_dim", "cnn_filter_count", "pool_size",
          "topic_dense_dim", "gru_units", "fused_dense_dim", "final_dense_dim")
+
+
+def _whole(value) -> bool:
+    """Whether a size is a whole number >= 1. int() cannot take an infinite
+    or NaN float, and json reads Infinity and NaN as floats."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return False
+    return int(value) == value and value >= 1
 
 
 @dataclass
@@ -75,11 +84,10 @@ class FakeFlowConfig:
             )
         for name in SIZES:
             value = getattr(self, name)
-            if int(value) != value or value < 1:
+            if not _whole(value):
                 raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
         widths = self.cnn_filter_widths
-        if (not widths or any(int(w) != w or w < 1 for w in widths)
-                or len(set(widths)) != len(widths)):
+        if not widths or not all(_whole(w) for w in widths) or len(set(widths)) != len(widths):
             raise ConfigError(f"cnn_filter_widths must be distinct integers >= 1, got {widths}")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ConfigError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
@@ -89,6 +97,12 @@ class FakeFlowConfig:
             raise ConfigError(f"unknown optimizer {self.optimizer!r}")
         if len(self.classes) < 2 or len(set(self.classes)) != len(self.classes):
             raise ConfigError(f"need at least 2 distinct classes, got {self.classes}")
+        # before any draw: numpy refuses such a shape with a ValueError, not a MemoryError
+        most = np.iinfo(np.intp).max // np.dtype(tz.DTYPE).itemsize
+        for name, shape in parameter_shapes(self).items():
+            if math.prod(int(n) for n in shape) > most:
+                raise ConfigError(f"parameter {name!r} of shape {shape} is larger than "
+                                  f"an array can be")
 
     def to_json(self) -> dict:
         payload = asdict(self)
@@ -177,8 +191,8 @@ def context_self_attention(v_fc, w1, w2, b_att, v_att):
     each row of the score matrix is softmaxed and the weights mix the
     v_fc rows into context vectors. Returns (l_t, weights).
     """
-    queries = tz.linear(v_fc, w1)
-    keys = tz.linear(v_fc, w2)
+    queries = tz.dense(v_fc, w1)
+    keys = tz.dense(v_fc, w2)
     scores = tz.additive_pair_scores(queries, keys, b_att, v_att)
     weights = tz.softmax(scores)
     contexts = tz.bmatmul(weights, v_fc)
@@ -433,7 +447,7 @@ class FakeFlowModel:
         softmax gives the class probabilities; returns (v_final, logits)."""
         dropped = tz.dropout(v_compact, self.config.dropout_rate, training, rng)
         v_final = tz.dense(dropped, self.out_w, self.out_b, self.config.activation)
-        return v_final, tz.add_bias(tz.linear(v_final, self.cls_w), self.cls_b)
+        return v_final, tz.dense(v_final, self.cls_w, self.cls_b)
 
     # ------------------------------------------------------------------
     # forward

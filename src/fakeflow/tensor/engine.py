@@ -17,6 +17,11 @@ first Tensor input and reads each Parameter input onto that tape with
 tape.read. No Tensor input, an input that is neither, a dead tape or
 Tensors of two tapes are a UsageError.
 
+A dense layer is one op: dense(x, w, b, act) computes act(x @ w.T + b)
+and checks the pre-activation before the activation can saturate an
+overflow away. Each activation in ACTIVATIONS is a value and a slope; the
+slope is computed only in the VJP, so inference never pays for it.
+
 Leading batch axes: ops documented with a core shape (e.g. ``(..., D)``)
 accept any number of leading axes and treat them as independent instances.
 
@@ -273,42 +278,6 @@ def mul(a, b) -> Tensor:
     return _record(tape, av * bv, (a, b), lambda g: (g * bv, g * av), "mul")
 
 
-def add_bias(x, b) -> Tensor:
-    """x + b where b is a vector applied along the last axis of x."""
-    tape, (x, b) = _on_tape(x, b)
-    if b.value.ndim != 1 or x.value.shape[-1] != b.value.shape[0]:
-        raise ShapeError(
-            f"add_bias: x last dim {x.value.shape} incompatible with bias {b.value.shape}"
-        )
-
-    def vjp(g):
-        axes = tuple(range(g.ndim - 1))
-        return g, g.sum(axis=axes) if axes else g.copy()
-
-    return _record(tape, x.value + b.value, (x, b), vjp, "add_bias")
-
-
-def linear(x, w) -> Tensor:
-    """x @ w.T with w of shape (D_out, D_in); x is (..., D_in)."""
-    tape, (x, w) = _on_tape(x, w)
-    if w.value.ndim != 2:
-        raise ShapeError(f"linear: weight must be 2-D, got {w.value.shape}")
-    if x.value.ndim < 1 or x.value.shape[-1] != w.value.shape[1]:
-        raise ShapeError(
-            f"linear: x shape {x.value.shape} incompatible with weight {w.value.shape}"
-        )
-    xv, wv = x.value, w.value
-
-    def vjp(g):
-        gx = g @ wv
-        g2 = g.reshape(-1, wv.shape[0])
-        x2 = xv.reshape(-1, wv.shape[1])
-        gw = g2.T @ x2
-        return gx, gw
-
-    return _record(tape, xv @ wv.T, (x, w), vjp, "linear")
-
-
 def bmatmul(a, b) -> Tensor:
     """Stacked matrix product: (..., M, K) @ (..., K, P), leading axes equal."""
     tape, (a, b) = _on_tape(a, b)
@@ -377,7 +346,7 @@ def mean_all(x) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# elementwise nonlinearities
+# activations and the dense layer
 
 SELU_LAMBDA = 1.0507009873554804934193349852946
 SELU_ALPHA = 1.6732632423543772848170429916717
@@ -391,58 +360,58 @@ def sigmoid_array(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return np.divide(np.where(v >= 0, 1.0, e), 1.0 + e, out=out)
 
 
-def tanh(x) -> Tensor:
-    tape, (x,) = _on_tape(x)
-    out = np.tanh(x.value)
-    return _record(tape, out, (x,), lambda g: (g * (1.0 - out * out),), "tanh")
+def _elu_exp(v: np.ndarray) -> np.ndarray:
+    return np.exp(np.minimum(v, 0.0))
 
 
-def relu(x) -> Tensor:
-    tape, (x,) = _on_tape(x)
-    v = x.value
-    out = np.maximum(v, 0.0)
-    return _record(tape, out, (x,), lambda g: (g * (v > 0.0),), "relu")
-
-
-def elu(x) -> Tensor:
-    """ELU with alpha = 1."""
-    tape, (x,) = _on_tape(x)
-    v = x.value
-    neg = v <= 0.0
-    ev = np.exp(np.minimum(v, 0.0))
-    out = np.where(neg, ev - 1.0, v)
-    dv = np.where(neg, ev, 1.0)
-    return _record(tape, out, (x,), lambda g: (g * dv,), "elu")
-
-
-def selu(x) -> Tensor:
-    """Self-normalizing ELU with the standard (lambda, alpha) constants."""
-    tape, (x,) = _on_tape(x)
-    v = x.value
-    neg = v <= 0.0
-    ev = np.exp(np.minimum(v, 0.0))
-    out = SELU_LAMBDA * np.where(neg, SELU_ALPHA * (ev - 1.0), v)
-    dv = SELU_LAMBDA * np.where(neg, SELU_ALPHA * ev, 1.0)
-    return _record(tape, out, (x,), lambda g: (g * dv,), "selu")
-
-
-def identity(x) -> Tensor:
-    return x
-
-
+# name -> (value(pre), slope(pre, out)), or None for the identity; a slope
+# is computed only in a VJP. ELU has alpha = 1, SELU the standard constants.
 ACTIVATIONS = {
-    "relu": relu,
-    "tanh": tanh,
-    "elu": elu,
-    "selu": selu,
-    "identity": identity,
+    "relu": (lambda v: np.maximum(v, 0.0), lambda v, out: v > 0.0),
+    "tanh": (np.tanh, lambda v, out: 1.0 - out * out),
+    "elu": (lambda v: np.where(v <= 0.0, _elu_exp(v) - 1.0, v),
+            lambda v, out: np.where(v <= 0.0, _elu_exp(v), 1.0)),
+    "selu": (lambda v: SELU_LAMBDA * np.where(v <= 0.0, SELU_ALPHA * (_elu_exp(v) - 1.0), v),
+             lambda v, out: SELU_LAMBDA * np.where(v <= 0.0, SELU_ALPHA * _elu_exp(v), 1.0)),
+    "identity": None,
 }
 
 
-def activation(name: str):
-    try:
-        return ACTIVATIONS[name]
-    except KeyError:
-        raise UsageError(
-            f"unknown activation {name!r}; choose from {sorted(ACTIVATIONS)}"
-        ) from None
+def tanh(x) -> Tensor:
+    tape, (x,) = _on_tape(x)
+    value, slope = ACTIVATIONS["tanh"]
+    v = x.value
+    out = value(v)
+    return _record(tape, out, (x,), lambda g: (g * slope(v, out),), "tanh")
+
+
+def dense(x, w, b=None, act: str = "identity") -> Tensor:
+    """Fully connected layer act(x @ w.T + b) as one op: x is (..., D_in),
+    w (D_out, D_in) and b, when given, (D_out,). The pre-activation is
+    checked for non-finite values before the activation, which could
+    saturate them away (tanh(inf) is 1)."""
+    if act not in ACTIVATIONS:
+        raise UsageError(f"unknown activation {act!r}; choose from {sorted(ACTIVATIONS)}")
+    tape, inputs = _on_tape(x, w, *([] if b is None else [b]))
+    xv, wv = inputs[0].value, inputs[1].value
+    bv = None if b is None else inputs[2].value
+    if (wv.ndim != 2 or xv.ndim < 1 or xv.shape[-1] != wv.shape[1]
+            or (bv is not None and bv.shape != wv.shape[:1])):
+        raise ShapeError(f"dense: x {xv.shape}, weight {wv.shape} and bias "
+                         f"{None if bv is None else bv.shape} do not conform")
+    pre = xv @ wv.T
+    if bv is not None:
+        pre = pre + bv
+    _check_finite(pre, "dense")
+    activation = ACTIVATIONS[act]
+    out = pre if activation is None else activation[0](pre)
+
+    def vjp(g):
+        gz = g if activation is None else g * activation[1](pre, out)
+        gw = gz.reshape(-1, wv.shape[0]).T @ xv.reshape(-1, wv.shape[1])
+        grads = [gz @ wv, gw]
+        if bv is not None:
+            grads.append(gz.sum(axis=tuple(range(gz.ndim - 1))))
+        return grads
+
+    return _record(tape, out, inputs, vjp, "dense")

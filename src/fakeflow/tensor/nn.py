@@ -1,9 +1,9 @@
 """Differentiable layers built on the engine primitives.
 
-Fused ops (conv1d, pooling, embedding lookup, the topic branch's
-embedding-convolution-max, pairwise attention scores, the
-bidirectional GRU) carry hand-derived backward rules; dense is wired from
-engine primitives so its gradient comes for free. No op copies a
+Each layer is one fused op with a hand-derived backward rule: conv1d,
+pooling, embedding lookup, the topic branch's
+embedding-convolution-max, pairwise attention scores and the
+bidirectional GRU here, the dense layer in the engine. No op copies a
 sliding-window view: conv1d sums one matrix product per filter tap over
 shifted row slices of its input. embedding_conv_max runs the lookup, every
 filter width and the per-segment max as one op over the filters of every
@@ -20,7 +20,14 @@ ops in the same order in any block, so the bits do not depend on ROWS.
 The op's large scratch arrays come from a per-thread workspace
 (_Workspace) that keeps each between calls, grown to the largest call
 the thread has run, so they are not faulted in again on every call; only
-arrays that no VJP reads after it returns come from it.
+arrays that no VJP reads after it returns come from it. Its np.take calls
+that write into an `out` pass mode="clip" (every index is in range by
+construction): in the default mode numpy gathers into a temporary of
+`out`'s size first. Its VJP writes the table rows' gradient into the rows
+its forward gathered, which nothing reads after it. Without these two, a
+topic training step's heap rose to within about 100 KB of glibc's trim
+threshold, so a small change in what a step allocates could make every
+step give pages back and fault them in again.
 additive_pair_scores' VJP works in place: it turns its forward's hidden
 array into 1 - hidden^2, as a tape is backpropagated once, and takes its
 (..., N, N, d) product from the workspace's "windows" role, which only
@@ -39,7 +46,6 @@ import threading
 import numpy as np
 
 from ..errors import ShapeError, UsageError
-from . import engine
 from .engine import (
     DTYPE,
     Parameter,
@@ -48,7 +54,6 @@ from .engine import (
     _check_finite,
     _on_tape,
     _record,
-    activation,
     sigmoid_array,
 )
 
@@ -339,7 +344,7 @@ def embedding_conv_max(ids, table, taps, bias, widths, lengths) -> Tensor:
     begin = np.cumsum(n_rows) - n_rows
     room = np.repeat(begin + n_rows, n_rows) - np.arange(len(ids))  # tokens left in the segment
     padded = np.zeros(len(ids) + max(widths) - 1, dtype=np.intp)
-    np.take(index, ids, out=padded[: len(ids)])
+    np.take(index, ids, out=padded[: len(ids)], mode="clip")
     under = [padded[i : i + len(ids)] for i in range(max(widths))]  # the type under tap i
     n_live, n_windows = len(n_rows), len(ids)
     windows = _workspace.take("windows", (count, n_windows))  # one width's
@@ -396,28 +401,26 @@ def embedding_conv_max(ids, table, taps, bias, widths, lengths) -> Tensor:
         # the windows' and spare's for the (n_resp, n_live) gathers
         n_resp = len(tap)
         at = _workspace.take("spare", (n_resp, n_live), np.intp)
-        np.take(max_at, out_col, axis=0, out=at)
+        np.take(max_at, out_col, axis=0, out=at, mode="clip")
         at += tap[:, None]
         under_max = _workspace.take("windows", at.shape, np.intp)
         np.take(padded, at, out=under_max, mode="clip")
         under_max *= n_resp
         under_max += np.arange(n_resp)[:, None]
         weights = _workspace.take("spare", at.shape)
-        np.take(g_live.T, out_col, axis=0, out=weights)
+        np.take(g_live.T, out_col, axis=0, out=weights, mode="clip")
         g_response = _workspace.take("response", (len(types), n_resp))
         g_response.fill(0.0)
         np.add.at(g_response.reshape(-1), under_max.reshape(-1), weights.reshape(-1))
         g_taps = (g_response.T @ rows_of_types).reshape(shape)
         # summed width by width: one sum over every column rounds differently
         g_bias = np.concatenate([g_live[:, o : o + count].sum(axis=0) for o in firsts])
-        return ([] if frozen else [RowGradient(types, g_response @ w_all)]) + [g_taps, g_bias]
+        if frozen:
+            return [g_taps, g_bias]
+        # the rows' gradient goes into the gathered rows, dead after this VJP
+        return [RowGradient(types, np.matmul(g_response, w_all, out=rows_of_types)), g_taps, g_bias]
 
     return _record(tape, out.reshape(lengths.shape + (n_out,)), inputs, vjp, "embedding_conv_max")
-
-
-def dense(x, w, b, act: str = "identity") -> Tensor:
-    """Fully connected layer: act(x @ w.T + b)."""
-    return activation(act)(engine.add_bias(engine.linear(x, w), b))
 
 
 def softmax_array(v: np.ndarray) -> np.ndarray:

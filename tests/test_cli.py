@@ -232,8 +232,8 @@ class TestExitCodes:
         assert err.count("\n") == 1
 
     @pytest.mark.parametrize("command, flag", [
-        ("train", "--embed-dim"), ("train", "--gru-units"), ("train", "--filter-count"),
-        ("train", "--topic-dim"), ("search", "--embed-dim"),
+        ("train", "--embed-dim"), ("train", "--filter-count"),
+        ("train", "--topic-dim"),
     ])
     def test_a_size_too_large_to_allocate_exits_2(self, tmp_path, capsys, command, flag):
         # 10^15 makes arrays of petabytes, beyond the address space, so numpy
@@ -245,6 +245,45 @@ class TestExitCodes:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {command}: out of memory: Unable to allocate")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, flag, size, name", [
+        ("train", "--embed-dim", 10**19, "embedding"),
+        ("train", "--embed-dim", 10**17, "embedding"),
+        ("train", "--filter-count", 10**19, "conv_taps"),
+        ("train", "--filter-count", 10**17, "conv_taps"),
+        ("train", "--filter-widths", 10**19, "conv_taps"),
+        ("train", "--gru-units", 10**19, "fuse_dense_w"),
+        ("train", "--gru-units", 10**15, "att_w1"),
+        ("train", "--topic-dim", 10**19, "topic_dense_w"),
+        ("search", "--embed-dim", 10**15, "conv_taps"),
+    ], ids=lambda v: f"1e{len(str(v)) - 1}" if isinstance(v, int) else v)
+    def test_a_size_no_array_can_hold_exits_2_naming_the_parameter(self, tmp_path, capsys,
+                                                                    command, flag, size, name):
+        # refused by the config before anything is drawn: numpy would raise
+        # ValueError (a dimension past int64, or past its largest array)
+        manifest = write_lexicon_fixture(tmp_path)
+        code = main([command, "--corpus", str(write_flow_corpus(tmp_path)),
+                     "--lexicons", str(manifest), "--out", str(tmp_path / "out")]
+                    + TRAIN_FLAGS + [flag, str(size)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: parameter {name!r} of shape (")
+        assert err.endswith(" is larger than an array can be\n")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["extract-features", "analyze"])
+    @pytest.mark.parametrize("flag", ["--n-segments", "--max-seg-len"])
+    def test_a_segment_size_past_int64_is_usage_error(self, tmp_path, capsys, command, flag):
+        manifest = write_lexicon_fixture(tmp_path)
+        code = main([command, "--corpus", str(write_flow_corpus(tmp_path)),
+                     "--lexicons", str(manifest), "--out", str(tmp_path / "out"),
+                     flag, str(10**19)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: n_segments and max_seg_len must be between 1 and ")
         assert err.count("\n") == 1 and "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
@@ -461,6 +500,28 @@ class TestLoadedModelErrors:
         assert err.startswith(f"error: checkpoint {bad} has parameter '{name}' of shape ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("field, value", [
+        ("embed_dim", float("inf")), ("vocab_size", float("-inf")), ("n_segments", float("nan")),
+        ("cnn_filter_widths", [3, float("inf")]),
+    ], ids=["embed_dim-inf", "vocab_size--inf", "n_segments-nan", "widths-inf"])
+    def test_non_finite_size_in_the_checkpoint_exits_2(self, trained, tmp_path, capsys,
+                                                        field, value):
+        # json reads Infinity and NaN as floats, which int() cannot take
+        manifest, corpus, out = trained
+        config, arrays = tz.load_checkpoint(out / "checkpoint.bin")
+        bad = tmp_path / "bad.bin"
+        tz.save_checkpoint(bad, [tz.Parameter(n, a) for n, a in arrays.items()],
+                           config={**config, field: value})
+        capsys.readouterr()
+        code = main(["evaluate", "--checkpoint", str(bad), "--vocab", str(out / "vocab.json"),
+                     "--corpus", str(corpus), "--lexicons", str(manifest),
+                     "--out", str(tmp_path / "scored")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {field} must be ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not (tmp_path / "scored").exists()
+
     def test_evaluate_checkpoint_with_repeated_classes_exits_2(self, trained, tmp_path, capsys):
         manifest, corpus, out = trained
         config, arrays = tz.load_checkpoint(out / "checkpoint.bin")
@@ -486,7 +547,7 @@ class TestLoadedModelErrors:
                          "--lexicons", str(manifest), "--out", str(tmp_path / "scored")])
         assert code == 2
         err = capsys.readouterr().err.strip().splitlines()
-        assert err[-1].startswith("error: op 'linear' produced non-finite values in documents ")
+        assert err[-1].startswith("error: op 'dense' produced non-finite values in documents ")
         assert f"'{first}'" in err[-1] and "(16 in the batch)" in err[-1]
 
     def test_attention_unknown_doc_id_is_usage_error(self, trained, tmp_path, capsys):

@@ -1,3 +1,4 @@
+import ast
 import gc
 import math
 import os
@@ -8,6 +9,7 @@ import time
 import tracemalloc
 import weakref
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -103,10 +105,10 @@ class TestForwardExamples:
         out = tz.dense(x, w, b, "tanh")
         assert np.allclose(out.value, np.tanh([0.0, 0.5, -0.5]))
 
-    def test_relu_values_and_gradient(self):
+    def test_dense_relu_values_and_gradient(self):
         tape = tz.Tape()
         x = tape.constant(np.array([-1.0, 2.0]))
-        out = tz.relu(x)
+        out = tz.dense(x, tz.Parameter("w", np.eye(2)), act="relu")
         assert out.value.tolist() == [0.0, 2.0]
         loss = tz.mean_all(out)
         tz.backward(tape, loss)
@@ -217,16 +219,12 @@ class TestParameter:
 # every recording op, called on inputs of valid shapes that make(shape) gives
 _OP_CALLS = {
     "mul": lambda make: tz.mul(make((2, 3)), make((2, 3))),
-    "add_bias": lambda make: tz.add_bias(make((2, 3)), make((3,))),
-    "linear": lambda make: tz.linear(make((2, 3)), make((4, 3))),
+    "dense": lambda make: tz.dense(make((2, 3)), make((4, 3)), make((4,)), "relu"),
     "bmatmul": lambda make: tz.bmatmul(make((2, 2, 3)), make((2, 3, 4))),
     "concat": lambda make: tz.concat([make((2, 3)), make((2, 1))]),
     "mean_axis": lambda make: tz.mean_axis(make((2, 3)), -1),
     "mean_all": lambda make: tz.mean_all(make((2, 3))),
     "tanh": lambda make: tz.tanh(make((2, 3))),
-    "relu": lambda make: tz.relu(make((2, 3))),
-    "elu": lambda make: tz.elu(make((2, 3))),
-    "selu": lambda make: tz.selu(make((2, 3))),
     "embedding_lookup": lambda make: tz.embedding_lookup(np.array([0, 2]), make((4, 3))),
     "conv1d": lambda make: tz.conv1d(make((5, 3)), make((2, 2, 3)), make((2,))),
     "maxpool1d": lambda make: tz.maxpool1d(make((4, 3)), 2),
@@ -261,12 +259,12 @@ class TestTapeMechanics:
         tz.backward(tape, loss)
         assert np.all(w.grad == 0.0)
 
-    def test_linear_matmul_gradient_analytic(self):
+    def test_dense_matmul_gradient_analytic(self):
         # loss = sum(Wx): dW = x broadcast to each row
         w = tz.Parameter("w", np.array([[1.0, 2.0], [3.0, 4.0]]))
         tape = tz.Tape()
         x = tape.constant(np.array([5.0, 7.0]))
-        out = tz.linear(x, w)
+        out = tz.dense(x, w)
         loss = tz.mul(tz.mean_all(out), tape.constant(out.value.size))
         tz.backward(tape, loss)
         assert w.grad.tolist() == [[5.0, 7.0], [5.0, 7.0]]
@@ -325,7 +323,7 @@ class TestTapeMechanics:
     def test_dropped_tape_is_freed_without_the_cycle_collector(self):
         w = tz.Parameter("w", np.ones((3, 3)))
         tape = tz.Tape()
-        out = tz.linear(tape.constant(np.ones((2, 3))), w)
+        out = tz.dense(tape.constant(np.ones((2, 3))), w)
         tz.backward(tape, tz.mean_all(out))
         alive = weakref.ref(tape)
         gc.disable()
@@ -335,7 +333,7 @@ class TestTapeMechanics:
         finally:
             gc.enable()
         with pytest.raises(UsageError):
-            tz.relu(out)
+            tz.tanh(out)
 
     @pytest.mark.parametrize("op", sorted(_OP_CALLS))
     @pytest.mark.parametrize("kind", ["parameter", "array"])
@@ -354,6 +352,17 @@ class TestTapeMechanics:
         with pytest.raises(UsageError):
             _OP_CALLS[op](make)
         assert len(tape) == recorded
+
+    def test_the_op_table_names_every_recording_op(self):
+        # so every op is held to the input-binding checks above
+        recorded = []
+        for path in sorted(Path(engine.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_record":
+                    op = node.args[-1]
+                    assert isinstance(op, ast.Constant) and isinstance(op.value, str), path.name
+                    recorded.append(op.value)
+        assert sorted(recorded) == sorted(_OP_CALLS)
 
     @pytest.mark.parametrize("case", ["concat", "conv1d", "additive_pair_scores", "mul"])
     def test_a_parameter_reads_onto_the_tape_in_any_position(self, case):
@@ -407,6 +416,93 @@ class TestTapeMechanics:
         out = tz.softmax(tape.constant(rng.normal(scale=5.0, size=(n, n))))
         assert np.all(out.value > 0.0)
         assert np.max(np.abs(out.value.sum(axis=-1) - 1.0)) < 1e-12
+
+
+def _three_ops(xv, wv, bv, act, g):
+    """The output and the x, w and b gradients of the linear -> add_bias ->
+    activation ops that dense replaced, as they computed them, with the
+    +0.0 that backward added to each gradient between two of them."""
+    v = xv @ wv.T
+    if bv is not None:
+        v = v + bv
+    neg = v <= 0.0
+    ev = np.exp(np.minimum(v, 0.0))
+    lam, alpha = engine.SELU_LAMBDA, engine.SELU_ALPHA
+    out, slope = {
+        "relu": lambda: (np.maximum(v, 0.0), v > 0.0),
+        "tanh": lambda: (np.tanh(v), None),
+        "elu": lambda: (np.where(neg, ev - 1.0, v), np.where(neg, ev, 1.0)),
+        "selu": lambda: (lam * np.where(neg, alpha * (ev - 1.0), v),
+                         lam * np.where(neg, alpha * ev, 1.0)),
+        "identity": lambda: (v, None),
+    }[act]()
+    if act == "tanh":
+        g = g * (1.0 - out * out) + 0.0
+    elif act != "identity":
+        g = g * slope + 0.0
+    gb = None
+    if bv is not None:
+        axes = tuple(range(g.ndim - 1))
+        gb = g.sum(axis=axes) if axes else g.copy()
+        g = g + 0.0
+    gx = g @ wv
+    gw = g.reshape(-1, wv.shape[0]).T @ xv.reshape(-1, wv.shape[1])
+    return out, gx, gw, gb
+
+
+class TestDenseOp:
+    @pytest.mark.parametrize("act", sorted(tz.ACTIVATIONS))
+    @pytest.mark.parametrize("bias", [True, False], ids=["bias", "no-bias"])
+    @pytest.mark.parametrize("lead", [(), (7,), (3, 5)], ids=["1d", "2d", "3d"])
+    def test_bytes_equal_the_three_ops_it_replaced(self, act, bias, lead):
+        rng = np.random.default_rng(90)
+        xp = tz.Parameter("x", rng.normal(size=lead + (6,)))
+        w = tz.Parameter("w", rng.normal(size=(4, 6)))
+        b = tz.Parameter("b", rng.normal(size=4)) if bias else None
+        weights = rng.normal(size=lead + (4,))
+        weights.reshape(-1)[::3] = 0.0  # gradients of exactly zero, and of -0.0
+        weights.reshape(-1)[1::5] *= -0.0
+        tape = tz.Tape()
+        out = tz.dense(tape.read(xp), w, b, act)
+        assert len(tape) == 1
+        tz.backward(tape, tz.mean_all(tz.mul(out, tape.constant(weights))))
+        g = (np.full(weights.shape, 1.0 / weights.size) + 0.0) * weights + 0.0
+        want = _three_ops(xp.value, w.value, None if b is None else b.value, act, g)
+        got = [out.value, xp.grad, w.grad, None if b is None else b.grad]
+        for name, a, r in zip(["out", "gx", "gw", "gb"], got, want):
+            if r is not None:  # a gradient that reaches a Parameter lands on +0.0
+                r = r if name == "out" else 0.0 + r
+                assert a.tobytes() == r.tobytes(), name
+        inference = tz.Tape(records=False)
+        assert tz.dense(inference.read(xp), w, b, act).value.tobytes() == out.value.tobytes()
+
+    @pytest.mark.parametrize("act", ["tanh", "relu", "elu"])
+    def test_an_overflowing_pre_activation_is_numerics_error(self, act):
+        # the activation alone would hide it: -1, 0 and -1 at -inf
+        tape = tz.Tape()
+        x = tape.constant(np.full((2, 3), 1e300))
+        w = tz.Parameter("w", np.full((4, 3), -1e300))
+        with np.errstate(over="ignore"), pytest.raises(NumericsError, match="op 'dense'"):
+            tz.dense(x, w, tz.Parameter("b", np.zeros(4)), act)
+        assert len(tape) == 0
+
+    @pytest.mark.parametrize("x, w, b", [
+        ((2, 3), (4, 2), None), ((2, 3), (4, 3, 1), None), ((2, 3), (4, 3), (3,)),
+        ((2, 3), (4, 3), (4, 1)), ((), (4, 3), None),
+    ], ids=["inner", "weight-rank", "bias-length", "bias-rank", "scalar-x"])
+    def test_mismatched_shapes_are_shape_errors(self, x, w, b):
+        tape = tz.Tape()
+        with pytest.raises(ShapeError, match="dense: "):
+            tz.dense(tape.constant(np.ones(x)), tz.Parameter("w", np.ones(w)),
+                     None if b is None else tz.Parameter("b", np.ones(b)), "relu")
+        assert len(tape) == 0
+
+    def test_an_unknown_activation_is_usage_error(self):
+        tape = tz.Tape()
+        with pytest.raises(UsageError, match="unknown activation 'swish'; choose from"):
+            tz.dense(tape.constant(np.ones((2, 3))), tz.Parameter("w", np.ones((4, 3))),
+                     act="swish")
+        assert len(tape) == 0
 
 
 def _relative_error(got, want) -> float:
@@ -1409,7 +1505,7 @@ class TestGradientChecks:
 
         check_gradients(loss, [xp])
 
-    @pytest.mark.parametrize("act", ["relu", "tanh", "elu", "selu"])
+    @pytest.mark.parametrize("act", ["relu", "tanh", "elu", "selu", "identity"])
     def test_dense_activations(self, act):
         rng = np.random.default_rng(3)
         w = tz.Parameter("w", _rand(rng, 4, 5))

@@ -210,7 +210,7 @@ class TestForward:
         example.ids = example.ids[: example.offsets[2]]  # segment 2 empty
         example.offsets[3] = example.offsets[2]
         trace = model.forward(example)
-        expected = np.tanh(model.topic_b.value)  # activation("tanh") of the bias
+        expected = np.tanh(model.topic_b.value)  # the tanh of the bias
         assert np.allclose(trace.v_topic[2], expected, atol=1e-12)
 
     def test_identical_segments_identical_topic_rows(self):
@@ -486,7 +486,7 @@ class TestInferenceTape:
         with np.errstate(over="ignore"), pytest.raises(NumericsError) as info:
             model.predict_proba(edge_batch(cfg, 7, seed=34))
         assert str(info.value) == (
-            "op 'linear' produced non-finite values in documents "
+            "op 'dense' produced non-finite values in documents "
             "'edge', 'd1', 'd2', 'd3', 'd4' and 2 more (7 in the batch)"
         )
         assert isinstance(info.value.__cause__, NumericsError)

@@ -1,6 +1,8 @@
 """FakeFlowModel against the plain-numpy reference in reference_model.py:
 its logits, and every parameter gradient of its loss, on tiny configs of
-every mode, and its logits at the bench's topic sizes and at paper scale."""
+every mode, and its logits at the bench's topic sizes and at paper scale;
+at the bench's topic size, central differences of its own loss check a
+few coordinates of the topic branch's gradients."""
 
 import numpy as np
 import pytest
@@ -113,3 +115,37 @@ def test_logits_match_the_reference_at_real_sizes(monkeypatch, mode, sizes, n_do
         monkeypatch.setattr(tnn, "ROWS", rows)
         logits = model.batch_logits(tz.Tape(), examples, training=False, rng=None).value
         assert max_relative_error(logits, want) < 1e-12, rows
+
+
+def test_topic_gradients_match_central_differences_at_the_bench_size():
+    # a few coordinates of conv_taps, conv_bias and the embedding rows under
+    # a max window, where R and the row gradient are taken in several blocks;
+    # the loss is the model's own, whose logits the test above holds to the
+    # reference at this size
+    config = FakeFlowConfig(mode="topic_only", n_segments=10, vocab_size=2000, max_seg_len=40,
+                            embed_dim=32)
+    model = FakeFlowModel(config, seed=48)
+    rng = np.random.default_rng(48)
+    examples = []
+    for i in range(32):
+        lengths = rng.integers(0, config.max_seg_len + 1, size=config.n_segments)
+        examples.append(Example(
+            doc_id=f"d{i}", ids=rng.integers(0, config.vocab_size, size=lengths.sum()),
+            offsets=np.concatenate([[0], np.cumsum(lengths)]),
+            affect=np.zeros((config.n_segments, N_FEATURES))))
+    gold = rng.integers(0, 2, size=len(examples))
+    tape = tz.Tape()
+    loss, _ = model.batch_loss(tape, examples, gold, training=False, rng=None)
+    tz.backward(tape, loss)
+
+    def loss_value():
+        return float(model.batch_loss(tz.Tape(records=False), examples, gold, training=False,
+                                      rng=None)[0].value)
+
+    for param in (model.conv_taps, model.conv_bias, model.embedding):
+        flat, grad = param.value.reshape(-1), param.grad.reshape(-1)
+        # among the 50 largest gradients, so rounding in the loss stays far below 1e-4
+        coords = rng.choice(np.argsort(-np.abs(grad))[:50], 4, replace=False)
+        numeric = np.concatenate([numeric_gradient(loss_value, flat[i : i + 1]) for i in coords])
+        err = max_relative_error(grad[coords], numeric)
+        assert err < 1e-4, f"{param.name}: rel err {err:.2e}"

@@ -177,7 +177,7 @@ class TestStableLoss:
         with np.errstate(over="ignore"), pytest.raises(NumericsError) as info:
             train(model, examples, examples[:3], cfg)
         message = str(info.value)
-        assert message.startswith("op 'linear' produced non-finite values in documents ")
+        assert message.startswith("op 'dense' produced non-finite values in documents ")
         assert message.endswith(" and 3 more (8 in the batch)")
         assert sum(f"'{e.doc_id}'" in message for e in examples) == 5
         assert isinstance(info.value.__cause__, NumericsError)
