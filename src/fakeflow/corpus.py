@@ -41,6 +41,9 @@ LABELS = ("real", "fake")
 # ASCII punctuation plus the common unicode quotes/dashes seen in news text.
 _BOUNDARY_CHARS = string.punctuation + "‘’“”«»–—…¿¡"
 
+# The most entries the token table holds; reaching it empties the table.
+TOKEN_TABLE_BOUND = 1 << 17
+
 
 @dataclass
 class RawArticle:
@@ -121,17 +124,40 @@ class DomainVerdict:
     supporting_lists: set = field(default_factory=set)
 
 
+class _TokenTable(dict):
+    """Lowercase whitespace piece -> its token, one shared `str` per token
+    value ('' for a piece that is all boundary punctuation)."""
+
+    def __missing__(self, raw: str) -> str:
+        tok = raw.strip(_BOUNDARY_CHARS)
+        if len(tok) != len(raw):
+            tok = self[tok]  # the piece's token, shared with every piece that strips to it
+        if len(self) >= TOKEN_TABLE_BOUND:
+            self.clear()
+        self[raw] = tok
+        return tok
+
+
+_TOKENS = _TokenTable()
+
+
 def tokenize(text: str) -> TokenizedDocument:
     """Lowercase whitespace tokenization with boundary punctuation stripped.
 
     Tokens that are pure punctuation disappear. Raises EmptyDocument if
     nothing is left.
+
+    Each whitespace piece is mapped through one process-wide table keyed on
+    the raw piece, so a piece seen before costs one dict lookup and no
+    strip, and equal tokens come back as one shared `str` object: a
+    tokenized corpus holds one string per distinct token, not one per
+    occurrence. The table empties itself when it reaches TOKEN_TABLE_BOUND
+    entries, so it stays bounded on any input; tokens made after that are
+    equal to, but not the same objects as, those made before. Two threads
+    that miss on the same piece at once, or a forked process, can likewise
+    only make an equal, distinct object, never a different token.
     """
-    tokens = []
-    for raw in text.lower().split():
-        tok = raw.strip(_BOUNDARY_CHARS)
-        if tok:
-            tokens.append(tok)
+    tokens = list(filter(None, map(_TOKENS.__getitem__, text.lower().split())))
     if not tokens:
         raise EmptyDocument("document has no tokens after tokenization")
     return TokenizedDocument(tokens=tokens)

@@ -35,8 +35,9 @@ SIZES = ("n_segments", "vocab_size", "max_seg_len", "embed_dim", "cnn_filter_cou
 
 def _whole(value) -> bool:
     """Whether a size is a whole number >= 1. int() cannot take an infinite
-    or NaN float, and json reads Infinity and NaN as floats."""
-    if isinstance(value, float) and not math.isfinite(value):
+    or NaN float, and json reads Infinity and NaN as floats. A bool is an
+    int to Python, but json's true is no size."""
+    if isinstance(value, bool) or (isinstance(value, float) and not math.isfinite(value)):
         return False
     return int(value) == value and value >= 1
 

@@ -522,6 +522,27 @@ class TestLoadedModelErrors:
         assert err.count("\n") == 1 and "Traceback" not in err
         assert not (tmp_path / "scored").exists()
 
+    @pytest.mark.parametrize("field, value", [
+        ("embed_dim", True), ("cnn_filter_count", False), ("cnn_filter_widths", [True, 4, 5]),
+    ], ids=["embed_dim-true", "filter_count-false", "widths-true"])
+    def test_boolean_size_in_the_checkpoint_exits_2(self, trained, tmp_path, capsys,
+                                                   field, value):
+        # bool is an int to Python, so true would otherwise read as a size of 1
+        manifest, corpus, out = trained
+        config, arrays = tz.load_checkpoint(out / "checkpoint.bin")
+        bad = tmp_path / "bad.bin"
+        tz.save_checkpoint(bad, [tz.Parameter(n, a) for n, a in arrays.items()],
+                           config={**config, field: value})
+        capsys.readouterr()
+        code = main(["evaluate", "--checkpoint", str(bad), "--vocab", str(out / "vocab.json"),
+                     "--corpus", str(corpus), "--lexicons", str(manifest),
+                     "--out", str(tmp_path / "scored")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {field} must be ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not (tmp_path / "scored").exists()
+
     def test_evaluate_checkpoint_with_repeated_classes_exits_2(self, trained, tmp_path, capsys):
         manifest, corpus, out = trained
         config, arrays = tz.load_checkpoint(out / "checkpoint.bin")

@@ -1,5 +1,9 @@
 import json
+import string
+import sys
+import threading
 from collections import Counter
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -7,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import json_values, segment_tokens
+from fakeflow import corpus
 from fakeflow.corpus import (
     DomainVerdict,
     RawArticle,
@@ -34,6 +39,36 @@ from fakeflow.errors import (
 )
 
 
+_BOUNDARY = string.punctuation + "‘’“”«»–—…¿¡"
+
+
+def _loop_tokens(text):
+    """tokenize's tokens as its earlier per-token loop made them."""
+    tokens = []
+    for raw in text.lower().split():
+        tok = raw.strip(_BOUNDARY)
+        if tok:
+            tokens.append(tok)
+    return tokens
+
+
+_WORDS = st.one_of(
+    st.sampled_from(["the", "Wolf", "ATTACKS", "don't", "stop-me", "naïve", "Straße", "İstanbul",
+                     "ǅemal", "u.s.a", "₂", "2016"]),
+    st.text(alphabet="aZéÉßİσΣ0'-.,", min_size=1, max_size=6),  # mixed case, inner marks
+)
+_PIECES = st.one_of(
+    _WORDS,
+    st.text(alphabet=_BOUNDARY, min_size=1, max_size=3),
+    st.tuples(st.text(alphabet=_BOUNDARY, max_size=3), _WORDS,
+              st.text(alphabet=_BOUNDARY, max_size=3)).map("".join),
+)
+_SPACES = st.text(alphabet=" \t\n\r\x0b\x0c\x1c\x85\xa0\u2003\u3000", min_size=1, max_size=3)
+_TEXTS = st.tuples(st.text(alphabet=" \t\n", max_size=2),
+                   st.lists(st.tuples(_PIECES, _SPACES).map("".join), max_size=25),
+                   ).map(lambda parts: parts[0] + "".join(parts[1]))
+
+
 class TestTokenize:
     def test_lowercase_split_and_boundary_punctuation(self):
         doc = tokenize("The WOLF attacks!")
@@ -57,6 +92,73 @@ class TestTokenize:
     def test_empty_after_tokenization(self):
         with pytest.raises(EmptyDocument):
             tokenize("!!! ... ---")
+
+    @settings(max_examples=300, deadline=None)
+    @given(_TEXTS)
+    def test_equals_the_per_token_loop(self, text):
+        expected = _loop_tokens(text)
+        if not expected:
+            with pytest.raises(EmptyDocument):
+                tokenize(text)
+        else:
+            assert tokenize(text).tokens == expected
+
+    def test_equal_tokens_are_one_object(self):
+        with patch.object(corpus, "_TOKENS", corpus._TokenTable()):
+            first = tokenize("The wolf, the WOLF! wolf... «the» (wolf)")
+            second = tokenize("wolf THE wolf")
+            third = tokenize("“The” Wolf")
+        # within a document, across documents and across calls
+        shared = {}
+        for tok in first.tokens + second.tokens + third.tokens:
+            assert shared.setdefault(tok, tok) is tok
+        assert sorted(shared) == ["the", "wolf"]
+
+    def test_table_stays_within_its_bound(self):
+        class Watched(corpus._TokenTable):
+            most = 0
+
+            def __setitem__(self, raw, tok):
+                super().__setitem__(raw, tok)
+                self.most = max(self.most, len(self))
+
+        words = [f"{pre}Word{i}{post}" for i in range(300)
+                 for pre, post in (("", ""), ("(", "),"), ("", "..."))]
+        text = " ".join(words)
+        with patch.object(corpus, "TOKEN_TABLE_BOUND", 8), \
+                patch.object(corpus, "_TOKENS", Watched()) as table:
+            assert tokenize(text).tokens == _loop_tokens(text)
+            for word in words:
+                assert tokenize(word).tokens == _loop_tokens(word)
+                assert len(table) <= 8
+        assert table.most == 8
+
+    def test_threads_get_the_serial_tokens(self):
+        texts = [" ".join(f"“Tok{(i * 7 + j) % 500}”, w{j}!" for j in range(60))
+                 for i in range(40)]
+        expected = [_loop_tokens(text) for text in texts]
+        results = [None] * 4
+        start = threading.Barrier(len(results))
+
+        def work(k):
+            start.wait(timeout=60)
+            results[k] = [tokenize(text).tokens for text in texts]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # hand the interpreter lock over as often as it can
+        try:
+            # a small bound, so the threads also empty the table under each other
+            with patch.object(corpus, "TOKEN_TABLE_BOUND", 64), \
+                    patch.object(corpus, "_TOKENS", corpus._TokenTable()):
+                threads = [threading.Thread(target=work, args=(k,)) for k in range(len(results))]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                    assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [expected] * len(results)
 
 
 class TestSegment:

@@ -456,6 +456,38 @@ class TestBatchedPreparation:
         assert peak <= 20e6
 
 
+class TestHeldTokens:
+    def test_a_tokenized_zipf_corpus_holds_one_string_per_token_value(self):
+        # tokenized in 32-document blocks, as the CLI and the bench do
+        rng = np.random.default_rng(3)
+        words = [f"t{i}" for i in range(3_000)]
+        decorations = ("{}", "{},", "“{}”", "({}).", "{}'s")
+        articles = []
+        for i, n in enumerate(rng.integers(20, 400, 200)):
+            ranks = np.minimum(rng.zipf(1.2, n), len(words)) - 1
+            pieces = [decorations[k].format(words[r].upper() if k == 2 else words[r])
+                      for r, k in zip(ranks.tolist(), rng.integers(0, 5, n).tolist())]
+            articles.append(RawArticle(id=f"d{i}", text=" ".join(pieces), label="real"))
+        with patch.object(corpus, "_TOKENS", corpus._TokenTable()):
+            docs = [doc for start in range(0, len(articles), 32)
+                    for doc in tokenize_articles(articles[start:start + 32])]
+        held = [tok for _, doc, _ in docs for tok in doc.tokens]
+        assert len({id(tok) for tok in held}) == len(set(held)) < len(held) // 10
+
+        lex = build_lexicon_set(
+            emotions={c: set(words[i::12]) for i, c in enumerate(EMOTION_CATEGORIES)},
+            imageability={w: 0.5 for w in words[::13]},
+        )
+        vocab = build_vocabulary([doc for _, doc, _ in docs], min_count=2)
+        examples = prepare_examples(docs, vocab, lex, 10, 25)
+        assert len(examples) == len(docs) == 200
+        for e, (_, doc, _) in zip(examples, docs):
+            seg = segment(doc, 10, 25)
+            assert e.ids.tobytes() == encode(seg, vocab).tobytes()
+            assert e.offsets.tobytes() == seg.offsets.tobytes()
+            assert e.affect.tobytes() == extract_affect(seg, lex).values.tobytes()
+
+
 class TestFrozenEmbeddings:
     def test_embedding_table_unchanged_when_frozen(self):
         examples, vocab, _ = _flow_examples(16)
