@@ -467,6 +467,8 @@ def cmd_attention(args, out: _Out) -> tuple[str, dict]:
     model, vocab = _load_model_and_vocab(args)
     lex = _load_lexicons(args)
     articles = corpus_mod.load_corpus(args.corpus)
+    if not articles:
+        raise UsageError(f"corpus {args.corpus} has no articles")
     wanted = [a for a in articles if a.id == args.doc_id] if args.doc_id else articles[:1]
     if not wanted:
         raise UsageError(f"document id {args.doc_id!r} not found in {args.corpus}")

@@ -126,7 +126,9 @@ class FakeFlowConfig:
 class Example:
     """One prepared document: its token ids, the N + 1 segment boundaries
     into them (segment i is ids[offsets[i]:offsets[i + 1]]), and its affect
-    matrix."""
+    matrix. The topic branch reads ids and offsets, the flow reads affect:
+    "full" reads all three, "topic_only" never reads affect and
+    "affect_only" never reads ids or offsets."""
 
     doc_id: str
     ids: np.ndarray  # (offsets[-1],) int64
@@ -359,69 +361,25 @@ class FakeFlowModel:
     # ------------------------------------------------------------------
     # branches
 
-    def topic_branch(self, tape, examples: list[Example]):
+    def topic_branch(self, tape, ids: np.ndarray, lengths: np.ndarray):
         """CNN topic vectors of every segment of a batch: (B, N, topic_dense_dim).
 
-        The batch's ids are concatenated into one sequence, and one
-        embedding_conv_max takes, for every filter width, each segment's max
-        over the convolution windows that lie inside it; windows that
-        straddle two segments are never read. It takes every width's filters
-        as the one conv_taps array, multiplies each distinct id's embedding
-        by them once, and its backward reaches only each segment's max
-        window. A segment shorter than a filter width contributes zeros for
-        that width, so an empty segment's topic row is the activated dense
-        bias.
+        The batch's ids come concatenated, with its (B, N) segment lengths,
+        as `_batch` joins them. One embedding_conv_max takes, for every filter
+        width, each segment's max over the convolution windows that lie
+        inside it; windows that straddle two segments are never read. It
+        takes every width's filters as the one conv_taps array, multiplies
+        each distinct id's embedding by them once, and its backward reaches
+        only each segment's max window. A segment shorter than a filter width
+        contributes zeros for that width, so an empty segment's topic row is
+        the activated dense bias.
         """
         c = self.config
-        ids, offsets = self._segments(examples)
         # a frozen table is a plain array: no (V, D) gradient is built for it
         table = tape.read(self.embedding) if c.train_embeddings else self.embedding.value
         cnn_v = tz.embedding_conv_max(ids, table, tape.read(self.conv_taps), self.conv_bias,
-                                      c.cnn_filter_widths, np.diff(offsets, axis=1))
+                                      c.cnn_filter_widths, lengths)
         return tz.dense(cnn_v, self.topic_w, self.topic_b, c.activation)
-
-    def _segments(self, examples: list[Example]):
-        """The batch's concatenated ids and its (B, N + 1) stacked offsets,
-        checked in one pass over the batch: each document's offsets cut its
-        own ids, so the segments' lengths tile the ids. Only when the batch
-        fails is each document checked on its own, so the error names the
-        first one at fault."""
-        try:
-            ids = np.concatenate([e.ids for e in examples])
-            offsets = np.stack([e.offsets for e in examples])
-            sizes = np.array([len(e.ids) for e in examples])
-        except ValueError:  # ids of different ranks, offsets of different shapes
-            ok = False
-        else:
-            ok = self._cuts(ids, offsets, sizes)
-        if ok:
-            return ids, offsets
-        c = self.config
-        for e in examples:
-            ids, offsets = np.asarray(e.ids), np.asarray(e.offsets)
-            if not self._cuts(ids, offsets[None], [ids.size]):
-                raise ShapeError(
-                    f"document {e.doc_id!r}: segment offsets {offsets.tolist()} do not cut "
-                    f"{ids.shape} {ids.dtype} ids in [0, {c.vocab_size}) into "
-                    f"{c.n_segments} segments of at most {c.max_seg_len} tokens"
-                )
-        # each document passes alone: numpy joined signed and unsigned
-        # 64-bit integers into floats
-        raise ShapeError(f"documents {_batch_names(examples)}: ids and offsets do not "
-                         f"join into integer arrays")
-
-    def _cuts(self, ids, offsets, sizes) -> bool:
-        """Whether (B, N + 1) integer offsets cut B documents' concatenated
-        integer ids, sizes[b] of them document b's, into N segments of at
-        most max_seg_len ids each, every id inside the vocabulary."""
-        c = self.config
-        if not (ids.ndim == 1 and ids.dtype.kind in "iu" and offsets.ndim == 2
-                and offsets.shape[1] == c.n_segments + 1 and offsets.dtype.kind in "iu"):
-            return False
-        lengths = np.diff(offsets, axis=1)
-        return bool((offsets[:, 0] == 0).all() and (offsets[:, -1] == sizes).all()
-                    and lengths.min() >= 0 and lengths.max() <= c.max_seg_len
-                    and (not ids.size or (ids.min() >= 0 and ids.max() < c.vocab_size)))
 
     def fuse(self, v_topic, v_affect, training: bool, rng):
         """Concatenate topic and affect rows (when both exist) and project
@@ -467,15 +425,18 @@ class FakeFlowModel:
                      rng: np.random.Generator | None, nodes: dict | None = None):
         """Class logits for a batch as one (B, C) tensor.
 
-        This is the forward pass of every mode. When `nodes` is a dict, each
-        intermediate (B, ...) tensor the mode produces is stored in it under
-        its ForwardTrace field name. A NumericsError raised on the way is
-        raised again naming the batch's documents.
+        This is the forward pass of every mode. The batch is joined and
+        checked once, for only the Example fields its mode reads; a field
+        that fails is a ShapeError naming the first document at fault. When
+        `nodes` is a dict, each intermediate (B, ...) tensor the mode
+        produces is stored in it under its ForwardTrace field name. A
+        NumericsError raised on the way is raised again naming the batch's
+        documents.
         """
         if not examples:
             raise UsageError("empty batch")
         c = self.config
-        affect = self._affect(examples)
+        ids, lengths, affect = self._batch(examples)
         found = {}
         v_affect = None
         try:
@@ -485,7 +446,7 @@ class FakeFlowModel:
                 v_flow = found["v_flow"] = self.affect_flow(v_affect)
                 v_compact = tz.mean_axis(v_flow, axis=-2)
             else:
-                v_topic = self.topic_branch(tape, examples)
+                v_topic = self.topic_branch(tape, ids, lengths)
                 v_concat, v_fc = self.fuse(v_topic, v_affect, training, rng)
                 l_t, weights = context_self_attention(
                     v_fc, self.att_w1, self.att_w2, self.att_b, self.att_v
@@ -504,23 +465,58 @@ class FakeFlowModel:
             nodes.update(found, v_compact=v_compact, v_final=v_final)
         return logits
 
-    def _affect(self, examples: list[Example]) -> np.ndarray:
-        """The batch's (B, N, 23) affect matrices, stacked and checked in
-        one pass; on a mismatch the error names the first document at
-        fault."""
-        want = (self.config.n_segments, N_FEATURES)
-        try:
-            affect = np.stack([e.affect for e in examples]).astype(np.float64, copy=False)
-        except ValueError:  # matrices of different shapes
-            affect = None
-        if affect is None or affect.shape[1:] != want:
-            for e in examples:
-                if np.shape(e.affect) != want:
-                    raise ShapeError(
-                        f"document {e.doc_id!r}: affect matrix shape {np.shape(e.affect)} "
-                        f"does not match {want}"
-                    )
-        return affect
+    def _batch(self, examples: list[Example]):
+        """The batch's (ids, segment lengths, affect), joined and checked in
+        one pass, None where the mode does not read it: the (B, N + 1) offsets
+        cut each document's own integer ids, all in the vocabulary, into N
+        segments of at most max_seg_len ids, and the affect is (B, N, 23).
+        Only when the batch cannot be joined or fails is each document checked
+        alone, so the ShapeError names the first one at fault."""
+        c = self.config
+        want = (c.n_segments, N_FEATURES)
+
+        def join(docs):
+            """`docs`' fields joined, and the first to fail ("segments" or "affect") or None."""
+            ids = lengths = affect = field = None
+            try:
+                if c.mode != "affect_only":
+                    field = "segments"
+                    ids = np.concatenate([e.ids for e in docs])
+                    offsets = np.stack([e.offsets for e in docs])
+                    lengths = np.diff(offsets, axis=1)
+                    if not (ids.ndim == 1 and ids.dtype.kind in "iu" and offsets.dtype.kind in "iu"
+                            and lengths.shape[1:] == (c.n_segments,) and (offsets[:, 0] == 0).all()
+                            and (offsets[:, -1] == [len(e.ids) for e in docs]).all()
+                            and lengths.min() >= 0 and lengths.max() <= c.max_seg_len
+                            and (not ids.size or (ids.min() >= 0 and ids.max() < c.vocab_size))):
+                        return None, field
+                if c.mode != "topic_only":
+                    field = "affect"
+                    affect = np.stack([e.affect for e in docs])
+                    if affect.shape[1:] != want or affect.dtype.kind not in "biuf":
+                        return None, field
+            except (TypeError, ValueError):  # ranks or shapes that differ, offsets not numbers
+                return None, field
+            return (ids, lengths, affect), None
+
+        joined, field = join(examples)
+        if field is None:
+            return joined
+        for e in examples:
+            field = join([e])[1]
+            if field == "segments":
+                ids = np.asarray(e.ids)
+                raise ShapeError(f"document {e.doc_id!r}: segment offsets "
+                                 f"{np.asarray(e.offsets).tolist()} do not cut {ids.shape} "
+                                 f"{ids.dtype} ids in [0, {c.vocab_size}) into {c.n_segments} "
+                                 f"segments of at most {c.max_seg_len} tokens")
+            if field == "affect":
+                affect = np.asarray(e.affect)
+                raise ShapeError(f"document {e.doc_id!r}: affect matrix shape {affect.shape} "
+                                 f"{affect.dtype} does not match {want} real numbers")
+        # each document passes alone: numpy joined int64 and uint64 ids into floats
+        raise ShapeError(f"documents {_batch_names(examples)}: ids and offsets do not "
+                         f"join into integer arrays")
 
     def batch_loss(self, tape, examples: list[Example], gold: np.ndarray,
                    training: bool, rng: np.random.Generator | None):

@@ -126,7 +126,7 @@ def train(model: FakeFlowModel, train_set: list[Example], val_set: list[Example]
 
     stopper = EarlyStopper(cfg.patience, cfg.higher_is_better)
     history: list[EpochRecord] = []
-    best_state = model.state()
+    best_values = model.buffers[0].copy()  # every parameter, as at the best epoch
 
     for epoch in range(1, cfg.max_epochs + 1):
         order = rng.permutation(len(train_set))
@@ -158,11 +158,11 @@ def train(model: FakeFlowModel, train_set: list[Example], val_set: list[Example]
 
         keep_going = stopper.update(epoch, monitored)
         if stopper.best_epoch == epoch:
-            best_state = model.state()
+            np.copyto(best_values, model.buffers[0])
         if not keep_going:
             break
 
-    model.load_state(best_state)
+    np.copyto(model.buffers[0], best_values)
     return TrialResult(
         config=model.config,
         best_val_metric=float(stopper.best),

@@ -582,6 +582,20 @@ class TestLoadedModelErrors:
         assert "document id 'no-such-doc' not found" in capsys.readouterr().err
         assert not (tmp_path / "att").exists()
 
+    def test_attention_on_a_corpus_without_articles_is_usage_error(self, trained, tmp_path,
+                                                                    capsys):
+        manifest, _, out = trained
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("\n")
+        capsys.readouterr()
+        code = main(["attention", "--checkpoint", str(out / "checkpoint.bin"),
+                     "--vocab", str(out / "vocab.json"), "--corpus", str(empty),
+                     "--lexicons", str(manifest), "--out", str(tmp_path / "att")])
+        assert code == 1
+        assert capsys.readouterr().err.strip().splitlines() == [
+            f"error: corpus {empty} has no articles"]
+        assert not (tmp_path / "att").exists()
+
     def test_evaluate_corpus_without_tokens_is_usage_error(self, trained, tmp_path, capsys):
         manifest, _, out = trained
         empty = tmp_path / "punctuation.jsonl"

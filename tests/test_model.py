@@ -278,27 +278,6 @@ class TestForward:
 
 
 class TestAblations:
-    def test_topic_only_ignores_affect(self):
-        cfg = tiny_config(mode="topic_only")
-        model = FakeFlowModel(cfg, seed=6)
-        rng = np.random.default_rng(6)
-        example = random_example(cfg, rng)
-        base = model.forward(example).probabilities
-        example.affect = rng.uniform(5.0, 9.0, size=example.affect.shape)
-        assert np.array_equal(model.forward(example).probabilities, base)
-
-    def test_affect_only_ignores_token_order(self):
-        cfg = tiny_config(mode="affect_only")
-        model = FakeFlowModel(cfg, seed=7)
-        rng = np.random.default_rng(7)
-        example = random_example(cfg, rng)
-        base = model.forward(example).probabilities
-        # permute tokens inside segment 0 (affect matrix untouched)
-        n_real = int(example.offsets[1])
-        if n_real > 1:
-            example.ids[:n_real] = example.ids[:n_real][::-1]
-        assert np.array_equal(model.forward(example).probabilities, base)
-
     def test_affect_only_is_segment_order_sensitive(self):
         cfg = tiny_config(mode="affect_only", n_segments=4)
         model = FakeFlowModel(cfg, seed=8)
@@ -313,6 +292,41 @@ class TestAblations:
             label=example.label,
         )
         assert not np.allclose(model.forward(flipped).probabilities, base)
+
+    @pytest.mark.parametrize("affect", [
+        lambda a: a + 5.0,  # other values
+        lambda a: a[:-1],  # a row short
+        lambda a: a[:, :-1],  # a feature short
+        lambda a: a[None],  # another rank
+        lambda a: np.full(a.shape, "x"),  # not numbers
+        lambda a: None,
+    ], ids=["values", "rows", "features", "rank", "strings", "none"])
+    def test_topic_only_ignores_affect(self, affect):
+        cfg = tiny_config(mode="topic_only")
+        model = FakeFlowModel(cfg, seed=6)
+        examples = edge_batch(cfg, 4, seed=6)
+        base = model.predict_logits(examples)
+        examples[2].affect = affect(examples[2].affect)
+        assert model.predict_logits(examples).tobytes() == base.tobytes()
+
+    @pytest.mark.parametrize("segments", [
+        lambda ids, offsets: (np.concatenate([ids[:offsets[1]][::-1], ids[offsets[1]:]]),
+                              offsets),  # token order inside segment 0
+        lambda ids, offsets: ((ids + 1) % 12, offsets),  # other values
+        lambda ids, offsets: (ids + 12, offsets),  # outside the vocabulary (12 ids)
+        lambda ids, offsets: (-ids, offsets),  # negative
+        lambda ids, offsets: (ids, offsets[:-1]),  # offsets of another length
+        lambda ids, offsets: (ids, offsets + 1),  # offsets that do not cut the ids
+        lambda ids, offsets: (ids.astype(float), offsets / 2),  # not integers
+        lambda ids, offsets: (None, None),
+    ], ids=["order", "values", "vocabulary", "negative", "length", "cut", "floats", "none"])
+    def test_affect_only_ignores_ids_and_offsets(self, segments):
+        cfg = tiny_config(mode="affect_only")
+        model = FakeFlowModel(cfg, seed=7)
+        examples = edge_batch(cfg, 4, seed=7)
+        base = model.predict_logits(examples)
+        examples[2].ids, examples[2].offsets = segments(examples[2].ids, examples[2].offsets)
+        assert model.predict_logits(examples).tobytes() == base.tobytes()
 
     def test_mode_trace_fields(self):
         cfg = tiny_config(mode="affect_only")
@@ -479,6 +493,41 @@ class TestInferenceTape:
         examples[5].affect = examples[5].affect[:, :-1]
         with pytest.raises(ShapeError, match="document 'd5': affect matrix shape"):
             model.predict_logits(examples)
+
+    DEFECTS = {  # a defect, the modes that read its field, and the start of its message
+        "vocabulary": (("full", "topic_only"), "segment offsets"),
+        "cut": (("full", "topic_only"), "segment offsets"),
+        "length": (("full", "topic_only"), "segment offsets"),  # cannot be joined
+        "affect": (("full", "affect_only"), "affect matrix shape"),
+    }
+
+    @settings(max_examples=80, deadline=None)
+    @given(defect=st.sampled_from(sorted(DEFECTS)), size=st.integers(1, 9), data=st.data())
+    def test_one_defect_names_exactly_its_document(self, defect, size, data):
+        modes, message = self.DEFECTS[defect]
+        cfg = tiny_config(mode=data.draw(st.sampled_from(modes)))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        examples = [random_example(cfg, rng, doc_id=f"d{i}") for i in range(size)]
+        at = data.draw(st.integers(0, size - 1))
+        bad = examples[at]
+        if defect == "vocabulary":
+            bad.ids[data.draw(st.integers(0, bad.ids.size - 1))] = data.draw(
+                st.sampled_from([-1, cfg.vocab_size]))
+        elif defect == "cut":
+            # the first or last boundary: moving an inner one may still cut the ids
+            bad.offsets[data.draw(st.sampled_from([0, cfg.n_segments]))] += data.draw(
+                st.sampled_from([-1, 1]))
+        elif defect == "length":
+            bad.offsets = data.draw(st.sampled_from([bad.offsets[:-1],
+                                                     np.append(bad.offsets, bad.offsets[-1])]))
+        else:
+            a = bad.affect  # a row short, a feature short, another rank, not numbers
+            bad.affect = data.draw(st.sampled_from([a[:-1], a[:, :-1], a[None],
+                                                    np.full(a.shape, "x")]))
+        with pytest.raises(ShapeError) as info:
+            FakeFlowModel(cfg, seed=37).predict_logits(examples)
+        assert str(info.value).startswith(f"document 'd{at}': {message}")
+        assert [i for i in range(size) if f"'d{i}'" in str(info.value)] == [at]
 
     def test_overflow_names_the_batch_documents(self):
         cfg = tiny_config()
@@ -727,7 +776,7 @@ class TestParameterBuffers:
         assert_buffer_views(model)
         examples = [random_example(cfg, rng, doc_id=f"d{i}") for i in range(12)]
         train(model, examples[:8], examples[8:],
-              TrainConfig(max_epochs=2, patience=1, batch_size=4, seed=50))  # ends in load_state
+              TrainConfig(max_epochs=2, patience=1, batch_size=4, seed=50))  # restores an epoch
         assert_buffer_views(model)
         assert not model.buffers[1].any()
         model.load_state(FakeFlowModel(cfg, seed=51).state())

@@ -144,6 +144,30 @@ class TestTrainLoop:
         assert result.best_val_metric == best.val_loss
         assert min(r.val_loss for r in result.history) == best.val_loss
 
+    def test_best_epoch_bytes_restored_without_state_or_load_state(self, monkeypatch):
+        # the best epoch is kept as one copy of the value buffer, not through
+        # the checkpoint path
+        examples, vocab, _ = _flow_examples(24)
+        model = FakeFlowModel(_affect_config(vocab), seed=3)
+        ends, validate = [], model.predict_logits
+
+        def spy(val_set):  # once per epoch, after its steps
+            ends.append(model.buffers[0].copy())
+            return validate(val_set)
+
+        def refuse(*args):
+            raise AssertionError("train went through the checkpoint path")
+
+        monkeypatch.setattr(model, "predict_logits", spy)
+        monkeypatch.setattr(FakeFlowModel, "state", refuse)
+        monkeypatch.setattr(FakeFlowModel, "load_state", refuse)
+        cfg = TrainConfig(max_epochs=8, patience=2, batch_size=8, seed=3,
+                          learning_rate=0.2, monitored_metric="val_loss")
+        result = train(model, examples[:16], examples[16:], cfg)
+        assert 1 < result.best_epoch < result.epochs_run == len(ends)
+        assert model.buffers[0].tobytes() == ends[result.best_epoch - 1].tobytes()
+        assert model.buffers[0].tobytes() != ends[-1].tobytes()
+
     def test_sgd_full_batch_loss_non_increasing(self):
         # smoke property: 5 full-batch sgd steps with a small rate
         examples, vocab, _ = _flow_examples(12)
