@@ -148,7 +148,16 @@ def _train_config_from_args(args) -> TrainConfig:
 
 def _load_embeddings(args) -> dict | None:
     """The --embeddings word vectors, or None without the flag."""
-    return tz.load_word_vectors(args.embeddings, args.embed_dim) if args.embeddings else None
+    return (corpus_mod.load_word_vectors(args.embeddings, args.embed_dim)
+            if args.embeddings else None)
+
+
+def _embedding_rows(vectors: dict | None, vocab: corpus_mod.Vocabulary) -> dict | None:
+    """The rows of `vectors` keyed by `vocab`'s id of each token it holds,
+    as FakeFlowModel takes them; None without --embeddings."""
+    if vectors is None:
+        return None
+    return {idx: vectors[token] for token, idx in vocab.token_to_id.items() if token in vectors}
 
 
 def _load_labeled_corpus(path) -> list[corpus_mod.RawArticle]:
@@ -270,8 +279,7 @@ def cmd_train(args, out: _Out) -> tuple[str, dict]:
     vocab = splits.vocab
     model_cfg = _model_config_from_args(args, vocab.size)
     train_cfg = _train_config_from_args(args)
-    model = FakeFlowModel(model_cfg, seed=args.seed, pretrained=vectors,
-                          vocab_tokens=vocab.token_to_id)
+    model = FakeFlowModel(model_cfg, seed=args.seed, pretrained=_embedding_rows(vectors, vocab))
     result = train(model, train_set, val_set, train_cfg)
     model.save(out.path("checkpoint.bin"))
 
@@ -302,8 +310,8 @@ def cmd_search(args, out: _Out) -> tuple[str, dict]:
     base_cfg = _model_config_from_args(args, splits.vocab.size)
     train_cfg = _train_config_from_args(args)
     result = random_search(SearchSpace(), args.trials, base_cfg, train_set, val_set,
-                           train_cfg, seed=args.seed, pretrained=vectors,
-                           vocab_tokens=splits.vocab.token_to_id)
+                           train_cfg, seed=args.seed,
+                           pretrained=_embedding_rows(vectors, splits.vocab))
 
     with atomic_open(out.path("trials.jsonl"), "w", encoding="utf-8") as fh:
         for trial in result.trials:
@@ -340,7 +348,8 @@ def cmd_select_n(args, out: _Out) -> tuple[str, dict]:
     base_cfg = _model_config_from_args(args, splits.vocab.size)
     train_cfg = _train_config_from_args(args)
     best_n, rows = select_n_segments(candidates, splits.train_docs, splits.val_docs,
-                                     splits.vocab, splits.lex, base_cfg, train_cfg, vectors)
+                                     splits.vocab, splits.lex, base_cfg, train_cfg,
+                                     _embedding_rows(vectors, splits.vocab))
     config_hash = _config_hash({"candidates": candidates, "base": base_cfg.to_json(),
                                 "seed": args.seed})
     report.emit_plot_data(
@@ -413,8 +422,7 @@ def cmd_cross_year(args, out: _Out) -> tuple[str, dict]:
     def model_builder(train_articles, seed):
         splits = _prepare_data(args, train_articles, lex, seed)
         cfg = _model_config_from_args(args, splits.vocab.size)
-        model = FakeFlowModel(cfg, seed=seed, pretrained=vectors,
-                              vocab_tokens=splits.vocab.token_to_id)
+        model = FakeFlowModel(cfg, seed=seed, pretrained=_embedding_rows(vectors, splits.vocab))
         train(model, *splits.examples(cfg.n_segments, cfg.max_seg_len),
               _train_config_from_args(args))
 
@@ -452,9 +460,9 @@ def cmd_analyze(args, out: _Out) -> tuple[str, dict]:
     articles = _load_labeled_corpus(args.corpus)
     lex = _load_lexicons(args)
     docs = tokenize_articles(articles)
-    corpus_pairs = [(doc, label) for _, doc, label in docs]
-    stats = report.flow_statistics(corpus_pairs, args.n_segments, lex,
-                                   max_seg_len=args.max_seg_len)
+    matrices = affect_matrices([doc for _, doc, _ in docs], lex, args.n_segments,
+                               args.max_seg_len)
+    stats = report.flow_statistics(matrices, [label for _, _, label in docs])
     config_hash = _config_hash({"n_segments": args.n_segments,
                                 "max_seg_len": args.max_seg_len})
     _write_json(out.path("flow_stats.json"), stats.to_json())

@@ -1,6 +1,6 @@
-"""Corpus handling: tokenization, segmentation, vocabulary, dataset
-ingestion, and construction of a domain-labeled news corpus from source
-lists.
+"""Corpus handling: tokenization, segmentation, vocabulary, word vectors,
+dataset ingestion, and construction of a domain-labeled news corpus from
+source lists.
 
 All operations are deterministic functions of their inputs and an explicit
 seed, so any pipeline built from them is reproducible.
@@ -391,6 +391,36 @@ def load_vocabulary(path) -> Vocabulary:
         return Vocabulary.from_json(payload)
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from None
+
+
+def load_word_vectors(path, dim: int) -> dict[str, np.ndarray]:
+    """Text embeddings: one line per word, `word v1 ... v_dim`.
+
+    Lines whose vector length differs from `dim`, and entries that are not
+    finite numbers, are rejected. A first line of two integers is a
+    `count dim` header and is skipped. Spaces at the end of a line are
+    ignored (the word2vec tool writes one after every vector).
+    """
+    vectors: dict[str, np.ndarray] = {}
+    for lineno, line in enumerate(read_text(path).split("\n"), start=1):
+        parts = line.rstrip(" ").split(" ")
+        if lineno == 1 and len(parts) == 2 and all(p.isdecimal() for p in parts):
+            continue  # `count dim` header
+        if len(parts) < 2:
+            continue
+        word, values = parts[0], parts[1:]
+        if len(values) != dim:
+            raise ParseError(
+                f"{path}:{lineno}: expected {dim} values for {word!r}, got {len(values)}"
+            )
+        try:
+            vector = np.array([float(v) for v in values], dtype=np.float64)
+        except ValueError as exc:
+            raise ParseError(f"{path}:{lineno}: non-numeric vector entry: {exc}") from exc
+        if not np.isfinite(vector).all():
+            raise ParseError(f"{path}:{lineno}: non-finite vector entry for {word!r}")
+        vectors[word] = vector
+    return vectors
 
 
 def project_and_sample(

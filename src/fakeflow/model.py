@@ -114,9 +114,6 @@ class FakeFlowConfig:
     @classmethod
     def from_json(cls, payload: dict) -> "FakeFlowConfig":
         try:
-            payload = dict(payload)
-            payload["cnn_filter_widths"] = tuple(payload.get("cnn_filter_widths", (3, 4, 5)))
-            payload["classes"] = tuple(payload.get("classes", ("real", "fake")))
             return cls(**payload)
         except (TypeError, ValueError) as exc:  # unknown, missing or mistyped fields
             raise ConfigError(f"bad model config: {exc}") from exc
@@ -205,10 +202,6 @@ def context_self_attention(v_fc, w1, w2, b_att, v_att):
 def combine(v_flow, l_t):
     """Elementwise product of flow states and attention contexts, averaged
     over the segment axis."""
-    if v_flow.value.shape != l_t.value.shape:
-        raise ShapeError(
-            f"combine: v_flow {v_flow.value.shape} and l_t {l_t.value.shape} differ"
-        )
     return tz.mean_axis(tz.mul(v_flow, l_t), axis=-2)
 
 
@@ -290,8 +283,11 @@ class FakeFlowModel:
     """Owns the parameters and wires the forward pass for one config."""
 
     def __init__(self, config: FakeFlowConfig, seed: int = 0,
-                 pretrained: dict[str, np.ndarray] | None = None,
-                 vocab_tokens: dict[str, int] | None = None):
+                 pretrained: dict[int, np.ndarray] | None = None):
+        """Draw every parameter from `seed`. `pretrained` maps vocabulary ids
+        to (embed_dim,) rows that replace the drawn embedding rows; a key
+        that is not an id in [0, vocab_size) or a row of another shape is a
+        ConfigError naming the key."""
         rng = np.random.default_rng(seed)
         c = config
         shapes = parameter_shapes(c)
@@ -299,21 +295,14 @@ class FakeFlowModel:
 
         if c.mode != "affect_only":
             table = tz.embedding_table(rng, *shapes["embedding"])
-            if pretrained:
-                if vocab_tokens is None:
-                    raise UsageError("pretrained vectors need the vocabulary token map")
-                hits = 0
-                for token, idx in vocab_tokens.items():
-                    vec = pretrained.get(token)
-                    if vec is not None:
-                        if vec.shape != (c.embed_dim,):
-                            raise ConfigError(
-                                f"pretrained vector for {token!r} has dim {vec.shape}, "
-                                f"expected {c.embed_dim}"
-                            )
-                        table[idx] = vec
-                        hits += 1
-                self.pretrained_hits = hits
+            for idx, row in (pretrained or {}).items():
+                if not isinstance(idx, (int, np.integer)) or not 0 <= idx < c.vocab_size:
+                    raise ConfigError(f"pretrained row key {idx!r} is not a vocabulary id "
+                                      f"in [0, {c.vocab_size})")
+                if np.shape(row) != (c.embed_dim,):
+                    raise ConfigError(f"pretrained row for id {idx} has shape {np.shape(row)}, "
+                                      f"expected ({c.embed_dim},)")
+                table[idx] = row
             drawn["embedding"] = table
             drawn["conv_taps"] = np.concatenate([  # each width's bank, drawn as (K, w, D)
                 tz.conv_filters(rng, c.cnn_filter_count, w, c.embed_dim).transpose(1, 0, 2)
@@ -384,14 +373,7 @@ class FakeFlowModel:
     def fuse(self, v_topic, v_affect, training: bool, rng):
         """Concatenate topic and affect rows (when both exist) and project
         through the shared dense layer. Dropout hits the concatenation."""
-        if v_affect is not None:
-            if v_topic.value.shape[-2] != v_affect.value.shape[-2]:
-                raise ShapeError(
-                    f"fuse: row counts differ: {v_topic.value.shape} vs {v_affect.value.shape}"
-                )
-            v_concat = tz.concat([v_topic, v_affect], axis=-1)
-        else:
-            v_concat = v_topic
+        v_concat = v_topic if v_affect is None else tz.concat([v_topic, v_affect], axis=-1)
         dropped = tz.dropout(v_concat, self.config.dropout_rate, training, rng)
         v_fc = tz.dense(dropped, self.fuse_w, self.fuse_b, self.config.activation)
         return v_concat, v_fc

@@ -14,7 +14,7 @@ import numpy as np
 from .atomic import atomic_open
 from .corpus import LABELS, TokenizedDocument
 from .errors import UnsupportedMode, UsageError
-from .lexicon import FEATURE_NAMES, LexiconSet, affect_matrices
+from .lexicon import FEATURE_NAMES, LexiconSet
 from .model import ForwardTrace
 
 
@@ -137,27 +137,21 @@ def annotation_to_html(doc: TokenizedDocument, annotation: EmotionAnnotation,
     )
 
 
-def flow_statistics(corpus: list[tuple[TokenizedDocument, str]], n_segments: int,
-                    lex: LexiconSet, max_seg_len: int = 800) -> FlowStatistics:
-    """Per class and per feature: the mean feature value in the first and
-    last segments, the overall mean, and the population standard deviation
-    of the per-segment means. Labels of LABELS with no document are listed
-    as missing.
+def flow_statistics(matrices: np.ndarray, labels: list[str]) -> FlowStatistics:
+    """Per class and per feature of the (D, N, 23) affect `matrices`, one
+    label per document: the mean feature value in the first and last
+    segments, the overall mean, and the population standard deviation of
+    the per-segment means. Labels of LABELS with no document are listed as
+    missing.
 
     First/last means use segments 1 and N even when trailing segments are
     empty; their features are legitimately zero. The overall mean
     is computed as the mean of the per-segment means, so the consistency
     identity holds exactly.
     """
-    matrices = affect_matrices([doc for doc, _ in corpus], lex, n_segments, max_seg_len)
-    by_class: dict[str, list[np.ndarray]] = {}
-    for (_, label), matrix in zip(corpus, matrices):
-        by_class.setdefault(label, []).append(matrix)
-
     classes: dict[str, dict[str, FeatureFlow]] = {}
-    for label, matrices in sorted(by_class.items()):
-        stacked = np.stack(matrices)  # (docs, N, 23)
-        per_segment = stacked.mean(axis=0)  # (N, 23)
+    for label in sorted(set(labels)):
+        per_segment = matrices[[lab == label for lab in labels]].mean(axis=0)  # (N, 23)
         mean_all = per_segment.mean(axis=0)  # (23,)
         std_all = np.sqrt(((per_segment - mean_all) ** 2).mean(axis=0))
         feats = {}
@@ -171,7 +165,7 @@ def flow_statistics(corpus: list[tuple[TokenizedDocument, str]], n_segments: int
             )
         classes[label] = feats
     missing = [c for c in LABELS if c not in classes]
-    return FlowStatistics(n_segments=n_segments, classes=classes, missing_classes=missing)
+    return FlowStatistics(n_segments=matrices.shape[1], classes=classes, missing_classes=missing)
 
 
 # ---------------------------------------------------------------------------

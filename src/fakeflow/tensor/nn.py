@@ -73,7 +73,7 @@ def embedding_lookup(ids, table) -> Tensor:
         raise ShapeError(f"ids must be integers, got dtype {ids.dtype}")
     vocab, dim = table.value.shape
     if ids.size and (ids.min() < 0 or ids.max() >= vocab):
-        raise IndexError(
+        raise ShapeError(
             f"token id out of range: ids span [{ids.min()}, {ids.max()}], vocab size {vocab}"
         )
 
@@ -316,7 +316,7 @@ def embedding_conv_max(ids, table, taps, bias, widths, lengths) -> Tensor:
             f"widths {widths} over a (V, D) = {tv.shape} table"
         )
     if ids.size and (ids.min() < 0 or ids.max() >= vocab):
-        raise IndexError(
+        raise ShapeError(
             f"token id out of range: ids span [{ids.min()}, {ids.max()}], vocab size {vocab}"
         )
     if np.any(lengths < 0) or lengths.sum() != len(ids):
@@ -459,7 +459,7 @@ def _gold_rows(op: str, scores: np.ndarray, gold) -> np.ndarray:
         )
     gold_flat = gold_arr.reshape(-1)
     if gold_flat.size and (gold_flat.min() < 0 or gold_flat.max() >= classes):
-        raise IndexError(f"gold class out of range for {classes} classes")
+        raise ShapeError(f"gold class out of range for {classes} classes")
     return gold_flat
 
 

@@ -1,4 +1,4 @@
-"""Checkpoint container and pretrained word-vector loading.
+"""Checkpoint container.
 
 Checkpoint layout: magic, format version, a JSON header describing the
 config and every parameter (name + shape, in order), then the raw
@@ -16,7 +16,6 @@ import struct
 import numpy as np
 
 from ..atomic import atomic_open
-from ..corpus import read_text
 from ..errors import ParseError
 from .engine import DTYPE, Parameter
 
@@ -98,32 +97,3 @@ def _header_entries(path, header) -> list[tuple[str, tuple[int, ...]]]:
         )
     return [(entry["name"], tuple(entry["shape"])) for entry in params]
 
-
-def load_word_vectors(path, dim: int) -> dict[str, np.ndarray]:
-    """Text embeddings: one line per word, `word v1 ... v_dim`.
-
-    Lines whose vector length differs from `dim`, and entries that are not
-    finite numbers, are rejected. A first line of two integers is a
-    `count dim` header and is skipped. Spaces at the end of a line are
-    ignored (the word2vec tool writes one after every vector).
-    """
-    vectors: dict[str, np.ndarray] = {}
-    for lineno, line in enumerate(read_text(path).split("\n"), start=1):
-        parts = line.rstrip(" ").split(" ")
-        if lineno == 1 and len(parts) == 2 and all(p.isdecimal() for p in parts):
-            continue  # `count dim` header
-        if len(parts) < 2:
-            continue
-        word, values = parts[0], parts[1:]
-        if len(values) != dim:
-            raise ParseError(
-                f"{path}:{lineno}: expected {dim} values for {word!r}, got {len(values)}"
-            )
-        try:
-            vector = np.array([float(v) for v in values], dtype=DTYPE)
-        except ValueError as exc:
-            raise ParseError(f"{path}:{lineno}: non-numeric vector entry: {exc}") from exc
-        if not np.isfinite(vector).all():
-            raise ParseError(f"{path}:{lineno}: non-finite vector entry for {word!r}")
-        vectors[word] = vector
-    return vectors

@@ -227,12 +227,11 @@ class SearchResult:
 def random_search(space: SearchSpace, trials: int, base_config: FakeFlowConfig,
                   train_set: list[Example], val_set: list[Example],
                   train_cfg: TrainConfig, seed: int = 0,
-                  pretrained: dict[str, np.ndarray] | None = None,
-                  vocab_tokens: dict[str, int] | None = None) -> SearchResult:
+                  pretrained: dict[int, np.ndarray] | None = None) -> SearchResult:
     """Seeded random search: sample `trials` configs, train each with early
     stopping, return the trial with the best monitored metric and its
-    trained model. `pretrained` and `vocab_tokens` seed every trial's
-    embedding table, as in FakeFlowModel.
+    trained model. `pretrained` rows seed every trial's embedding table by
+    vocabulary id, as in FakeFlowModel.
 
     Per-trial seeds are seed + trial_index so trials are independent and
     the whole search replays from one seed.
@@ -245,8 +244,7 @@ def random_search(space: SearchSpace, trials: int, base_config: FakeFlowConfig,
     best = best_model = None
     for t, config in enumerate(configs):
         trial_seed = seed + t
-        model = FakeFlowModel(config, seed=trial_seed, pretrained=pretrained,
-                              vocab_tokens=vocab_tokens)
+        model = FakeFlowModel(config, seed=trial_seed, pretrained=pretrained)
         cfg = replace(train_cfg, seed=trial_seed)
         result = train(model, train_set, val_set, cfg)
         result.trial_index = t
@@ -330,13 +328,13 @@ def select_n_segments(candidates: list[int],
                       val_docs: list[tuple[str, TokenizedDocument, str | None]],
                       vocab: Vocabulary, lex: LexiconSet,
                       base_config: FakeFlowConfig, train_cfg: TrainConfig,
-                      pretrained: dict[str, np.ndarray] | None = None,
+                      pretrained: dict[int, np.ndarray] | None = None,
                       ) -> tuple[int, list[NSweepRow]]:
     """Train one model per candidate segment count (same seed and
     hyperparameters) and pick the best validation macro-F1; ties go to the
     smaller count. Single-segment runs widen max_seg_len to 1500 so long
-    documents are not cut short. `pretrained` word vectors seed each
-    model's embedding table, as in FakeFlowModel."""
+    documents are not cut short. `pretrained` rows seed each model's
+    embedding table by id of `vocab`, as in FakeFlowModel."""
     if not candidates:
         raise UsageError("candidates must be non-empty")
     rows = []
@@ -345,8 +343,7 @@ def select_n_segments(candidates: list[int],
         config = replace(base_config, n_segments=n, max_seg_len=max_len)
         train_set = prepare_examples(train_docs, vocab, lex, n, max_len)
         val_set = prepare_examples(val_docs, vocab, lex, n, max_len)
-        model = FakeFlowModel(config, seed=train_cfg.seed, pretrained=pretrained,
-                              vocab_tokens=vocab.token_to_id)
+        model = FakeFlowModel(config, seed=train_cfg.seed, pretrained=pretrained)
         result = train(model, train_set, val_set, train_cfg)
         final = result.history[result.best_epoch - 1]
         rows.append(

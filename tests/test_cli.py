@@ -318,6 +318,43 @@ class TestExitCodes:
         word_id = load_vocabulary(out / "vocab.json").token_to_id[FEAR_WORDS[0]]
         assert model.embedding.value[word_id].tolist() == vector
 
+    @pytest.mark.parametrize("command, extra, built_on", [
+        ("train", [], [0]), ("search", ["--trials", "2"], [0, 0]),
+        ("select-n", ["--candidates", "2,4"], [0, 0]), ("cross-year", [], [0, 1]),
+    ])
+    def test_every_fitting_command_seeds_each_table_by_id(self, tmp_path, capsys, monkeypatch,
+                                                          command, extra, built_on):
+        # each model gets the --embeddings rows keyed by the ids of the
+        # vocabulary its data was built on: cross-year builds one per year
+        manifest = write_lexicon_fixture(tmp_path)
+        corpus = write_flow_corpus(tmp_path, n_docs=24, year_cycle=[2013, 2013, 2014, 2014])
+        words = {FEAR_WORDS[0]: [0.25, -0.5, 0.75, 1.0], JOY_WORDS[1]: [2.0, 0.0, -1.0, 0.5],
+                 "unseenword": [9.0, 9.0, 9.0, 9.0]}
+        vectors = tmp_path / "vectors.txt"
+        vectors.write_text("".join(f"{w} {' '.join(map(str, v))}\n" for w, v in words.items()))
+        vocabs, models = [], []
+        build, init = cli.corpus_mod.build_vocabulary, FakeFlowModel.__init__
+
+        def record_vocab(*args, **kwargs):
+            vocabs.append(build(*args, **kwargs))
+            return vocabs[-1]
+
+        def record_model(self, config, seed=0, pretrained=None):
+            init(self, config, seed, pretrained)
+            vocab = vocabs[-1]
+            want = {vocab.token_to_id[w]: v for w, v in words.items() if w in vocab.token_to_id}
+            assert len(want) == 2 and {i: row.tolist() for i, row in pretrained.items()} == want
+            assert all(self.embedding.value[i].tolist() == v for i, v in want.items())
+            models.append(len(vocabs) - 1)
+
+        monkeypatch.setattr(cli.corpus_mod, "build_vocabulary", record_vocab)
+        monkeypatch.setattr(FakeFlowModel, "__init__", record_model)
+        code = main(["--seed", "3", command, "--corpus", str(corpus), "--lexicons", str(manifest),
+                     "--embeddings", str(vectors), "--out", str(tmp_path / "out")]
+                    + TRAIN_FLAGS + extra)
+        assert code == 0, capsys.readouterr().err
+        assert models == built_on and len(vocabs) == built_on[-1] + 1
+
     def test_lexicons_from_environment(self, tmp_path, capsys, monkeypatch):
         manifest = write_lexicon_fixture(tmp_path)
         corpus = write_flow_corpus(tmp_path)

@@ -24,6 +24,7 @@ from fakeflow.corpus import (
     load_label_mapping,
     load_source_lists,
     load_vocabulary,
+    load_word_vectors,
     merge_source_lists,
     project_and_sample,
     segment,
@@ -677,3 +678,50 @@ class TestLoadLabelMapping:
             assert str(path) in str(exc)
             return
         assert all(isinstance(key, tuple) and len(key) == 2 for key in mapping)
+
+
+class TestWordVectors:
+    def test_load_and_fallback(self, tmp_path):
+        path = tmp_path / "vectors.txt"
+        path.write_text("hello 0.1 0.2 0.3\nworld 1.0 -1.0 0.5\n")
+        vectors = load_word_vectors(path, dim=3)
+        assert set(vectors) == {"hello", "world"}
+        assert vectors["hello"].tolist() == [0.1, 0.2, 0.3]
+
+    def test_header_line_skipped(self, tmp_path):
+        path = tmp_path / "vectors.txt"
+        path.write_text("2 3\nhello 0.1 0.2 0.3\nworld 1.0 -1.0 0.5\n")
+        assert len(load_word_vectors(path, dim=3)) == 2
+
+    @pytest.mark.parametrize("content, dim, expected", [
+        ("hello 0.5\nworld 0.7\n", 1, {"hello": [0.5], "world": [0.7]}),
+        ("2 3\nhello 0.1 0.2 0.3 \nworld 1.0 -1.0 0.5 \n", 3,
+         {"hello": [0.1, 0.2, 0.3], "world": [1.0, -1.0, 0.5]}),
+    ], ids=["dim-1-first-line", "word2vec-trailing-space"])
+    def test_loads_every_vector(self, tmp_path, content, dim, expected):
+        path = tmp_path / "vectors.txt"
+        path.write_text(content)
+        vectors = load_word_vectors(path, dim=dim)
+        assert {word: v.tolist() for word, v in vectors.items()} == expected
+
+    @pytest.mark.parametrize("content, line", [
+        ("hello 0.1 0.2 0.3\ncaf\xe9 1 2 3\n".encode("latin-1"), 2),
+        (b"hello nan 0.2 0.3\n", 1),
+        (b"hello 0.1 0.2 0.3\nworld 1.0 -inf 0.5\n", 2),
+        (b"2 3\nhello 0.1 inf 0.3 \n", 2),
+        (b"2 3\nhello 0.1 0.2 0.3 \nworld 1.0 0.5 \n", 3),
+        (b"hello 0.5\n", 1),
+    ], ids=["latin-1", "nan", "inf", "trailing-space-inf", "trailing-space-short",
+            "two-fields-not-a-header"])
+    def test_bad_line_is_parse_error_naming_it(self, tmp_path, content, line):
+        path = tmp_path / "vectors.txt"
+        path.write_bytes(content)
+        with pytest.raises(ParseError) as err:
+            load_word_vectors(path, dim=3)
+        assert f"{path}:{line}: " in str(err.value)
+
+    def test_wrong_dim_rejected(self, tmp_path):
+        path = tmp_path / "vectors.txt"
+        path.write_text("hello 0.1 0.2\n")
+        with pytest.raises(ParseError):
+            load_word_vectors(path, dim=3)

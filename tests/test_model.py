@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -837,16 +838,31 @@ class TestParameterBuffers:
 
 
 class TestPretrainedEmbeddings:
-    def test_vectors_injected_and_fallback(self):
+    def test_rows_injected_by_id_and_fallback(self):
         cfg = tiny_config()
-        vocab_tokens = {"hello": 2, "world": 3}
         vec = np.arange(cfg.embed_dim, dtype=float)
-        model = FakeFlowModel(cfg, seed=14, pretrained={"hello": vec},
-                              vocab_tokens=vocab_tokens)
+        drawn = FakeFlowModel(cfg, seed=14)
+        model = FakeFlowModel(cfg, seed=14, pretrained={2: vec, np.int64(11): -vec})
         assert np.array_equal(model.embedding.value[2], vec)
-        assert model.pretrained_hits == 1
-        # row 3 fell back to the uniform initializer
+        assert np.array_equal(model.embedding.value[11], -vec)
+        # every other row, and every other parameter, is as drawn without rows
+        kept = np.ones(cfg.vocab_size, bool)
+        kept[[2, 11]] = False
+        assert np.array_equal(model.embedding.value[kept], drawn.embedding.value[kept])
+        n_table = drawn.embedding.value.size
+        assert model.buffers[0][n_table:].tobytes() == drawn.buffers[0][n_table:].tobytes()
         assert np.all(np.abs(model.embedding.value[3]) <= 0.05)
+
+    @pytest.mark.parametrize("key, shape, message", [
+        ("hello", (4,), "key 'hello' is not a vocabulary id in [0, 12)"),  # keyed by token
+        (12, (4,), "key 12 is not a vocabulary id in [0, 12)"),
+        (-1, (4,), "key -1 is not a vocabulary id in [0, 12)"),
+        (3, (5,), "row for id 3 has shape (5,), expected (4,)"),
+        (3, (1, 4), "row for id 3 has shape (1, 4), expected (4,)"),
+    ], ids=["token", "past-the-table", "negative", "long-row", "matrix-row"])
+    def test_a_bad_key_or_row_is_config_error_naming_the_key(self, key, shape, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            FakeFlowModel(tiny_config(), seed=14, pretrained={2: np.zeros(4), key: np.ones(shape)})
 
 
 class TestEndToEndGradient:

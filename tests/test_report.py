@@ -6,7 +6,7 @@ import pytest
 from conftest import build_lexicon_set
 from fakeflow.corpus import TokenizedDocument
 from fakeflow.errors import UnsupportedMode, UsageError
-from fakeflow.lexicon import FEATURE_NAMES, extract_affect
+from fakeflow.lexicon import FEATURE_NAMES, affect_matrices, extract_affect
 from fakeflow.model import ForwardTrace
 from fakeflow.report import (
     annotation_to_html,
@@ -17,6 +17,13 @@ from fakeflow.report import (
     highlight_emotions,
 )
 from fakeflow import corpus as corpus_mod
+
+
+def _flow(corpus, n_segments, lex, max_seg_len):
+    """flow_statistics of (TokenizedDocument, label) pairs, featurized as
+    `analyze` featurizes them."""
+    matrices = affect_matrices([doc for doc, _ in corpus], lex, n_segments, max_seg_len)
+    return flow_statistics(matrices, [label for _, label in corpus])
 
 
 def _trace(weights, probs=(0.8, 0.2), mode="full"):
@@ -109,16 +116,32 @@ class TestHighlightEmotions:
 
 
 class TestFlowStatistics:
+    def test_reads_the_arrays_and_their_labels(self):
+        matrices = np.zeros((3, 2, 23))
+        matrices[:, :, 0] = [[1.0, 3.0], [3.0, 5.0], [8.0, 0.0]]
+        stats = flow_statistics(matrices, ["fake", "fake", "real"])
+        assert stats.n_segments == 2 and stats.missing_classes == []
+        first = FEATURE_NAMES[0]
+        assert stats.classes["fake"][first].per_segment_means == [2.0, 4.0]
+        assert stats.classes["fake"][first].std_across_segments == 1.0
+        assert stats.classes["real"][first].mean_all_segments == 4.0
+        assert stats.classes["real"][FEATURE_NAMES[1]].per_segment_means == [0.0, 0.0]
+
+    def test_no_documents_lists_both_labels_missing(self):
+        stats = flow_statistics(np.zeros((0, 5, 23)), [])
+        assert stats.to_json() == {"n_segments": 5, "missing_classes": ["fake", "real"],
+                                   "classes": {}}
+
     def test_identical_documents_zero_std(self, toy_lexicons):
         tokens = ["attack", "x", "kill", "y", "smile", "z"] * 2
         corpus = [(TokenizedDocument(list(tokens)), "fake") for _ in range(3)]
-        stats = flow_statistics(corpus, n_segments=3, lex=toy_lexicons, max_seg_len=4)
+        stats = _flow(corpus, 3, toy_lexicons, 4)
         fear = stats.classes["fake"]["fear"]
         # every document identical: per-segment means vary, but the std is
         # computed across segments, not documents
         assert fear.std_across_segments >= 0.0
         uniform = [(TokenizedDocument(["attack", "x"] * 6), "fake")] * 2
-        stats2 = flow_statistics(uniform, n_segments=3, lex=toy_lexicons, max_seg_len=4)
+        stats2 = _flow(uniform, 3, toy_lexicons, 4)
         fear2 = stats2.classes["fake"]["fear"]
         assert fear2.std_across_segments == pytest.approx(0.0, abs=1e-15)
 
@@ -127,7 +150,7 @@ class TestFlowStatistics:
         doc_a = TokenizedDocument(["attack", "attack", "x", "x"])  # seg1: 2 fear, seg2: 0
         doc_b = TokenizedDocument(["kill", "x", "kill", "x"])  # seg1: 1, seg2: 1
         corpus = [(doc_a, "fake"), (doc_b, "fake")]
-        stats = flow_statistics(corpus, n_segments=2, lex=toy_lexicons, max_seg_len=2)
+        stats = _flow(corpus, 2, toy_lexicons, 2)
         fear = stats.classes["fake"]["fear"]
         # per-doc normalized: A = [2/4, 0/4], B = [1/4, 1/4]
         seg1 = (2 / 4 + 1 / 4) / 2
@@ -146,20 +169,20 @@ class TestFlowStatistics:
         for i in range(6):
             tokens = [vocab[j] for j in rng.integers(0, len(vocab), 24)]
             corpus.append((TokenizedDocument(tokens), "fake" if i % 2 else "real"))
-        stats = flow_statistics(corpus, n_segments=4, lex=toy_lexicons, max_seg_len=6)
+        stats = _flow(corpus, 4, toy_lexicons, 6)
         for feats in stats.classes.values():
             for flow in feats.values():
                 assert flow.mean_all_segments == np.asarray(flow.per_segment_means).mean()
 
     def test_missing_class_reported(self, toy_lexicons):
         corpus = [(TokenizedDocument(["attack", "x"]), "fake")]
-        stats = flow_statistics(corpus, n_segments=1, lex=toy_lexicons, max_seg_len=2)
+        stats = _flow(corpus, 1, toy_lexicons, 2)
         assert stats.missing_classes == ["real"]
 
     def test_first_last_use_padded_trailing_segments(self, toy_lexicons):
         # document shorter than N segments: the last segment is all padding
         corpus = [(TokenizedDocument(["attack", "x"]), "fake")]
-        stats = flow_statistics(corpus, n_segments=4, lex=toy_lexicons, max_seg_len=2)
+        stats = _flow(corpus, 4, toy_lexicons, 2)
         assert stats.classes["fake"]["fear"].mean_last_segment == 0.0
 
 
@@ -179,7 +202,7 @@ class TestEmitPlotData:
         for i in range(4):
             tokens = [vocab[j] for j in rng.integers(0, len(vocab), 30)]
             corpus.append((TokenizedDocument(tokens), "fake" if i % 2 else "real"))
-        stats = flow_statistics(corpus, n_segments=10, lex=toy_lexicons, max_seg_len=3)
+        stats = _flow(corpus, 10, toy_lexicons, 3)
         path = tmp_path / "curve.csv"
         emit_plot_data("flow_curve", stats, path)
         with open(path) as fh:

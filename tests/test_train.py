@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fakeflow.tensor as tz
 from conftest import build_lexicon_set, flow_lexicons, make_flow_corpus, overflowing
 from fakeflow import corpus
 from fakeflow.corpus import (
@@ -167,6 +168,29 @@ class TestTrainLoop:
         assert 1 < result.best_epoch < result.epochs_run == len(ends)
         assert model.buffers[0].tobytes() == ends[result.best_epoch - 1].tobytes()
         assert model.buffers[0].tobytes() != ends[-1].tobytes()
+
+    @pytest.mark.parametrize("mode", ["full", "topic_only", "affect_only"])
+    def test_each_step_follows_exactly_one_batch_loss(self, monkeypatch, mode):
+        # a step-clocked profile closes a step at each tensor.step and takes
+        # every batch_loss for a training step's: validation must not enter it
+        examples, vocab, _ = _flow_examples(24)
+        model = FakeFlowModel(_affect_config(vocab, mode=mode), seed=6)
+        calls, batch_loss, step = [], FakeFlowModel.batch_loss, tz.step
+
+        def loss_spy(*args, **kwargs):
+            calls.append("batch_loss")
+            return batch_loss(*args, **kwargs)
+
+        def step_spy(*args, **kwargs):
+            calls.append("step")
+            return step(*args, **kwargs)
+
+        monkeypatch.setattr(FakeFlowModel, "batch_loss", loss_spy)
+        monkeypatch.setattr(tz, "step", step_spy)
+        cfg = TrainConfig(max_epochs=3, patience=2, batch_size=8, seed=6, learning_rate=0.01)
+        result = train(model, examples[:19], examples[19:], cfg)
+        steps = result.epochs_run * 3  # ceil(19 / 8) batches per epoch
+        assert calls == ["batch_loss", "step"] * steps
 
     def test_sgd_full_batch_loss_non_increasing(self):
         # smoke property: 5 full-batch sgd steps with a small rate
