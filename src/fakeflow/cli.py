@@ -110,7 +110,6 @@ def _parse_ints(text: str, flag: str) -> list[int]:
 
 
 def _model_config_from_args(args, vocab_size: int) -> FakeFlowConfig:
-    gru = args.gru_units
     return FakeFlowConfig(
         n_segments=args.n_segments,
         vocab_size=vocab_size,
@@ -120,8 +119,7 @@ def _model_config_from_args(args, vocab_size: int) -> FakeFlowConfig:
         cnn_filter_count=args.filter_count,
         pool_size=args.pool_size,
         topic_dense_dim=args.topic_dim,
-        gru_units=gru,
-        fused_dense_dim=2 * gru,
+        gru_units=args.gru_units,
         final_dense_dim=args.final_dim,
         dropout_rate=args.dropout,
         activation=args.activation,
@@ -146,20 +144,6 @@ def _train_config_from_args(args) -> TrainConfig:
     )
 
 
-def _load_embeddings(args) -> dict | None:
-    """The --embeddings word vectors, or None without the flag."""
-    return (corpus_mod.load_word_vectors(args.embeddings, args.embed_dim)
-            if args.embeddings else None)
-
-
-def _embedding_rows(vectors: dict | None, vocab: corpus_mod.Vocabulary) -> dict | None:
-    """The rows of `vectors` keyed by `vocab`'s id of each token it holds,
-    as FakeFlowModel takes them; None without --embeddings."""
-    if vectors is None:
-        return None
-    return {idx: vectors[token] for token, idx in vocab.token_to_id.items() if token in vectors}
-
-
 def _load_labeled_corpus(path) -> list[corpus_mod.RawArticle]:
     articles = corpus_mod.load_corpus(path)
     unlabeled = [a.id for a in articles if a.label is None]
@@ -171,34 +155,71 @@ def _load_labeled_corpus(path) -> list[corpus_mod.RawArticle]:
     return articles
 
 
+def _docs(articles: list, tokens: dict) -> list:
+    """The tokenized documents of `articles`, in order, from `tokens`, their
+    corpus's map of article id to `tokenize_articles` triple."""
+    return [tokens[a.id] for a in articles if a.id in tokens]
+
+
+def _fit_inputs(args) -> tuple[list, dict, LexiconSet, dict | None]:
+    """What a fitting command reads, each once: the labeled --corpus, each
+    of its articles' `tokenize_articles` triple by article id (none for an
+    article that comes out empty), the lexicons and the --embeddings word
+    vectors (None without the flag)."""
+    vectors = (corpus_mod.load_word_vectors(args.embeddings, args.embed_dim)
+               if args.embeddings else None)
+    articles, lex = _load_labeled_corpus(args.corpus), _load_lexicons(args)
+    return articles, {doc[0]: doc for doc in tokenize_articles(articles)}, lex, vectors
+
+
 @dataclass
-class _Splits:
-    """Tokenized training and validation documents, the vocabulary of the
-    training part, and the lexicons that featurize both."""
+class _Fit:
+    """What one model is fitted on: the tokenized training and validation
+    documents, the training part's vocabulary, the lexicons that featurize
+    both, the model and training configs, and the --embeddings rows keyed by
+    vocabulary id as FakeFlowModel takes them (None without the flag)."""
 
     train_docs: list
     val_docs: list
     vocab: corpus_mod.Vocabulary
     lex: LexiconSet
+    model_cfg: FakeFlowConfig
+    train_cfg: TrainConfig
+    pretrained: dict | None
 
-    def examples(self, n_segments: int, max_seg_len: int) -> tuple[list[Example], list[Example]]:
-        """Both parts featurized at one segment count: (train_set, val_set)."""
-        return tuple(prepare_examples(docs, self.vocab, self.lex, n_segments, max_seg_len)
+    def examples(self) -> tuple[list[Example], list[Example]]:
+        """Both parts featurized at the model's segment count: (train_set, val_set)."""
+        cfg = self.model_cfg
+        return tuple(prepare_examples(docs, self.vocab, self.lex, cfg.n_segments, cfg.max_seg_len)
                      for docs in (self.train_docs, self.val_docs))
 
 
-def _prepare_data(args, articles: list, lex: LexiconSet, seed: int) -> _Splits:
-    """The data-preparation pipeline of train, search, select-n and
-    cross-year: validate on --val-corpus when given, else on a stratified
-    split of `articles`; tokenize; build the vocabulary on the training
-    part. `_Splits.examples` featurizes the result."""
+def _fit(args, articles: list, tokens: dict, lex: LexiconSet, vectors: dict | None,
+         seed: int) -> _Fit:
+    """The data preparation of train, search, select-n and each cross-year
+    training year: validate on --val-corpus when given, else on a stratified
+    split of `articles`; take each part's documents from `tokens`; build the
+    vocabulary on the training part and key the word vectors by its ids."""
     if getattr(args, "val_corpus", None):
-        parts = articles, _load_labeled_corpus(args.val_corpus)
+        train_docs = _docs(articles, tokens)
+        val_docs = tokenize_articles(_load_labeled_corpus(args.val_corpus))
     else:
         parts = corpus_mod.split_train_val(articles, val_fraction=args.val_fraction, seed=seed)
-    train_docs, val_docs = (tokenize_articles(part) for part in parts)
+        train_docs, val_docs = (_docs(part, tokens) for part in parts)
     vocab = corpus_mod.build_vocabulary([doc for _, doc, _ in train_docs], min_count=args.min_count)
-    return _Splits(train_docs, val_docs, vocab, lex)
+    pretrained = None if vectors is None else {
+        idx: vectors[token] for token, idx in vocab.token_to_id.items() if token in vectors}
+    return _Fit(train_docs, val_docs, vocab, lex, _model_config_from_args(args, vocab.size),
+                _train_config_from_args(args), pretrained)
+
+
+def _affect(args, articles: list) -> tuple[list, list[np.ndarray]]:
+    """`articles` tokenized (`tokenize_articles`) and each document's affect
+    matrix at --n-segments and --max-seg-len."""
+    lex = _load_lexicons(args)
+    docs = tokenize_articles(articles)
+    return docs, affect_matrices([doc for _, doc, _ in docs], lex, args.n_segments,
+                                 args.max_seg_len)
 
 
 # ---------------------------------------------------------------------------
@@ -256,11 +277,7 @@ def cmd_build_dataset(args, out: _Out) -> tuple[str, dict]:
 
 
 def cmd_extract_features(args, out: _Out) -> tuple[str, dict]:
-    articles = corpus_mod.load_corpus(args.corpus)
-    lex = _load_lexicons(args)
-    docs = tokenize_articles(articles)
-    matrices = affect_matrices([doc for _, doc, _ in docs], lex, args.n_segments,
-                               args.max_seg_len)
+    docs, matrices = _affect(args, corpus_mod.load_corpus(args.corpus))
     with atomic_open(out.path("features.jsonl"), "w", encoding="utf-8") as fh:
         for (doc_id, _, label), matrix in zip(docs, matrices):
             record = {"id": doc_id, "matrix": matrix.tolist()}
@@ -272,46 +289,34 @@ def cmd_extract_features(args, out: _Out) -> tuple[str, dict]:
 
 
 def cmd_train(args, out: _Out) -> tuple[str, dict]:
-    vectors = _load_embeddings(args)
-    splits = _prepare_data(args, _load_labeled_corpus(args.corpus), _load_lexicons(args),
-                           args.seed)
-    train_set, val_set = splits.examples(args.n_segments, args.max_seg_len)
-    vocab = splits.vocab
-    model_cfg = _model_config_from_args(args, vocab.size)
-    train_cfg = _train_config_from_args(args)
-    model = FakeFlowModel(model_cfg, seed=args.seed, pretrained=_embedding_rows(vectors, vocab))
-    result = train(model, train_set, val_set, train_cfg)
+    fit = _fit(args, *_fit_inputs(args), args.seed)
+    model = FakeFlowModel(fit.model_cfg, seed=args.seed, pretrained=fit.pretrained)
+    result = train(model, *fit.examples(), fit.train_cfg)
     model.save(out.path("checkpoint.bin"))
 
-    config_hash = _config_hash({"model": model_cfg.to_json(),
-                                "train": vars(train_cfg), "seed": args.seed})
+    config_hash = _config_hash({"model": fit.model_cfg.to_json(),
+                                "train": vars(fit.train_cfg), "seed": args.seed})
     best = result.history[result.best_epoch - 1]
     report_payload = {
         "config_hash": config_hash,
         "best_epoch": result.best_epoch,
         "epochs_run": result.epochs_run,
         "best_val_metric": result.best_val_metric,
-        "monitored_metric": train_cfg.monitored_metric,
+        "monitored_metric": fit.train_cfg.monitored_metric,
         "val_accuracy": best.val_accuracy,
         "val_macro_f1": best.val_macro_f1,
         "val_loss": best.val_loss,
     }
     _write_json(out.path("report.json"), report_payload)
     _write_json(out.path("history.json"), result.history_json())
-    _write_json(out.path("vocab.json"), vocab.to_json())
+    _write_json(out.path("vocab.json"), fit.vocab.to_json())
     return config_hash, report_payload
 
 
 def cmd_search(args, out: _Out) -> tuple[str, dict]:
-    vectors = _load_embeddings(args)
-    splits = _prepare_data(args, _load_labeled_corpus(args.corpus), _load_lexicons(args),
-                           args.seed)
-    train_set, val_set = splits.examples(args.n_segments, args.max_seg_len)
-    base_cfg = _model_config_from_args(args, splits.vocab.size)
-    train_cfg = _train_config_from_args(args)
-    result = random_search(SearchSpace(), args.trials, base_cfg, train_set, val_set,
-                           train_cfg, seed=args.seed,
-                           pretrained=_embedding_rows(vectors, splits.vocab))
+    fit = _fit(args, *_fit_inputs(args), args.seed)
+    result = random_search(SearchSpace(), args.trials, fit.model_cfg, *fit.examples(),
+                           fit.train_cfg, seed=args.seed, pretrained=fit.pretrained)
 
     with atomic_open(out.path("trials.jsonl"), "w", encoding="utf-8") as fh:
         for trial in result.trials:
@@ -326,7 +331,7 @@ def cmd_search(args, out: _Out) -> tuple[str, dict]:
     best_cfg = result.best.config
     ckpt_name = f"trial_{result.best.trial_index:02d}_epoch{result.best.best_epoch:02d}.bin"
     result.best_model.save(out.path(ckpt_name))
-    config_hash = _config_hash({"base": base_cfg.to_json(), "trials": args.trials,
+    config_hash = _config_hash({"base": fit.model_cfg.to_json(), "trials": args.trials,
                                 "seed": args.seed})
     best_payload = {
         "config_hash": config_hash,
@@ -336,21 +341,16 @@ def cmd_search(args, out: _Out) -> tuple[str, dict]:
         "checkpoint": ckpt_name,
     }
     _write_json(out.path("best.json"), best_payload)
-    _write_json(out.path("vocab.json"), splits.vocab.to_json())
+    _write_json(out.path("vocab.json"), fit.vocab.to_json())
     return config_hash, best_payload
 
 
 def cmd_select_n(args, out: _Out) -> tuple[str, dict]:
     candidates = _parse_ints(args.candidates, "--candidates")
-    vectors = _load_embeddings(args)
-    splits = _prepare_data(args, _load_labeled_corpus(args.corpus), _load_lexicons(args),
-                           args.seed)
-    base_cfg = _model_config_from_args(args, splits.vocab.size)
-    train_cfg = _train_config_from_args(args)
-    best_n, rows = select_n_segments(candidates, splits.train_docs, splits.val_docs,
-                                     splits.vocab, splits.lex, base_cfg, train_cfg,
-                                     _embedding_rows(vectors, splits.vocab))
-    config_hash = _config_hash({"candidates": candidates, "base": base_cfg.to_json(),
+    fit = _fit(args, *_fit_inputs(args), args.seed)
+    best_n, rows = select_n_segments(candidates, fit.train_docs, fit.val_docs, fit.vocab,
+                                     fit.lex, fit.model_cfg, fit.train_cfg, fit.pretrained)
+    config_hash = _config_hash({"candidates": candidates, "base": fit.model_cfg.to_json(),
                                 "seed": args.seed})
     report.emit_plot_data(
         "n_sweep",
@@ -379,18 +379,17 @@ def _load_model_and_vocab(args) -> tuple[FakeFlowModel, corpus_mod.Vocabulary]:
     return model, vocab
 
 
-def _model_examples(model: FakeFlowModel, vocab, lex: LexiconSet,
-                    articles: list) -> list[Example]:
-    """Tokenize and featurize articles at a trained model's segment count."""
+def _model_examples(model: FakeFlowModel, vocab, lex: LexiconSet, docs: list) -> list[Example]:
+    """Featurize tokenized documents at a trained model's segment count."""
     cfg = model.config
-    return prepare_examples(tokenize_articles(articles), vocab, lex,
-                            cfg.n_segments, cfg.max_seg_len)
+    return prepare_examples(docs, vocab, lex, cfg.n_segments, cfg.max_seg_len)
 
 
 def cmd_evaluate(args, out: _Out) -> tuple[str, dict]:
     model, vocab = _load_model_and_vocab(args)
     lex = _load_lexicons(args)
-    examples = _model_examples(model, vocab, lex, _load_labeled_corpus(args.corpus))
+    examples = _model_examples(model, vocab, lex,
+                               tokenize_articles(_load_labeled_corpus(args.corpus)))
     if not examples:
         raise UsageError(f"{args.corpus}: no document has tokens left after tokenization")
     cfg = model.config
@@ -408,26 +407,23 @@ def cmd_evaluate(args, out: _Out) -> tuple[str, dict]:
 
 
 def cmd_cross_year(args, out: _Out) -> tuple[str, dict]:
-    vectors = _load_embeddings(args)
-    articles, lex = _load_labeled_corpus(args.corpus), _load_lexicons(args)
+    articles, tokens, lex, vectors = _fit_inputs(args)
     # predict() sees only articles with tokens; gold labels must come from
-    # the same articles (tokenize_articles warns about each one it drops)
-    articles = [a for a in articles if tokenize_articles([a])]
+    # the same articles (tokenize_articles warned about each one it dropped)
     by_year: dict[int, list] = {}
-    for article in articles:
+    for article in (a for a in articles if a.id in tokens):
         if article.year is None:
             raise UsageError(f"article {article.id} has no year; cross-year needs years")
         by_year.setdefault(article.year, []).append(article)
 
     def model_builder(train_articles, seed):
-        splits = _prepare_data(args, train_articles, lex, seed)
-        cfg = _model_config_from_args(args, splits.vocab.size)
-        model = FakeFlowModel(cfg, seed=seed, pretrained=_embedding_rows(vectors, splits.vocab))
-        train(model, *splits.examples(cfg.n_segments, cfg.max_seg_len),
-              _train_config_from_args(args))
+        fit = _fit(args, train_articles, tokens, lex, vectors, seed)
+        model = FakeFlowModel(fit.model_cfg, seed=seed, pretrained=fit.pretrained)
+        train(model, *fit.examples(), fit.train_cfg)
 
         def predict(test_articles):
-            return model.predict(_model_examples(model, splits.vocab, lex, test_articles))
+            return model.predict(_model_examples(model, fit.vocab, lex,
+                                                 _docs(test_articles, tokens)))
 
         return predict
 
@@ -457,11 +453,7 @@ def cmd_mcnemar(args, _out) -> tuple[None, dict]:
 
 
 def cmd_analyze(args, out: _Out) -> tuple[str, dict]:
-    articles = _load_labeled_corpus(args.corpus)
-    lex = _load_lexicons(args)
-    docs = tokenize_articles(articles)
-    matrices = affect_matrices([doc for _, doc, _ in docs], lex, args.n_segments,
-                               args.max_seg_len)
+    docs, matrices = _affect(args, _load_labeled_corpus(args.corpus))
     stats = report.flow_statistics(matrices, [label for _, _, label in docs])
     config_hash = _config_hash({"n_segments": args.n_segments,
                                 "max_seg_len": args.max_seg_len})
@@ -477,17 +469,18 @@ def cmd_attention(args, out: _Out) -> tuple[str, dict]:
     articles = corpus_mod.load_corpus(args.corpus)
     if not articles:
         raise UsageError(f"corpus {args.corpus} has no articles")
-    wanted = [a for a in articles if a.id == args.doc_id] if args.doc_id else articles[:1]
+    wanted = ([a for a in articles if a.id == args.doc_id] if args.doc_id is not None
+              else articles[:1])
     if not wanted:
         raise UsageError(f"document id {args.doc_id!r} not found in {args.corpus}")
     article = wanted[0]
-    examples = _model_examples(model, vocab, lex, [article])
-    if not examples:
+    docs = tokenize_articles([article])
+    if not docs:
         raise UsageError(f"document {article.id} is empty after tokenization")
     cfg = model.config
-    trace = model.forward(examples[0])
+    trace = model.forward(_model_examples(model, vocab, lex, docs)[0])
     profile = report.attention_profile(trace, classes=cfg.classes)
-    doc = corpus_mod.tokenize(article.text)
+    doc = docs[0][1]
     annotation = report.highlight_emotions(doc, lex)
     config_hash = _config_hash({"model": cfg.to_json()})
     report.emit_plot_data("attention_bar", profile, out.path("attention_bar.csv"),
@@ -668,15 +661,9 @@ def main(argv=None) -> int:
             })
         _emit(args, summary)
         return 0
-    except UsageError as exc:
+    except (FakeflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FakeflowError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, UsageError) else 2
     except MemoryError as exc:  # numpy's message names the shape it could not allocate
         print(f"error: {args.command}: out of memory: {exc}", file=sys.stderr)
         return 2

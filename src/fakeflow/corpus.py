@@ -363,10 +363,7 @@ def load_source_lists(path) -> list[SourceListEntry]:
 
 def load_label_mapping(path) -> dict:
     """Mapping config: JSON object {"LIST": {"category": "real|fake|drop"}}."""
-    try:
-        payload = json.loads(read_text(path))
-    except (ValueError, RecursionError) as exc:
-        raise ParseError(f"{path}: invalid mapping JSON: {exc}") from exc
+    payload = read_json(path, "mapping")
     if not isinstance(payload, dict):
         raise ConfigError(f"{path}: mapping must be a JSON object, got {type(payload).__name__}")
     mapping = {}
@@ -383,10 +380,7 @@ def load_label_mapping(path) -> dict:
 
 def load_vocabulary(path) -> Vocabulary:
     """A vocabulary file as written from Vocabulary.to_json."""
-    try:
-        payload = json.loads(read_text(path))
-    except (ValueError, RecursionError) as exc:
-        raise ParseError(f"{path}: invalid vocabulary JSON: {exc}") from None
+    payload = read_json(path, "vocabulary")
     try:
         return Vocabulary.from_json(payload)
     except ConfigError as exc:
@@ -553,6 +547,15 @@ def read_text(path) -> str:
         line = data.count(b"\n", 0, exc.start) + 1
         raise ParseError(f"{path}:{line}: not UTF-8 text: {exc}") from None
     return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
+def read_json(path, what: str):
+    """The JSON value a UTF-8 file holds. A malformed one raises ParseError
+    `<path>: invalid <what> JSON: ...`."""
+    try:
+        return json.loads(read_text(path))
+    except (ValueError, RecursionError) as exc:
+        raise ParseError(f"{path}: invalid {what} JSON: {exc}") from None
 
 
 def load_corpus(path) -> list[RawArticle]:

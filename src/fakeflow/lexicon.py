@@ -10,7 +10,6 @@ each of them.
 
 from __future__ import annotations
 
-import json
 import logging
 import os
 from dataclasses import dataclass, field
@@ -23,6 +22,7 @@ from .corpus import (
     SegmentedDocument,
     SegmentedGroup,
     TokenizedDocument,
+    read_json,
     read_text,
     segment_groups,
 )
@@ -276,10 +276,7 @@ def load_lexicon_set(manifest_path) -> LexiconSet:
     manifest's directory. Category lexicons are filtered to their expected
     categories, so one NRC file can serve both emotions and sentiment.
     """
-    try:
-        manifest = json.loads(read_text(manifest_path))
-    except (ValueError, RecursionError) as exc:
-        raise ParseError(f"{manifest_path}: invalid manifest JSON: {exc}") from exc
+    manifest = read_json(manifest_path, "manifest")
     if not isinstance(manifest, dict):
         raise ConfigError(f"{manifest_path}: the manifest must be a JSON object")
     base = os.path.dirname(os.path.abspath(str(manifest_path)))

@@ -1,6 +1,8 @@
 import csv
 import json
 import os
+import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fakeflow
+import fakeflow.corpus
 import fakeflow.tensor as tz
 from conftest import FEAR_WORDS, FILLER_WORDS, JOY_WORDS, make_flow_corpus, overflowing
 from fakeflow import cli
@@ -230,6 +233,22 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: cnn_filter_widths must be distinct integers >= 1, got (3, 3)")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["train", "search"])
+    @pytest.mark.parametrize("flag, field", [("--n-segments", "n_segments"),
+                                             ("--max-seg-len", "max_seg_len")])
+    def test_zero_segment_size_is_config_error(self, tmp_path, capsys, command, flag, field):
+        # the configs are built with the data, so the config refuses 0
+        # before anything is featurized or written
+        manifest = write_lexicon_fixture(tmp_path)
+        extra = ["--trials", "1"] if command == "search" else []
+        code = main([command, "--corpus", str(write_flow_corpus(tmp_path)),
+                     "--lexicons", str(manifest), "--out", str(tmp_path / "out")]
+                    + TRAIN_FLAGS + extra + [flag, "0"])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {field} must be an integer >= 1, got 0"]
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command, flag", [
         ("train", "--embed-dim"), ("train", "--filter-count"),
@@ -610,14 +629,16 @@ class TestLoadedModelErrors:
 
     def test_attention_unknown_doc_id_is_usage_error(self, trained, tmp_path, capsys):
         manifest, corpus, out = trained
-        capsys.readouterr()
-        code = main(["attention", "--checkpoint", str(out / "checkpoint.bin"),
-                     "--vocab", str(out / "vocab.json"), "--corpus", str(corpus),
-                     "--lexicons", str(manifest), "--doc-id", "no-such-doc",
-                     "--out", str(tmp_path / "att")])
-        assert code == 1
-        assert "document id 'no-such-doc' not found" in capsys.readouterr().err
-        assert not (tmp_path / "att").exists()
+        for doc_id in ("no-such-doc", ""):  # an empty id names no article, not the first
+            capsys.readouterr()
+            code = main(["attention", "--checkpoint", str(out / "checkpoint.bin"),
+                         "--vocab", str(out / "vocab.json"), "--corpus", str(corpus),
+                         "--lexicons", str(manifest), "--doc-id", doc_id,
+                         "--out", str(tmp_path / "att")])
+            assert code == 1
+            assert capsys.readouterr().err.strip().splitlines() == [
+                f"error: document id {doc_id!r} not found in {corpus}"]
+            assert not (tmp_path / "att").exists()
 
     def test_attention_on_a_corpus_without_articles_is_usage_error(self, trained, tmp_path,
                                                                     capsys):
@@ -643,6 +664,65 @@ class TestLoadedModelErrors:
                      "--lexicons", str(manifest), "--out", str(tmp_path / "scored")])
         assert code == 1
         assert str(empty) in capsys.readouterr().err
+
+
+_MODEL = ["--checkpoint", "run/checkpoint.bin", "--vocab", "run/vocab.json"]
+
+
+class TestTokenizeOnce:
+    """Every command that reads a corpus tokenizes each article it reads once."""
+
+    @pytest.fixture(scope="class")
+    def root(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("inputs")
+        two_years = write_flow_corpus(root, n_docs=24, name="two.jsonl",
+                                      year_cycle=[2013, 2013, 2014, 2014])
+        with open(two_years, "a") as fh:  # dropped, but tokenized once to find that out
+            fh.write(json.dumps({"id": "punct", "text": "!!! ...", "label": "fake",
+                                 "year": 2014}) + "\n")
+        write_flow_corpus(root, n_docs=32, name="four.jsonl", seed=3,
+                          year_cycle=[2011, 2012, 2013, 2014, 2012, 2011, 2014, 2013])
+        write_flow_corpus(root, n_docs=6, name="val.jsonl", seed=9)
+        assert main(["train", "--corpus", str(two_years), "--lexicons",
+                     str(write_lexicon_fixture(root)), "--out", str(root / "run")]
+                    + TRAIN_FLAGS) == 0
+        return root
+
+    @pytest.mark.parametrize("argv, read", [
+        (["train", "--corpus", "two.jsonl", *TRAIN_FLAGS], ["two.jsonl"]),
+        (["train", "--corpus", "two.jsonl", "--val-corpus", "val.jsonl", *TRAIN_FLAGS],
+         ["two.jsonl", "val.jsonl"]),
+        (["search", "--corpus", "two.jsonl", "--trials", "2", *TRAIN_FLAGS], ["two.jsonl"]),
+        (["select-n", "--corpus", "two.jsonl", "--candidates", "2,4", *TRAIN_FLAGS],
+         ["two.jsonl"]),
+        (["cross-year", "--corpus", "two.jsonl", *TRAIN_FLAGS], ["two.jsonl"]),
+        (["cross-year", "--corpus", "four.jsonl", *TRAIN_FLAGS], ["four.jsonl"]),
+        (["evaluate", "--corpus", "two.jsonl", *_MODEL], ["two.jsonl"]),
+        (["attention", "--corpus", "two.jsonl", "--doc-id", "doc0003", *_MODEL], ["two.jsonl"]),
+        (["extract-features", "--corpus", "two.jsonl", "--n-segments", "4"], ["two.jsonl"]),
+        (["analyze", "--corpus", "two.jsonl", "--n-segments", "4"], ["two.jsonl"]),
+    ], ids=["train", "train-val-corpus", "search", "select-n", "cross-year-2", "cross-year-4",
+            "evaluate", "attention", "extract-features", "analyze"])
+    def test_each_article_is_tokenized_once(self, root, tmp_path, capsys, monkeypatch,
+                                            argv, read):
+        calls = Counter()
+        real_tokenize = fakeflow.corpus.tokenize
+
+        def counted(text):
+            calls[text] += 1
+            return real_tokenize(text)
+
+        # the attribute fakeflow.train is the train function, not the module
+        for module in (fakeflow.corpus, sys.modules["fakeflow.train"]):
+            monkeypatch.setattr(module, "tokenize", counted)
+        monkeypatch.chdir(root)
+        code = main(argv + ["--lexicons", "lexicons/manifest.json", "--out", str(tmp_path / "out")])
+        assert code == 0, capsys.readouterr().err
+        articles = [json.loads(line) for name in read
+                    for line in (root / name).read_text().splitlines()]
+        if "--doc-id" in argv:  # attention reads only the article it analyses
+            articles = [a for a in articles if a["id"] == argv[argv.index("--doc-id") + 1]]
+        assert calls == Counter(a["text"] for a in articles)
 
 
 class TestAnalyzeCommand:

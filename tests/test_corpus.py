@@ -38,6 +38,7 @@ from fakeflow.errors import (
     ParseError,
     StratificationError,
 )
+from fakeflow.lexicon import load_lexicon_set
 
 
 _BOUNDARY = string.punctuation + "‘’“”«»–—…¿¡"
@@ -629,6 +630,19 @@ class TestLoadSourceLists:
             return
         for entry in entries:
             assert entry.domain and entry.list_name and isinstance(entry.raw_category, str)
+
+
+@pytest.mark.parametrize("load, what", [
+    (load_label_mapping, "mapping"), (load_vocabulary, "vocabulary"),
+    (load_lexicon_set, "manifest"),
+], ids=["mapping", "vocabulary", "manifest"])
+@pytest.mark.parametrize("content", [b"{", b"[" * 100_000], ids=["truncated", "deep-nesting"])
+def test_malformed_json_names_the_file_and_what_it_holds(tmp_path, load, what, content):
+    path = tmp_path / "file.json"
+    path.write_bytes(content)
+    with pytest.raises(ParseError) as err:
+        load(path)
+    assert str(err.value).startswith(f"{path}: invalid {what} JSON: ")
 
 
 class TestLoadLabelMapping:
