@@ -35,6 +35,7 @@ from .errors import ConfigError, FakeflowError, UsageError
 from .lexicon import LexiconSet, affect_matrices, load_lexicon_set
 from .model import MODES, Example, FakeFlowConfig, FakeFlowModel
 from .train import (
+    MONITORED_METRICS,
     SearchSpace,
     TrainConfig,
     prepare_examples,
@@ -125,7 +126,6 @@ def _model_config_from_args(args, vocab_size: int) -> FakeFlowConfig:
         activation=args.activation,
         optimizer=args.optimizer,
         mode=args.mode,
-        classes=corpus_mod.LABELS,
         train_embeddings=not args.freeze_embeddings,
     )
 
@@ -519,9 +519,14 @@ def build_parser() -> _ArgumentParser:
     inputs.add_argument("--corpus", required=True, help="JSONL corpus")
     inputs.add_argument("--lexicons", help=f"lexicon manifest JSON (default: ${LEXICON_ENV_VAR})")
 
+    # every model and training default is its config's own but two: the
+    # config's embed_dim is the paper's size, too large for a quick run, and
+    # the config requires n_segments, so the CLI's 10 is its own
+    c, t = FakeFlowConfig, TrainConfig
+
     segments = group()
     segments.add_argument("--n-segments", dest="n_segments", type=int, default=10)
-    segments.add_argument("--max-seg-len", dest="max_seg_len", type=int, default=800)
+    segments.add_argument("--max-seg-len", dest="max_seg_len", type=int, default=c.max_seg_len)
 
     checkpoint = group()
     checkpoint.add_argument("--checkpoint", required=True)
@@ -538,27 +543,28 @@ def build_parser() -> _ArgumentParser:
 
     model = group()
     model.add_argument("--embed-dim", dest="embed_dim", type=int, default=32)
-    model.add_argument("--filter-widths", dest="filter_widths", default="3,4,5")
-    model.add_argument("--filter-count", dest="filter_count", type=int, default=16)
-    model.add_argument("--pool-size", dest="pool_size", type=int, default=2)
-    model.add_argument("--topic-dim", dest="topic_dim", type=int, default=16)
-    model.add_argument("--gru-units", dest="gru_units", type=int, default=16)
-    model.add_argument("--final-dim", dest="final_dim", type=int, default=16)
-    model.add_argument("--dropout", type=float, default=0.3)
-    model.add_argument("--activation", default="relu", choices=sorted(tz.ACTIVATIONS))
-    model.add_argument("--optimizer", default="adam", choices=tz.ALGORITHMS)
-    model.add_argument("--mode", default="full", choices=MODES)
+    model.add_argument("--filter-widths", dest="filter_widths",
+                       default=",".join(map(str, c.cnn_filter_widths)))
+    model.add_argument("--filter-count", dest="filter_count", type=int,
+                       default=c.cnn_filter_count)
+    model.add_argument("--pool-size", dest="pool_size", type=int, default=c.pool_size)
+    model.add_argument("--topic-dim", dest="topic_dim", type=int, default=c.topic_dense_dim)
+    model.add_argument("--gru-units", dest="gru_units", type=int, default=c.gru_units)
+    model.add_argument("--final-dim", dest="final_dim", type=int, default=c.final_dense_dim)
+    model.add_argument("--dropout", type=float, default=c.dropout_rate)
+    model.add_argument("--activation", default=c.activation, choices=sorted(tz.ACTIVATIONS))
+    model.add_argument("--optimizer", default=c.optimizer, choices=tz.ALGORITHMS)
+    model.add_argument("--mode", default=c.mode, choices=MODES)
     model.add_argument("--embeddings", help="pretrained word vectors (text format)")
     model.add_argument("--freeze-embeddings", dest="freeze_embeddings", action="store_true",
                        help="do not update the embedding table during training")
 
     training = group()
-    training.add_argument("--epochs", type=int, default=50)
-    training.add_argument("--patience", type=int, default=4)
-    training.add_argument("--batch-size", dest="batch_size", type=int, default=32)
-    training.add_argument("--lr", type=float, default=None)
-    training.add_argument("--monitor", default="val_macro_f1",
-                          choices=["val_macro_f1", "val_loss"])
+    training.add_argument("--epochs", type=int, default=t.max_epochs)
+    training.add_argument("--patience", type=int, default=t.patience)
+    training.add_argument("--batch-size", dest="batch_size", type=int, default=t.batch_size)
+    training.add_argument("--lr", type=float, default=t.learning_rate)
+    training.add_argument("--monitor", default=t.monitored_metric, choices=MONITORED_METRICS)
 
     fitting = (split, segments, model, training)
 

@@ -15,7 +15,7 @@ import logging
 import string
 from collections import Counter, defaultdict
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import repeat
 
 import numpy as np
@@ -456,17 +456,7 @@ def project_and_sample(
             keep = rng.choice(len(pool), size=max_per_domain, replace=False)
             pool = [pool[i] for i in sorted(keep)]
         label = verdict_by_domain[domain].label
-        for article in pool:
-            sampled.append(
-                RawArticle(
-                    id=article.id,
-                    text=article.text,
-                    label=label,
-                    domain=article.domain,
-                    year=article.year,
-                    split_hint=article.split_hint,
-                )
-            )
+        sampled.extend(replace(article, label=label) for article in pool)
     return sampled
 
 
@@ -589,6 +579,9 @@ def load_corpus(path) -> list[RawArticle]:
         year = record.get("year")
         if year is not None and (not isinstance(year, int) or isinstance(year, bool)):
             raise ParseError(f"{path}:{lineno}: field 'year' is not an integer")
+        for field_name in ("domain", "split"):
+            if not isinstance(record.get(field_name), (str, type(None))):
+                raise ParseError(f"{path}:{lineno}: field {field_name!r} is not a string")
         articles.append(
             RawArticle(
                 id=article_id,

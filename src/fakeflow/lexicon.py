@@ -307,11 +307,6 @@ def load_lexicon_set(manifest_path) -> LexiconSet:
     morality = category("morality", MORALITY_CATEGORIES)
     hyper_path, hyper_fmt = resolve("hyperbolic", "wordlist")
     hyperbolic = load_category_lexicon(hyper_path, fmt=hyper_fmt, name=HYPERBOLIC_FEATURE)
-    if hyper_fmt == "wordlist":
-        hyperbolic = CategoryLexicon(
-            name=HYPERBOLIC_FEATURE,
-            categories={HYPERBOLIC_FEATURE: hyperbolic.words()},
-        )
     img_path, _ = resolve("imageability", "tsv")
     abs_path, _ = resolve("abstractness", "tsv")
     return LexiconSet(

@@ -20,11 +20,12 @@ single document is a batch of one.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from . import tensor as tz
+from .corpus import LABELS
 from .errors import ConfigError, NumericsError, ShapeError, UsageError
 from .lexicon import N_FEATURES
 
@@ -62,7 +63,7 @@ class FakeFlowConfig:
     activation: str = "relu"
     optimizer: str = "adam"
     mode: str = "full"
-    classes: tuple = ("real", "fake")
+    classes: tuple = LABELS
     train_embeddings: bool = True
 
     def __post_init__(self):
@@ -96,6 +97,8 @@ class FakeFlowConfig:
             raise ConfigError(f"unknown activation {self.activation!r}")
         if self.optimizer not in tz.ALGORITHMS:
             raise ConfigError(f"unknown optimizer {self.optimizer!r}")
+        if not all(isinstance(name, str) for name in self.classes):
+            raise ConfigError(f"class names must be strings, got {self.classes}")
         if len(self.classes) < 2 or len(set(self.classes)) != len(self.classes):
             raise ConfigError(f"need at least 2 distinct classes, got {self.classes}")
         # before any draw: numpy refuses such a shape with a ValueError, not a MemoryError
@@ -158,23 +161,9 @@ class ForwardTrace:
         return int(np.argmax(self.probabilities))
 
     def to_json(self) -> dict:
-        def conv(x):
-            return None if x is None else np.asarray(x).tolist()
-
-        return {
-            "doc_id": self.doc_id,
-            "mode": self.mode,
-            "probabilities": conv(self.probabilities),
-            "v_topic": conv(self.v_topic),
-            "v_affect": conv(self.v_affect),
-            "v_concat": conv(self.v_concat),
-            "v_fc": conv(self.v_fc),
-            "attention_weights": conv(self.attention_weights),
-            "l_t": conv(self.l_t),
-            "v_flow": conv(self.v_flow),
-            "v_compact": conv(self.v_compact),
-            "v_final": conv(self.v_final),
-        }
+        """Every field, each array as nested lists."""
+        values = ((f.name, getattr(self, f.name)) for f in fields(self))
+        return {name: v.tolist() if isinstance(v, np.ndarray) else v for name, v in values}
 
 
 def _batch_names(examples: list[Example]) -> str:

@@ -19,15 +19,6 @@ import numpy as np
 from ..errors import ConfigError, UsageError
 from .engine import DTYPE, Parameter
 
-DEFAULT_LEARNING_RATES = {
-    "sgd": 0.01,
-    "adam": 0.001,
-    "rmsprop": 0.001,
-    "adadelta": 1.0,
-}
-
-ALGORITHMS = tuple(DEFAULT_LEARNING_RATES)
-
 BETA1 = 0.9
 BETA2 = 0.999
 ADAM_EPS = 1e-8
@@ -89,7 +80,7 @@ def step(opt: OptimizerState, params: list[Parameter]) -> None:
     if len(set(names)) != len(names):
         raise UsageError("parameter names must be unique within an optimizer step")
     try:
-        update, slot_names = _UPDATES[opt.algorithm]
+        update, slot_names, _ = _ALGORITHMS[opt.algorithm]
     except KeyError:  # make_optimizer validates; a hand-built state may not be
         raise UsageError(f"unknown optimizer {opt.algorithm!r}") from None
     work = [[p.value, p.grad] + [opt.slot(p, name) for name in slot_names] for p in params]
@@ -175,9 +166,13 @@ def _adadelta(p, g, acc, acc_delta, a, b, lr, t):
     p += a
 
 
-_UPDATES = {
-    "sgd": (_sgd, ()),
-    "adam": (_adam, ("m", "v")),
-    "rmsprop": (_rmsprop, ("acc",)),
-    "adadelta": (_adadelta, ("acc", "acc_delta")),
+# name -> (update, its slot names, default learning rate)
+_ALGORITHMS = {
+    "sgd": (_sgd, (), 0.01),
+    "adam": (_adam, ("m", "v"), 0.001),
+    "rmsprop": (_rmsprop, ("acc",), 0.001),
+    "adadelta": (_adadelta, ("acc", "acc_delta"), 1.0),
 }
+
+ALGORITHMS = tuple(_ALGORITHMS)
+DEFAULT_LEARNING_RATES = {name: lr for name, (_, _, lr) in _ALGORITHMS.items()}

@@ -26,6 +26,9 @@ logger = logging.getLogger(__name__)
 
 SINGLE_SEGMENT_CAP = 1500  # max_seg_len override for n_segments == 1
 
+# the validation metrics training can monitor, each mapped to whether higher is better
+MONITORED_METRICS = {"val_macro_f1": True, "val_loss": False}
+
 
 @dataclass
 class TrainConfig:
@@ -34,7 +37,7 @@ class TrainConfig:
     batch_size: int = 32
     learning_rate: float | None = None  # per-optimizer default when None
     seed: int = 0
-    monitored_metric: str = "val_macro_f1"  # or "val_loss"
+    monitored_metric: str = "val_macro_f1"
 
     def __post_init__(self):
         if self.max_epochs < 1:
@@ -47,12 +50,18 @@ class TrainConfig:
             )
         if self.batch_size < 1:
             raise UsageError("batch_size must be >= 1")
-        if self.monitored_metric not in ("val_macro_f1", "val_loss"):
+        if self.monitored_metric not in MONITORED_METRICS:
             raise UsageError(f"unknown monitored metric {self.monitored_metric!r}")
 
     @property
     def higher_is_better(self) -> bool:
-        return self.monitored_metric == "val_macro_f1"
+        return MONITORED_METRICS[self.monitored_metric]
+
+
+def _improves(value: float, best: float | None, higher_is_better: bool) -> bool:
+    """Whether `value` is strictly better than `best` in the monitored
+    direction; anything improves on no value (None)."""
+    return best is None or (value > best if higher_is_better else value < best)
 
 
 @dataclass
@@ -92,10 +101,7 @@ class EarlyStopper:
         self.stale = 0
 
     def update(self, epoch: int, value: float) -> bool:
-        improved = self.best is None or (
-            value > self.best if self.higher_is_better else value < self.best
-        )
-        if improved:
+        if _improves(value, self.best, self.higher_is_better):
             self.best = value
             self.best_epoch = epoch
             self.stale = 0
@@ -154,9 +160,7 @@ def train(model: FakeFlowModel, train_set: list[Example], val_set: list[Example]
             val_macro_f1=report.macro_f1,
         )
         history.append(record)
-        monitored = record.val_macro_f1 if cfg.monitored_metric == "val_macro_f1" else val_loss
-
-        keep_going = stopper.update(epoch, monitored)
+        keep_going = stopper.update(epoch, getattr(record, cfg.monitored_metric))
         if stopper.best_epoch == epoch:
             np.copyto(best_values, model.buffers[0])
         if not keep_going:
@@ -252,9 +256,8 @@ def random_search(space: SearchSpace, trials: int, base_config: FakeFlowConfig,
         logger.info("trial %d/%d: metric=%.4f epochs=%d", t + 1, trials,
                     result.best_val_metric, result.epochs_run)
         # strict comparison: earliest trial wins ties
-        if best is None or ((result.best_val_metric > best.best_val_metric)
-                            if train_cfg.higher_is_better
-                            else (result.best_val_metric < best.best_val_metric)):
+        best_so_far = None if best is None else best.best_val_metric
+        if _improves(result.best_val_metric, best_so_far, train_cfg.higher_is_better):
             best, best_model = result, model
     return SearchResult(best=best, trials=results, best_model=best_model)
 

@@ -45,6 +45,12 @@ class TestDamagedCheckpoints:
         with pytest.raises(ParseError, match="after the last parameter"):
             load(tmp_path, checkpoint_bytes(tmp_path) + b"\0")
 
+    def test_other_version_is_parse_error(self, tmp_path):
+        blob = bytearray(checkpoint_bytes(tmp_path))
+        blob[4:8] = struct.pack("<I", VERSION + 1)
+        with pytest.raises(ParseError, match=f"unsupported checkpoint version {VERSION + 1}"):
+            load(tmp_path, bytes(blob))
+
     def test_header_length_past_the_end_is_parse_error(self, tmp_path):
         blob = bytearray(checkpoint_bytes(tmp_path))
         blob[8:16] = struct.pack("<Q", 2**62)

@@ -1,5 +1,6 @@
 import csv
 import json
+import logging
 import os
 import sys
 from collections import Counter
@@ -17,7 +18,8 @@ from fakeflow import cli
 from fakeflow.cli import main
 from fakeflow.corpus import load_vocabulary
 from fakeflow.lexicon import EMOTION_CATEGORIES, MORALITY_CATEGORIES
-from fakeflow.model import FakeFlowModel
+from fakeflow.model import FakeFlowConfig, FakeFlowModel
+from fakeflow.train import TrainConfig
 
 
 def write_lexicon_fixture(tmp_path):
@@ -399,6 +401,15 @@ class TestExitCodes:
         assert code == 1
 
 
+class TestParserDefaults:
+    def test_model_and_training_defaults_are_the_configs_own(self):
+        # all but --embed-dim's: the config's 300 is the paper's size
+        args = cli.build_parser().parse_args(["train", "--corpus", "c.jsonl", "--out", "o"])
+        assert cli._model_config_from_args(args, vocab_size=7) == FakeFlowConfig(
+            n_segments=10, vocab_size=7, embed_dim=32)
+        assert cli._train_config_from_args(args) == TrainConfig()
+
+
 class TestManifestEnvironment:
     def test_records_the_numpy_and_blas_builds_and_thread_settings(self, tmp_path, monkeypatch):
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
@@ -599,18 +610,26 @@ class TestLoadedModelErrors:
         assert err.count("\n") == 1 and "Traceback" not in err
         assert not (tmp_path / "scored").exists()
 
-    def test_evaluate_checkpoint_with_repeated_classes_exits_2(self, trained, tmp_path, capsys):
+    @pytest.mark.parametrize("classes, error", [
+        (["real", "real"], "need at least 2 distinct classes"),
+        ([0, 1], "class names must be strings"),  # metrics would sort "real" with 0
+    ], ids=["repeated", "integers"])
+    def test_evaluate_checkpoint_with_repeated_classes_exits_2(self, trained, tmp_path, capsys,
+                                                               classes, error):
         manifest, corpus, out = trained
         config, arrays = tz.load_checkpoint(out / "checkpoint.bin")
         bad = tmp_path / "bad.bin"
         tz.save_checkpoint(bad, [tz.Parameter(n, a) for n, a in arrays.items()],
-                           config={**config, "classes": ["real", "real"]})
+                           config={**config, "classes": classes})
         capsys.readouterr()
         code = main(["evaluate", "--checkpoint", str(bad), "--vocab", str(out / "vocab.json"),
                      "--corpus", str(corpus), "--lexicons", str(manifest),
                      "--out", str(tmp_path / "scored")])
         assert code == 2
-        assert "distinct classes" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {error}, got ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not (tmp_path / "scored").exists()
 
     def test_evaluate_overflowing_model_exits_2_naming_documents(self, trained, tmp_path,
                                                                    capsys):
@@ -640,18 +659,26 @@ class TestLoadedModelErrors:
                 f"error: document id {doc_id!r} not found in {corpus}"]
             assert not (tmp_path / "att").exists()
 
-    def test_attention_on_a_corpus_without_articles_is_usage_error(self, trained, tmp_path,
-                                                                    capsys):
+    @pytest.mark.parametrize("content, error, warnings", [
+        ("\n", "corpus {} has no articles", []),
+        (json.dumps({"id": "p0", "text": "!!! ..."}) + "\n",
+         "document p0 is empty after tokenization",
+         ["article p0 dropped: empty after tokenization"]),
+    ], ids=["no-articles", "no-tokens"])
+    def test_attention_on_a_corpus_without_articles_is_usage_error(
+            self, trained, tmp_path, capsys, caplog, content, error, warnings):
         manifest, _, out = trained
         empty = tmp_path / "empty.jsonl"
-        empty.write_text("\n")
+        empty.write_text(content)
         capsys.readouterr()
+        caplog.clear()
         code = main(["attention", "--checkpoint", str(out / "checkpoint.bin"),
                      "--vocab", str(out / "vocab.json"), "--corpus", str(empty),
                      "--lexicons", str(manifest), "--out", str(tmp_path / "att")])
         assert code == 1
-        assert capsys.readouterr().err.strip().splitlines() == [
-            f"error: corpus {empty} has no articles"]
+        assert capsys.readouterr().err.strip().splitlines() == ["error: " + error.format(empty)]
+        assert [r.getMessage() for r in caplog.records
+                if r.levelno >= logging.WARNING] == warnings
         assert not (tmp_path / "att").exists()
 
     def test_evaluate_corpus_without_tokens_is_usage_error(self, trained, tmp_path, capsys):
@@ -890,8 +917,12 @@ class TestBuildDatasetCommand:
         (None, None, b'{"id": "1", "text": "a b", "year": 2016.7}', "articles"),
         (None, None, b'{"id": "1", "text": "a b", "year": true}', "articles"),
         (None, None, b'{"id": "1", "text": "a b", "year": "2015"}', "articles"),
+        # a domain is a key of the verdicts: a list one was a TypeError traceback
+        (None, None, b'{"id": "1", "text": "a b", "domain": ["x.com"]}', "articles"),
+        (None, None, b'{"id": "1", "text": "a b", "split": 1}', "articles"),
     ], ids=["sources-latin-1", "sources-short-row", "mapping-latin-1", "mapping-list",
-            "mapping-bad-rule", "year-float", "year-true", "year-string"])
+            "mapping-bad-rule", "year-float", "year-true", "year-string", "domain-list",
+            "split-integer"])
     def test_bad_input_exits_2_naming_the_file(self, tmp_path, capsys,
                                                sources, mapping, articles, named):
         files = {
@@ -905,7 +936,10 @@ class TestBuildDatasetCommand:
                      "--mapping", str(tmp_path / "mapping"),
                      "--articles", str(tmp_path / "articles"), "--out", str(tmp_path / "out")])
         assert code == 2
-        assert f"error: {tmp_path / named}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {tmp_path / named}")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
 
 class TestExtractFeaturesCommand:

@@ -37,6 +37,7 @@ from fakeflow.errors import (
     FakeflowError,
     ParseError,
     StratificationError,
+    UsageError,
 )
 from fakeflow.lexicon import load_lexicon_set
 
@@ -235,6 +236,10 @@ class TestVocabulary:
         docs = [TokenizedDocument(["z", "m", "a", "m"]), TokenizedDocument(["z"])]
         assert build_vocabulary(docs).token_to_id == build_vocabulary(docs).token_to_id
 
+    def test_empty_corpus_is_usage_error(self):
+        with pytest.raises(UsageError, match="empty corpus"):
+            build_vocabulary([])
+
     def test_tie_break_lexicographic(self):
         docs = [TokenizedDocument(["b", "a"])]
         vocab = build_vocabulary(docs)
@@ -361,11 +366,15 @@ class TestMergeSourceLists:
         verdicts, _ = merge_source_lists(entries)
         assert verdicts[0].label == "fake"
 
-    def test_unmapped_category_raises(self):
-        entries = [SourceListEntry("x.com", "OS", "weird")]
+    @pytest.mark.parametrize("mapping, error", [
         # the default OS mapping has a wildcard drop; a custom mapping without it fails
-        with pytest.raises(ConfigError):
-            merge_source_lists(entries, mapping={("OS", "reliable"): "real"})
+        ({("OS", "reliable"): "real"}, "no mapping for category 'weird'"),
+        ({("OS", "*"): "maybe"}, "must be real, fake, or drop; got 'maybe'"),
+    ], ids=["unmapped", "bad-rule"])
+    def test_unmapped_category_raises(self, mapping, error):
+        entries = [SourceListEntry("x.com", "OS", "weird")]
+        with pytest.raises(ConfigError, match=error):
+            merge_source_lists(entries, mapping=mapping)
 
     def test_surviving_count_emitted(self):
         entries = [
@@ -423,6 +432,12 @@ class TestProjectAndSample:
         sampled = project_and_sample(articles, [DomainVerdict(domain="k.com", label="real")], seed=0)
         assert sampled == []
 
+    def test_sampled_articles_keep_every_field_but_the_label(self):
+        article = RawArticle(id="a", text=" ".join(f"w{i}" for i in range(30)), label="real",
+                             domain="d.com", year=2016, split_hint="test")
+        [sampled] = project_and_sample([article], [DomainVerdict(domain="d.com", label="fake")])
+        assert vars(sampled) == {**vars(article), "label": "fake"}
+
 
 class TestSplitTrainVal:
     def _corpus(self, n_real, n_fake):
@@ -451,9 +466,16 @@ class TestSplitTrainVal:
         _, val = split_train_val(corpus, val_fraction=0.2, seed=0)
         assert len(val) == 1942
 
-    def test_small_class_raises(self):
-        with pytest.raises(StratificationError):
-            split_train_val(self._corpus(5, 1), seed=0)
+    @pytest.mark.parametrize("corpus, error, match", [
+        ([RawArticle(id="r", text="a", label="real")] * 5
+         + [RawArticle(id="f", text="a", label="fake")], StratificationError, "fewer than 2"),
+        ([], UsageError, "empty corpus"),
+        ([RawArticle(id="r", text="a", label="real"), RawArticle(id="u", text="a")],
+         UsageError, "article u has no label"),
+    ], ids=["small-class", "empty", "unlabeled"])
+    def test_small_class_raises(self, corpus, error, match):
+        with pytest.raises(error, match=match):
+            split_train_val(corpus, seed=0)
 
 
 class TestComplementTestWithReal:
@@ -471,6 +493,12 @@ class TestComplementTestWithReal:
         corpus = [RawArticle(id=f"r{i}", text=text, label="real") for i in range(5)]
         remaining, sampled = complement_test_with_real(corpus, 2, seed=0, remove_from_train=False)
         assert len(remaining) == 5 and len(sampled) == 2
+
+    def test_more_than_available_is_usage_error(self):
+        corpus = [RawArticle(id="r", text="a", label="real"), RawArticle(id="f", text="a",
+                                                                          label="fake")]
+        with pytest.raises(UsageError, match="asked for 2 real articles but only 1 available"):
+            complement_test_with_real(corpus, 2)
 
 
 class TestLoadCorpus:
@@ -544,6 +572,8 @@ class TestLoadCorpus:
         for article in articles:
             assert isinstance(article.id, str) and article.text.strip()
             assert article.year is None or isinstance(article.year, int)
+            assert all(isinstance(value, (str, type(None)))
+                       for value in (article.domain, article.split_hint))
 
 
     @pytest.mark.parametrize("year", [2016.7, True, False, "2015", 2016.0, [2016]],
@@ -555,6 +585,17 @@ class TestLoadCorpus:
         with pytest.raises(ParseError, match="year") as err:
             load_corpus(path)
         assert f"{path}:2:" in str(err.value)
+
+    @pytest.mark.parametrize("value", [["x.com"], 5, True, {"x": "y"}],
+                             ids=["list", "integer", "true", "object"])
+    @pytest.mark.parametrize("name", ["domain", "split"])
+    def test_domain_or_split_that_is_not_a_string_is_parse_error(self, tmp_path, name, value):
+        path = tmp_path / "c.jsonl"
+        path.write_text(json.dumps({"id": "0", "text": "fine", name: "x.com"}) + "\n"
+                        + json.dumps({"id": "1", "text": "a", name: value}) + "\n")
+        with pytest.raises(ParseError) as err:
+            load_corpus(path)
+        assert str(err.value) == f"{path}:2: field {name!r} is not a string"
 
     @settings(max_examples=150, deadline=None)
     @given(year=st.one_of(st.integers(), st.floats(), st.booleans(), st.text(max_size=6),
@@ -725,8 +766,9 @@ class TestWordVectors:
         (b"2 3\nhello 0.1 inf 0.3 \n", 2),
         (b"2 3\nhello 0.1 0.2 0.3 \nworld 1.0 0.5 \n", 3),
         (b"hello 0.5\n", 1),
+        (b"hello 0.1 0.2 0.3\nworld 1.0 x 0.5\n", 2),
     ], ids=["latin-1", "nan", "inf", "trailing-space-inf", "trailing-space-short",
-            "two-fields-not-a-header"])
+            "two-fields-not-a-header", "non-numeric"])
     def test_bad_line_is_parse_error_naming_it(self, tmp_path, content, line):
         path = tmp_path / "vectors.txt"
         path.write_bytes(content)

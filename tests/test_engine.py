@@ -119,6 +119,11 @@ class TestForwardExamples:
         out = tz.softmax(tape.constant(np.array([0.0, 0.0])))
         assert out.value.tolist() == [0.5, 0.5]
 
+    @pytest.mark.parametrize("shape", [(), (2, 0)], ids=["scalar", "no-classes"])
+    def test_softmax_array_needs_an_element_on_the_last_axis(self, shape):
+        with pytest.raises(ShapeError, match="softmax: need at least one element"):
+            tz.softmax_array(np.zeros(shape))
+
     def test_softmax_stability(self):
         tape = tz.Tape()
         out = tz.softmax(tape.constant(np.array([1000.0, 0.0])))
@@ -215,6 +220,19 @@ class TestParameter:
             p.assign([bad, 1.0, 2.0])
         assert p.value.tolist() == [0.0, 0.0, 0.0]
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_initial_values_are_numerics_errors(self, bad):
+        with pytest.raises(NumericsError, match="parameter 'v' initialized with non-finite"):
+            tz.Parameter("v", [1.0, bad])
+        with pytest.raises(NumericsError, match="constant input contains non-finite"):
+            tz.Tape().constant([bad, 1.0])
+
+    def test_assign_of_another_shape_is_shape_error(self):
+        p = tz.Parameter("w", np.zeros(3))
+        with pytest.raises(ShapeError, match=r"parameter 'w' has shape \(3,\)"):
+            p.assign(np.ones(4))
+        assert p.value.tolist() == [0.0, 0.0, 0.0]
+
 
 # every recording op, called on inputs of valid shapes that make(shape) gives
 _OP_CALLS = {
@@ -239,6 +257,49 @@ _OP_CALLS = {
     "additive_pair_scores": lambda make: tz.additive_pair_scores(
         make((2, 3, 4)), make((2, 3, 4)), make((4,)), make((4,))),
     "bigru": lambda make: tz.bigru(make((1, 3, 2)), *(make(s) for s in tz.gru_shapes(2, 2))),
+}
+
+# each op's shape and input checks: a call _OP_CALLS makes, changed so
+# that the op must refuse it, the error and the start of its message
+_BAD_CALLS = {
+    "mul-string": (lambda make: tz.mul(make((2, 3)), "x"), UsageError,
+                   "expected Tensor or Parameter, got str"),
+    "bmatmul-ranks": (lambda make: tz.bmatmul(make((2, 3)), make((2, 3, 4))), ShapeError,
+                      "bmatmul: ranks 2 and 3"),
+    "bmatmul-shapes": (lambda make: tz.bmatmul(make((2, 2, 3)), make((2, 2, 4))), ShapeError,
+                       "bmatmul: shapes (2, 2, 3) and (2, 2, 4)"),
+    "concat": (lambda make: tz.concat([make((2, 3)), make((3, 1))]), ShapeError,
+               "concat: shape (3, 1) incompatible"),
+    "mean_axis-empty": (lambda make: tz.mean_axis(make((2, 0)), -1), ShapeError,
+                        "mean_axis over empty axis"),
+    "mean_all-empty": (lambda make: tz.mean_all(make((0, 3))), ShapeError,
+                       "mean_all of empty tensor"),
+    "embedding_lookup-table-rank": (
+        lambda make: tz.embedding_lookup(np.array([0, 2]), make((4,))), ShapeError,
+        "embedding table must be 2-D"),
+    "embedding_lookup-float-ids": (
+        lambda make: tz.embedding_lookup(np.array([0.0, 2.0]), make((4, 3))), ShapeError,
+        "ids must be integers"),
+    "conv1d-ranks": (lambda make: tz.conv1d(make((5,)), make((2, 2, 3)), make((2,))),
+                     ShapeError, "conv1d: expected x (L,D)"),
+    "conv1d-dims": (lambda make: tz.conv1d(make((5, 3)), make((2, 2, 4)), make((2,))),
+                    ShapeError, "conv1d: filters (2, 2, 4)"),
+    "maxpool1d-rank": (lambda make: tz.maxpool1d(make((4,)), 2), ShapeError,
+                       "maxpool1d: expected (L, K)"),
+    "maxpool1d-pool": (lambda make: tz.maxpool1d(make((4, 3)), 0), ShapeError,
+                       "maxpool1d: pool size must be >= 1"),
+    "global_maxpool-empty": (lambda make: tz.global_maxpool(make((0, 3))), ShapeError,
+                             "global_maxpool: expected non-empty"),
+    "cross_entropy-one-class": (lambda make: tz.cross_entropy(make((2, 1)), np.array([0, 0])),
+                                ShapeError, "cross_entropy: need at least 2 classes"),
+    "dropout-no-rng": (lambda make: tz.dropout(make((2, 3)), 0.5, True, None), ShapeError,
+                       "dropout in training mode requires an rng"),
+    "additive_pair_scores": (lambda make: tz.additive_pair_scores(
+        make((2, 3, 4)), make((2, 3, 4)), make((3,)), make((4,))), ShapeError,
+        "additive_pair_scores: got a (2, 3, 4)"),
+    "bigru-no-steps": (lambda make: tz.bigru(make((0, 2)),
+                                             *(make(s) for s in tz.gru_shapes(2, 2))),
+                       ShapeError, "bigru: expected (..., N, F) with N >= 1"),
 }
 
 
@@ -352,6 +413,27 @@ class TestTapeMechanics:
         with pytest.raises(UsageError):
             _OP_CALLS[op](make)
         assert len(tape) == recorded
+
+    @pytest.mark.parametrize("case", sorted(_BAD_CALLS))
+    def test_bad_inputs_raise_before_recording(self, case):
+        call, error, message = _BAD_CALLS[case]
+        rng = np.random.default_rng(82)
+        tape = tz.Tape()
+        with pytest.raises(error) as info:
+            call(lambda shape: tape.constant(rng.uniform(0.1, 1.0, shape)))
+        assert str(info.value).startswith(message)
+        assert len(tape) == 0
+
+    @pytest.mark.parametrize("case", ["foreign-loss", "vector-loss"])
+    def test_backward_needs_a_scalar_loss_of_its_tape(self, case):
+        w = tz.Parameter("w", np.array([2.0, 3.0]))
+        tape, other = tz.Tape(), tz.Tape()
+        read = tape.read(w)
+        loss = tz.mean_all(other.read(w)) if case == "foreign-loss" else tz.mul(read, read)
+        message = "loss was not produced" if case == "foreign-loss" else "loss must be scalar"
+        with pytest.raises(UsageError, match=message):
+            tz.backward(tape, loss)
+        assert np.all(w.grad == 0.0)
 
     def test_the_op_table_names_every_recording_op(self):
         # so every op is held to the input-binding checks above

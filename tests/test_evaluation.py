@@ -117,9 +117,13 @@ class TestComputeMetrics:
         assert "fake" in report.degenerate_classes
         assert report.per_class["fake"].precision == 0.0
 
-    def test_length_mismatch(self):
-        with pytest.raises(UsageError):
-            compute_metrics(["real"], ["real", "fake"])
+    @pytest.mark.parametrize("gold, pred, error", [
+        (["real"], ["real", "fake"], "gold has 1 labels but pred has 2"),
+        ([], [], "empty prediction list"),
+    ], ids=["length-mismatch", "empty"])
+    def test_unscorable_lists_are_usage_errors(self, gold, pred, error):
+        with pytest.raises(UsageError, match=error):
+            compute_metrics(gold, pred)
 
 
 class TestMcNemar:
@@ -162,6 +166,14 @@ class TestMcNemar:
         assert (result.b, result.c) == (0, 0)
         assert not result.significant_at_05
 
+    @pytest.mark.parametrize("call, error", [
+        (lambda: mcnemar_from_counts(-1, 3), "non-negative"),
+        (lambda: mcnemar(["r", "f"], ["r", "f"], ["r"]), "equal lengths"),
+    ], ids=["negative-count", "length-mismatch"])
+    def test_bad_inputs_are_usage_errors(self, call, error):
+        with pytest.raises(UsageError, match=error):
+            call()
+
 
 class TestMajorityBaseline:
     def test_predicts_training_majority(self):
@@ -178,6 +190,10 @@ class TestMajorityBaseline:
         report = majority_baseline(train, test)
         assert report.accuracy == 0.59
         assert abs(report.macro_f1 - 0.37) < 0.01
+
+    def test_empty_training_set_is_usage_error(self):
+        with pytest.raises(UsageError, match="non-empty training set"):
+            majority_baseline([], ["real"])
 
 
 class _Item:
@@ -254,6 +270,10 @@ class TestCrossYear:
         assert lines[2] == "2014,0.50,0.00"
         assert lines[3] == "Average,0.50,0.82"
 
-    def test_needs_two_years(self):
-        with pytest.raises(UsageError):
-            cross_year({2013: [_Item("real"), _Item("fake")]}, lambda t, s: None)
+    @pytest.mark.parametrize("data, error", [
+        ({2013: [_Item("real"), _Item("fake")]}, "at least 2 years"),
+        ({2013: [_Item("real"), _Item("fake")], 2014: [_Item("fake")] * 2}, "2 usable years"),
+    ], ids=["one-year", "one-usable-year"])
+    def test_needs_two_years(self, data, error):
+        with pytest.raises(UsageError, match=error):
+            cross_year(data, lambda t, s: None)

@@ -93,6 +93,12 @@ class TestLoadCategoryLexicon:
         with pytest.raises(ParseError):
             load_category_lexicon(path, fmt="nrc")
 
+    def test_unknown_format_rejected(self, tmp_path):
+        path = tmp_path / "words.csv"
+        path.write_text("word,fear\n")
+        with pytest.raises(ParseError, match="unknown category lexicon format 'csv'"):
+            load_category_lexicon(path, fmt="csv")
+
 
 class TestLoadRatingLexicon:
     def test_basic(self, tmp_path):
@@ -156,6 +162,15 @@ class TestLoadLexiconSet:
         assert set(lex.emotions.categories) == set(FEATURE_NAMES[:8])
         assert set(lex.sentiment.categories) == {"positive", "negative"}
         assert lex.imageability.ratings == {"dog": 0.9}
+        assert lex.hyperbolic == CategoryLexicon(name="hyperbolic",
+                                                 categories={"hyperbolic": {"terrifying"}})
+
+    def test_a_lexicon_missing_a_category_is_config_error(self, tmp_path):
+        manifest = write_lexicon_files(tmp_path)
+        nrc = tmp_path / "nrc.tsv"
+        nrc.write_text(nrc.read_text().replace("w_trust\ttrust\t1\n", ""))
+        with pytest.raises(ConfigError, match=r"'emotions' is missing categories: \['trust'\]"):
+            load_lexicon_set(manifest)
 
 
 class TestExtractAffect:
@@ -298,6 +313,12 @@ class TestWeightMatrix:
         assert values[0, FEATURE_NAMES.index("hyperbolic")] == 0.5
         assert np.array_equal(values, brute_force_affect(tokens, segment_tokens(seg), 2, lex))
         assert lex.token_categories("huge") == ["hyperbolic"]
+
+    def test_document_length_below_one_is_usage_error(self, toy_lexicons):
+        seg = SegmentedDocument(n_segments=2, max_seg_len=2, tokens=[],
+                                offsets=np.array([0, 0, 0]), doc_length=0)
+        with pytest.raises(UsageError, match="document length must be >= 1"):
+            extract_affect(seg, toy_lexicons)
 
     def test_document_without_lexicon_words_is_float64_zeros(self, toy_lexicons):
         values = extract_affect(segment(TokenizedDocument(["x", "y", "z"]), 4, 2),

@@ -87,10 +87,16 @@ class TestConfig:
         with pytest.raises(ConfigError, match="cnn_filter_widths"):
             FakeFlowConfig.from_json({**tiny_config().to_json(), "cnn_filter_widths": widths})
 
-    def test_repeated_classes_rejected(self):
+    @pytest.mark.parametrize("classes, error", [
         # every label of a repeated class mapped to its last index
-        with pytest.raises(ConfigError, match="distinct classes"):
-            FakeFlowConfig(n_segments=2, vocab_size=10, classes=("real", "real"))
+        (("real", "real"), "distinct classes"),
+        # metrics sort the gold and predicted labels together
+        ((0, 1), "class names must be strings"),
+        (("real", True), "class names must be strings"),
+    ], ids=["repeated", "integers", "true"])
+    def test_repeated_classes_rejected(self, classes, error):
+        with pytest.raises(ConfigError, match=error):
+            FakeFlowConfig(n_segments=2, vocab_size=10, classes=classes)
 
     def test_integral_sizes_are_stored_as_ints(self):
         cfg = tiny_config(n_segments=3.0, vocab_size=12.0, cnn_filter_widths=(2.0, np.int64(3)),
@@ -342,6 +348,14 @@ class TestAblations:
         assert trace.attention_weights is not None
         assert trace.v_affect is None
 
+    def test_trace_json_holds_every_field(self):
+        cfg = tiny_config(mode="topic_only")
+        trace = FakeFlowModel(cfg, seed=9).forward(random_example(cfg, np.random.default_rng(9)))
+        payload = json.loads(json.dumps(trace.to_json()))
+        assert set(payload) == set(vars(trace))
+        assert payload["mode"] == "topic_only" and payload["v_flow"] is None
+        assert payload["l_t"] == trace.l_t.tolist()
+
 
 class TestBatchAndDeterminism:
     def test_batch_probs_match_per_document(self):
@@ -477,6 +491,19 @@ class TestInferenceTape:
                 predict(examples, batch_size=batch_size)
             with pytest.raises(UsageError, match="batch_size"):
                 predict([], batch_size=batch_size)
+
+    def test_empty_batch_is_usage_error(self):
+        model = FakeFlowModel(tiny_config(), seed=33)
+        with pytest.raises(UsageError, match="empty batch"):
+            model.batch_logits(tz.Tape(), [], training=False, rng=None)
+
+    def test_ids_that_join_into_floats_name_the_batch(self):
+        # each document passes alone, but int64 and uint64 ids join into float64
+        cfg = tiny_config()
+        examples = edge_batch(cfg, 2, seed=33)
+        examples[1].ids = examples[1].ids.astype(np.uint64)
+        with pytest.raises(ShapeError, match="documents 'edge', 'd1' .* do not join into integer"):
+            FakeFlowModel(cfg, seed=33).predict_logits(examples)
 
     def test_first_bad_document_is_named(self):
         cfg = tiny_config()
@@ -714,11 +741,15 @@ class TestCheckpoint:
         with pytest.raises(ConfigError, match=f"parameter '{name}' of shape"):
             FakeFlowModel.load(tmp_path / "model.bin")
 
-    def test_checkpoint_with_repeated_classes_is_config_error(self, tmp_path):
+    @pytest.mark.parametrize("classes, error", [
+        (["real", "real"], "distinct classes"),
+        ([0, 1], "class names must be strings"),
+    ], ids=["repeated", "integers"])
+    def test_checkpoint_with_repeated_classes_is_config_error(self, tmp_path, classes, error):
         model = FakeFlowModel(tiny_config(), seed=13)
         tz.save_checkpoint(tmp_path / "model.bin", model.params,
-                           config={**model.config.to_json(), "classes": ["real", "real"]})
-        with pytest.raises(ConfigError, match="distinct classes"):
+                           config={**model.config.to_json(), "classes": classes})
+        with pytest.raises(ConfigError, match=error):
             FakeFlowModel.load(tmp_path / "model.bin")
 
     @pytest.mark.parametrize("change", [
@@ -726,6 +757,9 @@ class TestCheckpoint:
         {"cnn_filter_widths": 3},  # not a list
         {"n_segments": "three"},  # not a number
         {"vocab_size": 12.5},  # not an integer
+        {"dropout_rate": 1.0},  # drops every unit
+        {"activation": "swish"},  # not an activation the engine has
+        {"optimizer": "lbfgs"},  # not an algorithm the optimizer has
     ])
     def test_bad_config_is_config_error(self, change):
         payload = tiny_config().to_json()

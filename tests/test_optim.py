@@ -62,10 +62,19 @@ class TestStep:
         assert tz.make_optimizer("adam").learning_rate == 0.001
         assert tz.make_optimizer("rmsprop").learning_rate == 0.001
         assert tz.make_optimizer("adadelta").learning_rate == 1.0
+        # the CLI's --optimizer choices, in this order
+        assert tz.ALGORITHMS == ("sgd", "adam", "rmsprop", "adadelta")
+        assert tz.DEFAULT_LEARNING_RATES == {"sgd": 0.01, "adam": 0.001, "rmsprop": 0.001,
+                                             "adadelta": 1.0}
 
     def test_unknown_algorithm_rejected(self):
         with pytest.raises(UsageError):
             tz.make_optimizer("lion")
+        # make_optimizer validates; a state built by hand is checked by step
+        p = _param(1.0, 0.5)
+        with pytest.raises(UsageError, match="unknown optimizer 'lion'"):
+            tz.step(tz.OptimizerState(algorithm="lion", learning_rate=0.1), [p])
+        assert p.value[0] == 1.0 and p.grad[0] == 0.5
 
     @pytest.mark.parametrize("lr", [-1.0, float("nan"), float("inf"), float("-inf")])
     def test_learning_rate_must_be_finite_and_not_negative(self, lr):

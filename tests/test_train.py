@@ -117,6 +117,14 @@ class TestTrainLoop:
         with pytest.raises(UsageError, match="-3"):
             TrainConfig(max_epochs=5, patience=-3)
 
+    @pytest.mark.parametrize("change, error", [
+        ({"batch_size": 0}, "batch_size must be >= 1"),
+        ({"monitored_metric": "val_accuracy"}, "unknown monitored metric 'val_accuracy'"),
+    ], ids=["batch-size", "metric"])
+    def test_bad_batch_size_or_metric_rejected(self, change, error):
+        with pytest.raises(UsageError, match=error):
+            TrainConfig(**change)
+
     def test_unknown_label_rejected(self):
         examples, vocab, _ = _flow_examples(6)
         examples[0].label = "satire"
@@ -336,6 +344,10 @@ class TestSelectN:
         assert by_n[1].max_seg_len == 1500
         assert by_n[2].max_seg_len == 40
         assert best_n in (1, 2)
+
+    def test_candidates_must_be_non_empty(self):
+        with pytest.raises(UsageError, match="candidates must be non-empty"):
+            select_n_segments([], [], [], None, None, None, TrainConfig(seed=0))
 
     def test_tie_breaks_to_smaller_n(self):
         # both runs of a constant-output model give identical metrics
